@@ -14,13 +14,11 @@ from enum import Enum
 from fractions import Fraction
 
 from .geometry import Rect
-from .sequence import SILVER_CONJUGATE, SILVER_RATIO, pell_lucas, pole_ratio
+from .sequence import SILVER_CONJUGATE, SILVER_RATIO, float_pole, pole_ratio
 
 DEFAULT_POLE_TOL = 1e-6
 DEFAULT_ACCUM_TOL = 1e-3
 DEFAULT_J_CAP = 60
-
-_pole_float_cache: dict[int, float] = {}
 
 
 def accumulation_points() -> tuple[float, float]:
@@ -58,14 +56,6 @@ class DomainClass:
         return self.tag is DomainTag.REGULAR
 
 
-def _pole_float(j: int) -> float:
-    v = _pole_float_cache.get(j)
-    if v is None:
-        v = float(pole_ratio(j))
-        _pole_float_cache[j] = v
-    return v
-
-
 def poles_in_rect(region: Rect, j_cap: int = DEFAULT_J_CAP) -> list[Pole]:
     """All poles with |j| <= j_cap inside the closed region, by location.
 
@@ -78,7 +68,7 @@ def poles_in_rect(region: Rect, j_cap: int = DEFAULT_J_CAP) -> list[Pole]:
     for j in range(-j_cap, j_cap + 1):
         loc = pole_ratio(j)
         if region.contains(loc, 0):
-            found.append(Pole(j, loc, _pole_float(j)))
+            found.append(Pole(j, loc, float_pole(j)))
     found.sort(key=lambda p: (p.location, abs(p.index)))
     return found
 
@@ -103,7 +93,7 @@ def classify(z: complex, pole_tol: float = DEFAULT_POLE_TOL,
     best_j = 0
     best_exact = False
     for j in range(-j_cap, j_cap + 1):
-        loc = _pole_float(j)
+        loc = float_pole(j)
         d = math.hypot(z.real - loc, z.imag)
         if d < best_d or (d == best_d and abs(j) < abs(best_j)):
             best_d = d

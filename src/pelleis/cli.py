@@ -44,6 +44,12 @@ def _eval_fields(z: complex, r: EvalResult) -> str:
     ])
 
 
+def grid_size(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def _settings(args) -> EvalSettings:
     kwargs = {"target_tol": args.tol}
     if getattr(args, "max_j", None) is not None:
@@ -163,8 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grid", help="evaluate over a rectangular lattice")
     p.add_argument("--rect", required=True, metavar="X0,Y0,X1,Y1")
-    p.add_argument("--nx", type=int, required=True)
-    p.add_argument("--ny", type=int, required=True)
+    p.add_argument("--nx", type=grid_size, required=True)
+    p.add_argument("--ny", type=grid_size, required=True)
     p.add_argument("--weight", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-12)
     p.set_defaults(func=_cmd_grid, max_j=None)
@@ -180,8 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eq", choices=eq_choices, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--rect", default=DEFAULT_RECT, metavar="X0,Y0,X1,Y1")
-    p.add_argument("--nx", type=int, default=DEFAULT_GRID_N)
-    p.add_argument("--ny", type=int, default=DEFAULT_GRID_N)
+    p.add_argument("--nx", type=grid_size, default=DEFAULT_GRID_N)
+    p.add_argument("--ny", type=grid_size, default=DEFAULT_GRID_N)
     p.add_argument("--tol", type=float, default=1e-12)
     p.set_defaults(func=_cmd_verify, max_j=None)
 
@@ -221,11 +227,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except PelleisError as exc:
-        print(f"# error: {exc}")
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (PelleisError, ValueError) as exc:
         print(f"# error: {exc}")
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -20,7 +20,8 @@ Writing d+ and d- for the distances from z to those two intervals,
 
 Interval endpoints are rounded outward and small multiplicative slack
 absorbs float rounding, so the computed bound stays a true upper bound.
-Distances <= 0 (z inside an interval hull) yield the MaxReal sentinel inf.
+Distances <= 0 (z inside an interval hull) and bounds beyond double range
+yield the MaxReal sentinel inf.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ from dataclasses import dataclass
 
 from .errors import DidNotConverge, PoleProximity
 from .geometry import Rect
-from .sequence import (SILVER_CONJUGATE, SILVER_RATIO, SequenceTable,
-                       pell_lucas, pole_ratio)
+from .sequence import (SILVER_CONJUGATE, SILVER_RATIO, float_pole, float_q,
+                       float_window)
+from .sequence import pell_lucas, pole_ratio  # unused; perfbench wraps them
 
 DEFAULT_TARGET_TOL = 1e-12
 DEFAULT_MAX_HALF_WIDTH = 200
@@ -41,9 +43,6 @@ MIN_TAIL_HALF_WIDTH = 2   # containment interval needs poles J+1, J+2
 _DIST_SHAVE = 1.0 - 1e-12      # deflate distances against rounding
 _BOUND_SLACK = 1.0 + 1e-9      # inflate the bound against rounding
 _BOUND_FLOOR = 2e-300          # stay clear of subnormal arithmetic
-
-# Conservative float hulls of the out-of-window pole sets, keyed by J.
-_hull_cache: dict[int, tuple[float, float, float, float]] = {}
 
 
 @dataclass(frozen=True)
@@ -115,27 +114,24 @@ def _require_point(z: complex) -> complex:
 
 
 def term_value(j: int, z: complex, m: int,
-               pole_guard: float = DEFAULT_POLE_GUARD,
-               table: SequenceTable | None = None) -> complex:
+               pole_guard: float = DEFAULT_POLE_GUARD) -> complex:
     """One term (Q_j z + Q_{j-1})^(-m) in double precision.
 
     The reciprocal is taken first and powered by repeated multiplication,
     so huge |Q_j| underflows gracefully to 0 instead of overflowing.
     Raises PoleProximity when |Q_j z + Q_{j-1}| < pole_guard * |Q_j|,
-    i.e. when z is within pole_guard of the term's pole.
+    i.e. when z is within pole_guard of the term's pole, or so close that
+    the m-th power overflows.
     """
     _require_weight(m)
     z = _require_point(z)
-    qj = pell_lucas(j, table)
-    qjm1 = pell_lucas(j - 1, table)
-    try:
-        fj = float(qj)
-        fjm1 = float(qjm1)
-    except OverflowError:
+    fj = float_q(j)
+    fjm1 = float_q(j - 1)
+    if fj is None or fjm1 is None:
         # |Q_j| beyond double range: the term is zero unless z sits
         # essentially on the pole.
-        if abs(z - float(pole_ratio(j, table))) < pole_guard:
-            raise PoleProximity(j, z) from None
+        if abs(z - float_pole(j)) < pole_guard:
+            raise PoleProximity(j, z)
         return 0j
     w = fj * z + fjm1
     if abs(w) < pole_guard * abs(fj):
@@ -144,30 +140,9 @@ def term_value(j: int, z: complex, m: int,
     out = r
     for _ in range(m - 1):
         out *= r
+    if not (math.isfinite(out.real) and math.isfinite(out.imag)):
+        raise PoleProximity(j, z)
     return out
-
-
-def _hull(half_width: int) -> tuple[float, float, float, float]:
-    cached = _hull_cache.get(half_width)
-    if cached is not None:
-        return cached
-    pa = pole_ratio(half_width + 1)
-    pb = pole_ratio(half_width + 2)
-    if pb < pa:
-        pa, pb = pb, pa
-    na = pole_ratio(-(half_width + 1))
-    nb = pole_ratio(-(half_width + 2))
-    if nb < na:
-        na, nb = nb, na
-    # Round endpoints outward so the true hull is contained.
-    hull = (
-        math.nextafter(float(pa), -math.inf),
-        math.nextafter(float(pb), math.inf),
-        math.nextafter(float(na), -math.inf),
-        math.nextafter(float(nb), math.inf),
-    )
-    _hull_cache[half_width] = hull
-    return hull
 
 
 def _dist_to_interval(z: complex, lo: float, hi: float) -> float:
@@ -192,24 +167,26 @@ def tail_bound(half_width: int, z: complex, m: int) -> float:
     if half_width < MIN_TAIL_HALF_WIDTH:
         raise ValueError(
             f"tail bound needs half_width >= {MIN_TAIL_HALF_WIDTH}")
-    lo_p, hi_p, lo_n, hi_n = _hull(half_width)
+    lo_p, hi_p, lo_n, hi_n, q_inv = float_window(half_width)
     d_pos = _dist_to_interval(z, lo_p, hi_p) * _DIST_SHAVE
     d_neg = _dist_to_interval(z, lo_n, hi_n) * _DIST_SHAVE
     if d_pos <= 0.0 or d_neg <= 0.0:
         return math.inf
-    try:
-        q_inv = 1.0 / float(pell_lucas(half_width))
-    except OverflowError:
-        q_inv = 0.0
     geo = 2.0 ** (-m) / (1.0 - 2.0 ** (-m))
-    bound = (d_pos ** (-m) + d_neg ** (-m)) * q_inv ** m * geo * _BOUND_SLACK
+    try:
+        bound = (d_pos ** (-m) + d_neg ** (-m)) * q_inv ** m
+    except OverflowError:  # d ** -m left double range; q_inv may rescue it
+        try:
+            bound = (q_inv / d_pos) ** m + (q_inv / d_neg) ** m
+        except OverflowError:
+            return math.inf
+    bound = bound * geo * _BOUND_SLACK
     if math.isinf(bound) or math.isnan(bound):
         return math.inf
     return max(bound, _BOUND_FLOOR)
 
 
 def eval_series(z: complex, m: int, settings: EvalSettings | None = None,
-                table: SequenceTable | None = None,
                 trace: list | None = None) -> EvalResult:
     """Adaptive evaluation of the full bilateral series at z with weight m.
 
@@ -218,10 +195,12 @@ def eval_series(z: complex, m: int, settings: EvalSettings | None = None,
     grows until tail_bound(J, z, m) <= target_tol; if `trace` is a list it
     receives (J, bound) pairs for every checked window.
 
-    Raises PoleProximity when a term denominator nearly vanishes and
-    DidNotConverge when the bound cannot reach the tolerance (immediately
-    so within pole_guard of the accumulation points 1 +/- sqrt(2), where
-    poles cluster and the bound stays at the sentinel forever).
+    Raises PoleProximity when a term denominator nearly vanishes or a term
+    overflows, and DidNotConverge when the bound cannot reach the tolerance
+    (immediately so within pole_guard of the accumulation points
+    1 +/- sqrt(2), where poles cluster and the bound stays at the sentinel
+    forever) or when finite terms sum past double range (half_width is then
+    the window reached, tail_bound inf).
     """
     s = settings or EvalSettings()
     _require_weight(m)
@@ -233,13 +212,11 @@ def eval_series(z: complex, m: int, settings: EvalSettings | None = None,
     guard = s.pole_guard
     minus = _CompensatedSum()
     plus = _CompensatedSum()
-    minus.add(term_value(0, z, m, guard, table))
+    minus.add(term_value(0, z, m, guard))
     bound = math.inf
-    half_width = 0
     for level in range(1, s.max_half_width + 1):
-        plus.add(term_value(level, z, m, guard, table))
-        minus.add(term_value(-level, z, m, guard, table))
-        half_width = level
+        plus.add(term_value(level, z, m, guard))
+        minus.add(term_value(-level, z, m, guard))
         if level < MIN_TAIL_HALF_WIDTH:
             continue
         bound = tail_bound(level, z, m)
@@ -248,33 +225,33 @@ def eval_series(z: complex, m: int, settings: EvalSettings | None = None,
         if bound <= s.target_tol:
             break
     else:
-        raise DidNotConverge(half_width, bound, point=z)
+        raise DidNotConverge(level, bound, point=z)
 
     minus_part = minus.total()
     plus_part = plus.total()
+    value = minus_part + plus_part
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise DidNotConverge(level, math.inf, point=z)
     return EvalResult(
-        value=minus_part + plus_part,
+        value=value,
         minus_part=minus_part,
         plus_part=plus_part,
         tail_bound=bound,
-        terms_used=half_width,
+        terms_used=level,
     )
 
 
 def eval_grid(region: Rect, nx: int, ny: int, m: int,
-              settings: EvalSettings | None = None,
-              table: SequenceTable | None = None):
+              settings: EvalSettings | None = None):
     """Evaluate at every cell center of an nx-by-ny lattice over region.
 
     Returns a row-major list of (point, EvalResult-or-error); per-point
     PoleProximity/DidNotConverge are recorded, not raised.
     """
-    if nx < 1 or ny < 1:
-        raise ValueError("grid must have at least one cell per axis")
     out = []
     for z in region.cell_centers(nx, ny):
         try:
-            out.append((z, eval_series(z, m, settings, table)))
+            out.append((z, eval_series(z, m, settings)))
         except (PoleProximity, DidNotConverge) as exc:
             out.append((z, exc))
     return out

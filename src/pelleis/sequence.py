@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from functools import cache
+from math import inf, nextafter
 
 from .errors import IndexCapExceeded, InvalidRange
 
@@ -77,6 +79,36 @@ class SequenceTable:
 
 
 _DEFAULT_TABLE = SequenceTable()
+
+
+# One lazily filled float table over _DEFAULT_TABLE for the numeric layers.
+@cache
+def float_q(n: int) -> float | None:
+    """float(Q_n), or None where it leaves double range."""
+    try:
+        return float(_DEFAULT_TABLE.value(n))
+    except OverflowError:
+        return None
+
+
+@cache
+def float_pole(n: int) -> float:
+    """-Q_{n-1}/Q_n by int true division, correctly rounded as is
+    float(pole_ratio(n))."""
+    return -_DEFAULT_TABLE.value(n - 1) / _DEFAULT_TABLE.value(n)
+
+
+@cache
+def float_window(n: int) -> tuple[float, float, float, float, float]:
+    """(lo+, hi+, lo-, hi-, 1/Q_n): the outward rounded hulls of p_{n+1},
+    p_{n+2} and of p_{-n-1}, p_{-n-2}, which hold every pole beyond
+    |j| <= n, and 1/Q_n (0.0 where Q_n overflows)."""
+    lo_p, hi_p = sorted((float_pole(n + 1), float_pole(n + 2)))
+    lo_n, hi_n = sorted((float_pole(-n - 1), float_pole(-n - 2)))
+    q = float_q(n)
+    return (nextafter(lo_p, -inf), nextafter(hi_p, inf),
+            nextafter(lo_n, -inf), nextafter(hi_n, inf),
+            0.0 if q is None else 1.0 / q)
 
 
 def pell_lucas(n: int, table: SequenceTable | None = None) -> int:

@@ -10,7 +10,6 @@ from .equations import EquationId
 from .errors import EmptyGrid, PelleisError, ZeroArgument
 from .evaluator import EvalSettings, eval_series
 from .geometry import Rect
-from .sequence import SequenceTable
 
 DEFAULT_K_CAP = 8  # keeps |z|^(2k) within double range on the usual grids
 _REL_FLOOR = 1e-300
@@ -71,8 +70,7 @@ _REFINE_TOL_FLOOR = 1e-250
 
 def residual(equation: EquationId, z: complex, k: int,
              settings: EvalSettings | None = None,
-             k_cap: int = DEFAULT_K_CAP,
-             table: SequenceTable | None = None) -> ResidualReport:
+             k_cap: int = DEFAULT_K_CAP) -> ResidualReport:
     """Evaluate both sides of the equation at z for weight 2k.
 
     target_tol is treated relative to the side magnitudes: after a first
@@ -100,12 +98,12 @@ def residual(equation: EquationId, z: complex, k: int,
     lhs_settings = rhs_settings = base
     for _ in range(_REFINE_ROUNDS + 1):
         try:
-            left = eval_series(lhs_z, m, lhs_settings, table)
+            left = eval_series(lhs_z, m, lhs_settings)
         except PelleisError as exc:
             exc.side = "lhs"
             raise
         try:
-            right = eval_series(rhs_z, m, rhs_settings, table)
+            right = eval_series(rhs_z, m, rhs_settings)
         except PelleisError as exc:
             exc.side = "rhs"
             raise
@@ -137,8 +135,7 @@ def residual(equation: EquationId, z: complex, k: int,
 
 def verify_grid(equation: EquationId, region: Rect, nx: int, ny: int, k: int,
                 settings: EvalSettings | None = None,
-                k_cap: int = DEFAULT_K_CAP,
-                table: SequenceTable | None = None) -> GridSummary:
+                k_cap: int = DEFAULT_K_CAP) -> GridSummary:
     """Residuals at every cell center whose arguments both classify REGULAR.
 
     Non-regular points (and z = 0 where the equation needs 1/z) are
@@ -157,7 +154,7 @@ def verify_grid(equation: EquationId, region: Rect, nx: int, ny: int, k: int,
             summary.points_skipped += 1
             continue
         try:
-            report = residual(equation, z, k, settings, k_cap, table)
+            report = residual(equation, z, k, settings, k_cap)
         except PelleisError as exc:
             summary.points_failed += 1
             summary.failures.append((z, exc))

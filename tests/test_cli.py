@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import hashlib
 import subprocess
 import sys
 from fractions import Fraction
@@ -220,6 +221,47 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "seq", "--from", "0")[0] == 2
     assert run_cli(capsys, "nonsense")[0] == 2
     assert run_cli(capsys)[0] == 2
+    assert run_cli(capsys, "grid", "--rect", "0,0,1,1", "--nx", "0",
+                   "--ny", "2", "--weight", "2")[0] == 2
+    assert run_cli(capsys, "verify", "--eq", "shift", "--k", "1",
+                   "--nx", "0")[0] == 2
+    assert run_cli(capsys, "verify", "--eq", "shift", "--k", "1",
+                   "--ny", "0")[0] == 2
+
+
+# sha256 of stdout for small runs; a change to the numeric kernels must
+# leave every byte of these as it is.
+PINNED_STDOUT = {
+    "grid-m2": (
+        "grid --rect=-1.5,-0.5,2.5,0.5 --nx 12 --ny 5 --weight 2",
+        "f2e2188a0e49b9f3212d9012b1f17b73808f2ce7d9f5d74c84461ac91ca742d0"),
+    "grid-m8": (
+        "grid --rect=-1.5,-0.5,2.5,0.5 --nx 12 --ny 5 --weight 8",
+        "929b64267b6d6caad4ae32679444342625e349d419b93b7e6567120e19a4a302"),
+    "verify-inversion": (
+        "verify --eq inversion --k 1 --nx 5 --ny 5",
+        "2ae30def0ee7f1406da229aac0667ea5e0cb0d6f6b971100f5f15a0a4d4ad0ab"),
+    "verify-reflection": (
+        "verify --eq reflection --k 1 --nx 5 --ny 5",
+        "118ac0ad0adfccb164aaeba348d17670478d7b82f89455b6fbbc89f0a4a63aee"),
+    "verify-shift": (
+        "verify --eq shift --k 1 --nx 5 --ny 5",
+        "e9105c2662ed02e9252eaea0b97dcccc187f33223ed8094d85e2cf4287347c5b"),
+    "verify-negation": (
+        "verify --eq negation --k 1 --nx 5 --ny 5",
+        "8016dc602a27bb2ea43166acf4abc4962a642fe4225f66c0526fe199bc862f43"),
+    "poles": (
+        "poles --rect=-2,-0.5,3.5,0.5",
+        "f82a433c6963f320a9e956ccc4ff40be98e579959da34e6d063edb98674b620b"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_STDOUT)
+def test_stdout_bytes_pinned(capsys, name):
+    command, digest = PINNED_STDOUT[name]
+    code, out = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_help_exits_0(capsys):

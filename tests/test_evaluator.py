@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import oracle
+from pelleis import evaluator
 from pelleis import (DidNotConverge, EvalSettings, PoleProximity, Rect,
                      eval_grid, eval_series, pole_ratio, tail_bound,
                      term_value)
@@ -90,6 +91,34 @@ def test_tail_bound_sentinel_inside_hull():
     assert tail_bound(5, complex(SILVER_CONJUGATE, 0.0), 2) == math.inf
     assert tail_bound(5, complex(SILVER_RATIO, 0.0), 2) == math.inf
     assert math.isfinite(tail_bound(5, 3j, 2))
+
+
+def test_tail_bound_survives_overflowing_distance_power():
+    # z sits 1e-5 above p_5, which lies in the pole hulls of windows 2..4:
+    # d^-64 leaves double range there, yet the bound is returned (huge,
+    # not an OverflowError) and the window keeps growing past the hull.
+    z = complex(float(pole_ratio(5)), 1e-5)
+    for half_width in (2, 3, 4):
+        assert tail_bound(half_width, z, 64) > 1e200
+    assert tail_bound(5, z, 64) < tail_bound(4, z, 64)
+    res = eval_series(z, 64)
+    assert res.terms_used > 5
+    assert math.isfinite(res.value.real) and math.isfinite(res.tail_bound)
+    # Closer still, term 5 itself overflows: a typed refusal, not a crash.
+    with pytest.raises(PoleProximity) as info:
+        eval_series(complex(float(pole_ratio(5)), 1e-7), 64)
+    assert info.value.index == 5
+
+
+def test_tail_bound_rescues_overflowing_distance_power():
+    # Next to the accumulation point 1 + sqrt(2) (outside the pole guard),
+    # d^-64 overflows at every window, but (1/Q_J / d)^64 soon shrinks:
+    # the bound is finite from J = 13 on and the series converges.
+    z = SILVER_RATIO + 1e-5j
+    assert math.isfinite(tail_bound(13, z, 64))
+    res = eval_series(z, 64)
+    assert math.isfinite(res.value.real) and math.isfinite(res.value.imag)
+    assert res.tail_bound <= EvalSettings().target_tol
 
 
 def test_tail_bound_shrinks_geometrically():
@@ -242,6 +271,27 @@ def test_eval_did_not_converge_when_window_capped():
     assert exc.point == 0.5 + 0.5j
 
 
+def test_eval_nonfinite_term_is_pole_proximity():
+    # 1.5e-8 from p_0 = 1 passes the pole guard, but the 60th power of
+    # 1/(2z - 2) overflows.
+    z = 1 + 1.5e-8j
+    with pytest.raises(PoleProximity) as info:
+        term_value(0, z, 60)
+    assert info.value.index == 0
+    with pytest.raises(PoleProximity):
+        eval_series(z, 60)
+    assert math.isfinite(term_value(0, z, 20).real)
+
+
+def test_eval_nonfinite_sum_is_refused(monkeypatch):
+    # Finite terms whose sum overflows are refused as well.
+    monkeypatch.setattr(evaluator, "term_value", lambda *args: 1e308 + 0j)
+    with pytest.raises(DidNotConverge) as info:
+        eval_series(3j, 2)
+    assert info.value.point == 3j
+    assert info.value.tail_bound == math.inf
+
+
 # ------------------------------------------------------------------ eval_grid
 
 def test_eval_grid_matches_pointwise():
@@ -267,6 +317,10 @@ def test_eval_grid_records_errors():
     x = SILVER_CONJUGATE
     out = eval_grid(Rect(x - 0.25, -0.25, x + 0.25, 0.25), 1, 1, 2)
     assert isinstance(out[0][1], DidNotConverge)
+
+    # A term overflowing double range records PoleProximity.
+    out = eval_grid(Rect(0.5, -0.5 + 1.5e-8, 1.5, 0.5 + 1.5e-8), 1, 1, 60)
+    assert isinstance(out[0][1], PoleProximity)
 
 
 def test_eval_grid_validation():

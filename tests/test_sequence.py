@@ -1,5 +1,6 @@
 """Integer sequence: exact values, recurrences, symmetry, caps, concurrency."""
 
+import math
 import threading
 from fractions import Fraction
 
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from oracle import q_int
 from pelleis import (IndexCapExceeded, InvalidRange, SequenceTable,
                      pell_lucas, pell_lucas_range, pole_ratio)
-from pelleis.sequence import SILVER_CONJUGATE, SILVER_RATIO
+from pelleis.sequence import (SILVER_CONJUGATE, SILVER_RATIO, float_pole,
+                              float_q, float_window)
 
 KNOWN_FORWARD = [2, 2, 6, 14, 34, 82, 198, 478, 1154, 2786]
 
@@ -142,3 +144,35 @@ def test_neighbor_product_defect(n):
     # drives the alternation of the pole locations.
     lhs = pell_lucas(n + 1) * pell_lucas(n - 1) - pell_lucas(n) ** 2
     assert lhs == (8 if n % 2 else -8)
+
+
+# ------------------------------------------------------------- float table
+
+def test_float_table_q_marks_overflow():
+    for n in range(-20, 21):
+        assert float_q(n) == float(pell_lucas(n))
+    assert float_q(900) is None and float_q(-900) is None
+    assert float_q(800) == float(pell_lucas(800))
+
+
+def test_float_table_poles_round_like_fractions():
+    for j in range(-900, 901):
+        assert float_pole(j) == float(pole_ratio(j))
+
+
+def test_float_table_windows_match_exact_hulls():
+    # Hulls built from exact rational comparisons, then rounded outward.
+    def hull(a, b):
+        lo, hi = (a, b) if a <= b else (b, a)
+        return (math.nextafter(float(lo), -math.inf),
+                math.nextafter(float(hi), math.inf))
+
+    for half_width in range(1, 900):
+        plus = hull(pole_ratio(half_width + 1), pole_ratio(half_width + 2))
+        minus = hull(pole_ratio(-half_width - 1), pole_ratio(-half_width - 2))
+        try:
+            q_inv = 1.0 / float(pell_lucas(half_width))
+        except OverflowError:
+            q_inv = 0.0
+        assert float_window(half_width) == plus + minus + (q_inv,)
+    assert float_window(850)[4] == 0.0
