@@ -35,17 +35,21 @@ class EmptyGrid(PelleisError):
 
 
 class PoleProximity(PelleisError):
-    """A term denominator Q_j z + Q_{j-1} vanishes (or nearly) at the point."""
+    """A term denominator Q_j z + Q_{j-1} vanishes (or nearly) at the point.
+
+    The message is rendered from the current fields, so a side set after
+    construction (as verify.residual does) shows up as a [lhs]/[rhs] tag.
+    """
 
     def __init__(self, index: int, point: complex, side: str | None = None):
+        super().__init__(index, point, side)
         self.index = index
         self.point = point
         self.side = side
-        super().__init__(self._render())
 
-    def _render(self) -> str:
-        tag = f" [{self.side}]" if self.side else ""
-        return f"term j={self.index} is singular near z={self.point!r}{tag}"
+    def __str__(self) -> str:
+        return (f"term j={self.index} is singular near z={self.point!r}"
+                f"{_side_tag(self.side)}")
 
 
 class DidNotConverge(PelleisError):
@@ -53,12 +57,17 @@ class DidNotConverge(PelleisError):
 
     def __init__(self, half_width: int, tail_bound: float,
                  point: complex | None = None, side: str | None = None):
+        super().__init__(half_width, tail_bound, point, side)
         self.half_width = half_width
         self.tail_bound = tail_bound
         self.point = point
         self.side = side
-        tag = f" [{self.side}]" if side else ""
-        super().__init__(
-            f"tail bound {tail_bound!r} above tolerance at half-width "
-            f"{half_width} for z={point!r}{tag}"
-        )
+
+    def __str__(self) -> str:
+        return (f"tail bound {self.tail_bound!r} above tolerance at "
+                f"half-width {self.half_width} for z={self.point!r}"
+                f"{_side_tag(self.side)}")
+
+
+def _side_tag(side: str | None) -> str:
+    return f" [{side}]" if side else ""

@@ -27,6 +27,7 @@ yield the MaxReal sentinel inf.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DidNotConverge, PoleProximity
@@ -43,6 +44,7 @@ MIN_TAIL_HALF_WIDTH = 2   # containment interval needs poles J+1, J+2
 _DIST_SHAVE = 1.0 - 1e-12      # deflate distances against rounding
 _BOUND_SLACK = 1.0 + 1e-9      # inflate the bound against rounding
 _BOUND_FLOOR = 2e-300          # stay clear of subnormal arithmetic
+_MIN_NORMAL = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -173,9 +175,14 @@ def tail_bound(half_width: int, z: complex, m: int) -> float:
     if d_pos <= 0.0 or d_neg <= 0.0:
         return math.inf
     geo = 2.0 ** (-m) / (1.0 - 2.0 ** (-m))
-    try:
-        bound = (d_pos ** (-m) + d_neg ** (-m)) * q_inv ** m
-    except OverflowError:  # d ** -m left double range; q_inv may rescue it
+    q_pow = q_inv ** m
+    bound = None
+    if q_pow >= _MIN_NORMAL:
+        try:
+            bound = (d_pos ** (-m) + d_neg ** (-m)) * q_pow
+        except OverflowError:  # d ** -m left double range
+            pass
+    if bound is None:  # q_inv ** m underflowed or d ** -m overflowed
         try:
             bound = (q_inv / d_pos) ** m + (q_inv / d_neg) ** m
         except OverflowError:

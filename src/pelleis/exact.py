@@ -4,18 +4,31 @@ Everything here runs over Fraction coefficients, so equality means
 coefficient-by-coefficient equality of canonical forms: numerator and
 denominator coprime, denominator monic.
 
-The identity checks exploit that each term 1/(Q_j z + Q_{j-1})^m is carried
-to another term (up to the stated power of z) by the argument map of every
-functional equation.  Over a symmetric window |j| <= J the reindexing is a
-bijection for the reflection and shifts the window by one slot for the
-other three equations, leaving one extra term at each edge.  Those edge
-terms are returned explicitly; residual minus boundary must cancel to the
-zero rational function.
+The identity checks are termwise.  Under the left-side argument map
+T(z) = (a z + b)/(c z + d) of every functional equation, the term
+1/(Q_j z + Q_{j-1})^m becomes (c z + d)^m / (alpha z + beta)^m with the
+integers alpha = a Q_j + c Q_{j-1} and beta = b Q_j + d Q_{j-1}; each
+right-side term has the same shape.  Because m is even, two such terms are
+equal when their integer pairs agree up to sign, so the check tallies the
+terms of both sides by sign-normalised pairs and sums, as one exact
+rational function, only the terms whose tally is not zero.  That sum is
+the full residual lhs - rhs regrouped, not an assumption that the identity
+holds.  For the reflection the reindexing j -> -j is a bijection of the
+window |j| <= J; for the other three equations it shifts the window by one
+slot and leaves one extra term at each edge (for the inversion
+Q_{j-1} z - Q_j = (-1)^(j-1) (Q_{1-j} z + Q_{-j})).  Those edge terms are
+computed independently from their closed form and returned; residual
+minus boundary must cancel to the zero rational function.
+
+window_sum and substitute build the same residual the slow way, by
+canonicalising the whole window sum; they remain the reference the tests
+check the termwise prover against.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -399,6 +412,13 @@ def term_rf(j: int, m: int) -> RationalFunction:
     return RationalFunction(1, lin ** m)
 
 
+def _check_window_guard(half_width: int, m: int) -> None:
+    if half_width > WINDOW_HALF_WIDTH_GUARD or m > WINDOW_WEIGHT_GUARD:
+        raise ValueError(
+            f"window guard: half_width <= {WINDOW_HALF_WIDTH_GUARD} "
+            f"and m <= {WINDOW_WEIGHT_GUARD}")
+
+
 def window_sum(half_width: int, m: int,
                degree_cap: int = DEFAULT_DEGREE_CAP) -> RationalFunction:
     """Sum of term_rf(j, m) over |j| <= half_width, combined exactly.
@@ -408,10 +428,7 @@ def window_sum(half_width: int, m: int,
     """
     if half_width < 1 or m < 1:
         raise ValueError("window needs half_width >= 1 and m >= 1")
-    if half_width > WINDOW_HALF_WIDTH_GUARD or m > WINDOW_WEIGHT_GUARD:
-        raise ValueError(
-            f"window guard: half_width <= {WINDOW_HALF_WIDTH_GUARD} "
-            f"and m <= {WINDOW_WEIGHT_GUARD}")
+    _check_window_guard(half_width, m)
     if (2 * half_width + 1) * m > degree_cap:
         raise DegreeCapExceeded(
             f"window denominator degree {(2 * half_width + 1) * m} "
@@ -473,6 +490,19 @@ class ExactIdentityReport:
         return "NONZERO"
 
 
+def _sign_normal(p: int, q: int) -> tuple[int, int]:
+    """(p, q) or (-p, -q), whichever has its first nonzero entry positive.
+
+    For even m, (p z + q)^m does not depend on that sign.
+    """
+    return (p, q) if p > 0 or (p == 0 and q > 0) else (-p, -q)
+
+
+def _linear_power(p: int, q: int, m: int) -> Polynomial:
+    """(p z + q)^m."""
+    return Polynomial((q, p)) ** m
+
+
 def verify_identity_exact(equation: EquationId, half_width: int, k: int,
                           degree_cap: int = DEFAULT_DEGREE_CAP
                           ) -> ExactIdentityReport:
@@ -481,6 +511,11 @@ def verify_identity_exact(equation: EquationId, half_width: int, k: int,
     Returns the residual lhs - rhs, the boundary terms produced by the
     window reindexing, and the defect residual - sum(boundary).  The defect
     is the zero rational function exactly when the identity holds.
+
+    Every term on either side is (c z + d)^m / (alpha z + beta)^m with
+    integer pairs; terms are tallied by their sign-normalised pairs (+1 on
+    the left, -1 on the right) and the residual is the exact sum of the
+    terms whose tally is not zero.
     """
     if half_width < 2:
         raise ValueError("identity check needs half_width >= 2")
@@ -492,31 +527,45 @@ def verify_identity_exact(equation: EquationId, half_width: int, k: int,
             f"identity check at half_width {half_width}, weight {m} "
             f"needs denominator degree up to {(2 * half_width + 3) * m}, "
             f"cap is {degree_cap}")
+    _check_window_guard(half_width, m)
 
-    window = window_sum(half_width, m, degree_cap=degree_cap)
-    lhs = substitute(window, MobiusMap(*equation.lhs_coeffs))
-
+    # Right-side term j is (p z + q)^m / (Q_j z + Q_{j-1})^m with
+    # (p, q) = rhs_num, or over (Q_{j-1} z + Q_j)^m when rhs_swap.
     z_pow = RationalFunction(Polynomial.x() ** m)
-    if equation is EquationId.REFLECTION:
-        rhs = window
+    if equation is EquationId.REFLECTION:      # S(z)
+        rhs_num, rhs_swap = (0, 1), False
         boundary: list[RationalFunction] = []
-    elif equation is EquationId.INVERSION:
-        rhs = z_pow * window
+    elif equation is EquationId.INVERSION:     # z^m S(z)
+        rhs_num, rhs_swap = (1, 0), False
         boundary = [
             z_pow * term_rf(half_width + 1, m),
             -(z_pow * term_rf(-half_width, m)),
         ]
-    else:  # SHIFT and NEGATION share the right side z^(-2k) S(1/z)
+    else:  # SHIFT and NEGATION: z^-m S(1/z) = sum 1/(Q_{j-1} z + Q_j)^m
+        rhs_num, rhs_swap = (0, 1), True
         z_neg = RationalFunction(1, Polynomial.x() ** m)
-        rhs = z_neg * substitute(window, RECIPROCAL_MAP)
         boundary = [
             z_neg * substitute(term_rf(half_width + 1, m), RECIPROCAL_MAP),
             -(z_neg * substitute(term_rf(-half_width, m), RECIPROCAL_MAP)),
         ]
 
-    residual = lhs - rhs
+    a, b, c, d = equation.lhs_coeffs
+    lhs_num = _sign_normal(c, d)
+    tally = Counter()
+    for j in range(-half_width, half_width + 1):
+        q_j, q_prev = pell_lucas(j), pell_lucas(j - 1)
+        alpha, beta = a * q_j + c * q_prev, b * q_j + d * q_prev
+        tally[lhs_num, _sign_normal(alpha, beta)] += 1
+        rhs_den = (q_prev, q_j) if rhs_swap else (q_j, q_prev)
+        tally[rhs_num, _sign_normal(*rhs_den)] -= 1
+
+    residual = RationalFunction.zero()
+    for (num, den), count in tally.items():
+        if count:
+            residual = residual + RationalFunction(
+                _linear_power(*num, m).scale(count), _linear_power(*den, m))
     defect = residual
-    for b in boundary:
-        defect = defect - b
+    for term in boundary:
+        defect = defect - term
     return ExactIdentityReport(equation, half_width, m, residual,
                                boundary, defect)

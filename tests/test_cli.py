@@ -179,6 +179,21 @@ def test_verify_bad_k(capsys):
     assert "# error:" in out
 
 
+def test_verify_failed_row_names_side(capsys):
+    # At tol 1e-150 the point next to 1 + sqrt(2) cannot certify its left
+    # side (reflected to about -0.41) within the default window budget,
+    # while the far point can.
+    code, out = run_cli(capsys, "verify", "--eq", "reflection", "--k", "1",
+                        "--rect", "1.412,0,5.412,0.004", "--nx", "2",
+                        "--ny", "1", "--tol", "1e-150")
+    assert code == 1
+    failed = [l for l in out.split("\n") if l.startswith("# failed:")]
+    assert len(failed) == 1
+    assert failed[0].startswith("# failed: re=2.412 im=0.002 tail bound ")
+    assert failed[0].endswith(" [lhs]")
+    assert "points_tested=1" in out and "points_failed=1" in out
+
+
 # ---------------------------------------------------------------------- prove
 
 def test_prove_reflection(capsys):
@@ -253,6 +268,18 @@ PINNED_STDOUT = {
     "poles": (
         "poles --rect=-2,-0.5,3.5,0.5",
         "f82a433c6963f320a9e956ccc4ff40be98e579959da34e6d063edb98674b620b"),
+    "prove-inversion": (
+        "prove --eq inversion --window 5 --k 2",
+        "e1d4857279b80f3dc20ad4f4c876ce65a0d2a8d9de19ffc52b261286c75279e5"),
+    "prove-shift": (
+        "prove --eq shift --window 4 --k 2",
+        "b35aae848c939c7188e8a60550f5be869ba81d5493667f52c7039f1595335a63"),
+    "prove-negation": (
+        "prove --eq negation --window 3 --k 1",
+        "e060a977fe631c102d6624a2746e35532d606e5ba37efb7360b0c9277bab7c16"),
+    "prove-reflection": (
+        "prove --eq reflection --window 5 --k 2",
+        "627cfa51af4b702f7d315b7e2eb5b48bfe04cc832401453bd703aa43207f84a9"),
 }
 
 

@@ -8,8 +8,8 @@ import pytest
 import oracle
 from pelleis import evaluator
 from pelleis import (DidNotConverge, EvalSettings, PoleProximity, Rect,
-                     eval_grid, eval_series, pole_ratio, tail_bound,
-                     term_value)
+                     eval_grid, eval_series, pell_lucas, pole_ratio,
+                     tail_bound, term_value)
 from pelleis.evaluator import MIN_TAIL_HALF_WIDTH
 from pelleis.sequence import SILVER_CONJUGATE, SILVER_RATIO
 
@@ -119,6 +119,15 @@ def test_tail_bound_rescues_overflowing_distance_power():
     res = eval_series(z, 64)
     assert math.isfinite(res.value.real) and math.isfinite(res.value.imag)
     assert res.tail_bound <= EvalSettings().target_tol
+
+
+def test_tail_bound_survives_underflowing_q_power():
+    # At J = 14, (1/Q_14)^64 underflows below the smallest normal double
+    # while d^-64 stays finite; the bound must still cover the leading
+    # tail term ((1/Q_14) / d)^64 * 2^-64 with d <= 1e-4, about 6e-107.
+    bound = tail_bound(14, SILVER_RATIO + 1e-4j, 64)
+    assert bound >= ((1 / pell_lucas(14)) / 1e-4) ** 64 * 2.0 ** -64
+    assert bound < 1e-100
 
 
 def test_tail_bound_shrinks_geometrically():

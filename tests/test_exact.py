@@ -10,7 +10,8 @@ import sympy
 from pelleis import (DegreeCapExceeded, EquationId, MobiusMap, Polynomial,
                      RationalFunction, pell_lucas, substitute, term_rf,
                      verify_identity_exact, window_sum)
-from pelleis.exact import RECIPROCAL_MAP, poly_gcd
+from pelleis import equations
+from pelleis.exact import RECIPROCAL_MAP, ExactIdentityReport, poly_gcd
 
 X = Polynomial.x()
 F = Fraction
@@ -304,6 +305,22 @@ def test_identity_validation():
         verify_identity_exact(EquationId.INVERSION, 4, 2, degree_cap=40)
 
 
+def test_identity_window_guards():
+    guard = "window guard: half_width <= 8 and m <= 6"
+    with pytest.raises(ValueError) as info:
+        verify_identity_exact(EquationId.SHIFT, 9, 1)
+    assert str(info.value) == guard
+    with pytest.raises(ValueError) as info:
+        verify_identity_exact(EquationId.INVERSION, 2, 4)
+    assert str(info.value) == guard
+    # The degree cap is checked before the window guard.
+    with pytest.raises(DegreeCapExceeded):
+        verify_identity_exact(EquationId.SHIFT, 100, 1)
+    # And half_width before k.
+    with pytest.raises(ValueError, match="half_width >= 2"):
+        verify_identity_exact(EquationId.SHIFT, 1, 0)
+
+
 def test_inversion_window_identity_against_sympy():
     zs = sympy.symbols("z")
     m, J = 2, 2
@@ -315,3 +332,90 @@ def test_inversion_window_identity_against_sympy():
     lhs = sum(t(j, -1 / zs) for j in range(-J, J + 1))
     boundary = zs ** m * (t(J + 1, zs) - t(-J, zs))
     assert sympy.simplify(lhs - zs ** m * window - boundary) == 0
+
+
+# ------------------------------------------- termwise prover vs window sums
+
+def _window_sum_report(equation, half_width, k):
+    """The prover's report rebuilt by canonicalising the whole window sum.
+
+    Left side: the window sum substituted with the left-side map.  Right
+    side and boundary terms follow the equation's statement; the boundary
+    terms are written in closed form as the window-edge terms.
+    """
+    m, J = 2 * k, half_width
+    window = window_sum(J, m)
+    lhs = substitute(window, MobiusMap(*equation.lhs_coeffs))
+    z_pow = RationalFunction(X ** m)
+
+    def edge(p, q):  # 1/(p z + q)^m
+        return RationalFunction(1, Polynomial((q, p)) ** m)
+
+    if equation is EquationId.REFLECTION:
+        rhs, boundary = window, []
+    elif equation is EquationId.INVERSION:
+        rhs = z_pow * window
+        boundary = [z_pow * edge(pell_lucas(J + 1), pell_lucas(J)),
+                    -(z_pow * edge(pell_lucas(-J), pell_lucas(-J - 1)))]
+    else:
+        rhs = substitute(window, RECIPROCAL_MAP) / z_pow
+        boundary = [edge(pell_lucas(J), pell_lucas(J + 1)),
+                    -edge(pell_lucas(-J - 1), pell_lucas(-J))]
+    residual = lhs - rhs
+    defect = residual
+    for term in boundary:
+        defect = defect - term
+    return ExactIdentityReport(equation, J, m, residual, boundary, defect)
+
+
+@pytest.mark.parametrize("equation", list(EquationId))
+@pytest.mark.parametrize("half_width", [2, 3])
+@pytest.mark.parametrize("k", [1, 2])
+def test_termwise_report_equals_window_sum_report(equation, half_width, k):
+    expected = _window_sum_report(equation, half_width, k)
+    got = verify_identity_exact(equation, half_width, k)
+    assert got == expected
+    assert got.holds
+
+
+def _direct_sides(equation, x, J, m):
+    """lhs and rhs of the windowed equation at a rational x, term by term."""
+    a, b, c, d = equation.lhs_coeffs
+    tx = (a * x + b) / (c * x + d)
+
+    def window(arg):
+        dens = [pell_lucas(j) * arg + pell_lucas(j - 1)
+                for j in range(-J, J + 1)]
+        assert all(dens), "sample point sits on a pole"
+        return sum(F(1) / den ** m for den in dens)
+
+    lhs = window(tx)
+    sign = equation.prefactor_sign
+    arg = 1 / x if equation.rhs_reciprocal else x
+    return lhs, x ** (sign * m) * window(arg)
+
+
+@pytest.mark.parametrize("equation", list(EquationId))
+def test_largest_window_holds_and_matches_direct_sums(equation):
+    J, k = 8, 3
+    report = verify_identity_exact(equation, J, k)
+    assert report.holds
+    assert report.verdict == ("EXACT-ZERO" if equation is EquationId.REFLECTION
+                              else "EXACT-ZERO-AFTER-BOUNDARY")
+    for x in (F(2, 7), F(7, 5), F(-5, 2)):
+        lhs, rhs = _direct_sides(equation, x, J, 2 * k)
+        assert report.residual.evaluate(x) == lhs - rhs
+        assert sum(t.evaluate(x) for t in report.boundary_terms) == lhs - rhs
+
+
+@pytest.mark.parametrize("equation, wrong_map", [
+    (EquationId.SHIFT, (1, 1, 0, 1)),      # z + 1 instead of z + 2
+    (EquationId.INVERSION, (0, 1, 1, 0)),  # 1/z instead of -1/z
+    (EquationId.REFLECTION, (-1, 1, 0, 1)),  # 1 - z instead of 2 - z
+])
+def test_wrong_left_map_is_nonzero(monkeypatch, equation, wrong_map):
+    monkeypatch.setitem(equations._LHS_COEFFS, equation.value, wrong_map)
+    report = verify_identity_exact(equation, 2, 1)
+    assert report.verdict == "NONZERO"
+    assert not report.holds
+    assert report == _window_sum_report(equation, 2, 1)

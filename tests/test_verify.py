@@ -5,7 +5,8 @@ import math
 import pytest
 
 from pelleis import (DidNotConverge, EmptyGrid, EquationId, EvalSettings,
-                     Rect, ZeroArgument, residual, verify_grid)
+                     PoleProximity, Rect, ZeroArgument, residual,
+                     verify_grid)
 from pelleis.sequence import SILVER_CONJUGATE, SILVER_RATIO
 
 ALL_EQUATIONS = list(EquationId)
@@ -92,6 +93,7 @@ def test_failure_reports_which_side():
     with pytest.raises(DidNotConverge) as info:
         residual(EquationId.SHIFT, z, 1)
     assert info.value.side == "rhs"
+    assert str(info.value).endswith(" [rhs]")
 
 
 def test_failure_reports_left_side():
@@ -99,6 +101,24 @@ def test_failure_reports_left_side():
     with pytest.raises(DidNotConverge) as info:
         residual(EquationId.NEGATION, z, 1)
     assert info.value.side == "lhs"
+    assert str(info.value).endswith(" [lhs]")
+
+
+def test_pole_failure_message_carries_side_tag():
+    # z = 1 is the pole p_0 of the left argument 2 - z = 1.
+    with pytest.raises(PoleProximity) as info:
+        residual(EquationId.REFLECTION, 1 + 0j, 1)
+    assert info.value.side == "lhs"
+    assert str(info.value) == "term j=0 is singular near z=(1+0j) [lhs]"
+
+
+def test_untagged_failure_message():
+    assert str(PoleProximity(3, 2j)) == "term j=3 is singular near z=2j"
+    exc = DidNotConverge(200, 1e-3, point=1j)
+    assert str(exc) == ("tail bound 0.001 above tolerance at half-width 200 "
+                        "for z=1j")
+    exc.side = "lhs"
+    assert str(exc).endswith("for z=1j [lhs]")
 
 
 # ------------------------------------------------------------------- grids
