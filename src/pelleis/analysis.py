@@ -9,9 +9,11 @@ limits are the only accumulation points of the pole set.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 from .geometry import Rect
 from .sequence import SILVER_CONJUGATE, SILVER_RATIO, float_pole, pole_ratio
@@ -56,6 +58,9 @@ class DomainClass:
         return self.tag is DomainTag.REGULAR
 
 
+_REGULAR = DomainClass(DomainTag.REGULAR)
+
+
 def poles_in_rect(region: Rect, j_cap: int = DEFAULT_J_CAP) -> list[Pole]:
     """All poles with |j| <= j_cap inside the closed region, by location.
 
@@ -73,6 +78,33 @@ def poles_in_rect(region: Rect, j_cap: int = DEFAULT_J_CAP) -> list[Pole]:
     return found
 
 
+@lru_cache(maxsize=8)
+def _sorted_poles(j_cap: int) -> tuple[float, ...]:
+    """The float locations p_j for |j| <= j_cap, ascending."""
+    return tuple(sorted(float_pole(j) for j in range(-j_cap, j_cap + 1)))
+
+
+def _clear_of_poles(z: complex, pole_tol: float, j_cap: int) -> bool:
+    """True when every pole p_j, |j| <= j_cap, is at least pole_tol from z.
+
+    hypot(x - p, y) >= max(|x - p|, |y|) for every pole, so it suffices
+    that |y| or the distance from x to the nearest location (found by
+    bisection, as float subtraction is monotone) reaches pole_tol.  False
+    means undecided, not near.
+    """
+    if abs(z.imag) >= pole_tol:
+        return True
+    poles = _sorted_poles(j_cap)
+    x = z.real
+    i = bisect_left(poles, x)
+    dx = math.inf
+    if i < len(poles):
+        dx = poles[i] - x
+    if i > 0:
+        dx = min(dx, x - poles[i - 1])
+    return dx >= pole_tol
+
+
 def classify(z: complex, pole_tol: float = DEFAULT_POLE_TOL,
              accum_tol: float = DEFAULT_ACCUM_TOL,
              j_cap: int = DEFAULT_J_CAP) -> DomainClass:
@@ -81,13 +113,22 @@ def classify(z: complex, pole_tol: float = DEFAULT_POLE_TOL,
     The nearest feature wins; among equidistant poles the smallest |j|
     wins, and a pole that ties an accumulation point defers to it (for
     large |j| the rounded locations merge with the limit and are not
-    distinguishable in double precision).
+    distinguishable in double precision).  A point at least accum_tol from
+    both limits and clear of every pole by a bisection of the sorted pole
+    locations is REGULAR at once; every other point is settled by a scan
+    of all poles.
     """
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"point must be finite, got {z!r}")
     if pole_tol <= 0 or accum_tol <= 0:
         raise ValueError("tolerances must be positive")
+
+    d_minus = abs(z - SILVER_CONJUGATE)
+    d_plus = abs(z - SILVER_RATIO)
+    if min(d_minus, d_plus) >= accum_tol and _clear_of_poles(z, pole_tol,
+                                                             j_cap):
+        return _REGULAR
 
     best_d = math.inf
     best_j = 0
@@ -100,8 +141,6 @@ def classify(z: complex, pole_tol: float = DEFAULT_POLE_TOL,
             best_j = j
             best_exact = z.imag == 0.0 and z.real == loc
 
-    d_minus = abs(z - SILVER_CONJUGATE)
-    d_plus = abs(z - SILVER_RATIO)
     d_acc, limit = ((d_minus, SILVER_CONJUGATE) if d_minus <= d_plus
                     else (d_plus, SILVER_RATIO))
 
@@ -113,4 +152,4 @@ def classify(z: complex, pole_tol: float = DEFAULT_POLE_TOL,
         return DomainClass(DomainTag.NEAR_POLE, index=best_j, distance=best_d)
     if d_acc < accum_tol:
         return DomainClass(DomainTag.NEAR_ACCUMULATION, limit=limit)
-    return DomainClass(DomainTag.REGULAR)
+    return _REGULAR

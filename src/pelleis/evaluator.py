@@ -22,6 +22,11 @@ Interval endpoints are rounded outward and small multiplicative slack
 absorbs float rounding, so the computed bound stays a true upper bound.
 Distances <= 0 (z inside an interval hull) and bounds beyond double range
 yield the MaxReal sentinel inf.
+
+All summation goes through one resumable kernel, _Series: eval_series
+builds one and extends it once, and verify.residual keeps one per side and
+extends it to each refined tolerance, so a refinement continues the window
+sum where the previous tolerance stopped it instead of restarting at j = 0.
 """
 
 from __future__ import annotations
@@ -58,6 +63,9 @@ class EvalSettings:
     def __post_init__(self):
         if not (self.target_tol > 0 and math.isfinite(self.target_tol)):
             raise ValueError("target_tol must be a positive finite float")
+        if self.target_tol < _BOUND_FLOOR:
+            raise ValueError(f"target_tol must be at least {_BOUND_FLOOR!r}, "
+                             "the floor of tail_bound")
         if self.max_half_width < 4:
             raise ValueError("max_half_width must be at least 4")
         if not (self.pole_guard > 0 and math.isfinite(self.pole_guard)):
@@ -73,34 +81,6 @@ class EvalResult:
     plus_part: complex     # indices j >= 1
     tail_bound: float
     terms_used: int        # final half-width J
-
-
-class _CompensatedSum:
-    """Neumaier-compensated accumulator, one per real component."""
-
-    __slots__ = ("_sr", "_cr", "_si", "_ci")
-
-    def __init__(self):
-        self._sr = self._cr = self._si = self._ci = 0.0
-
-    def add(self, v: complex) -> None:
-        x = v.real
-        t = self._sr + x
-        if abs(self._sr) >= abs(x):
-            self._cr += (self._sr - t) + x
-        else:
-            self._cr += (x - t) + self._sr
-        self._sr = t
-        y = v.imag
-        t = self._si + y
-        if abs(self._si) >= abs(y):
-            self._ci += (self._si - t) + y
-        else:
-            self._ci += (y - t) + self._si
-        self._si = t
-
-    def total(self) -> complex:
-        return complex(self._sr + self._cr, self._si + self._ci)
 
 
 def _require_weight(m) -> None:
@@ -193,6 +173,109 @@ def tail_bound(half_width: int, z: complex, m: int) -> float:
     return max(bound, _BOUND_FLOOR)
 
 
+class _Series:
+    """Resumable adaptive summation of S_m(z): the one summation kernel.
+
+    Terms are accumulated in two Neumaier-compensated sums (j <= 0 and
+    j >= 1, one pair of floats per real component) in a fixed interleaved
+    order: j = 0, then +J and -J for J = 1, 2, ...  extend() grows the
+    window from the level reached so far, so asking again with a tighter
+    tolerance (and the same max_half_width) adds exactly the terms, in the
+    same order, and makes exactly the bound checks that a restart from
+    j = 0 would; the result is the same to the bit.
+    """
+
+    # _sums: sum and correction of the real, then the imaginary part, of
+    # the j <= 0 sum (suffix _m) and of the j >= 1 sum (suffix _p).
+    __slots__ = ("z", "m", "guard", "level", "bound", "_sums")
+
+    def __init__(self, z: complex, m: int, guard: float):
+        _require_weight(m)
+        z = _require_point(z)
+        acc_dist = min(abs(z - SILVER_CONJUGATE), abs(z - SILVER_RATIO))
+        if acc_dist <= guard:
+            raise DidNotConverge(0, math.inf, point=z)
+        self.z = z
+        self.m = m
+        self.guard = guard
+        self.level = 0
+        self.bound = math.inf
+        v = term_value(0, z, m, guard)
+        # A compensated sum started at 0.0 holds 0.0 + v, with no
+        # correction, after its first finite term.
+        self._sums = (0.0 + v.real, 0.0, 0.0 + v.imag, 0.0,
+                      0.0, 0.0, 0.0, 0.0)
+
+    def extend(self, target_tol: float, max_half_width: int,
+               trace: list | None = None) -> EvalResult:
+        """The result at the first window J >= 2 whose tail bound is
+        <= target_tol, summing on from the level already reached.
+
+        A tolerance that the reached window's bound already meets returns
+        that window's result without adding terms.  Raises as eval_series.
+        """
+        z, m = self.z, self.m
+        level, bound = self.level, self.bound
+        sr_m, cr_m, si_m, ci_m, sr_p, cr_p, si_p, ci_p = self._sums
+        if level < MIN_TAIL_HALF_WIDTH or bound > target_tol:
+            guard = self.guard
+            for level in range(level + 1, max_half_width + 1):
+                v = term_value(level, z, m, guard)
+                x = v.real
+                t = sr_p + x
+                if abs(sr_p) >= abs(x):
+                    cr_p += (sr_p - t) + x
+                else:
+                    cr_p += (x - t) + sr_p
+                sr_p = t
+                x = v.imag
+                t = si_p + x
+                if abs(si_p) >= abs(x):
+                    ci_p += (si_p - t) + x
+                else:
+                    ci_p += (x - t) + si_p
+                si_p = t
+                v = term_value(-level, z, m, guard)
+                x = v.real
+                t = sr_m + x
+                if abs(sr_m) >= abs(x):
+                    cr_m += (sr_m - t) + x
+                else:
+                    cr_m += (x - t) + sr_m
+                sr_m = t
+                x = v.imag
+                t = si_m + x
+                if abs(si_m) >= abs(x):
+                    ci_m += (si_m - t) + x
+                else:
+                    ci_m += (x - t) + si_m
+                si_m = t
+                if level < MIN_TAIL_HALF_WIDTH:
+                    continue
+                bound = tail_bound(level, z, m)
+                if trace is not None:
+                    trace.append((level, bound))
+                if bound <= target_tol:
+                    break
+            else:
+                raise DidNotConverge(level, bound, point=z)
+            self.level, self.bound = level, bound
+            self._sums = (sr_m, cr_m, si_m, ci_m, sr_p, cr_p, si_p, ci_p)
+
+        minus_part = complex(sr_m + cr_m, si_m + ci_m)
+        plus_part = complex(sr_p + cr_p, si_p + ci_p)
+        value = minus_part + plus_part
+        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+            raise DidNotConverge(level, math.inf, point=z)
+        return EvalResult(
+            value=value,
+            minus_part=minus_part,
+            plus_part=plus_part,
+            tail_bound=bound,
+            terms_used=level,
+        )
+
+
 def eval_series(z: complex, m: int, settings: EvalSettings | None = None,
                 trace: list | None = None) -> EvalResult:
     """Adaptive evaluation of the full bilateral series at z with weight m.
@@ -210,42 +293,8 @@ def eval_series(z: complex, m: int, settings: EvalSettings | None = None,
     the window reached, tail_bound inf).
     """
     s = settings or EvalSettings()
-    _require_weight(m)
-    z = _require_point(z)
-    acc_dist = min(abs(z - SILVER_CONJUGATE), abs(z - SILVER_RATIO))
-    if acc_dist <= s.pole_guard:
-        raise DidNotConverge(0, math.inf, point=z)
-
-    guard = s.pole_guard
-    minus = _CompensatedSum()
-    plus = _CompensatedSum()
-    minus.add(term_value(0, z, m, guard))
-    bound = math.inf
-    for level in range(1, s.max_half_width + 1):
-        plus.add(term_value(level, z, m, guard))
-        minus.add(term_value(-level, z, m, guard))
-        if level < MIN_TAIL_HALF_WIDTH:
-            continue
-        bound = tail_bound(level, z, m)
-        if trace is not None:
-            trace.append((level, bound))
-        if bound <= s.target_tol:
-            break
-    else:
-        raise DidNotConverge(level, bound, point=z)
-
-    minus_part = minus.total()
-    plus_part = plus.total()
-    value = minus_part + plus_part
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise DidNotConverge(level, math.inf, point=z)
-    return EvalResult(
-        value=value,
-        minus_part=minus_part,
-        plus_part=plus_part,
-        tail_bound=bound,
-        terms_used=level,
-    )
+    return _Series(z, m, s.pole_guard).extend(s.target_tol, s.max_half_width,
+                                              trace)
 
 
 def eval_grid(region: Rect, nx: int, ny: int, m: int,

@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 from .analysis import classify
 from .equations import EquationId
 from .errors import EmptyGrid, PelleisError, ZeroArgument
-from .evaluator import EvalSettings, eval_series
+from .evaluator import EvalSettings, _Series
+from .evaluator import eval_series  # unused; perfbench wraps it
 from .geometry import Rect
 
 DEFAULT_K_CAP = 8  # keeps |z|^(2k) within double range on the usual grids
@@ -74,9 +75,12 @@ def residual(equation: EquationId, z: complex, k: int,
     """Evaluate both sides of the equation at z for weight 2k.
 
     target_tol is treated relative to the side magnitudes: after a first
-    pass, both sides are re-evaluated with the tolerance scaled down to
+    pass, both sides are refined with the tolerance scaled down to
     max(|lhs|, |rhs|) * target_tol, so the relative residual reflects the
-    identity rather than the flat truncation error.  Tail bounds stay
+    identity rather than the flat truncation error.  Each side is one
+    resumable window sum (evaluator._Series): a refinement round sums on
+    from the window the previous tolerance stopped at, and gives the same
+    bits as a fresh eval_series at the tighter tolerance.  Tail bounds stay
     certified throughout.  The prefactor z^(+-2k) is applied to the right
     side by repeated multiplication and scales the right tail accordingly.
     Evaluation errors carry side="lhs" or side="rhs".  Both arguments
@@ -95,15 +99,20 @@ def residual(equation: EquationId, z: complex, k: int,
         prefactor = _pow_int(z if sign > 0 else 1 / z, m)
     pref_mag = abs(prefactor)
 
-    lhs_settings = rhs_settings = base
+    lhs_series = rhs_series = None
+    lhs_tol = rhs_tol = base.target_tol
     for _ in range(_REFINE_ROUNDS + 1):
         try:
-            left = eval_series(lhs_z, m, lhs_settings)
+            if lhs_series is None:
+                lhs_series = _Series(lhs_z, m, base.pole_guard)
+            left = lhs_series.extend(lhs_tol, base.max_half_width)
         except PelleisError as exc:
             exc.side = "lhs"
             raise
         try:
-            right = eval_series(rhs_z, m, rhs_settings)
+            if rhs_series is None:
+                rhs_series = _Series(rhs_z, m, base.pole_guard)
+            right = rhs_series.extend(rhs_tol, base.max_half_width)
         except PelleisError as exc:
             exc.side = "rhs"
             raise
@@ -113,16 +122,10 @@ def residual(equation: EquationId, z: complex, k: int,
         if (scale < _REFINE_TOL_FLOOR
                 or left.tail_bound + rhs_tail <= 4.0 * scale * base.target_tol):
             break
+        # A tolerance looser than one a side already met leaves it as it is.
         lhs_tol = max(scale * base.target_tol, _REFINE_TOL_FLOOR)
         rhs_tol = max(scale * base.target_tol / max(pref_mag, 1e-300),
                       _REFINE_TOL_FLOOR)
-        if (lhs_tol >= lhs_settings.target_tol
-                and rhs_tol >= rhs_settings.target_tol):
-            break  # no tighter than what we already have
-        lhs_settings = EvalSettings(min(lhs_tol, lhs_settings.target_tol),
-                                    base.max_half_width, base.pole_guard)
-        rhs_settings = EvalSettings(min(rhs_tol, rhs_settings.target_tol),
-                                    base.max_half_width, base.pole_guard)
 
     abs_res = abs(left.value - rhs)
     rel_res = abs_res / max(abs(left.value), abs(rhs), _REL_FLOOR)
@@ -140,7 +143,8 @@ def verify_grid(equation: EquationId, region: Rect, nx: int, ny: int, k: int,
 
     Non-regular points (and z = 0 where the equation needs 1/z) are
     skipped; evaluation failures at regular points are recorded as
-    failures.  Raises EmptyGrid when no point could be tested.
+    failures.  Raises EmptyGrid when every point was skipped, i.e. when no
+    point was either tested or failed.
     """
     _require_k(k, k_cap)
     summary = GridSummary(equation, k, 0, 0, 0, 0.0, None)
@@ -164,7 +168,7 @@ def verify_grid(equation: EquationId, region: Rect, nx: int, ny: int, k: int,
         if report.rel_residual > summary.max_rel_residual:
             summary.max_rel_residual = report.rel_residual
             summary.worst_point = z
-    if summary.points_tested == 0:
+    if summary.points_tested + summary.points_failed == 0:
         raise EmptyGrid(
             f"no testable points for {equation.value} on the given grid")
     return summary

@@ -1,15 +1,18 @@
 """Pole maps and domain classification."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracle import closer_to_sqrt2, dist_offset
-from pelleis import (DomainTag, EvalSettings, Rect, accumulation_points,
-                     classify, eval_series, pell_lucas, pole_ratio,
-                     poles_in_rect)
-from pelleis.sequence import SILVER_CONJUGATE, SILVER_RATIO
+from pelleis import (DomainClass, DomainTag, EvalSettings, Rect,
+                     accumulation_points, classify, eval_series, pell_lucas,
+                     pole_ratio, poles_in_rect)
+from pelleis.sequence import SILVER_CONJUGATE, SILVER_RATIO, float_pole
 
 F = Fraction
 
@@ -159,3 +162,108 @@ def test_regular_points_evaluate(off_axis_points):
         assert classify(z).is_regular
         res = eval_series(z, 2, settings)
         assert res.tail_bound <= 1e-8
+
+
+def scan_classify(z, pole_tol=1e-6, accum_tol=1e-3, j_cap=60):
+    """Reference: classify as a plain scan of every pole |j| <= j_cap."""
+    z = complex(z)
+    best_d = math.inf
+    best_j = 0
+    best_exact = False
+    for j in range(-j_cap, j_cap + 1):
+        loc = float_pole(j)
+        d = math.hypot(z.real - loc, z.imag)
+        if d < best_d or (d == best_d and abs(j) < abs(best_j)):
+            best_d = d
+            best_j = j
+            best_exact = z.imag == 0.0 and z.real == loc
+    d_minus = abs(z - SILVER_CONJUGATE)
+    d_plus = abs(z - SILVER_RATIO)
+    d_acc, limit = ((d_minus, SILVER_CONJUGATE) if d_minus <= d_plus
+                    else (d_plus, SILVER_RATIO))
+    if d_acc < accum_tol and d_acc <= best_d:
+        return DomainClass(DomainTag.NEAR_ACCUMULATION, limit=limit)
+    if best_exact:
+        return DomainClass(DomainTag.POLE, index=best_j)
+    if best_d < pole_tol:
+        return DomainClass(DomainTag.NEAR_POLE, index=best_j, distance=best_d)
+    if d_acc < accum_tol:
+        return DomainClass(DomainTag.NEAR_ACCUMULATION, limit=limit)
+    return DomainClass(DomainTag.REGULAR)
+
+
+POLE_TOLS = (1e-6, 1e-9, 1e-3, 0.05, 2.0)
+ACCUM_TOLS = (1e-3, 1e-7, 0.1, 5.0)
+J_CAPS = (60, 0, 3, 17, 90, -1)
+
+
+def _offset(rng, tol):
+    """A signed offset: zero, a hair either side of tol, or log-uniform."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        mag = 0.0
+    elif kind == 1:
+        mag = math.nextafter(tol, rng.choice((0.0, math.inf)))
+    elif kind == 2:
+        mag = tol * rng.choice((0.5, 0.999999, 1.0, 1.000001, 2.0))
+    else:
+        mag = 10.0 ** rng.uniform(-14, 1)
+    return rng.choice((-1.0, 1.0)) * mag
+
+
+def _classify_case(rng):
+    pole_tol = rng.choice(POLE_TOLS)
+    accum_tol = rng.choice(ACCUM_TOLS)
+    j_cap = rng.choice(J_CAPS)
+    kind = rng.randrange(4)
+    if kind == 0:      # about a pole, inside and beyond the cap
+        x = float_pole(rng.randint(-95, 95)) + _offset(rng, pole_tol)
+        y = _offset(rng, pole_tol)
+    elif kind == 1:    # about a limit
+        x = rng.choice((SILVER_CONJUGATE, SILVER_RATIO)) \
+            + _offset(rng, accum_tol)
+        y = _offset(rng, rng.choice((pole_tol, accum_tol)))
+    elif kind == 2:    # huge |z|
+        x = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(5, 307)
+        y = rng.choice((0.0, _offset(rng, pole_tol),
+                        10.0 ** rng.uniform(5, 307)))
+    else:              # anywhere near the pole set
+        x = rng.uniform(-4.0, 5.0)
+        y = _offset(rng, pole_tol)
+    return complex(x, y), pole_tol, accum_tol, j_cap
+
+
+def test_classify_equals_pole_scan_seeded():
+    rng = random.Random(20261018)
+    tags = set()
+    for _ in range(100_000):
+        z, pole_tol, accum_tol, j_cap = _classify_case(rng)
+        got = classify(z, pole_tol, accum_tol, j_cap)
+        assert got == scan_classify(z, pole_tol, accum_tol, j_cap), \
+            (z, pole_tol, accum_tol, j_cap)
+        tags.add(got.tag)
+    assert tags == set(DomainTag)
+
+
+def test_classify_equals_pole_scan_at_exact_poles():
+    for j in range(-95, 96):
+        p = float_pole(j)
+        for z in (complex(p, 0.0), complex(p, -0.0),
+                  complex(math.nextafter(p, math.inf), 0.0),
+                  complex(p, 1e-6), complex(p, math.nextafter(1e-6, 0.0))):
+            for j_cap in (60, abs(j), abs(j) - 1):
+                assert classify(z, j_cap=j_cap) == scan_classify(
+                    z, j_cap=j_cap), (z, j_cap)
+
+
+@settings(max_examples=500)
+@given(st.integers(-70, 70),
+       st.floats(-1e-2, 1e-2, allow_nan=False),
+       st.floats(-1e-2, 1e-2, allow_nan=False),
+       st.sampled_from(POLE_TOLS), st.sampled_from(ACCUM_TOLS),
+       st.sampled_from(J_CAPS))
+def test_classify_equals_pole_scan_fuzzed(j, dx, dy, pole_tol, accum_tol,
+                                          j_cap):
+    z = complex(float_pole(j) + dx, dy)
+    assert classify(z, pole_tol, accum_tol, j_cap) == scan_classify(
+        z, pole_tol, accum_tol, j_cap)

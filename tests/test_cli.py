@@ -76,6 +76,12 @@ def test_eval_tol_validation(capsys):
                         "--weight", "2", "--tol", "0")
     assert code == 1
     assert "# error:" in out
+    # Below the tail bound's floor no window can converge.
+    code, out = run_cli(capsys, "eval", "--re", "1", "--im", "1",
+                        "--weight", "64", "--tol", "1e-300")
+    assert code == 1
+    assert out.endswith("# error: target_tol must be at least 2e-300, "
+                        "the floor of tail_bound\n")
 
 
 def test_eval_max_j_cap(capsys):
@@ -194,6 +200,21 @@ def test_verify_failed_row_names_side(capsys):
     assert "points_tested=1" in out and "points_failed=1" in out
 
 
+def test_verify_all_points_failed_prints_failures(capsys):
+    # The one regular point fails to converge: a failed row and the
+    # summary, not "no testable points".
+    code, out = run_cli(capsys, "verify", "--eq", "reflection", "--k", "1",
+                        "--nx", "1", "--ny", "1", "--tol", "3e-300")
+    assert code == 1
+    lines = out.strip().split("\n")
+    assert lines[0] == cli.VERIFY_HEADER
+    assert lines[1].startswith("# failed: re=0.0 im=2.0 tail bound ")
+    assert lines[1].endswith(" [lhs]")
+    assert lines[2].startswith("# summary eq=reflection k=1 points_tested=0 "
+                               "points_skipped=0 points_failed=1 ")
+    assert len(lines) == 3
+
+
 # ---------------------------------------------------------------------- prove
 
 def test_prove_reflection(capsys):
@@ -265,6 +286,20 @@ PINNED_STDOUT = {
     "verify-negation": (
         "verify --eq negation --k 1 --nx 5 --ny 5",
         "8016dc602a27bb2ea43166acf4abc4962a642fe4225f66c0526fe199bc862f43"),
+    # thin rectangle across the axis around p_1 = -1: skipped rows, and
+    # points whose both sides are refined
+    "verify-axis-pole-k3": (
+        "verify --eq inversion --k 3 --rect=-1.5,-1e-6,-0.5,1e-6 --nx 9 --ny 5",
+        "abddad1f4e33a224994d1a98dffdafe5a0065a857008758eb205daa3a0a7ee72"),
+    # squares around 1 + sqrt(2): skipped points near the limit, and
+    # refinement next to it
+    "verify-accum-reflection": (
+        "verify --eq reflection --k 2 --rect=2.412,-0.002,2.416,0.002 "
+        "--nx 8 --ny 8",
+        "de6f91d2792f047b16d8112bd00df3e7868cefb3c30a0ce50abfa6c711660a37"),
+    "verify-accum-shift": (
+        "verify --eq shift --k 3 --rect=2.41,-0.004,2.418,0.004 --nx 8 --ny 8",
+        "dfdf55f52ad3859d8bb5a3fdcd30190ed8c04876d44c0bd3cbcc6a1777249858"),
     "poles": (
         "poles --rect=-2,-0.5,3.5,0.5",
         "f82a433c6963f320a9e956ccc4ff40be98e579959da34e6d063edb98674b620b"),

@@ -171,6 +171,11 @@ def test_eval_settings_validation():
         EvalSettings(max_half_width=3)
     with pytest.raises(ValueError):
         EvalSettings(pole_guard=-1e-9)
+    # tail_bound never returns less than 2e-300, so no window could meet a
+    # smaller tolerance.
+    with pytest.raises(ValueError, match="at least 2e-300"):
+        EvalSettings(target_tol=1e-300)
+    assert EvalSettings(target_tol=2e-300).target_tol == 2e-300
 
 
 def test_eval_matches_frozen_oracle():
@@ -299,6 +304,47 @@ def test_eval_nonfinite_sum_is_refused(monkeypatch):
         eval_series(3j, 2)
     assert info.value.point == 3j
     assert info.value.tail_bound == math.inf
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (PoleProximity, DidNotConverge) as exc:
+        return type(exc), exc.args
+
+
+@pytest.mark.parametrize("z, m", [
+    (1 + 1j, 2), (0.7 - 1.3j, 6), (-1.25 + 2j, 4), (5.0 + 0j, 2),
+    (complex(-1 / 3 + 1e-5, 1e-7), 4), (complex(SILVER_RATIO + 2e-3, 0), 2),
+    (complex(1 + 1e-6, 0), 2), (0.5 + 0.5j, 8)])
+def test_series_extend_matches_fresh_eval(z, m):
+    # Resuming at a tighter tolerance gives what a fresh eval_series at that
+    # tolerance gives, to the bit, errors included; so does asking again at
+    # a tighter tolerance that the window reached already meets.
+    for max_hw in (200, 12):
+        series = evaluator._Series(z, m, EvalSettings().pole_guard)
+        tols = [1e-3, 1e-3, 1e-8, 1e-12, 1e-30, 1e-60, 1e-100]
+        while tols:
+            tol = tols.pop(0)
+            want = _outcome(lambda: eval_series(
+                z, m, EvalSettings(target_tol=tol, max_half_width=max_hw)))
+            got = _outcome(lambda: series.extend(tol, max_hw))
+            assert got == want, (tol, max_hw)
+            if isinstance(got, evaluator.EvalResult) and got.tail_bound < tol:
+                tols.insert(0, got.tail_bound)
+
+
+def test_series_extend_adds_no_terms_when_bound_met(monkeypatch):
+    series = evaluator._Series(1 + 1j, 2, 1e-8)
+    first = series.extend(1e-6, 200)
+    assert series.extend(1e-12, 200).terms_used > first.terms_used
+    tighter = series.extend(1e-12, 200)
+    met = series.extend(tighter.tail_bound, 200)
+    terms = []
+    monkeypatch.setattr(evaluator, "term_value",
+                        lambda *args: terms.append(args))
+    assert series.extend(1e-9, 200) == met == tighter
+    assert terms == []
 
 
 # ------------------------------------------------------------------ eval_grid

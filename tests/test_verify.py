@@ -1,13 +1,15 @@
 """Numeric functional-equation residuals on points and grids."""
 
 import math
+import random
 
 import pytest
 
 from pelleis import (DidNotConverge, EmptyGrid, EquationId, EvalSettings,
-                     PoleProximity, Rect, ZeroArgument, residual,
-                     verify_grid)
-from pelleis.sequence import SILVER_CONJUGATE, SILVER_RATIO
+                     PelleisError, PoleProximity, Rect, ZeroArgument,
+                     eval_series, residual, verify_grid)
+from pelleis.sequence import SILVER_CONJUGATE, SILVER_RATIO, float_pole
+from pelleis.verify import ResidualReport, _arguments, _pow_int
 
 ALL_EQUATIONS = list(EquationId)
 
@@ -121,6 +123,107 @@ def test_untagged_failure_message():
     assert str(exc).endswith("for z=1j [lhs]")
 
 
+def restart_residual(equation, z, k, settings=None):
+    """Reference: residual with every refinement round re-evaluating both
+    sides from j = 0 through eval_series.  Returns (report, rounds)."""
+    z = complex(z)
+    m = 2 * k
+    lhs_z, rhs_z = _arguments(equation, z)
+    base = settings or EvalSettings()
+    sign = equation.prefactor_sign
+    prefactor = (1.0 + 0.0j if sign == 0
+                 else _pow_int(z if sign > 0 else 1 / z, m))
+    pref_mag = abs(prefactor)
+    lhs_settings = rhs_settings = base
+    for rounds in range(1, 4):
+        try:
+            left = eval_series(lhs_z, m, lhs_settings)
+        except PelleisError as exc:
+            exc.side = "lhs"
+            raise
+        try:
+            right = eval_series(rhs_z, m, rhs_settings)
+        except PelleisError as exc:
+            exc.side = "rhs"
+            raise
+        rhs = prefactor * right.value
+        rhs_tail = pref_mag * right.tail_bound
+        scale = max(abs(left.value), abs(rhs))
+        if (scale < 1e-250
+                or left.tail_bound + rhs_tail <= 4.0 * scale * base.target_tol):
+            break
+        lhs_tol = max(scale * base.target_tol, 1e-250)
+        rhs_tol = max(scale * base.target_tol / max(pref_mag, 1e-300), 1e-250)
+        if (lhs_tol >= lhs_settings.target_tol
+                and rhs_tol >= rhs_settings.target_tol):
+            break
+        lhs_settings = EvalSettings(min(lhs_tol, lhs_settings.target_tol),
+                                    base.max_half_width, base.pole_guard)
+        rhs_settings = EvalSettings(min(rhs_tol, rhs_settings.target_tol),
+                                    base.max_half_width, base.pole_guard)
+    abs_res = abs(left.value - rhs)
+    report = ResidualReport(
+        point=z, k=k, lhs=left.value, rhs=rhs, abs_residual=abs_res,
+        rel_residual=abs_res / max(abs(left.value), abs(rhs), 1e-300),
+        lhs_tail=left.tail_bound, rhs_tail=rhs_tail)
+    return report, rounds
+
+
+def _residual_cases(equation, seed):
+    """Off-axis points, points 1e-9 to 1e-2 from poles of either argument,
+    and tolerances from 1e-6 down to 1e-100; and points next to i, where
+    S_m vanishes for odd k, so that the first refinement can shrink the
+    scale enough for a second."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(80):
+        kind = rng.randrange(4)
+        if kind == 3:
+            z = 1j + 10.0 ** rng.uniform(-14, -8) * complex(
+                rng.uniform(-1, 1), rng.uniform(-1, 1))
+            cases.append((z, EvalSettings(target_tol=10.0 ** -rng.uniform(
+                6, 12))))
+            continue
+        if kind == 0:
+            z = complex(rng.uniform(-4, 4), rng.uniform(0.05, 3))
+        else:
+            p = float_pole(rng.randint(-5, 5))
+            if kind == 2:   # a pole of the left argument instead
+                p = {EquationId.INVERSION: -1 / p if p else 7.0,
+                     EquationId.REFLECTION: 2 - p,
+                     EquationId.SHIFT: p - 2,
+                     EquationId.NEGATION: -p}[equation]
+            r = 10.0 ** rng.uniform(-9, -2)
+            angle = rng.choice((0.0, math.pi / 2, rng.uniform(0, 2 * math.pi)))
+            z = complex(p + r * math.cos(angle), r * math.sin(angle))
+        tol = 10.0 ** -rng.uniform(6, 100)
+        cases.append((z, EvalSettings(target_tol=tol,
+                                      max_half_width=rng.choice((200, 60)))))
+    return cases
+
+
+def _residual_outcome(fn):
+    try:
+        return fn()
+    except PelleisError as exc:
+        return type(exc), str(exc), exc.side
+
+
+@pytest.mark.parametrize("equation", ALL_EQUATIONS)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_residual_equals_restart_reference(equation, k):
+    rounds_seen = set()
+    for z, settings in _residual_cases(equation, seed=k * 101):
+        got = _residual_outcome(lambda: residual(equation, z, k, settings))
+        want = _residual_outcome(
+            lambda: restart_residual(equation, z, k, settings))
+        if isinstance(want, tuple) and isinstance(want[0], ResidualReport):
+            want, rounds = want
+            rounds_seen.add(rounds)
+        assert got == want, (z, settings)
+    assert rounds_seen >= ({1, 2, 3} if k % 2 else {1, 2})
+
+
 # ------------------------------------------------------------------- grids
 
 def test_verify_grid_standard_patch():
@@ -163,4 +266,15 @@ def test_verify_grid_records_failures():
     assert summary.points_failed == 1
     (bad_point, exc), = summary.failures
     assert abs(bad_point - complex(-0.35, 0.31)) < 1e-12
+    assert isinstance(exc, DidNotConverge)
+
+
+def test_verify_grid_all_failed_is_not_empty():
+    # The one regular point fails; it is reported, not lost to EmptyGrid.
+    summary = verify_grid(EquationId.REFLECTION, Rect(-3, 0.5, 3, 3.5), 1, 1,
+                          1, settings=EvalSettings(target_tol=3e-300))
+    assert (summary.points_tested, summary.points_skipped,
+            summary.points_failed) == (0, 0, 1)
+    (point, exc), = summary.failures
+    assert point == 2j
     assert isinstance(exc, DidNotConverge)
