@@ -13,14 +13,14 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 
 from .geometry import Rect
 from .sequence import SILVER_CONJUGATE, SILVER_RATIO, float_pole, pole_ratio
 
-DEFAULT_POLE_TOL = 1e-6
-DEFAULT_ACCUM_TOL = 1e-3
-DEFAULT_J_CAP = 60
+POLE_TOL = 1e-6     # classify: NEAR_POLE within this of a pole
+ACCUM_TOL = 1e-3    # classify: NEAR_ACCUMULATION within this of 1 +/- sqrt(2)
+DEFAULT_J_CAP = 60  # poles |j| <= DEFAULT_J_CAP are mapped and classified
 
 
 def accumulation_points() -> tuple[float, float]:
@@ -78,23 +78,24 @@ def poles_in_rect(region: Rect, j_cap: int = DEFAULT_J_CAP) -> list[Pole]:
     return found
 
 
-@lru_cache(maxsize=8)
-def _sorted_poles(j_cap: int) -> tuple[float, ...]:
-    """The float locations p_j for |j| <= j_cap, ascending."""
-    return tuple(sorted(float_pole(j) for j in range(-j_cap, j_cap + 1)))
+@cache
+def _sorted_poles() -> tuple[float, ...]:
+    """The float locations p_j for |j| <= DEFAULT_J_CAP, ascending."""
+    return tuple(sorted(map(float_pole,
+                            range(-DEFAULT_J_CAP, DEFAULT_J_CAP + 1))))
 
 
-def _clear_of_poles(z: complex, pole_tol: float, j_cap: int) -> bool:
-    """True when every pole p_j, |j| <= j_cap, is at least pole_tol from z.
+def _clear_of_poles(z: complex) -> bool:
+    """True when z is at least POLE_TOL from every pole p_j, |j| <= 60.
 
     hypot(x - p, y) >= max(|x - p|, |y|) for every pole, so it suffices
     that |y| or the distance from x to the nearest location (found by
-    bisection, as float subtraction is monotone) reaches pole_tol.  False
+    bisection, as float subtraction is monotone) reaches POLE_TOL.  False
     means undecided, not near.
     """
-    if abs(z.imag) >= pole_tol:
+    if abs(z.imag) >= POLE_TOL:
         return True
-    poles = _sorted_poles(j_cap)
+    poles = _sorted_poles()
     x = z.real
     i = bisect_left(poles, x)
     dx = math.inf
@@ -102,18 +103,18 @@ def _clear_of_poles(z: complex, pole_tol: float, j_cap: int) -> bool:
         dx = poles[i] - x
     if i > 0:
         dx = min(dx, x - poles[i - 1])
-    return dx >= pole_tol
+    return dx >= POLE_TOL
 
 
-def classify(z: complex, pole_tol: float = DEFAULT_POLE_TOL,
-             accum_tol: float = DEFAULT_ACCUM_TOL,
-             j_cap: int = DEFAULT_J_CAP) -> DomainClass:
+def classify(z: complex) -> DomainClass:
     """Tag z as REGULAR, POLE, NEAR_POLE or NEAR_ACCUMULATION.
 
-    The nearest feature wins; among equidistant poles the smallest |j|
+    NEAR_POLE means within POLE_TOL (1e-6) of a pole p_j, |j| <= 60, and
+    NEAR_ACCUMULATION within ACCUM_TOL (1e-3) of 1 +/- sqrt(2).  The
+    nearest feature wins; among equidistant poles the smallest |j|
     wins, and a pole that ties an accumulation point defers to it (for
     large |j| the rounded locations merge with the limit and are not
-    distinguishable in double precision).  A point at least accum_tol from
+    distinguishable in double precision).  A point at least ACCUM_TOL from
     both limits and clear of every pole by a bisection of the sorted pole
     locations is REGULAR at once; every other point is settled by a scan
     of all poles.
@@ -121,19 +122,16 @@ def classify(z: complex, pole_tol: float = DEFAULT_POLE_TOL,
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"point must be finite, got {z!r}")
-    if pole_tol <= 0 or accum_tol <= 0:
-        raise ValueError("tolerances must be positive")
 
     d_minus = abs(z - SILVER_CONJUGATE)
     d_plus = abs(z - SILVER_RATIO)
-    if min(d_minus, d_plus) >= accum_tol and _clear_of_poles(z, pole_tol,
-                                                             j_cap):
+    if min(d_minus, d_plus) >= ACCUM_TOL and _clear_of_poles(z):
         return _REGULAR
 
     best_d = math.inf
     best_j = 0
     best_exact = False
-    for j in range(-j_cap, j_cap + 1):
+    for j in range(-DEFAULT_J_CAP, DEFAULT_J_CAP + 1):
         loc = float_pole(j)
         d = math.hypot(z.real - loc, z.imag)
         if d < best_d or (d == best_d and abs(j) < abs(best_j)):
@@ -144,12 +142,12 @@ def classify(z: complex, pole_tol: float = DEFAULT_POLE_TOL,
     d_acc, limit = ((d_minus, SILVER_CONJUGATE) if d_minus <= d_plus
                     else (d_plus, SILVER_RATIO))
 
-    if d_acc < accum_tol and d_acc <= best_d:
+    if d_acc < ACCUM_TOL and d_acc <= best_d:
         return DomainClass(DomainTag.NEAR_ACCUMULATION, limit=limit)
     if best_exact:
         return DomainClass(DomainTag.POLE, index=best_j)
-    if best_d < pole_tol:
+    if best_d < POLE_TOL:
         return DomainClass(DomainTag.NEAR_POLE, index=best_j, distance=best_d)
-    if d_acc < accum_tol:
+    if d_acc < ACCUM_TOL:
         return DomainClass(DomainTag.NEAR_ACCUMULATION, limit=limit)
     return _REGULAR

@@ -27,7 +27,7 @@ class DegreeCapExceeded(PelleisError):
 
 
 class ZeroArgument(PelleisError):
-    """Functional equation undefined at z = 0 (needs 1/z or -1/z)."""
+    """Equation undefined at z: z = 0, or its 1/z or -1/z overflows."""
 
 
 class EmptyGrid(PelleisError):

@@ -43,7 +43,7 @@ from .sequence import pell_lucas, pole_ratio  # unused; perfbench wraps them
 
 DEFAULT_TARGET_TOL = 1e-12
 DEFAULT_MAX_HALF_WIDTH = 200
-DEFAULT_POLE_GUARD = 1e-8
+POLE_GUARD = 1e-8    # a term within this of its pole is refused
 
 MIN_TAIL_HALF_WIDTH = 2   # containment interval needs poles J+1, J+2
 _DIST_SHAVE = 1.0 - 1e-12      # deflate distances against rounding
@@ -54,11 +54,10 @@ _MIN_NORMAL = sys.float_info.min
 
 @dataclass(frozen=True)
 class EvalSettings:
-    """Knobs for adaptive summation."""
+    """Tolerance and window cap of adaptive summation."""
 
     target_tol: float = DEFAULT_TARGET_TOL
     max_half_width: int = DEFAULT_MAX_HALF_WIDTH
-    pole_guard: float = DEFAULT_POLE_GUARD
 
     def __post_init__(self):
         if not (self.target_tol > 0 and math.isfinite(self.target_tol)):
@@ -66,10 +65,9 @@ class EvalSettings:
         if self.target_tol < _BOUND_FLOOR:
             raise ValueError(f"target_tol must be at least {_BOUND_FLOOR!r}, "
                              "the floor of tail_bound")
-        if self.max_half_width < 4:
-            raise ValueError("max_half_width must be at least 4")
-        if not (self.pole_guard > 0 and math.isfinite(self.pole_guard)):
-            raise ValueError("pole_guard must be a positive finite float")
+        # A bool is an int below 4, so it is refused as well.
+        if not isinstance(self.max_half_width, int) or self.max_half_width < 4:
+            raise ValueError("max_half_width must be an integer >= 4")
 
 
 @dataclass(frozen=True)
@@ -95,15 +93,14 @@ def _require_point(z: complex) -> complex:
     return z
 
 
-def term_value(j: int, z: complex, m: int,
-               pole_guard: float = DEFAULT_POLE_GUARD) -> complex:
+def term_value(j: int, z: complex, m: int) -> complex:
     """One term (Q_j z + Q_{j-1})^(-m) in double precision.
 
     The reciprocal is taken first and powered by repeated multiplication,
     so huge |Q_j| underflows gracefully to 0 instead of overflowing.
-    Raises PoleProximity when |Q_j z + Q_{j-1}| < pole_guard * |Q_j|,
-    i.e. when z is within pole_guard of the term's pole, or so close that
-    the m-th power overflows.
+    Raises PoleProximity when |Q_j z + Q_{j-1}| < POLE_GUARD * |Q_j|,
+    i.e. when z is within POLE_GUARD (1e-8) of the term's pole, or so
+    close that the m-th power overflows.
     """
     _require_weight(m)
     z = _require_point(z)
@@ -112,11 +109,11 @@ def term_value(j: int, z: complex, m: int,
     if fj is None or fjm1 is None:
         # |Q_j| beyond double range: the term is zero unless z sits
         # essentially on the pole.
-        if abs(z - float_pole(j)) < pole_guard:
+        if abs(z - float_pole(j)) < POLE_GUARD:
             raise PoleProximity(j, z)
         return 0j
     w = fj * z + fjm1
-    if abs(w) < pole_guard * abs(fj):
+    if abs(w) < POLE_GUARD * abs(fj):
         raise PoleProximity(j, z)
     r = 1.0 / w
     out = r
@@ -155,6 +152,9 @@ def tail_bound(half_width: int, z: complex, m: int) -> float:
     if d_pos <= 0.0 or d_neg <= 0.0:
         return math.inf
     geo = 2.0 ** (-m) / (1.0 - 2.0 ** (-m))
+    half = 1.0
+    if geo == 0.0:  # 2^-m underflows for m > 1074: halve each base instead
+        geo, half = 1.0, 0.5
     q_pow = q_inv ** m
     bound = None
     if q_pow >= _MIN_NORMAL:
@@ -164,7 +164,7 @@ def tail_bound(half_width: int, z: complex, m: int) -> float:
             pass
     if bound is None:  # q_inv ** m underflowed or d ** -m overflowed
         try:
-            bound = (q_inv / d_pos) ** m + (q_inv / d_neg) ** m
+            bound = (q_inv / d_pos * half) ** m + (q_inv / d_neg * half) ** m
         except OverflowError:
             return math.inf
     bound = bound * geo * _BOUND_SLACK
@@ -187,20 +187,19 @@ class _Series:
 
     # _sums: sum and correction of the real, then the imaginary part, of
     # the j <= 0 sum (suffix _m) and of the j >= 1 sum (suffix _p).
-    __slots__ = ("z", "m", "guard", "level", "bound", "_sums")
+    __slots__ = ("z", "m", "level", "bound", "_sums")
 
-    def __init__(self, z: complex, m: int, guard: float):
+    def __init__(self, z: complex, m: int):
         _require_weight(m)
         z = _require_point(z)
         acc_dist = min(abs(z - SILVER_CONJUGATE), abs(z - SILVER_RATIO))
-        if acc_dist <= guard:
+        if acc_dist <= POLE_GUARD:
             raise DidNotConverge(0, math.inf, point=z)
         self.z = z
         self.m = m
-        self.guard = guard
         self.level = 0
         self.bound = math.inf
-        v = term_value(0, z, m, guard)
+        v = term_value(0, z, m)
         # A compensated sum started at 0.0 holds 0.0 + v, with no
         # correction, after its first finite term.
         self._sums = (0.0 + v.real, 0.0, 0.0 + v.imag, 0.0,
@@ -218,9 +217,8 @@ class _Series:
         level, bound = self.level, self.bound
         sr_m, cr_m, si_m, ci_m, sr_p, cr_p, si_p, ci_p = self._sums
         if level < MIN_TAIL_HALF_WIDTH or bound > target_tol:
-            guard = self.guard
             for level in range(level + 1, max_half_width + 1):
-                v = term_value(level, z, m, guard)
+                v = term_value(level, z, m)
                 x = v.real
                 t = sr_p + x
                 if abs(sr_p) >= abs(x):
@@ -235,7 +233,7 @@ class _Series:
                 else:
                     ci_p += (x - t) + si_p
                 si_p = t
-                v = term_value(-level, z, m, guard)
+                v = term_value(-level, z, m)
                 x = v.real
                 t = sr_m + x
                 if abs(sr_m) >= abs(x):
@@ -287,14 +285,13 @@ def eval_series(z: complex, m: int, settings: EvalSettings | None = None,
 
     Raises PoleProximity when a term denominator nearly vanishes or a term
     overflows, and DidNotConverge when the bound cannot reach the tolerance
-    (immediately so within pole_guard of the accumulation points
+    (immediately so within POLE_GUARD of the accumulation points
     1 +/- sqrt(2), where poles cluster and the bound stays at the sentinel
     forever) or when finite terms sum past double range (half_width is then
     the window reached, tail_bound inf).
     """
     s = settings or EvalSettings()
-    return _Series(z, m, s.pole_guard).extend(s.target_tol, s.max_half_width,
-                                              trace)
+    return _Series(z, m).extend(s.target_tol, s.max_half_width, trace)
 
 
 def eval_grid(region: Rect, nx: int, ny: int, m: int,

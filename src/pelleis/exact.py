@@ -36,7 +36,7 @@ from .equations import EquationId
 from .errors import DegreeCapExceeded
 from .sequence import pell_lucas
 
-DEFAULT_DEGREE_CAP = 400
+DEGREE_CAP = 400
 WINDOW_HALF_WIDTH_GUARD = 8
 WINDOW_WEIGHT_GUARD = 6
 
@@ -419,20 +419,16 @@ def _check_window_guard(half_width: int, m: int) -> None:
             f"and m <= {WINDOW_WEIGHT_GUARD}")
 
 
-def window_sum(half_width: int, m: int,
-               degree_cap: int = DEFAULT_DEGREE_CAP) -> RationalFunction:
+def window_sum(half_width: int, m: int) -> RationalFunction:
     """Sum of term_rf(j, m) over |j| <= half_width, combined exactly.
 
     The canonical denominator has degree (2*half_width + 1) * m because the
-    term denominators are pairwise coprime; the cap is checked up front.
+    term denominators are pairwise coprime; the window guard keeps that
+    degree at most 17 * 6 = 102.
     """
     if half_width < 1 or m < 1:
         raise ValueError("window needs half_width >= 1 and m >= 1")
     _check_window_guard(half_width, m)
-    if (2 * half_width + 1) * m > degree_cap:
-        raise DegreeCapExceeded(
-            f"window denominator degree {(2 * half_width + 1) * m} "
-            f"exceeds cap {degree_cap}")
     total = RationalFunction.zero()
     for j in range(-half_width, half_width + 1):
         total = total + term_rf(j, m)
@@ -503,9 +499,8 @@ def _linear_power(p: int, q: int, m: int) -> Polynomial:
     return Polynomial((q, p)) ** m
 
 
-def verify_identity_exact(equation: EquationId, half_width: int, k: int,
-                          degree_cap: int = DEFAULT_DEGREE_CAP
-                          ) -> ExactIdentityReport:
+def verify_identity_exact(equation: EquationId, half_width: int,
+                          k: int) -> ExactIdentityReport:
     """Check one functional equation on the window |j| <= half_width, weight 2k.
 
     Returns the residual lhs - rhs, the boundary terms produced by the
@@ -522,11 +517,11 @@ def verify_identity_exact(equation: EquationId, half_width: int, k: int,
     if k < 1:
         raise ValueError("k must be at least 1")
     m = 2 * k
-    if (2 * half_width + 3) * m > degree_cap:
+    if (2 * half_width + 3) * m > DEGREE_CAP:
         raise DegreeCapExceeded(
             f"identity check at half_width {half_width}, weight {m} "
             f"needs denominator degree up to {(2 * half_width + 3) * m}, "
-            f"cap is {degree_cap}")
+            f"cap is {DEGREE_CAP}")
     _check_window_guard(half_width, m)
 
     # Right-side term j is (p z + q)^m / (Q_j z + Q_{j-1})^m with

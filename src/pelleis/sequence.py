@@ -111,17 +111,16 @@ def float_window(n: int) -> tuple[float, float, float, float, float]:
             0.0 if q is None else 1.0 / q)
 
 
-def pell_lucas(n: int, table: SequenceTable | None = None) -> int:
+def pell_lucas(n: int) -> int:
     """Q_n for any signed index within the cap."""
-    return (table or _DEFAULT_TABLE).value(n)
+    return _DEFAULT_TABLE.value(n)
 
 
-def pell_lucas_range(lo: int, hi: int,
-                     table: SequenceTable | None = None) -> list[int]:
+def pell_lucas_range(lo: int, hi: int) -> list[int]:
     """[Q_lo, ..., Q_hi] inclusive; raises InvalidRange if lo > hi."""
-    return (table or _DEFAULT_TABLE).range(lo, hi)
+    return _DEFAULT_TABLE.range(lo, hi)
 
 
-def pole_ratio(j: int, table: SequenceTable | None = None) -> Fraction:
+def pole_ratio(j: int) -> Fraction:
     """-Q_{j-1}/Q_j in lowest terms (Fraction normalizes automatically)."""
-    return (table or _DEFAULT_TABLE).pole_ratio(j)
+    return _DEFAULT_TABLE.pole_ratio(j)

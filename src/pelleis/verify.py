@@ -2,17 +2,18 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
 from .analysis import classify
 from .equations import EquationId
-from .errors import EmptyGrid, PelleisError, ZeroArgument
+from .errors import DidNotConverge, EmptyGrid, PelleisError, ZeroArgument
 from .evaluator import EvalSettings, _Series
 from .evaluator import eval_series  # unused; perfbench wraps it
 from .geometry import Rect
 
-DEFAULT_K_CAP = 8  # keeps |z|^(2k) within double range on the usual grids
+K_CAP = 8  # keeps |z|^(2k) within double range on the usual grids
 _REL_FLOOR = 1e-300
 
 
@@ -41,11 +42,11 @@ class GridSummary:
     failures: list[tuple[complex, PelleisError]] = field(default_factory=list)
 
 
-def _require_k(k, k_cap: int) -> None:
+def _require_k(k) -> None:
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError(f"k must be an integer >= 1, got {k!r}")
-    if k > k_cap:
-        raise ValueError(f"k={k} above cap {k_cap}")
+    if k > K_CAP:
+        raise ValueError(f"k={k} above cap {K_CAP}")
 
 
 def _pow_int(base: complex, n: int) -> complex:
@@ -62,6 +63,9 @@ def _arguments(equation: EquationId, z: complex) -> tuple[complex, complex]:
     a, b, c, d = equation.lhs_coeffs
     lhs_z = (a * z + b) / (c * z + d)
     rhs_z = 1 / z if equation.rhs_reciprocal else z
+    if not (cmath.isfinite(lhs_z) and cmath.isfinite(rhs_z)):
+        raise ZeroArgument(
+            f"{equation.value} argument overflows at z = {z!r}")
     return lhs_z, rhs_z
 
 
@@ -70,8 +74,7 @@ _REFINE_TOL_FLOOR = 1e-250
 
 
 def residual(equation: EquationId, z: complex, k: int,
-             settings: EvalSettings | None = None,
-             k_cap: int = DEFAULT_K_CAP) -> ResidualReport:
+             settings: EvalSettings | None = None) -> ResidualReport:
     """Evaluate both sides of the equation at z for weight 2k.
 
     target_tol is treated relative to the side magnitudes: after a first
@@ -82,11 +85,13 @@ def residual(equation: EquationId, z: complex, k: int,
     from the window the previous tolerance stopped at, and gives the same
     bits as a fresh eval_series at the tighter tolerance.  Tail bounds stay
     certified throughout.  The prefactor z^(+-2k) is applied to the right
-    side by repeated multiplication and scales the right tail accordingly.
-    Evaluation errors carry side="lhs" or side="rhs".  Both arguments
-    should classify REGULAR; every term is re-guarded during summation.
+    side by repeated multiplication and scales the right tail accordingly;
+    a right side that leaves double range raises DidNotConverge (tail
+    bound inf).  Evaluation errors carry side="lhs" or side="rhs".  Both
+    arguments should classify REGULAR; every term is re-guarded during
+    summation.
     """
-    _require_k(k, k_cap)
+    _require_k(k)
     z = complex(z)
     m = 2 * k
     lhs_z, rhs_z = _arguments(equation, z)
@@ -104,20 +109,24 @@ def residual(equation: EquationId, z: complex, k: int,
     for _ in range(_REFINE_ROUNDS + 1):
         try:
             if lhs_series is None:
-                lhs_series = _Series(lhs_z, m, base.pole_guard)
+                lhs_series = _Series(lhs_z, m)
             left = lhs_series.extend(lhs_tol, base.max_half_width)
         except PelleisError as exc:
             exc.side = "lhs"
             raise
         try:
             if rhs_series is None:
-                rhs_series = _Series(rhs_z, m, base.pole_guard)
+                rhs_series = _Series(rhs_z, m)
             right = rhs_series.extend(rhs_tol, base.max_half_width)
         except PelleisError as exc:
             exc.side = "rhs"
             raise
         rhs = prefactor * right.value
         rhs_tail = pref_mag * right.tail_bound
+        if not (cmath.isfinite(rhs) and math.isfinite(rhs_tail)):
+            # The prefactor z^(+-2k) left double range.
+            raise DidNotConverge(right.terms_used, math.inf, point=rhs_z,
+                                 side="rhs")
         scale = max(abs(left.value), abs(rhs))
         if (scale < _REFINE_TOL_FLOOR
                 or left.tail_bound + rhs_tail <= 4.0 * scale * base.target_tol):
@@ -137,16 +146,15 @@ def residual(equation: EquationId, z: complex, k: int,
 
 
 def verify_grid(equation: EquationId, region: Rect, nx: int, ny: int, k: int,
-                settings: EvalSettings | None = None,
-                k_cap: int = DEFAULT_K_CAP) -> GridSummary:
+                settings: EvalSettings | None = None) -> GridSummary:
     """Residuals at every cell center whose arguments both classify REGULAR.
 
-    Non-regular points (and z = 0 where the equation needs 1/z) are
-    skipped; evaluation failures at regular points are recorded as
-    failures.  Raises EmptyGrid when every point was skipped, i.e. when no
-    point was either tested or failed.
+    Non-regular points (and z = 0, or a z whose 1/z overflows, where the
+    equation needs 1/z) are skipped; evaluation failures at regular points
+    are recorded as failures.  Raises EmptyGrid when every point was
+    skipped, i.e. when no point was either tested or failed.
     """
-    _require_k(k, k_cap)
+    _require_k(k)
     summary = GridSummary(equation, k, 0, 0, 0, 0.0, None)
     for z in region.cell_centers(nx, ny):
         try:
@@ -158,7 +166,7 @@ def verify_grid(equation: EquationId, region: Rect, nx: int, ny: int, k: int,
             summary.points_skipped += 1
             continue
         try:
-            report = residual(equation, z, k, settings, k_cap)
+            report = residual(equation, z, k, settings)
         except PelleisError as exc:
             summary.points_failed += 1
             summary.failures.append((z, exc))

@@ -215,6 +215,33 @@ def test_verify_all_points_failed_prints_failures(capsys):
     assert len(lines) == 3
 
 
+def test_verify_overflowing_prefactor_is_a_failure(capsys):
+    # z^16 overflows: a failed row tagged [rhs] and exit 1, not a NaN row
+    # counted as tested.
+    code, out = run_cli(capsys, "verify", "--eq", "inversion", "--k", "8",
+                        "--rect=1e30,1e30,2e30,2e30", "--nx", "1", "--ny", "1")
+    assert code == 1
+    assert "nan," not in out
+    lines = out.strip().split("\n")
+    assert lines[1].startswith("# failed: re=1.5000000000000002e+30 ")
+    assert lines[1].endswith(" [rhs]")
+    assert " points_tested=0 points_skipped=0 points_failed=1 " in lines[2]
+
+
+@pytest.mark.parametrize("eq, counts", [
+    ("inversion", "points_tested=2 points_skipped=2 points_failed=0"),
+    ("shift", "points_tested=0 points_skipped=2 points_failed=2")])
+def test_verify_skips_overflowing_reciprocal(capsys, eq, counts):
+    # 1/z overflows at the centers +-5e-309; the grid goes on past them.
+    # For the shift, z^-2 then overflows at +-1.5e-308 as well.
+    code, out = run_cli(capsys, "verify", "--eq", eq, "--k", "1",
+                        "--rect=-2e-308,-1e-310,2e-308,1e-310",
+                        "--nx", "4", "--ny", "1")
+    assert "# error:" not in out
+    assert counts in out
+    assert code == (0 if eq == "inversion" else 1)
+
+
 # ---------------------------------------------------------------------- prove
 
 def test_prove_reflection(capsys):

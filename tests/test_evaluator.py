@@ -130,6 +130,23 @@ def test_tail_bound_survives_underflowing_q_power():
     assert bound < 1e-100
 
 
+def test_tail_bound_survives_underflowing_halving():
+    # 2^-m underflows for m > 1074; the bound must still cover the exact
+    # tail, led by the j = 3 term (|14 z + 6| = 1.4, about 1.8e-161 at
+    # m = 1100), instead of dropping to its 2e-300 floor.
+    z = complex(-3 / 7, 0.1)
+    x, y = Fraction(z.real), Fraction(z.imag)
+
+    def abs_sq(j):  # |Q_j z + Q_{j-1}|^2, exactly
+        return ((pell_lucas(j) * x + pell_lucas(j - 1)) ** 2
+                + (pell_lucas(j) * y) ** 2)
+
+    for m in (1076, 1100, 2000):
+        exact = sum(abs_sq(j) ** -(m // 2)
+                    for j in range(-12, 13) if abs(j) > 2)
+        assert Fraction(tail_bound(2, z, m)) >= exact, m
+
+
 def test_tail_bound_shrinks_geometrically():
     for z in (3j, 1 + 1j, -2 + 0.5j):
         prev = tail_bound(MIN_TAIL_HALF_WIDTH, z, 2)
@@ -169,8 +186,9 @@ def test_eval_settings_validation():
         EvalSettings(target_tol=math.nan)
     with pytest.raises(ValueError):
         EvalSettings(max_half_width=3)
-    with pytest.raises(ValueError):
-        EvalSettings(pole_guard=-1e-9)
+    for width in (10.5, 10.0, True, "10"):
+        with pytest.raises(ValueError, match="integer"):
+            EvalSettings(max_half_width=width)
     # tail_bound never returns less than 2e-300, so no window could meet a
     # smaller tolerance.
     with pytest.raises(ValueError, match="at least 2e-300"):
@@ -322,7 +340,7 @@ def test_series_extend_matches_fresh_eval(z, m):
     # tolerance gives, to the bit, errors included; so does asking again at
     # a tighter tolerance that the window reached already meets.
     for max_hw in (200, 12):
-        series = evaluator._Series(z, m, EvalSettings().pole_guard)
+        series = evaluator._Series(z, m)
         tols = [1e-3, 1e-3, 1e-8, 1e-12, 1e-30, 1e-60, 1e-100]
         while tols:
             tol = tols.pop(0)
@@ -335,7 +353,7 @@ def test_series_extend_matches_fresh_eval(z, m):
 
 
 def test_series_extend_adds_no_terms_when_bound_met(monkeypatch):
-    series = evaluator._Series(1 + 1j, 2, 1e-8)
+    series = evaluator._Series(1 + 1j, 2)
     first = series.extend(1e-6, 200)
     assert series.extend(1e-12, 200).terms_used > first.terms_used
     tighter = series.extend(1e-12, 200)

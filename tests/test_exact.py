@@ -199,8 +199,6 @@ def test_window_sum_guards():
         window_sum(9, 1)
     with pytest.raises(ValueError):
         window_sum(1, 7)
-    with pytest.raises(DegreeCapExceeded):
-        window_sum(2, 2, degree_cap=9)  # needs denominator degree 10
 
 
 # ----------------------------------------------------------------- Mobius maps
@@ -301,8 +299,13 @@ def test_identity_validation():
         verify_identity_exact(EquationId.REFLECTION, 1, 1)
     with pytest.raises(ValueError):
         verify_identity_exact(EquationId.REFLECTION, 2, 0)
-    with pytest.raises(DegreeCapExceeded):
-        verify_identity_exact(EquationId.INVERSION, 4, 2, degree_cap=40)
+    # The cap is 400: half-width 99 at weight 2 needs degree 402, and 98
+    # needs 398, which passes the cap and stops at the window guard.
+    with pytest.raises(DegreeCapExceeded,
+                       match="degree up to 402, cap is 400"):
+        verify_identity_exact(EquationId.INVERSION, 99, 1)
+    with pytest.raises(ValueError, match="window guard"):
+        verify_identity_exact(EquationId.INVERSION, 98, 1)
 
 
 def test_identity_window_guards():

@@ -67,8 +67,10 @@ def test_reflection_applied_twice_swaps_sides():
 @pytest.mark.parametrize("equation", [EquationId.INVERSION, EquationId.SHIFT,
                                       EquationId.NEGATION])
 def test_zero_argument_rejected(equation):
-    with pytest.raises(ZeroArgument):
-        residual(equation, 0j, 1)
+    # 1/z and -1/z also leave double range below |z| ~ 5.6e-309.
+    for z in (0j, complex(5e-309, 0.0), complex(-1e-310, 2e-310)):
+        with pytest.raises(ZeroArgument):
+            residual(equation, z, 1)
 
 
 def test_reflection_defined_at_zero():
@@ -112,6 +114,14 @@ def test_pole_failure_message_carries_side_tag():
         residual(EquationId.REFLECTION, 1 + 0j, 1)
     assert info.value.side == "lhs"
     assert str(info.value) == "term j=0 is singular near z=(1+0j) [lhs]"
+
+
+def test_overflowing_prefactor_fails_on_right_side():
+    # z^16 overflows at |z| ~ 2e30: a typed failure, not a NaN right side.
+    with pytest.raises(DidNotConverge) as info:
+        residual(EquationId.INVERSION, complex(1.5e30, 1.5e30), 8)
+    assert info.value.side == "rhs"
+    assert info.value.tail_bound == math.inf
 
 
 def test_untagged_failure_message():
@@ -158,9 +168,9 @@ def restart_residual(equation, z, k, settings=None):
                 and rhs_tol >= rhs_settings.target_tol):
             break
         lhs_settings = EvalSettings(min(lhs_tol, lhs_settings.target_tol),
-                                    base.max_half_width, base.pole_guard)
+                                    base.max_half_width)
         rhs_settings = EvalSettings(min(rhs_tol, rhs_settings.target_tol),
-                                    base.max_half_width, base.pole_guard)
+                                    base.max_half_width)
     abs_res = abs(left.value - rhs)
     report = ResidualReport(
         point=z, k=k, lhs=left.value, rhs=rhs, abs_residual=abs_res,
