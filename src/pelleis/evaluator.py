@@ -23,6 +23,46 @@ absorbs float rounding, so the computed bound stays a true upper bound.
 Distances <= 0 (z inside an interval hull) and bounds beyond double range
 yield the MaxReal sentinel inf.
 
+The computed bound never grows with the window: tail_bound(J + 1, z, m)
+<= tail_bound(J, z, m) for J >= 2, and it is inf only on a prefix of
+windows.  Write u = 2^-53.
+
+* The float hulls nest.  p_{J+3} lies between p_{J+1} and p_{J+2}, and
+  float_pole rounds correctly, so by monotone rounding the rounded
+  p_{J+3} lies between the rounded p_{J+1} and p_{J+2}; widened outward by
+  one ulp each, the hull of window J + 1 lies inside that of window J.
+  The offset of z.real from a hull is one subtraction from an endpoint,
+  so it does not shrink either; hypot and the shave move d by a few ulps.
+
+* The margin is 2^m.  Q_{J+1} >= 2 Q_J, so 1/Q_{J+1} <= (1/Q_J) / 2 up to
+  one rounding each.  With d+ and d- not shrinking, the formula above at
+  J + 1 is at most 2^-m times its value at J.  Both ways tail_bound
+  evaluates it, d^-m * (1/Q_J)^m and the fallback (1/Q_J / d)^m (with
+  2^-m folded into the base where it underflows), carry a relative error
+  of at most (1 + c u)^m for a small constant c, because a power
+  multiplies the relative error of its base by m; a switch between the
+  two ways from J to J + 1 is covered alike.  (1 + c u)^(2m) < 2^m for
+  every m, so the computed bound falls from J to J + 1, by at least
+  2^m (1 - 1e-9) while it is above its floor (tested in
+  tests/test_evaluator.py).
+
+* Overflow and underflow.  The hulls lie more than 2.8 apart, so one of
+  d+, d- exceeds 1.4 and its power is below 1: the first way never leaves
+  double range, and neither the sum nor the product with 1/Q_J^m < 1 can
+  overflow.  The fallback overflows (inf) at J + 1 only if its power is
+  beyond range there, and it is larger by the 2^m margin at J.  Results
+  below the smallest normal double, the only ones whose relative error
+  is not small, lie below the 2e-300 floor, and max(bound, floor) keeps
+  the order.
+
+* inf at J + 1 therefore comes from an overflow, which overflows at J as
+  well, or from a distance <= 0: z real and inside hull J + 1, hence
+  inside hull J.
+
+_Series.extend relies on this order: the windows whose bound meets a
+tolerance form a suffix, so it searches for the first of them instead of
+checking every window in turn.
+
 All summation goes through one resumable kernel, _Series: eval_series
 builds one and extends it once, and verify.residual keeps one per side and
 extends it to each refined tolerance, so a refinement continues the window
@@ -34,6 +74,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from math import isfinite
 
 from .errors import DidNotConverge, PoleProximity
 from .geometry import Rect
@@ -50,6 +91,7 @@ _DIST_SHAVE = 1.0 - 1e-12      # deflate distances against rounding
 _BOUND_SLACK = 1.0 + 1e-9      # inflate the bound against rounding
 _BOUND_FLOOR = 2e-300          # stay clear of subnormal arithmetic
 _MIN_NORMAL = sys.float_info.min
+_LOG_SILVER = math.log(SILVER_RATIO)   # Q_{J+1} / Q_J tends to 1 + sqrt(2)
 
 
 @dataclass(frozen=True)
@@ -102,8 +144,11 @@ def term_value(j: int, z: complex, m: int) -> complex:
     i.e. when z is within POLE_GUARD (1e-8) of the term's pole, or so
     close that the m-th power overflows.
     """
-    _require_weight(m)
-    z = _require_point(z)
+    # A type test passes the common arguments; the rest get the full checks.
+    if not (m.__class__ is int and m >= 2):
+        _require_weight(m)
+    if not (z.__class__ is complex and isfinite(z.real) and isfinite(z.imag)):
+        z = _require_point(z)
     fj = float_q(j)
     fjm1 = float_q(j - 1)
     if fj is None or fjm1 is None:
@@ -119,20 +164,9 @@ def term_value(j: int, z: complex, m: int) -> complex:
     out = r
     for _ in range(m - 1):
         out *= r
-    if not (math.isfinite(out.real) and math.isfinite(out.imag)):
+    if not (isfinite(out.real) and isfinite(out.imag)):
         raise PoleProximity(j, z)
     return out
-
-
-def _dist_to_interval(z: complex, lo: float, hi: float) -> float:
-    x = z.real
-    if x < lo:
-        dx = lo - x
-    elif x > hi:
-        dx = x - hi
-    else:
-        dx = 0.0
-    return math.hypot(dx, z.imag)
 
 
 def tail_bound(half_width: int, z: complex, m: int) -> float:
@@ -141,14 +175,21 @@ def tail_bound(half_width: int, z: complex, m: int) -> float:
     Returns math.inf (the MaxReal sentinel) when z touches one of the
     pole containment intervals, i.e. when no finite bound is available.
     """
-    _require_weight(m)
-    z = _require_point(z)
+    # A type test passes the common arguments; the rest get the full checks.
+    if not (m.__class__ is int and m >= 2):
+        _require_weight(m)
+    if not (z.__class__ is complex and isfinite(z.real) and isfinite(z.imag)):
+        z = _require_point(z)
     if half_width < MIN_TAIL_HALF_WIDTH:
         raise ValueError(
             f"tail bound needs half_width >= {MIN_TAIL_HALF_WIDTH}")
     lo_p, hi_p, lo_n, hi_n, q_inv = float_window(half_width)
-    d_pos = _dist_to_interval(z, lo_p, hi_p) * _DIST_SHAVE
-    d_neg = _dist_to_interval(z, lo_n, hi_n) * _DIST_SHAVE
+    # Distances from z to the two hulls.
+    x, y = z.real, z.imag
+    dx = lo_p - x if x < lo_p else (x - hi_p if x > hi_p else 0.0)
+    d_pos = math.hypot(dx, y) * _DIST_SHAVE
+    dx = lo_n - x if x < lo_n else (x - hi_n if x > hi_n else 0.0)
+    d_neg = math.hypot(dx, y) * _DIST_SHAVE
     if d_pos <= 0.0 or d_neg <= 0.0:
         return math.inf
     geo = 2.0 ** (-m) / (1.0 - 2.0 ** (-m))
@@ -173,6 +214,46 @@ def tail_bound(half_width: int, z: complex, m: int) -> float:
     return max(bound, _BOUND_FLOOR)
 
 
+def _stopping_window(z: complex, m: int, lo: int, target_tol: float,
+                     max_half_width: int) -> tuple[int, float]:
+    """(J, tail_bound(J)) for the first J in [lo, max_half_width] with
+    tail_bound(J) <= target_tol, or for J = max_half_width if none is.
+
+    tail_bound is non-increasing in J (module docstring), so the windows
+    that meet the tolerance form a suffix of the range, and its first
+    window can be searched for.  Each failing probe predicts the next
+    from a fall of (1 + sqrt(2))^m per window, or doubles its distance
+    from lo while the bound is inf.  A passing probe is confirmed by its
+    lower neighbour, then by bisection if that passes as well.  Only
+    windows in [lo, max_half_width] are probed.
+    """
+    bad = lo - 1    # the windows up to bad fail (or lie below the range)
+    j = lo
+    while True:
+        b = tail_bound(j, z, m)
+        if b <= target_tol:
+            break
+        if j >= max_half_width:
+            return j, b
+        bad = j
+        if b == math.inf:
+            j += j - lo + 1
+        else:
+            j += max(1, math.ceil((math.log(b) - math.log(target_tol))
+                                  / (m * _LOG_SILVER)))
+        j = min(j, max_half_width)
+    good, good_b = j, b
+    j = good - 1
+    while j > bad:
+        b = tail_bound(j, z, m)
+        if b <= target_tol:
+            good, good_b = j, b
+        else:
+            bad = j
+        j = (bad + good) // 2
+    return good, good_b
+
+
 class _Series:
     """Resumable adaptive summation of S_m(z): the one summation kernel.
 
@@ -181,8 +262,8 @@ class _Series:
     order: j = 0, then +J and -J for J = 1, 2, ...  extend() grows the
     window from the level reached so far, so asking again with a tighter
     tolerance (and the same max_half_width) adds exactly the terms, in the
-    same order, and makes exactly the bound checks that a restart from
-    j = 0 would; the result is the same to the bit.
+    same order, and stops at the same window that a restart from j = 0
+    would; the result is the same to the bit.
     """
 
     # _sums: sum and correction of the real, then the imaginary part, of
@@ -210,14 +291,27 @@ class _Series:
         """The result at the first window J >= 2 whose tail bound is
         <= target_tol, summing on from the level already reached.
 
-        A tolerance that the reached window's bound already meets returns
-        that window's result without adding terms.  Raises as eval_series.
+        J is found first, by _stopping_window, among the windows past the
+        level reached; then exactly the terms up to J are added, with no
+        bound check between them.  tail_bound neither raises nor has side
+        effects for the series' point and weight, so a term's
+        PoleProximity is raised at the same term as by a scan that checks
+        the bound after every window.  If `trace` is a list, the bound of
+        every window from max(level + 1, 2) to J is appended to it as it
+        would be by checking each window in turn.  A tolerance that the
+        reached window's bound already meets returns that window's result
+        without adding terms.  Raises as eval_series.
         """
         z, m = self.z, self.m
         level, bound = self.level, self.bound
         sr_m, cr_m, si_m, ci_m, sr_p, cr_p, si_p, ci_p = self._sums
         if level < MIN_TAIL_HALF_WIDTH or bound > target_tol:
-            for level in range(level + 1, max_half_width + 1):
+            lo = max(level + 1, MIN_TAIL_HALF_WIDTH)
+            if lo > max_half_width:
+                raise DidNotConverge(level, bound, point=z)
+            stop, bound = _stopping_window(z, m, lo, target_tol,
+                                           max_half_width)
+            for level in range(level + 1, stop + 1):
                 v = term_value(level, z, m)
                 x = v.real
                 t = sr_p + x
@@ -248,14 +342,9 @@ class _Series:
                 else:
                     ci_m += (x - t) + si_m
                 si_m = t
-                if level < MIN_TAIL_HALF_WIDTH:
-                    continue
-                bound = tail_bound(level, z, m)
-                if trace is not None:
-                    trace.append((level, bound))
-                if bound <= target_tol:
-                    break
-            else:
+                if trace is not None and level >= MIN_TAIL_HALF_WIDTH:
+                    trace.append((level, tail_bound(level, z, m)))
+            if bound > target_tol:
                 raise DidNotConverge(level, bound, point=z)
             self.level, self.bound = level, bound
             self._sums = (sr_m, cr_m, si_m, ci_m, sr_p, cr_p, si_p, ci_p)
@@ -280,8 +369,10 @@ def eval_series(z: complex, m: int, settings: EvalSettings | None = None,
 
     Terms are accumulated in two compensated sums (j <= 0 and j >= 1) in a
     fixed interleaved order, so results are bit-reproducible.  The window
-    grows until tail_bound(J, z, m) <= target_tol; if `trace` is a list it
-    receives (J, bound) pairs for every checked window.
+    is the first J >= 2 with tail_bound(J, z, m) <= target_tol.  The bound
+    never grows with J, so J is searched for with a few bound checks
+    before any term is summed; if `trace` is a list it receives the
+    (J', bound) pair of every window J' from 2 to J.
 
     Raises PoleProximity when a term denominator nearly vanishes or a term
     overflows, and DidNotConverge when the bound cannot reach the tolerance

@@ -49,11 +49,13 @@ class SequenceTable:
     def value(self, n: int) -> int:
         if abs(n) > self.index_cap:
             raise IndexCapExceeded(n, self.index_cap)
-        if self._lo <= n <= self._hi:  # lock-free fast path; entries never change
+        if not self._lo <= n <= self._hi:  # else lock-free: entries never change
+            with self._lock:
+                self._grow_to(n)
+        try:
             return self._values[n]
-        with self._lock:
-            self._grow_to(n)
-        return self._values[n]
+        except KeyError:  # n is no integer
+            raise ValueError(f"index must be an integer, got {n!r}") from None
 
     def _grow_to(self, n: int) -> None:
         vals = self._values

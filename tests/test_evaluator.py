@@ -1,9 +1,13 @@
 """Certified series evaluation: term values, tail bounds, adaptive summation."""
 
+import enum
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from pelleis import evaluator
@@ -148,12 +152,25 @@ def test_tail_bound_survives_underflowing_halving():
 
 
 def test_tail_bound_shrinks_geometrically():
-    for z in (3j, 1 + 1j, -2 + 0.5j):
-        prev = tail_bound(MIN_TAIL_HALF_WIDTH, z, 2)
-        for j in range(MIN_TAIL_HALF_WIDTH + 1, 40):
-            cur = tail_bound(j, z, 2)
-            assert cur <= prev * 0.25 * (1 + 1e-9)
-            prev = cur
+    # The computed bound never grows with the window, is inf only on a
+    # prefix of windows, and above its floor falls by at least 2^m per
+    # window: the facts the stopping-window search in _Series rests on.
+    points = [3j, 1 + 1j, -2 + 0.5j, 0.3 - 4j]
+    for j, offset in ((3, 1e-5j), (5, 1e-3), (-4, 1e-6j), (8, 1e-9 + 1e-9j),
+                      (-6, -1e-7), (12, 1e-12j)):
+        points.append(float(pole_ratio(j)) + offset)
+    for accumulation in (SILVER_CONJUGATE, SILVER_RATIO):
+        for offset in (2e-8, -1e-6, 1e-4, 3e-8 + 1e-9j, 1e-5j):
+            points.append(accumulation + offset)
+    for z in points:
+        for m in (2, 3, 8, 64, 1100):
+            bounds = [tail_bound(j, z, m)
+                      for j in range(MIN_TAIL_HALF_WIDTH, 61)]
+            for prev, cur in zip(bounds, bounds[1:]):
+                assert cur <= prev, (z, m)
+                if math.isfinite(prev) and cur > 2e-300:
+                    fall = math.log(prev) - math.log(cur)
+                    assert fall >= m * math.log(2) - 1e-9, (z, m)
 
 
 def test_out_of_window_poles_inside_hull():
@@ -363,6 +380,187 @@ def test_series_extend_adds_no_terms_when_bound_met(monkeypatch):
                         lambda *args: terms.append(args))
     assert series.extend(1e-9, 200) == met == tighter
     assert terms == []
+
+
+def _neumaier(s, c, x):
+    t = s + x
+    if abs(s) >= abs(x):
+        c += (s - t) + x
+    else:
+        c += (x - t) + s
+    return t, c
+
+
+def scan_extend(series, target_tol, max_half_width, trace=None):
+    """Reference for _Series.extend: add the terms one window at a time
+    and check the tail bound after each window J >= 2, stopping at the
+    first whose bound meets the tolerance."""
+    z, m = series.z, series.m
+    level, bound = series.level, series.bound
+    sr_m, cr_m, si_m, ci_m, sr_p, cr_p, si_p, ci_p = series._sums
+    if level < MIN_TAIL_HALF_WIDTH or bound > target_tol:
+        for level in range(level + 1, max_half_width + 1):
+            v = term_value(level, z, m)
+            sr_p, cr_p = _neumaier(sr_p, cr_p, v.real)
+            si_p, ci_p = _neumaier(si_p, ci_p, v.imag)
+            v = term_value(-level, z, m)
+            sr_m, cr_m = _neumaier(sr_m, cr_m, v.real)
+            si_m, ci_m = _neumaier(si_m, ci_m, v.imag)
+            if level < MIN_TAIL_HALF_WIDTH:
+                continue
+            bound = tail_bound(level, z, m)
+            if trace is not None:
+                trace.append((level, bound))
+            if bound <= target_tol:
+                break
+        else:
+            raise DidNotConverge(level, bound, point=z)
+        series.level, series.bound = level, bound
+        series._sums = (sr_m, cr_m, si_m, ci_m, sr_p, cr_p, si_p, ci_p)
+    minus_part = complex(sr_m + cr_m, si_m + ci_m)
+    plus_part = complex(sr_p + cr_p, si_p + ci_p)
+    value = minus_part + plus_part
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise DidNotConverge(level, math.inf, point=z)
+    return evaluator.EvalResult(value, minus_part, plus_part, bound, level)
+
+
+def _search_matches_scan(z, m, steps, traced):
+    """Extend two series at z through the same (tolerance, max_half_width)
+    steps, one by _Series.extend and one by scan_extend: results, errors,
+    traces and summation state must agree to the bit at every step, and
+    the search may probe only windows in [max(level + 1, 2),
+    max_half_width], none of them twice.  A tolerance given as
+    ("bound", J) is the exact bound of window J, and ("met", 0) the bound
+    of the last result.  Returns False when the series cannot start at z."""
+    try:
+        new, ref = evaluator._Series(z, m), evaluator._Series(z, m)
+    except (PoleProximity, DidNotConverge):
+        return False
+    probes = []
+
+    def recording_tail_bound(j, z, m):
+        probes.append(j)
+        return tail_bound(j, z, m)
+
+    last = None
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluator, "tail_bound", recording_tail_bound)
+        for tol, max_hw in steps:
+            if isinstance(tol, tuple):
+                kind, j = tol
+                tol = (tail_bound(j, z, m) if kind == "bound" else
+                       last.tail_bound if last is not None else 1e-12)
+                if not 2e-300 <= tol < math.inf:
+                    continue
+            lo = max(new.level + 1, MIN_TAIL_HALF_WIDTH)
+            probes.clear()
+            got_trace = [] if traced else None
+            want_trace = [] if traced else None
+            got = _outcome(lambda: new.extend(tol, max_hw, got_trace))
+            want = _outcome(lambda: scan_extend(ref, tol, max_hw, want_trace))
+            context = (z, m, tol, max_hw)
+            assert repr(got) == repr(want), context
+            assert got_trace == want_trace, context
+            assert (repr((new.level, new.bound, new._sums))
+                    == repr((ref.level, ref.bound, ref._sums))), context
+            assert all(lo <= j <= max_hw for j in probes), (context, probes)
+            if not traced:    # the search probes no window twice
+                assert len(set(probes)) == len(probes), (context, probes)
+            if isinstance(got, evaluator.EvalResult):
+                last = got
+    return True
+
+
+def _random_point(rng):
+    kind = rng.randrange(5)
+    if kind == 0:    # anywhere
+        return complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
+    r = 10 ** rng.uniform(-9, -1)
+    angle = rng.choice((0.0, math.pi, rng.uniform(0, 2 * math.pi)))
+    offset = complex(r * math.cos(angle), r * math.sin(angle))
+    if kind == 1:    # near a pole
+        return float(pole_ratio(rng.randint(-14, 14))) + offset
+    if kind == 2:    # near an accumulation point, inside the pole hulls
+        return rng.choice((SILVER_CONJUGATE, SILVER_RATIO)) + offset
+    if kind == 3:    # on the real axis
+        return complex(rng.uniform(-5, 5), 0.0)
+    return complex(rng.uniform(-5, 5), r)
+
+
+def _random_weight(rng):
+    kind = rng.randrange(10)
+    if kind < 7:
+        return rng.randint(2, 8)
+    if kind < 9:
+        return rng.choice((16, 64, rng.randint(9, 200)))
+    return rng.choice((1100, rng.randint(201, 1100)))
+
+
+def _random_tol(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return ("bound", rng.randint(2, 60))
+    if kind == 1:
+        return ("met", 0)
+    return 10 ** rng.uniform(math.log10(2e-300), -1)
+
+
+def test_search_matches_scan_seeded():
+    rng = random.Random(20261018)
+    started = 0
+    for _ in range(2500):
+        z, m = _random_point(rng), _random_weight(rng)
+        steps = [(_random_tol(rng), rng.choice((4, 12, 200)))
+                 for _ in range(rng.randint(1, 4))]
+        started += _search_matches_scan(z, m, steps, rng.random() < 0.5)
+    assert started > 2000
+
+
+_TOLS = st.one_of(
+    st.floats(2e-300, 0.1),
+    st.tuples(st.just("bound"), st.integers(2, 60)),
+    st.tuples(st.just("met"), st.just(0)))
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_search_matches_scan_fuzzed(data):
+    j = data.draw(st.integers(-14, 14))
+    centre = data.draw(st.sampled_from(
+        (float(pole_ratio(j)), SILVER_CONJUGATE, SILVER_RATIO, 0.0)))
+    dx = data.draw(st.floats(-1.0, 1.0))
+    dy = data.draw(st.floats(-1.0, 1.0))
+    scale = 10.0 ** data.draw(st.integers(-10, 0))
+    z = complex(centre + dx * scale, dy * scale)
+    m = data.draw(st.one_of(st.integers(2, 10), st.integers(2, 1100)))
+    steps = data.draw(st.lists(
+        st.tuples(_TOLS, st.sampled_from((4, 12, 200))),
+        min_size=1, max_size=4))
+    _search_matches_scan(z, m, steps, data.draw(st.booleans()))
+
+
+class _Weight(enum.IntEnum):
+    FOUR = 4
+
+
+def test_cheap_argument_checks_match_full_checks():
+    # term_value and tail_bound test the common case (an int weight, a
+    # finite complex point) by type; everything else goes through the
+    # full checks, which accept and refuse what they always did.
+    for fn in (lambda z, m: term_value(3, z, m),
+               lambda z, m: tail_bound(3, z, m)):
+        for m in (True, False, 2.0, "2", 1, 0, -4, None):
+            with pytest.raises(ValueError, match="weight"):
+                fn(0.5j, m)
+        assert fn(0.5j, _Weight.FOUR) == fn(0.5j, 4)
+        assert fn(3, 2) == fn(3 + 0j, 2)
+        assert fn(2.5, 2) == fn(2.5 + 0j, 2)
+        assert fn("2", 2) == fn(2 + 0j, 2)
+        for z in (math.nan, math.inf, -math.inf, complex(0, math.nan),
+                  complex(1, math.inf), complex(math.inf, 0)):
+            with pytest.raises(ValueError, match="finite"):
+                fn(z, 2)
 
 
 # ------------------------------------------------------------------ eval_grid

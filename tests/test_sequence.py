@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from oracle import q_int
 from pelleis import (IndexCapExceeded, InvalidRange, SequenceTable,
-                     pell_lucas, pell_lucas_range, pole_ratio)
+                     pell_lucas, pell_lucas_range, pole_ratio, tail_bound,
+                     term_value)
 from pelleis.sequence import (SILVER_CONJUGATE, SILVER_RATIO, float_pole,
                               float_q, float_window)
 
@@ -96,6 +97,21 @@ def test_small_cap_table():
 def test_bad_cap_rejected():
     with pytest.raises(ValueError):
         SequenceTable(index_cap=0)
+
+
+def test_non_integer_index_rejected():
+    # A fractional index is refused by a ValueError naming it, not by a
+    # bare KeyError: inside the computed range, and past it on a fresh
+    # table, and through the float layers of the evaluator.
+    calls = {1.5: lambda: pell_lucas(1.5),
+             7.5: lambda: SequenceTable().value(7.5)}
+    for index, call in calls.items():
+        with pytest.raises(ValueError, match=f"integer, got {index}"):
+            call()
+    with pytest.raises(ValueError, match="integer, got 1.5"):
+        term_value(1.5, 1j, 2)
+    with pytest.raises(ValueError, match="integer, got 2.5"):
+        tail_bound(2.5, 1j, 2)
 
 
 def test_computed_range_tracks_growth():
