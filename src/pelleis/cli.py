@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from .analysis import poles_in_rect
 from .equations import EquationId
@@ -147,7 +148,9 @@ def _cmd_prove(args) -> int:
     return 0 if report.holds else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it as it is."""
     parser = argparse.ArgumentParser(
         prog="pelleis",
         description="Pell-Lucas numbers and their Eisenstein-like series",

@@ -16,13 +16,16 @@ the full residual lhs - rhs regrouped, not an assumption that the identity
 holds.  For the reflection the reindexing j -> -j is a bijection of the
 window |j| <= J; for the other three equations it shifts the window by one
 slot and leaves one extra term at each edge (for the inversion
-Q_{j-1} z - Q_j = (-1)^(j-1) (Q_{1-j} z + Q_{-j})).  Those edge terms are
-computed independently from their closed form and returned; residual
-minus boundary must cancel to the zero rational function.
+Q_{j-1} z - Q_j = (-1)^(j-1) (Q_{1-j} z + Q_{-j})).  Those boundary terms
+are written from their closed-form integer pairs in the same shape,
+returned, and entered into the same tally with the opposite sign; the
+defect, residual minus boundary, is the exact sum of the terms whose tally
+is still not zero, and is the zero rational function exactly when the
+identity holds.
 
-window_sum and substitute build the same residual the slow way, by
-canonicalising the whole window sum; they remain the reference the tests
-check the termwise prover against.
+window_sum, term_rf and substitute build the same residual and boundary
+terms the slow way, by canonicalising whole rational functions; they
+remain the reference the tests check the termwise prover against.
 """
 
 from __future__ import annotations
@@ -499,6 +502,16 @@ def _linear_power(p: int, q: int, m: int) -> Polynomial:
     return Polynomial((q, p)) ** m
 
 
+def _tally_sum(tally: Counter, m: int) -> RationalFunction:
+    """Exact sum of count * (p z + q)^m / (alpha z + beta)^m over the tally."""
+    total = RationalFunction.zero()
+    for (num, den), count in tally.items():
+        if count:
+            total = total + RationalFunction(
+                _linear_power(*num, m).scale(count), _linear_power(*den, m))
+    return total
+
+
 def verify_identity_exact(equation: EquationId, half_width: int,
                           k: int) -> ExactIdentityReport:
     """Check one functional equation on the window |j| <= half_width, weight 2k.
@@ -510,7 +523,11 @@ def verify_identity_exact(equation: EquationId, half_width: int,
     Every term on either side is (c z + d)^m / (alpha z + beta)^m with
     integer pairs; terms are tallied by their sign-normalised pairs (+1 on
     the left, -1 on the right) and the residual is the exact sum of the
-    terms whose tally is not zero.
+    terms whose tally is not zero.  Each boundary term is built from its
+    closed-form pairs and tallied with the opposite sign; the defect is the
+    exact sum of the terms whose tally is then still not zero.  Canonical
+    forms are unique, so it equals residual - sum(boundary) coefficient by
+    coefficient.
     """
     if half_width < 2:
         raise ValueError("identity check needs half_width >= 2")
@@ -525,24 +542,18 @@ def verify_identity_exact(equation: EquationId, half_width: int,
     _check_window_guard(half_width, m)
 
     # Right-side term j is (p z + q)^m / (Q_j z + Q_{j-1})^m with
-    # (p, q) = rhs_num, or over (Q_{j-1} z + Q_j)^m when rhs_swap.
-    z_pow = RationalFunction(Polynomial.x() ** m)
+    # (p, q) = rhs_num, or over (Q_{j-1} z + Q_j)^m when rhs_swap.  Each
+    # boundary term is (sign, denominator pair) over the same rhs_num power.
+    J, Q = half_width, pell_lucas
     if equation is EquationId.REFLECTION:      # S(z)
         rhs_num, rhs_swap = (0, 1), False
-        boundary: list[RationalFunction] = []
+        edges = []
     elif equation is EquationId.INVERSION:     # z^m S(z)
         rhs_num, rhs_swap = (1, 0), False
-        boundary = [
-            z_pow * term_rf(half_width + 1, m),
-            -(z_pow * term_rf(-half_width, m)),
-        ]
+        edges = [(1, (Q(J + 1), Q(J))), (-1, (Q(-J), Q(-J - 1)))]
     else:  # SHIFT and NEGATION: z^-m S(1/z) = sum 1/(Q_{j-1} z + Q_j)^m
         rhs_num, rhs_swap = (0, 1), True
-        z_neg = RationalFunction(1, Polynomial.x() ** m)
-        boundary = [
-            z_neg * substitute(term_rf(half_width + 1, m), RECIPROCAL_MAP),
-            -(z_neg * substitute(term_rf(-half_width, m), RECIPROCAL_MAP)),
-        ]
+        edges = [(1, (Q(J), Q(J + 1))), (-1, (Q(-J - 1), Q(-J)))]
 
     a, b, c, d = equation.lhs_coeffs
     lhs_num = _sign_normal(c, d)
@@ -553,14 +564,14 @@ def verify_identity_exact(equation: EquationId, half_width: int,
         tally[lhs_num, _sign_normal(alpha, beta)] += 1
         rhs_den = (q_prev, q_j) if rhs_swap else (q_j, q_prev)
         tally[rhs_num, _sign_normal(*rhs_den)] -= 1
+    residual = _tally_sum(tally, m)
 
-    residual = RationalFunction.zero()
-    for (num, den), count in tally.items():
-        if count:
-            residual = residual + RationalFunction(
-                _linear_power(*num, m).scale(count), _linear_power(*den, m))
-    defect = residual
-    for term in boundary:
-        defect = defect - term
+    numerator = _linear_power(*rhs_num, m)
+    boundary = []
+    for sign, den in edges:
+        boundary.append(RationalFunction(numerator.scale(sign),
+                                         _linear_power(*den, m)))
+        tally[rhs_num, _sign_normal(*den)] -= sign
+    defect = _tally_sum(tally, m)
     return ExactIdentityReport(equation, half_width, m, residual,
                                boundary, defect)

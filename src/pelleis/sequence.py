@@ -25,6 +25,13 @@ SILVER_CONJUGATE = -0.41421356237309503  # 1 - sqrt(2)
 SILVER_RATIO = 2.414213562373095         # 1 + sqrt(2)
 
 
+def _check_index(n) -> None:
+    """Refuse anything but an int (a bool is no index) with a ValueError."""
+    if n.__class__ is not int and (isinstance(n, bool)
+                                   or not isinstance(n, int)):
+        raise ValueError(f"index must be an integer, got {n!r}")
+
+
 class SequenceTable:
     """Append-only table of Q_n over a contiguous signed index range.
 
@@ -47,15 +54,13 @@ class SequenceTable:
         return (self._lo, self._hi)
 
     def value(self, n: int) -> int:
+        _check_index(n)
         if abs(n) > self.index_cap:
             raise IndexCapExceeded(n, self.index_cap)
         if not self._lo <= n <= self._hi:  # else lock-free: entries never change
             with self._lock:
                 self._grow_to(n)
-        try:
-            return self._values[n]
-        except KeyError:  # n is no integer
-            raise ValueError(f"index must be an integer, got {n!r}") from None
+        return self._values[n]
 
     def _grow_to(self, n: int) -> None:
         vals = self._values
@@ -69,6 +74,8 @@ class SequenceTable:
             self._lo = k
 
     def range(self, lo: int, hi: int) -> list[int]:
+        _check_index(lo)
+        _check_index(hi)
         if lo > hi:
             raise InvalidRange(f"lo={lo} exceeds hi={hi}")
         self.value(lo)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from pelleis import cli
+from pelleis import EvalSettings, cli, eval_series
 
 SEQ_0_4 = "n,Q_n\n0,2\n1,2\n2,6\n3,14\n4,34\n"
 
@@ -357,6 +357,45 @@ def test_help_exits_0(capsys):
     code, out = run_cli(capsys, "--help")
     assert code == 0
     assert "seq" in out and "prove" in out
+
+
+# ------------------------------------------------------------ parser reuse
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_usage_error_leaves_parser_clean(capsys):
+    command, digest = PINNED_STDOUT["prove-shift"]
+    assert run_cli(capsys, "prove", "--eq", "shift", "--window", "x",
+                   "--k", "2")[0] == 2
+    assert run_cli(capsys, "prove", "--eq", "nonsense")[0] == 2
+    code, out = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_max_j_does_not_carry_over(capsys):
+    point = ("eval", "--re", "1", "--im", "1", "--weight", "2")
+    code, out = run_cli(capsys, *point, "--max-j", "5")
+    assert code == 1
+    assert "at half-width 5 " in out
+    # Without --max-j the next request gets the default window again.
+    code, out = run_cli(capsys, *point)
+    assert code == 0
+    z = complex(1, 1)
+    expected = cli._eval_fields(z, eval_series(z, 2, EvalSettings()))
+    assert out == f"{cli.EVAL_HEADER}\n{expected}\n"
+    assert cli.build_parser().parse_args(list(point)).max_j is None
+
+
+def test_help_twice_is_identical(capsys):
+    first = run_cli(capsys, "--help")
+    assert first == run_cli(capsys, "--help")
+    sub = run_cli(capsys, "prove", "--help")
+    assert sub[0] == 0 and "--window" in sub[1]
+    assert first == run_cli(capsys, "--help")
+    assert sub == run_cli(capsys, "prove", "--help")
 
 
 def test_module_entry_point():

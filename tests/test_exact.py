@@ -10,7 +10,7 @@ import sympy
 from pelleis import (DegreeCapExceeded, EquationId, MobiusMap, Polynomial,
                      RationalFunction, pell_lucas, substitute, term_rf,
                      verify_identity_exact, window_sum)
-from pelleis import equations
+from pelleis import equations, exact
 from pelleis.exact import RECIPROCAL_MAP, ExactIdentityReport, poly_gcd
 
 X = Polynomial.x()
@@ -415,6 +415,7 @@ def test_largest_window_holds_and_matches_direct_sums(equation):
     (EquationId.SHIFT, (1, 1, 0, 1)),      # z + 1 instead of z + 2
     (EquationId.INVERSION, (0, 1, 1, 0)),  # 1/z instead of -1/z
     (EquationId.REFLECTION, (-1, 1, 0, 1)),  # 1 - z instead of 2 - z
+    (EquationId.NEGATION, (-1, 1, 0, 1)),  # 1 - z instead of -z
 ])
 def test_wrong_left_map_is_nonzero(monkeypatch, equation, wrong_map):
     monkeypatch.setitem(equations._LHS_COEFFS, equation.value, wrong_map)
@@ -422,3 +423,60 @@ def test_wrong_left_map_is_nonzero(monkeypatch, equation, wrong_map):
     assert report.verdict == "NONZERO"
     assert not report.holds
     assert report == _window_sum_report(equation, 2, 1)
+
+
+# ------------------------------------------- closed-form boundary terms
+
+def _old_boundary(equation, J, m):
+    """The boundary terms built the old way, from term_rf and substitute."""
+    if equation is EquationId.REFLECTION:
+        return []
+    if equation is EquationId.INVERSION:
+        z_pow = RationalFunction(X ** m)
+        return [z_pow * term_rf(J + 1, m), -(z_pow * term_rf(-J, m))]
+    z_neg = RationalFunction(1, X ** m)
+    return [z_neg * substitute(term_rf(J + 1, m), RECIPROCAL_MAP),
+            -(z_neg * substitute(term_rf(-J, m), RECIPROCAL_MAP))]
+
+
+@pytest.mark.parametrize("equation", list(EquationId))
+@pytest.mark.parametrize("half_width", range(2, 9))
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_closed_form_boundary_equals_substituted_terms(equation, half_width,
+                                                       k):
+    report = verify_identity_exact(equation, half_width, k)
+    assert report.boundary_terms == _old_boundary(equation, half_width, 2 * k)
+    assert report.holds
+
+
+@pytest.mark.parametrize("equation", [EquationId.INVERSION, EquationId.SHIFT,
+                                      EquationId.NEGATION])
+@pytest.mark.parametrize("half_width", [2, 3, 5])
+@pytest.mark.parametrize("k", [1, 2])
+def test_off_by_one_edge_pair_is_nonzero(monkeypatch, equation, half_width,
+                                         k):
+    # Q_{J+1} appears only in the first edge pair, never in the window's
+    # own terms, so reading Q_{J+2} for it moves that boundary term alone.
+    J, m = half_width, 2 * k
+    honest = verify_identity_exact(equation, J, k)
+
+    def shifted(n):
+        return pell_lucas(J + 2 if n == J + 1 else n)
+
+    monkeypatch.setattr(exact, "pell_lucas", shifted)
+    report = verify_identity_exact(equation, J, k)
+    assert report.verdict == "NONZERO"
+    assert not report.holds
+    assert report.residual == honest.residual
+    assert report.boundary_terms[1] == honest.boundary_terms[1]
+    if equation is EquationId.INVERSION:
+        wrong = RationalFunction(X ** m, Polynomial(
+            (pell_lucas(J), pell_lucas(J + 2))) ** m)
+    else:
+        wrong = RationalFunction(1, Polynomial(
+            (pell_lucas(J + 2), pell_lucas(J))) ** m)
+    assert report.boundary_terms[0] == wrong
+    expected = report.residual - report.boundary_terms[0] \
+        - report.boundary_terms[1]
+    assert report.defect == expected
+    assert report.defect == honest.boundary_terms[0] - wrong

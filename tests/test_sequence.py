@@ -112,6 +112,18 @@ def test_non_integer_index_rejected():
         term_value(1.5, 1j, 2)
     with pytest.raises(ValueError, match="integer, got 2.5"):
         tail_bound(2.5, 1j, 2)
+    # One rule for value and range: an int, not a bool and not an integral
+    # float, which would otherwise hit the dict key it equals.
+    refused = [("2.0", lambda: pell_lucas_range(0, 2.0)),
+               ("0.0", lambda: SequenceTable().range(0.0, 2)),
+               ("2.0", lambda: pell_lucas(2.0)),
+               ("True", lambda: pell_lucas(True)),
+               ("False", lambda: SequenceTable().range(False, 2)),
+               ("'2'", lambda: pell_lucas("2"))]
+    for index, call in refused:
+        with pytest.raises(ValueError,
+                           match=f"index must be an integer, got {index}$"):
+            call()
 
 
 def test_computed_range_tracks_growth():
