@@ -15,6 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cache
 
+from .evaluator import _require_point
 from .geometry import Rect
 from .sequence import SILVER_CONJUGATE, SILVER_RATIO, float_pole, pole_ratio
 
@@ -67,6 +68,8 @@ def poles_in_rect(region: Rect, j_cap: int = DEFAULT_J_CAP) -> list[Pole]:
     Containment is decided on the exact rational location (the poles are
     real, so anything off the axis is excluded by the region bounds).
     """
+    if not isinstance(j_cap, int) or isinstance(j_cap, bool):
+        raise ValueError(f"j_cap must be an integer, got {j_cap!r}")
     if j_cap < 0:
         raise ValueError("j_cap must be nonnegative")
     found = []
@@ -119,10 +122,7 @@ def classify(z: complex) -> DomainClass:
     locations is REGULAR at once; every other point is settled by a scan
     of all poles.
     """
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"point must be finite, got {z!r}")
-
+    z = _require_point(z)
     d_minus = abs(z - SILVER_CONJUGATE)
     d_plus = abs(z - SILVER_RATIO)
     if min(d_minus, d_plus) >= ACCUM_TOL and _clear_of_poles(z):

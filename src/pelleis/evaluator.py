@@ -128,8 +128,13 @@ def _require_weight(m) -> None:
         raise ValueError(f"weight must be an integer >= 2, got {m!r}")
 
 
-def _require_point(z: complex) -> complex:
-    z = complex(z)
+def _require_point(z) -> complex:
+    """z as a complex number; a non-number or a non-finite point raises
+    ValueError."""
+    try:
+        z = complex(z)
+    except TypeError:
+        raise ValueError(f"point must be a number, got {z!r}") from None
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"point must be finite, got {z!r}")
     return z
@@ -286,8 +291,7 @@ class _Series:
         self._sums = (0.0 + v.real, 0.0, 0.0 + v.imag, 0.0,
                       0.0, 0.0, 0.0, 0.0)
 
-    def extend(self, target_tol: float, max_half_width: int,
-               trace: list | None = None) -> EvalResult:
+    def extend(self, target_tol: float, max_half_width: int) -> EvalResult:
         """The result at the first window J >= 2 whose tail bound is
         <= target_tol, summing on from the level already reached.
 
@@ -296,9 +300,7 @@ class _Series:
         bound check between them.  tail_bound neither raises nor has side
         effects for the series' point and weight, so a term's
         PoleProximity is raised at the same term as by a scan that checks
-        the bound after every window.  If `trace` is a list, the bound of
-        every window from max(level + 1, 2) to J is appended to it as it
-        would be by checking each window in turn.  A tolerance that the
+        the bound after every window.  A tolerance that the
         reached window's bound already meets returns that window's result
         without adding terms.  Raises as eval_series.
         """
@@ -342,8 +344,6 @@ class _Series:
                 else:
                     ci_m += (x - t) + si_m
                 si_m = t
-                if trace is not None and level >= MIN_TAIL_HALF_WIDTH:
-                    trace.append((level, tail_bound(level, z, m)))
             if bound > target_tol:
                 raise DidNotConverge(level, bound, point=z)
             self.level, self.bound = level, bound
@@ -363,16 +363,15 @@ class _Series:
         )
 
 
-def eval_series(z: complex, m: int, settings: EvalSettings | None = None,
-                trace: list | None = None) -> EvalResult:
+def eval_series(z: complex, m: int,
+                settings: EvalSettings | None = None) -> EvalResult:
     """Adaptive evaluation of the full bilateral series at z with weight m.
 
     Terms are accumulated in two compensated sums (j <= 0 and j >= 1) in a
     fixed interleaved order, so results are bit-reproducible.  The window
     is the first J >= 2 with tail_bound(J, z, m) <= target_tol.  The bound
     never grows with J, so J is searched for with a few bound checks
-    before any term is summed; if `trace` is a list it receives the
-    (J', bound) pair of every window J' from 2 to J.
+    before any term is summed.
 
     Raises PoleProximity when a term denominator nearly vanishes or a term
     overflows, and DidNotConverge when the bound cannot reach the tolerance
@@ -382,7 +381,7 @@ def eval_series(z: complex, m: int, settings: EvalSettings | None = None,
     the window reached, tail_bound inf).
     """
     s = settings or EvalSettings()
-    return _Series(z, m).extend(s.target_tol, s.max_half_width, trace)
+    return _Series(z, m).extend(s.target_tol, s.max_half_width)
 
 
 def eval_grid(region: Rect, nx: int, ny: int, m: int,

@@ -63,10 +63,6 @@ class Polynomial:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def constant(cls, c) -> "Polynomial":
-        return cls((c,))
-
-    @classmethod
     def x(cls) -> "Polynomial":
         return cls((0, 1))
 
@@ -291,10 +287,6 @@ class RationalFunction:
     @classmethod
     def zero(cls) -> "RationalFunction":
         return cls(Polynomial())
-
-    @classmethod
-    def x(cls) -> "RationalFunction":
-        return cls(Polynomial.x())
 
     @property
     def is_zero(self) -> bool:
@@ -529,6 +521,9 @@ def verify_identity_exact(equation: EquationId, half_width: int,
     forms are unique, so it equals residual - sum(boundary) coefficient by
     coefficient.
     """
+    for name, v in (("half_width", half_width), ("k", k)):
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
     if half_width < 2:
         raise ValueError("identity check needs half_width >= 2")
     if k < 1:

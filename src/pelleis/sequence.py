@@ -14,7 +14,7 @@ from math import inf, nextafter
 
 from .errors import IndexCapExceeded, InvalidRange
 
-DEFAULT_INDEX_CAP = 100_000
+INDEX_CAP = 100_000   # largest |n| the table computes Q_n for
 
 # Limits of the pole ratios -Q_{j-1}/Q_j as j -> +/- infinity, i.e. the two
 # roots of x^2 - 2x - 1.  These are the correctly rounded doubles; note that
@@ -40,10 +40,7 @@ class SequenceTable:
     readers always see a consistent table.
     """
 
-    def __init__(self, index_cap: int = DEFAULT_INDEX_CAP):
-        if index_cap < 1:
-            raise ValueError("index_cap must be at least 1")
-        self.index_cap = index_cap
+    def __init__(self):
         self._values: dict[int, int] = {0: 2, 1: 2}
         self._lo = 0
         self._hi = 1
@@ -55,8 +52,8 @@ class SequenceTable:
 
     def value(self, n: int) -> int:
         _check_index(n)
-        if abs(n) > self.index_cap:
-            raise IndexCapExceeded(n, self.index_cap)
+        if abs(n) > INDEX_CAP:
+            raise IndexCapExceeded(n, INDEX_CAP)
         if not self._lo <= n <= self._hi:  # else lock-free: entries never change
             with self._lock:
                 self._grow_to(n)
@@ -72,19 +69,6 @@ class SequenceTable:
             k = self._lo - 1
             vals[k] = vals[k + 2] - 2 * vals[k + 1]
             self._lo = k
-
-    def range(self, lo: int, hi: int) -> list[int]:
-        _check_index(lo)
-        _check_index(hi)
-        if lo > hi:
-            raise InvalidRange(f"lo={lo} exceeds hi={hi}")
-        self.value(lo)
-        self.value(hi)
-        return [self._values[n] for n in range(lo, hi + 1)]
-
-    def pole_ratio(self, j: int) -> Fraction:
-        """Location -Q_{j-1}/Q_j of the real pole contributed by term j."""
-        return Fraction(-self.value(j - 1), self.value(j))
 
 
 _DEFAULT_TABLE = SequenceTable()
@@ -126,10 +110,23 @@ def pell_lucas(n: int) -> int:
 
 
 def pell_lucas_range(lo: int, hi: int) -> list[int]:
-    """[Q_lo, ..., Q_hi] inclusive; raises InvalidRange if lo > hi."""
-    return _DEFAULT_TABLE.range(lo, hi)
+    """[Q_lo, ..., Q_hi] inclusive; raises InvalidRange if lo > hi.
+
+    Both ends are checked against INDEX_CAP before the table grows."""
+    _check_index(lo)
+    _check_index(hi)
+    if lo > hi:
+        raise InvalidRange(f"lo={lo} exceeds hi={hi}")
+    for n in (lo, hi):
+        if abs(n) > INDEX_CAP:
+            raise IndexCapExceeded(n, INDEX_CAP)
+    _DEFAULT_TABLE.value(lo)
+    _DEFAULT_TABLE.value(hi)
+    values = _DEFAULT_TABLE._values
+    return [values[n] for n in range(lo, hi + 1)]
 
 
 def pole_ratio(j: int) -> Fraction:
-    """-Q_{j-1}/Q_j in lowest terms (Fraction normalizes automatically)."""
-    return _DEFAULT_TABLE.pole_ratio(j)
+    """-Q_{j-1}/Q_j, the location of the real pole of term j, in lowest
+    terms (Fraction normalizes automatically)."""
+    return Fraction(-_DEFAULT_TABLE.value(j - 1), _DEFAULT_TABLE.value(j))

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from .analysis import classify
 from .equations import EquationId
 from .errors import DidNotConverge, EmptyGrid, PelleisError, ZeroArgument
-from .evaluator import EvalSettings, _Series
+from .evaluator import EvalSettings, _require_point, _Series
 from .evaluator import eval_series  # unused; perfbench wraps it
 from .geometry import Rect
 
@@ -92,7 +92,7 @@ def residual(equation: EquationId, z: complex, k: int,
     summation.
     """
     _require_k(k)
-    z = complex(z)
+    z = _require_point(z)
     m = 2 * k
     lhs_z, rhs_z = _arguments(equation, z)
     base = settings or EvalSettings()

@@ -15,8 +15,9 @@ import pytest
 import oracle
 from pelleis import (DidNotConverge, EquationId, EvalSettings, PoleProximity,
                      Rect, ZeroArgument, cli, eval_series, pell_lucas,
-                     pole_ratio, poles_in_rect, residual,
+                     pole_ratio, poles_in_rect, residual, tail_bound,
                      verify_identity_exact, verify_grid)
+from pelleis.evaluator import MIN_TAIL_HALF_WIDTH
 from pelleis.sequence import SILVER_CONJUGATE, SILVER_RATIO
 
 WEIGHTS = (2, 3, 4, 6)
@@ -51,19 +52,20 @@ def oracle_sweep(off_axis_points):
     for z in off_axis_points:
         for m in WEIGHTS:
             levels = oracle.series_levels(z, m)
-            rough_trace: list = []
-            rough = eval_series(z, m, trace=rough_trace)
+            rough = eval_series(z, m)
             tol = max(abs(rough.value), 1e-30) * 1e-12
-            fine_trace: list = []
-            fine = eval_series(z, m, EvalSettings(target_tol=tol),
-                               trace=fine_trace)
+            fine = eval_series(z, m, EvalSettings(target_tol=tol))
             rel = oracle.rel_err(fine.value, levels[-1])
             cases += 1
             if rel > worst_rel:
                 worst_rel = rel
                 worst_case = (z, m)
-            for level, bound in itertools.chain(rough_trace, fine_trace):
+            # The bound of every window up to each stopping window.
+            for level in itertools.chain(
+                    range(MIN_TAIL_HALF_WIDTH, rough.terms_used + 1),
+                    range(MIN_TAIL_HALF_WIDTH, fine.terms_used + 1)):
                 tail_checks += 1
+                bound = tail_bound(level, z, m)
                 if oracle.abs_gap(levels[-1], levels[level]) > bound:
                     tail_violations.append((z, m, level))
     return {

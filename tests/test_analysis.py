@@ -70,6 +70,10 @@ def test_poles_defining_equation_exact():
 def test_poles_j_cap_validation():
     with pytest.raises(ValueError):
         poles_in_rect(Rect(0, 0, 1, 1), j_cap=-1)
+    # True would map the poles |j| <= 1, and 2.5 crashed inside range().
+    for j_cap in (2.5, 2.0, True, None):
+        with pytest.raises(ValueError, match="^j_cap must be an integer"):
+            poles_in_rect(Rect(-1, -1, 1, 1), j_cap)
 
 
 def test_pole_distance_to_limit_strictly_decreases():

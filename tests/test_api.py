@@ -3,12 +3,13 @@
 import dataclasses
 import inspect
 
-from pelleis import (EvalSettings, classify, pell_lucas, pell_lucas_range,
+from pelleis import (EvalSettings, SequenceTable, classify, eval_grid,
+                     eval_series, evaluator, pell_lucas, pell_lucas_range,
                      pole_ratio, residual, term_value, verify_grid,
                      verify_identity_exact, window_sum)
 
 FIXED = {"pole_guard", "k_cap", "pole_tol", "accum_tol", "j_cap",
-         "degree_cap", "table"}
+         "degree_cap", "table", "trace", "index_cap"}
 
 
 def test_eval_settings_fields():
@@ -19,6 +20,8 @@ def test_eval_settings_fields():
 def test_no_fixed_knob_in_signatures():
     for fn in (term_value, residual, verify_grid, classify,
                verify_identity_exact, window_sum, pell_lucas,
-               pell_lucas_range, pole_ratio):
+               pell_lucas_range, pole_ratio, eval_series, eval_grid,
+               evaluator._Series.extend):
         params = set(inspect.signature(fn).parameters)
         assert not params & FIXED, (fn.__name__, params & FIXED)
+    assert not inspect.signature(SequenceTable).parameters

@@ -259,11 +259,10 @@ def test_eval_deterministic():
 
 
 def test_eval_trace_and_stopping():
-    trace = []
-    res = eval_series(1 + 1j, 2, trace=trace)
-    levels = [lev for lev, _ in trace]
-    assert levels == list(range(MIN_TAIL_HALF_WIDTH, res.terms_used + 1))
-    bounds = [b for _, b in trace]
+    # The window is the first whose bound meets the tolerance.
+    res = eval_series(1 + 1j, 2)
+    bounds = [tail_bound(J, 1 + 1j, 2)
+              for J in range(MIN_TAIL_HALF_WIDTH, res.terms_used + 1)]
     assert bounds[-1] == res.tail_bound
     assert bounds[-1] <= 1e-12
     assert all(b > 1e-12 for b in bounds[:-1])
@@ -391,7 +390,7 @@ def _neumaier(s, c, x):
     return t, c
 
 
-def scan_extend(series, target_tol, max_half_width, trace=None):
+def scan_extend(series, target_tol, max_half_width):
     """Reference for _Series.extend: add the terms one window at a time
     and check the tail bound after each window J >= 2, stopping at the
     first whose bound meets the tolerance."""
@@ -409,8 +408,6 @@ def scan_extend(series, target_tol, max_half_width, trace=None):
             if level < MIN_TAIL_HALF_WIDTH:
                 continue
             bound = tail_bound(level, z, m)
-            if trace is not None:
-                trace.append((level, bound))
             if bound <= target_tol:
                 break
         else:
@@ -425,10 +422,10 @@ def scan_extend(series, target_tol, max_half_width, trace=None):
     return evaluator.EvalResult(value, minus_part, plus_part, bound, level)
 
 
-def _search_matches_scan(z, m, steps, traced):
+def _search_matches_scan(z, m, steps):
     """Extend two series at z through the same (tolerance, max_half_width)
-    steps, one by _Series.extend and one by scan_extend: results, errors,
-    traces and summation state must agree to the bit at every step, and
+    steps, one by _Series.extend and one by scan_extend: results, errors
+    and summation state must agree to the bit at every step, and
     the search may probe only windows in [max(level + 1, 2),
     max_half_width], none of them twice.  A tolerance given as
     ("bound", J) is the exact bound of window J, and ("met", 0) the bound
@@ -455,18 +452,15 @@ def _search_matches_scan(z, m, steps, traced):
                     continue
             lo = max(new.level + 1, MIN_TAIL_HALF_WIDTH)
             probes.clear()
-            got_trace = [] if traced else None
-            want_trace = [] if traced else None
-            got = _outcome(lambda: new.extend(tol, max_hw, got_trace))
-            want = _outcome(lambda: scan_extend(ref, tol, max_hw, want_trace))
+            got = _outcome(lambda: new.extend(tol, max_hw))
+            want = _outcome(lambda: scan_extend(ref, tol, max_hw))
             context = (z, m, tol, max_hw)
             assert repr(got) == repr(want), context
-            assert got_trace == want_trace, context
             assert (repr((new.level, new.bound, new._sums))
                     == repr((ref.level, ref.bound, ref._sums))), context
             assert all(lo <= j <= max_hw for j in probes), (context, probes)
-            if not traced:    # the search probes no window twice
-                assert len(set(probes)) == len(probes), (context, probes)
+            # The search probes no window twice.
+            assert len(set(probes)) == len(probes), (context, probes)
             if isinstance(got, evaluator.EvalResult):
                 last = got
     return True
@@ -513,7 +507,7 @@ def test_search_matches_scan_seeded():
         z, m = _random_point(rng), _random_weight(rng)
         steps = [(_random_tol(rng), rng.choice((4, 12, 200)))
                  for _ in range(rng.randint(1, 4))]
-        started += _search_matches_scan(z, m, steps, rng.random() < 0.5)
+        started += _search_matches_scan(z, m, steps)
     assert started > 2000
 
 
@@ -537,7 +531,7 @@ def test_search_matches_scan_fuzzed(data):
     steps = data.draw(st.lists(
         st.tuples(_TOLS, st.sampled_from((4, 12, 200))),
         min_size=1, max_size=4))
-    _search_matches_scan(z, m, steps, data.draw(st.booleans()))
+    _search_matches_scan(z, m, steps)
 
 
 class _Weight(enum.IntEnum):

@@ -299,6 +299,14 @@ def test_identity_validation():
         verify_identity_exact(EquationId.REFLECTION, 1, 1)
     with pytest.raises(ValueError):
         verify_identity_exact(EquationId.REFLECTION, 2, 0)
+    # A float or bool window or k is refused by name, not proved at the
+    # int it equals or left to crash inside the polynomial arithmetic.
+    for half_width, k, name in ((2.0, 1, "half_width"), (True, 1, "half_width"),
+                                (2, 2.5, "k"), (3, True, "k"),
+                                (2, "1", "k")):
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be an integer, got"):
+            verify_identity_exact(EquationId.SHIFT, half_width, k)
     # The cap is 400: half-width 99 at weight 2 needs degree 402, and 98
     # needs 398, which passes the cap and stops at the window guard.
     with pytest.raises(DegreeCapExceeded,

@@ -12,8 +12,8 @@ from oracle import q_int
 from pelleis import (IndexCapExceeded, InvalidRange, SequenceTable,
                      pell_lucas, pell_lucas_range, pole_ratio, tail_bound,
                      term_value)
-from pelleis.sequence import (SILVER_CONJUGATE, SILVER_RATIO, float_pole,
-                              float_q, float_window)
+from pelleis.sequence import (_DEFAULT_TABLE, SILVER_CONJUGATE, SILVER_RATIO,
+                              float_pole, float_q, float_window)
 
 KNOWN_FORWARD = [2, 2, 6, 14, 34, 82, 198, 478, 1154, 2786]
 
@@ -79,24 +79,18 @@ def test_range_rejects_reversed_bounds():
 
 
 def test_default_cap_raises_immediately():
-    with pytest.raises(IndexCapExceeded) as info:
-        pell_lucas(100_001)
-    assert info.value.index == 100_001
-    assert info.value.cap == 100_000
-
-
-def test_small_cap_table():
-    table = SequenceTable(index_cap=10)
-    assert table.value(10) == pell_lucas(10)
-    with pytest.raises(IndexCapExceeded):
-        table.value(11)
-    with pytest.raises(IndexCapExceeded):
-        table.value(-11)
-
-
-def test_bad_cap_rejected():
-    with pytest.raises(ValueError):
-        SequenceTable(index_cap=0)
+    for n in (100_001, -100_001):
+        with pytest.raises(IndexCapExceeded) as info:
+            pell_lucas(n)
+        assert info.value.index == n
+        assert info.value.cap == 100_000
+    # A range checks both ends before the table grows to either.  The last
+    # lower end lies past the table, so growing to it first would show.
+    before = _DEFAULT_TABLE.computed_range
+    for lo, hi in ((0, 100_001), (-100_001, 0), (before[0] - 5, 100_001)):
+        with pytest.raises(IndexCapExceeded):
+            pell_lucas_range(lo, hi)
+        assert _DEFAULT_TABLE.computed_range == before
 
 
 def test_non_integer_index_rejected():
@@ -115,10 +109,10 @@ def test_non_integer_index_rejected():
     # One rule for value and range: an int, not a bool and not an integral
     # float, which would otherwise hit the dict key it equals.
     refused = [("2.0", lambda: pell_lucas_range(0, 2.0)),
-               ("0.0", lambda: SequenceTable().range(0.0, 2)),
+               ("0.0", lambda: pell_lucas_range(0.0, 2)),
                ("2.0", lambda: pell_lucas(2.0)),
                ("True", lambda: pell_lucas(True)),
-               ("False", lambda: SequenceTable().range(False, 2)),
+               ("False", lambda: pell_lucas_range(False, 2)),
                ("'2'", lambda: pell_lucas("2"))]
     for index, call in refused:
         with pytest.raises(ValueError,

@@ -7,7 +7,7 @@ import pytest
 
 from pelleis import (DidNotConverge, EmptyGrid, EquationId, EvalSettings,
                      PelleisError, PoleProximity, Rect, ZeroArgument,
-                     eval_series, residual, verify_grid)
+                     classify, eval_series, residual, verify_grid)
 from pelleis.sequence import SILVER_CONJUGATE, SILVER_RATIO, float_pole
 from pelleis.verify import ResidualReport, _arguments, _pow_int
 
@@ -288,3 +288,21 @@ def test_verify_grid_all_failed_is_not_empty():
     (point, exc), = summary.failures
     assert point == 2j
     assert isinstance(exc, DidNotConverge)
+
+
+def test_one_point_check_for_eval_classify_and_residual():
+    # A non-finite point or a non-number raises the same ValueError in all
+    # three, not ZeroArgument from the equation's argument map or a
+    # TypeError from complex().
+    calls = (lambda z: eval_series(z, 2), classify,
+             lambda z: residual(EquationId.REFLECTION, z, 1),
+             lambda z: residual(EquationId.INVERSION, z, 1))
+    for z in (math.nan, math.inf, -math.inf, complex(1, math.nan),
+              complex(0, math.inf)):
+        for call in calls:
+            with pytest.raises(ValueError, match="^point must be finite"):
+                call(z)
+    for z in (None, object(), [1]):
+        for call in calls:
+            with pytest.raises(ValueError, match="^point must be a number"):
+                call(z)
