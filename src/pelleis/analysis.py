@@ -15,9 +15,11 @@ from enum import Enum
 from fractions import Fraction
 from functools import cache
 
+from .errors import IndexCapExceeded, require_int
 from .evaluator import _require_point
 from .geometry import Rect
-from .sequence import SILVER_CONJUGATE, SILVER_RATIO, float_pole, pole_ratio
+from .sequence import (INDEX_CAP, SILVER_CONJUGATE, SILVER_RATIO, float_pole,
+                       pole_ratio)
 
 POLE_TOL = 1e-6     # classify: NEAR_POLE within this of a pole
 ACCUM_TOL = 1e-3    # classify: NEAR_ACCUMULATION within this of 1 +/- sqrt(2)
@@ -66,12 +68,15 @@ def poles_in_rect(region: Rect, j_cap: int = DEFAULT_J_CAP) -> list[Pole]:
     """All poles with |j| <= j_cap inside the closed region, by location.
 
     Containment is decided on the exact rational location (the poles are
-    real, so anything off the axis is excluded by the region bounds).
+    real, so anything off the axis is excluded by the region bounds).  Pole
+    -j_cap reads Q_{-j_cap-1}, so j_cap is at most INDEX_CAP - 1; a larger
+    one raises IndexCapExceeded before the sequence table grows.
     """
-    if not isinstance(j_cap, int) or isinstance(j_cap, bool):
-        raise ValueError(f"j_cap must be an integer, got {j_cap!r}")
+    require_int("j_cap", j_cap)
     if j_cap < 0:
         raise ValueError("j_cap must be nonnegative")
+    if j_cap > INDEX_CAP - 1:
+        raise IndexCapExceeded(j_cap, INDEX_CAP - 1, "j_cap")
     found = []
     for j in range(-j_cap, j_cap + 1):
         loc = pole_ratio(j)

@@ -36,13 +36,11 @@ def _f(x: float) -> str:
 
 
 def _eval_fields(z: complex, r: EvalResult) -> str:
-    return ",".join([
-        _f(z.real), _f(z.imag),
-        _f(r.value.real), _f(r.value.imag),
-        _f(r.tail_bound), str(r.terms_used),
-        _f(r.minus_part.real), _f(r.minus_part.imag),
-        _f(r.plus_part.real), _f(r.plus_part.imag),
-    ])
+    # %r of a float is its repr, as in _f.
+    value, minus, plus = r.value, r.minus_part, r.plus_part
+    return "%r,%r,%r,%r,%r,%d,%r,%r,%r,%r" % (
+        z.real, z.imag, value.real, value.imag, r.tail_bound, r.terms_used,
+        minus.real, minus.imag, plus.real, plus.imag)
 
 
 def grid_size(text: str) -> int:
@@ -76,15 +74,16 @@ def _cmd_eval(args) -> int:
 
 def _cmd_grid(args) -> int:
     rect = Rect.parse(args.rect)
-    print(EVAL_HEADER + ",status")
-    empties = "," * 7  # value/tail/terms/minus/plus columns left blank
+    write = sys.stdout.write
+    write(EVAL_HEADER + ",status\n")
     for z, outcome in eval_grid(rect, args.nx, args.ny, args.weight,
                                 _settings(args)):
         if isinstance(outcome, EvalResult):
-            print(_eval_fields(z, outcome) + ",ok")
+            write(_eval_fields(z, outcome) + ",ok\n")
         else:
+            # value/tail/terms/minus/plus columns left blank
             status = "pole" if isinstance(outcome, PoleProximity) else "diverged"
-            print(f"{_f(z.real)},{_f(z.imag)},{empties},{status}")
+            write("%r,%r,,,,,,,,,%s\n" % (z.real, z.imag, status))
     return 0
 
 

@@ -1,15 +1,24 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its integer rule."""
 
 
 class PelleisError(Exception):
     """Base class for all library-specific errors."""
 
 
-class IndexCapExceeded(PelleisError):
-    """Requested sequence index lies beyond the configured cap."""
+def require_int(name: str, value) -> None:
+    """Refuse anything but an int (a bool is no integer) with a ValueError
+    that names the argument."""
+    if value.__class__ is not int and (isinstance(value, bool)
+                                       or not isinstance(value, int)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
-    def __init__(self, index: int, cap: int):
-        super().__init__(f"index {index} exceeds cap {cap}")
+
+class IndexCapExceeded(PelleisError):
+    """Requested sequence index (or the argument named by name, such as
+    j_cap) lies beyond its cap."""
+
+    def __init__(self, index: int, cap: int, name: str = "index"):
+        super().__init__(f"{name} {index} exceeds cap {cap}")
         self.index = index
         self.cap = cap
 

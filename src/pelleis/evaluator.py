@@ -67,24 +67,26 @@ All summation goes through one resumable kernel, _Series: eval_series
 builds one and extends it once, and verify.residual keeps one per side and
 extends it to each refined tolerance, so a refinement continues the window
 sum where the previous tolerance stopped it instead of restarting at j = 0.
+The kernel adds each term with a branch-free complex TwoSum, and each term
+reads Q_j, Q_{j-1} and its guard radius from one cached row of the float
+table (sequence.float_row).
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from cmath import isfinite
 from dataclasses import dataclass
-from math import isfinite
 
 from .errors import DidNotConverge, PoleProximity
 from .geometry import Rect
-from .sequence import (SILVER_CONJUGATE, SILVER_RATIO, float_pole, float_q,
-                       float_window)
+from .sequence import (POLE_GUARD, SILVER_CONJUGATE, SILVER_RATIO, float_pole,
+                       float_row, float_window)
 from .sequence import pell_lucas, pole_ratio  # unused; perfbench wraps them
 
 DEFAULT_TARGET_TOL = 1e-12
 DEFAULT_MAX_HALF_WIDTH = 200
-POLE_GUARD = 1e-8    # a term within this of its pole is refused
 
 MIN_TAIL_HALF_WIDTH = 2   # containment interval needs poles J+1, J+2
 _DIST_SHAVE = 1.0 - 1e-12      # deflate distances against rounding
@@ -102,7 +104,8 @@ class EvalSettings:
     max_half_width: int = DEFAULT_MAX_HALF_WIDTH
 
     def __post_init__(self):
-        if not (self.target_tol > 0 and math.isfinite(self.target_tol)):
+        if isinstance(self.target_tol, bool) or not (
+                self.target_tol > 0 and math.isfinite(self.target_tol)):
             raise ValueError("target_tol must be a positive finite float")
         if self.target_tol < _BOUND_FLOOR:
             raise ValueError(f"target_tol must be at least {_BOUND_FLOOR!r}, "
@@ -110,6 +113,9 @@ class EvalSettings:
         # A bool is an int below 4, so it is refused as well.
         if not isinstance(self.max_half_width, int) or self.max_half_width < 4:
             raise ValueError("max_half_width must be an integer >= 4")
+
+
+_DEFAULT_SETTINGS = EvalSettings()
 
 
 @dataclass(frozen=True)
@@ -135,7 +141,7 @@ def _require_point(z) -> complex:
         z = complex(z)
     except TypeError:
         raise ValueError(f"point must be a number, got {z!r}") from None
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+    if not isfinite(z):
         raise ValueError(f"point must be finite, got {z!r}")
     return z
 
@@ -143,33 +149,35 @@ def _require_point(z) -> complex:
 def term_value(j: int, z: complex, m: int) -> complex:
     """One term (Q_j z + Q_{j-1})^(-m) in double precision.
 
-    The reciprocal is taken first and powered by repeated multiplication,
-    so huge |Q_j| underflows gracefully to 0 instead of overflowing.
-    Raises PoleProximity when |Q_j z + Q_{j-1}| < POLE_GUARD * |Q_j|,
-    i.e. when z is within POLE_GUARD (1e-8) of the term's pole, or so
-    close that the m-th power overflows.
+    Q_j, Q_{j-1} and the guard radius POLE_GUARD * |Q_j| come from one
+    cached row of the float table (sequence.float_row).  The reciprocal is
+    taken first and powered by repeated multiplication, so huge |Q_j|
+    underflows gracefully to 0 instead of overflowing.  Raises
+    PoleProximity when |Q_j z + Q_{j-1}| < POLE_GUARD * |Q_j|, i.e. when z
+    is within POLE_GUARD (1e-8) of the term's pole, or so close that the
+    m-th power overflows.
     """
     # A type test passes the common arguments; the rest get the full checks.
     if not (m.__class__ is int and m >= 2):
         _require_weight(m)
-    if not (z.__class__ is complex and isfinite(z.real) and isfinite(z.imag)):
+    if not (z.__class__ is complex and isfinite(z)):
         z = _require_point(z)
-    fj = float_q(j)
-    fjm1 = float_q(j - 1)
-    if fj is None or fjm1 is None:
+    row = float_row(j)
+    if row is None:
         # |Q_j| beyond double range: the term is zero unless z sits
         # essentially on the pole.
         if abs(z - float_pole(j)) < POLE_GUARD:
             raise PoleProximity(j, z)
         return 0j
+    fj, fjm1, radius = row
     w = fj * z + fjm1
-    if abs(w) < POLE_GUARD * abs(fj):
+    if abs(w) < radius:
         raise PoleProximity(j, z)
     r = 1.0 / w
     out = r
     for _ in range(m - 1):
         out *= r
-    if not (isfinite(out.real) and isfinite(out.imag)):
+    if not isfinite(out):
         raise PoleProximity(j, z)
     return out
 
@@ -183,7 +191,7 @@ def tail_bound(half_width: int, z: complex, m: int) -> float:
     # A type test passes the common arguments; the rest get the full checks.
     if not (m.__class__ is int and m >= 2):
         _require_weight(m)
-    if not (z.__class__ is complex and isfinite(z.real) and isfinite(z.imag)):
+    if not (z.__class__ is complex and isfinite(z)):
         z = _require_point(z)
     if half_width < MIN_TAIL_HALF_WIDTH:
         raise ValueError(
@@ -214,7 +222,7 @@ def tail_bound(half_width: int, z: complex, m: int) -> float:
         except OverflowError:
             return math.inf
     bound = bound * geo * _BOUND_SLACK
-    if math.isinf(bound) or math.isnan(bound):
+    if not isfinite(bound):
         return math.inf
     return max(bound, _BOUND_FLOOR)
 
@@ -262,22 +270,35 @@ def _stopping_window(z: complex, m: int, lo: int, target_tol: float,
 class _Series:
     """Resumable adaptive summation of S_m(z): the one summation kernel.
 
-    Terms are accumulated in two Neumaier-compensated sums (j <= 0 and
-    j >= 1, one pair of floats per real component) in a fixed interleaved
-    order: j = 0, then +J and -J for J = 1, 2, ...  extend() grows the
-    window from the level reached so far, so asking again with a tighter
-    tolerance (and the same max_half_width) adds exactly the terms, in the
-    same order, and stops at the same window that a restart from j = 0
-    would; the result is the same to the bit.
+    Terms are accumulated in two compensated sums (j <= 0 and j >= 1) in a
+    fixed interleaved order: j = 0, then +J and -J for J = 1, 2, ...  Each
+    is a complex sum s and correction c, and a term v is added by Knuth's
+    branch-free TwoSum: t = s + v; e = t - s; c += (s - (t - e)) + (v - e);
+    s = t.  Complex + and - act on each part alone, and while t is finite
+    the added correction is exactly the rounding error s + v - t, the
+    number Neumaier's branch on |s| >= |v| computes, so s and c hold the bits
+    of a Neumaier sum of each part (Knuth, TAOCP vol. 2, 4.2.2).  The one
+    exception is a spurious overflow (Boldo, Graillat and Muller 2017): e
+    overflows only when a part of v is the largest double and t rounds at
+    a tie; c then turns NaN where Neumaier's stays finite, and the
+    evaluation raises DidNotConverge.
+
+    extend() grows the window from the level reached so far, so asking
+    again with a tighter tolerance (and the same max_half_width) adds
+    exactly the terms, in the same order, and stops at the same window that
+    a restart from j = 0 would; the result is the same to the bit.
     """
 
-    # _sums: sum and correction of the real, then the imaginary part, of
-    # the j <= 0 sum (suffix _m) and of the j >= 1 sum (suffix _p).
+    # _sums: running sum and correction of the j <= 0 sum (suffix _m) and
+    # of the j >= 1 sum (suffix _p), four complex numbers.
     __slots__ = ("z", "m", "level", "bound", "_sums")
 
     def __init__(self, z: complex, m: int):
-        _require_weight(m)
-        z = _require_point(z)
+        # The type test of term_value passes the common arguments.
+        if not (m.__class__ is int and m >= 2):
+            _require_weight(m)
+        if not (z.__class__ is complex and isfinite(z)):
+            z = _require_point(z)
         acc_dist = min(abs(z - SILVER_CONJUGATE), abs(z - SILVER_RATIO))
         if acc_dist <= POLE_GUARD:
             raise DidNotConverge(0, math.inf, point=z)
@@ -285,11 +306,9 @@ class _Series:
         self.m = m
         self.level = 0
         self.bound = math.inf
-        v = term_value(0, z, m)
-        # A compensated sum started at 0.0 holds 0.0 + v, with no
-        # correction, after its first finite term.
-        self._sums = (0.0 + v.real, 0.0, 0.0 + v.imag, 0.0,
-                      0.0, 0.0, 0.0, 0.0)
+        # A compensated sum started at 0 holds 0 + v, with no correction,
+        # after its first finite term.
+        self._sums = (0j + term_value(0, z, m), 0j, 0j, 0j)
 
     def extend(self, target_tol: float, max_half_width: int) -> EvalResult:
         """The result at the first window J >= 2 whose tail bound is
@@ -306,7 +325,7 @@ class _Series:
         """
         z, m = self.z, self.m
         level, bound = self.level, self.bound
-        sr_m, cr_m, si_m, ci_m, sr_p, cr_p, si_p, ci_p = self._sums
+        s_m, c_m, s_p, c_p = self._sums
         if level < MIN_TAIL_HALF_WIDTH or bound > target_tol:
             lo = max(level + 1, MIN_TAIL_HALF_WIDTH)
             if lo > max_half_width:
@@ -315,44 +334,24 @@ class _Series:
                                            max_half_width)
             for level in range(level + 1, stop + 1):
                 v = term_value(level, z, m)
-                x = v.real
-                t = sr_p + x
-                if abs(sr_p) >= abs(x):
-                    cr_p += (sr_p - t) + x
-                else:
-                    cr_p += (x - t) + sr_p
-                sr_p = t
-                x = v.imag
-                t = si_p + x
-                if abs(si_p) >= abs(x):
-                    ci_p += (si_p - t) + x
-                else:
-                    ci_p += (x - t) + si_p
-                si_p = t
+                t = s_p + v
+                e = t - s_p
+                c_p += (s_p - (t - e)) + (v - e)
+                s_p = t
                 v = term_value(-level, z, m)
-                x = v.real
-                t = sr_m + x
-                if abs(sr_m) >= abs(x):
-                    cr_m += (sr_m - t) + x
-                else:
-                    cr_m += (x - t) + sr_m
-                sr_m = t
-                x = v.imag
-                t = si_m + x
-                if abs(si_m) >= abs(x):
-                    ci_m += (si_m - t) + x
-                else:
-                    ci_m += (x - t) + si_m
-                si_m = t
+                t = s_m + v
+                e = t - s_m
+                c_m += (s_m - (t - e)) + (v - e)
+                s_m = t
             if bound > target_tol:
                 raise DidNotConverge(level, bound, point=z)
             self.level, self.bound = level, bound
-            self._sums = (sr_m, cr_m, si_m, ci_m, sr_p, cr_p, si_p, ci_p)
+            self._sums = (s_m, c_m, s_p, c_p)
 
-        minus_part = complex(sr_m + cr_m, si_m + ci_m)
-        plus_part = complex(sr_p + cr_p, si_p + ci_p)
+        minus_part = s_m + c_m
+        plus_part = s_p + c_p
         value = minus_part + plus_part
-        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        if not isfinite(value):
             raise DidNotConverge(level, math.inf, point=z)
         return EvalResult(
             value=value,
@@ -380,7 +379,7 @@ def eval_series(z: complex, m: int,
     forever) or when finite terms sum past double range (half_width is then
     the window reached, tail_bound inf).
     """
-    s = settings or EvalSettings()
+    s = settings or _DEFAULT_SETTINGS
     return _Series(z, m).extend(s.target_tol, s.max_half_width)
 
 

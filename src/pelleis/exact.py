@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .equations import EquationId
-from .errors import DegreeCapExceeded
+from .errors import DegreeCapExceeded, require_int
 from .sequence import pell_lucas
 
 DEGREE_CAP = 400
@@ -421,6 +421,8 @@ def window_sum(half_width: int, m: int) -> RationalFunction:
     term denominators are pairwise coprime; the window guard keeps that
     degree at most 17 * 6 = 102.
     """
+    require_int("half_width", half_width)
+    require_int("m", m)
     if half_width < 1 or m < 1:
         raise ValueError("window needs half_width >= 1 and m >= 1")
     _check_window_guard(half_width, m)
@@ -521,9 +523,8 @@ def verify_identity_exact(equation: EquationId, half_width: int,
     forms are unique, so it equals residual - sum(boundary) coefficient by
     coefficient.
     """
-    for name, v in (("half_width", half_width), ("k", k)):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ValueError(f"{name} must be an integer, got {v!r}")
+    require_int("half_width", half_width)
+    require_int("k", k)
     if half_width < 2:
         raise ValueError("identity check needs half_width >= 2")
     if k < 1:

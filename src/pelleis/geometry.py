@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import InvalidRegion
+from .errors import InvalidRegion, require_int
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,8 @@ class Rect:
     def cell_centers(self, nx: int, ny: int) -> Iterator[complex]:
         """Centers of an nx-by-ny lattice of equal cells, row-major (y outer,
         both coordinates ascending)."""
+        require_int("nx", nx)
+        require_int("ny", ny)
         if nx < 1 or ny < 1:
             raise ValueError("grid must have at least one cell per axis")
         dx = (self.x1 - self.x0) / nx

@@ -12,9 +12,10 @@ from fractions import Fraction
 from functools import cache
 from math import inf, nextafter
 
-from .errors import IndexCapExceeded, InvalidRange
+from .errors import IndexCapExceeded, InvalidRange, require_int
 
 INDEX_CAP = 100_000   # largest |n| the table computes Q_n for
+POLE_GUARD = 1e-8     # a term within this of its pole is refused
 
 # Limits of the pole ratios -Q_{j-1}/Q_j as j -> +/- infinity, i.e. the two
 # roots of x^2 - 2x - 1.  These are the correctly rounded doubles; note that
@@ -23,13 +24,6 @@ INDEX_CAP = 100_000   # largest |n| the table computes Q_n for
 # neighboring doubles).
 SILVER_CONJUGATE = -0.41421356237309503  # 1 - sqrt(2)
 SILVER_RATIO = 2.414213562373095         # 1 + sqrt(2)
-
-
-def _check_index(n) -> None:
-    """Refuse anything but an int (a bool is no index) with a ValueError."""
-    if n.__class__ is not int and (isinstance(n, bool)
-                                   or not isinstance(n, int)):
-        raise ValueError(f"index must be an integer, got {n!r}")
 
 
 class SequenceTable:
@@ -51,7 +45,7 @@ class SequenceTable:
         return (self._lo, self._hi)
 
     def value(self, n: int) -> int:
-        _check_index(n)
+        require_int("index", n)
         if abs(n) > INDEX_CAP:
             raise IndexCapExceeded(n, INDEX_CAP)
         if not self._lo <= n <= self._hi:  # else lock-free: entries never change
@@ -85,6 +79,16 @@ def float_q(n: int) -> float | None:
 
 
 @cache
+def float_row(n: int) -> tuple[float, float, float] | None:
+    """(float(Q_n), float(Q_{n-1}), POLE_GUARD * |Q_n|): what term n of the
+    series reads, or None where Q_n or Q_{n-1} leaves double range."""
+    q, q_prev = float_q(n), float_q(n - 1)
+    if q is None or q_prev is None:
+        return None
+    return (q, q_prev, POLE_GUARD * abs(q))
+
+
+@cache
 def float_pole(n: int) -> float:
     """-Q_{n-1}/Q_n by int true division, correctly rounded as is
     float(pole_ratio(n))."""
@@ -113,8 +117,8 @@ def pell_lucas_range(lo: int, hi: int) -> list[int]:
     """[Q_lo, ..., Q_hi] inclusive; raises InvalidRange if lo > hi.
 
     Both ends are checked against INDEX_CAP before the table grows."""
-    _check_index(lo)
-    _check_index(hi)
+    require_int("index", lo)
+    require_int("index", hi)
     if lo > hi:
         raise InvalidRange(f"lo={lo} exceeds hi={hi}")
     for n in (lo, hi):

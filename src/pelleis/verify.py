@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 from .analysis import classify
 from .equations import EquationId
 from .errors import DidNotConverge, EmptyGrid, PelleisError, ZeroArgument
-from .evaluator import EvalSettings, _require_point, _Series
+from .evaluator import (_DEFAULT_SETTINGS, EvalSettings, _require_point,
+                        _Series)
 from .evaluator import eval_series  # unused; perfbench wraps it
 from .geometry import Rect
 
@@ -95,7 +96,7 @@ def residual(equation: EquationId, z: complex, k: int,
     z = _require_point(z)
     m = 2 * k
     lhs_z, rhs_z = _arguments(equation, z)
-    base = settings or EvalSettings()
+    base = settings or _DEFAULT_SETTINGS
 
     sign = equation.prefactor_sign
     if sign == 0:

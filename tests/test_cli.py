@@ -135,6 +135,13 @@ def test_grid_bad_rect(capsys):
 
 # ---------------------------------------------------------------------- poles
 
+def test_poles_jcap_above_limit(capsys):
+    code, out = run_cli(capsys, "poles", "--rect", "-1,-1,1,1",
+                        "--jcap", "100000")
+    assert code == 1
+    assert out.splitlines()[-1] == "# error: j_cap 100000 exceeds cap 99999"
+
+
 def test_poles_rows(capsys):
     code, out = run_cli(capsys, "poles", "--rect", "-1.5,-0.1,1.5,0.1",
                         "--jcap", "4")

@@ -1,8 +1,10 @@
 """Certified series evaluation: term values, tail bounds, adaptive summation."""
 
+import cmath
 import enum
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,7 +17,8 @@ from pelleis import (DidNotConverge, EvalSettings, PoleProximity, Rect,
                      eval_grid, eval_series, pell_lucas, pole_ratio,
                      tail_bound, term_value)
 from pelleis.evaluator import MIN_TAIL_HALF_WIDTH
-from pelleis.sequence import SILVER_CONJUGATE, SILVER_RATIO
+from pelleis.sequence import (SILVER_CONJUGATE, SILVER_RATIO, float_pole,
+                              float_q)
 
 # Reference values from the 40-digit depth-200 oracle (tests/oracle.py),
 # frozen as shortest strings that round to the same doubles.
@@ -80,6 +83,85 @@ def test_term_decay_ratio():
         for j in list(range(12, 40)) + list(range(-39, -11)):
             step = abs(term_value(j + (1 if j > 0 else -1), z, m))
             assert step <= abs(term_value(j, z, m)) * 0.5 ** m * 1.2
+
+
+def two_float_term_value(j, z, m):
+    """Reference for term_value: the same arithmetic with Q_j and Q_{j-1}
+    read by two float_q lookups and the guard radius computed per call, as
+    before the row table."""
+    if not (m.__class__ is int and m >= 2):
+        evaluator._require_weight(m)
+    if not (z.__class__ is complex and math.isfinite(z.real)
+            and math.isfinite(z.imag)):
+        z = evaluator._require_point(z)
+    fj = float_q(j)
+    fjm1 = float_q(j - 1)
+    if fj is None or fjm1 is None:
+        if abs(z - float_pole(j)) < 1e-8:
+            raise PoleProximity(j, z)
+        return 0j
+    w = fj * z + fjm1
+    if abs(w) < 1e-8 * abs(fj):
+        raise PoleProximity(j, z)
+    r = 1.0 / w
+    out = r
+    for _ in range(m - 1):
+        out *= r
+    if not (math.isfinite(out.real) and math.isfinite(out.imag)):
+        raise PoleProximity(j, z)
+    return out
+
+
+def _term_outcome(fn, j, z, m):
+    # repr tells -0.0 from 0.0; a refusal is compared by index and point.
+    try:
+        return repr(fn(j, z, m))
+    except PoleProximity as exc:
+        return ("pole", exc.index, repr(exc.point))
+
+
+def _term_matches_reference(j, z, m):
+    got = _term_outcome(term_value, j, z, m)
+    assert got == _term_outcome(two_float_term_value, j, z, m), (j, z, m)
+    return got
+
+
+def test_term_value_matches_two_float_reference_seeded():
+    rng = random.Random(20261018)
+    kinds = set()
+    for _ in range(20000):
+        kind = rng.randrange(4)
+        if kind == 0:      # float_q exact, |j| < 42
+            j = rng.randint(-41, 41)
+        elif kind == 1:    # float_q rounded
+            j = rng.choice((1, -1)) * rng.randint(42, 800)
+        elif kind == 2:    # rows past double range start at |j| = 806
+            j = rng.choice((1, -1)) * rng.randint(800, 812)
+        else:
+            j = rng.randint(-3, 3)
+        r = 10 ** rng.uniform(-12, 0)
+        angle = rng.choice((0.0, math.pi, rng.uniform(0, 2 * math.pi)))
+        offset = complex(r * math.cos(angle), r * math.sin(angle))
+        centre = rng.choice((float_pole(j), float_pole(j), SILVER_CONJUGATE,
+                             SILVER_RATIO, rng.uniform(-5, 5)))
+        m = rng.choice((rng.randint(2, 8), rng.randint(9, 1100), 1100))
+        got = _term_matches_reference(j, centre + offset, m)
+        kinds.add((kind, got[0] if isinstance(got, tuple) else
+                   "zero" if got == "0j" else "value"))
+    # Every kind of index gave values and refusals; the far rows gave zeros.
+    assert {(k, o) for k in range(4) for o in ("pole", "value")} <= kinds
+    assert (2, "zero") in kinds
+
+
+@settings(max_examples=500)
+@given(st.integers(-812, 812), st.sampled_from((0, 1, 2)),
+       st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.integers(-13, 0),
+       st.one_of(st.integers(2, 10), st.integers(2, 1100)))
+def test_term_value_matches_two_float_reference_fuzzed(j, centre, dx, dy,
+                                                       scale, m):
+    centre = (float_pole(j), SILVER_CONJUGATE, SILVER_RATIO)[centre]
+    z = complex(centre + dx * 10.0 ** scale, dy * 10.0 ** scale)
+    _term_matches_reference(j, z, m)
 
 
 # ------------------------------------------------------------------ tail bound
@@ -201,6 +283,10 @@ def test_eval_settings_validation():
         EvalSettings(target_tol=0.0)
     with pytest.raises(ValueError):
         EvalSettings(target_tol=math.nan)
+    # A bool is no tolerance, as it is no window cap.
+    for tol in (True, False):
+        with pytest.raises(ValueError, match="^target_tol must be"):
+            EvalSettings(target_tol=tol)
     with pytest.raises(ValueError):
         EvalSettings(max_half_width=3)
     for width in (10.5, 10.0, True, "10"):
@@ -390,10 +476,91 @@ def _neumaier(s, c, x):
     return t, c
 
 
+def _two_sum(s, c, v):
+    """One step of the complex TwoSum in _Series.extend."""
+    t = s + v
+    e = t - s
+    c += (s - (t - e)) + (v - e)
+    return t, c
+
+
+def _both_sums(terms):
+    """The states after each term of a complex TwoSum and of a Neumaier
+    sum per part, both started as the kernel starts them, as 4 floats."""
+    first, *rest = terms
+    s, c = 0j + first, 0j
+    sr, cr, si, ci = 0.0 + first.real, 0.0, 0.0 + first.imag, 0.0
+    out = [((s.real, c.real, s.imag, c.imag), (sr, cr, si, ci))]
+    for v in rest:
+        s, c = _two_sum(s, c, v)
+        sr, cr = _neumaier(sr, cr, v.real)
+        si, ci = _neumaier(si, ci, v.imag)
+        out.append(((s.real, c.real, s.imag, c.imag), (sr, cr, si, ci)))
+    return out
+
+
+_BIG = sys.float_info.max
+
+
+def test_two_sum_matches_neumaier():
+    big = 1e308
+    cases = [
+        # cancellation: the correction keeps what the sum drops
+        [1e16 + 0j, 1.0 + 1e16j, -1e16 + 1.0j, 1e-16 - 1e16j, -1.0 + 0j],
+        [1.0 + 1.0j, 1e100 - 1e100j, 1.0 + 1.0j, -1e100 + 1e100j],
+        [0.1 + 0.7j, 0.2 - 0.1j, -0.3 + 0.3j, 1e-17 - 0.9j],
+        # signed zeros, in each part and as sum and as term
+        [complex(-0.0, -0.0), complex(-0.0, 0.0), complex(0.0, -0.0)],
+        [complex(-0.0, 0.0), complex(1.0, -0.0), complex(-1.0, -0.0),
+         complex(-0.0, -0.0), complex(5e-324, -5e-324),
+         complex(-5e-324, 5e-324)],
+        # near the top of double range, with finite sums
+        [big + 0j, 7e307 - big * 1j, -big + 0j, 1e292 + 1.7e308j,
+         -7e307 - 1e-300j],
+        [complex(math.nextafter(_BIG, 0), -1.6e308), complex(-1e307, 1e307),
+         complex(-1.7e308, -1e291), complex(1e291, 1.7e308)],
+    ]
+    rng = random.Random(5)
+    for _ in range(300):
+        cases.append([complex(rng.choice((1, -1)) * 10 ** rng.uniform(-30, 30),
+                              rng.choice((1, -1, 0)) * rng.random())
+                      for _ in range(rng.randint(1, 12))])
+    for terms in cases:
+        for two, neu in _both_sums(terms):
+            assert repr(two) == repr(neu), terms
+        assert cmath.isfinite(complex(two[0] + two[1], two[2] + two[3]))
+
+
+def test_two_sum_differs_from_neumaier_only_at_the_largest_double():
+    # TwoSum's e = t - s overflows when the term is -+MAX, the largest
+    # double, and the rounding of t ties: its correction turns NaN where
+    # Neumaier's stays finite.  One ulp less and the two agree.
+    s = 1.6198764998403264e307 + 0j
+    two, neu = _both_sums([s, complex(-_BIG, 0.0)])[-1]
+    assert math.isnan(two[1]) and neu[1] == 9.9792015476736e291
+    two, neu = _both_sums([s, complex(-math.nextafter(_BIG, 0), 0.0)])[-1]
+    assert repr(two) == repr(neu)
+    # A sum past double range is non-finite either way.
+    for two, neu in _both_sums([1.7e308 + 0j, 1e308 + 0j])[1:]:
+        assert not math.isfinite(two[0] + two[1])
+        assert not math.isfinite(neu[0] + neu[1])
+
+
+def neumaier_state(series):
+    """The four complex slots of a _Series as the eight floats of one
+    Neumaier sum per part: sum and correction of the real, then the
+    imaginary part, of the j <= 0 sum, then of the j >= 1 sum."""
+    s_m, c_m, s_p, c_p = series._sums
+    return (s_m.real, c_m.real, s_m.imag, c_m.imag,
+            s_p.real, c_p.real, s_p.imag, c_p.imag)
+
+
 def scan_extend(series, target_tol, max_half_width):
     """Reference for _Series.extend: add the terms one window at a time
-    and check the tail bound after each window J >= 2, stopping at the
-    first whose bound meets the tolerance."""
+    with a branching Neumaier sum of each real part and check the tail
+    bound after each window J >= 2, stopping at the first whose bound
+    meets the tolerance.  series._sums holds the eight floats of
+    neumaier_state."""
     z, m = series.z, series.m
     level, bound = series.level, series.bound
     sr_m, cr_m, si_m, ci_m, sr_p, cr_p, si_p, ci_p = series._sums
@@ -425,7 +592,8 @@ def scan_extend(series, target_tol, max_half_width):
 def _search_matches_scan(z, m, steps):
     """Extend two series at z through the same (tolerance, max_half_width)
     steps, one by _Series.extend and one by scan_extend: results, errors
-    and summation state must agree to the bit at every step, and
+    and summation state (the TwoSum slots of extend mapped onto the floats
+    of the Neumaier reference) must agree to the bit at every step, and
     the search may probe only windows in [max(level + 1, 2),
     max_half_width], none of them twice.  A tolerance given as
     ("bound", J) is the exact bound of window J, and ("met", 0) the bound
@@ -434,6 +602,7 @@ def _search_matches_scan(z, m, steps):
         new, ref = evaluator._Series(z, m), evaluator._Series(z, m)
     except (PoleProximity, DidNotConverge):
         return False
+    ref._sums = neumaier_state(ref)
     probes = []
 
     def recording_tail_bound(j, z, m):
@@ -456,7 +625,7 @@ def _search_matches_scan(z, m, steps):
             want = _outcome(lambda: scan_extend(ref, tol, max_hw))
             context = (z, m, tol, max_hw)
             assert repr(got) == repr(want), context
-            assert (repr((new.level, new.bound, new._sums))
+            assert (repr((new.level, new.bound, neumaier_state(new)))
                     == repr((ref.level, ref.bound, ref._sums))), context
             assert all(lo <= j <= max_hw for j in probes), (context, probes)
             # The search probes no window twice.
@@ -591,3 +760,9 @@ def test_eval_grid_records_errors():
 def test_eval_grid_validation():
     with pytest.raises(ValueError):
         eval_grid(Rect(0, 0, 1, 1), 0, 2, 2)
+    # Grid sizes follow the integer rule: a float crashed inside range(),
+    # and True was one cell.
+    for nx, ny, name in ((2.5, 2, "nx"), (2.0, 2, "nx"), (True, 1, "nx"),
+                         (2, 1.0, "ny"), (1, True, "ny"), (2, "2", "ny")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            eval_grid(Rect(-1, -1, 1, 1), nx, ny, 2)

@@ -307,6 +307,12 @@ def test_identity_validation():
         with pytest.raises(ValueError,
                            match=f"^{name} must be an integer, got"):
             verify_identity_exact(EquationId.SHIFT, half_width, k)
+    # window_sum follows the same rule; a float crashed inside range().
+    for half_width, m, name in ((2.0, 2, "half_width"), (True, 2, "half_width"),
+                                (2, 2.0, "m"), (2, True, "m")):
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be an integer, got"):
+            window_sum(half_width, m)
     # The cap is 400: half-width 99 at weight 2 needs degree 402, and 98
     # needs 398, which passes the cap and stops at the window guard.
     with pytest.raises(DegreeCapExceeded,
