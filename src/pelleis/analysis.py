@@ -16,10 +16,10 @@ from fractions import Fraction
 from functools import cache
 
 from .errors import IndexCapExceeded, require_int
-from .evaluator import _require_point
+from .evaluator import MIN_TAIL_HALF_WIDTH, _require_point
 from .geometry import Rect
 from .sequence import (INDEX_CAP, SILVER_CONJUGATE, SILVER_RATIO, float_pole,
-                       pole_ratio)
+                       float_window, pole_ratio)
 
 POLE_TOL = 1e-6     # classify: NEAR_POLE within this of a pole
 ACCUM_TOL = 1e-3    # classify: NEAR_ACCUMULATION within this of 1 +/- sqrt(2)
@@ -68,20 +68,37 @@ def poles_in_rect(region: Rect, j_cap: int = DEFAULT_J_CAP) -> list[Pole]:
     """All poles with |j| <= j_cap inside the closed region, by location.
 
     Containment is decided on the exact rational location (the poles are
-    real, so anything off the axis is excluded by the region bounds).  Pole
-    -j_cap reads Q_{-j_cap-1}, so j_cap is at most INDEX_CAP - 1; a larger
-    one raises IndexCapExceeded before the sequence table grows.
+    real, so a region that misses the real axis holds none).  Pole -j_cap
+    reads Q_{-j_cap-1}, so j_cap is at most INDEX_CAP - 1; a larger one
+    raises IndexCapExceeded before the sequence table grows.
+
+    Each side, j >= 0 and j < 0, is scanned outward from j = 0 and stops
+    once the outward-rounded float hull of the poles beyond |j| = n
+    (sequence.float_window(n), n >= MIN_TAIL_HALF_WIDTH) lies strictly
+    outside [x0, x1], so a region that holds neither accumulation point
+    1 -/+ sqrt(2) costs a few dozen exact poles at any j_cap.  A region
+    that holds one has about j_cap poles inside it and lists them all.
     """
     require_int("j_cap", j_cap)
     if j_cap < 0:
         raise ValueError("j_cap must be nonnegative")
     if j_cap > INDEX_CAP - 1:
         raise IndexCapExceeded(j_cap, INDEX_CAP - 1, "j_cap")
+    if not region.y0 <= 0 <= region.y1:
+        return []
     found = []
-    for j in range(-j_cap, j_cap + 1):
-        loc = pole_ratio(j)
-        if region.contains(loc, 0):
-            found.append(Pole(j, loc, float_pole(j)))
+    for sign, first in ((1, 0), (-1, 1)):
+        for n in range(first, j_cap + 1):
+            # float_window(n - 1) holds every pole from index sign * n on
+            # and reads Q up to index n + 1 and down to -n - 2.
+            if MIN_TAIL_HALF_WIDTH < n <= INDEX_CAP - 2:
+                w = float_window(n - 1)
+                lo, hi = w[:2] if sign > 0 else w[2:4]
+                if hi < region.x0 or lo > region.x1:
+                    break
+            loc = pole_ratio(sign * n)
+            if region.contains(loc, 0):
+                found.append(Pole(sign * n, loc, float_pole(sign * n)))
     found.sort(key=lambda p: (p.location, abs(p.index)))
     return found
 

@@ -104,8 +104,11 @@ class EvalSettings:
     max_half_width: int = DEFAULT_MAX_HALF_WIDTH
 
     def __post_init__(self):
-        if isinstance(self.target_tol, bool) or not (
-                self.target_tol > 0 and math.isfinite(self.target_tol)):
+        # The type is tested first: a str or None cannot be compared with 0.
+        if (isinstance(self.target_tol, bool)
+                or not isinstance(self.target_tol, (int, float))
+                or not (self.target_tol > 0
+                        and math.isfinite(self.target_tol))):
             raise ValueError("target_tol must be a positive finite float")
         if self.target_tol < _BOUND_FLOOR:
             raise ValueError(f"target_tol must be at least {_BOUND_FLOOR!r}, "

@@ -1,8 +1,12 @@
 """Exact rational-function arithmetic and finite-window identity checks.
 
-Everything here runs over Fraction coefficients, so equality means
-coefficient-by-coefficient equality of canonical forms: numerator and
-denominator coprime, denominator monic.
+Polynomials and rational functions carry Fraction coefficients, and
+equality means coefficient-by-coefficient equality of canonical forms:
+numerator and denominator coprime, denominator monic.  The canonical form
+is computed over the integers (fraction-free): both parts are cleared by
+one common integer, divided exactly by their primitive gcd, which by
+Gauss's lemma leaves integer quotients, and converted to Fractions once,
+when the denominator is made monic.
 
 The identity checks are termwise.  Under the left-side argument map
 T(z) = (a z + b)/(c z + d) of every functional equation, the term
@@ -34,6 +38,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .equations import EquationId
 from .errors import DegreeCapExceeded, require_int
@@ -44,7 +49,6 @@ WINDOW_HALF_WIDTH_GUARD = 8
 WINDOW_WEIGHT_GUARD = 6
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class Polynomial:
@@ -192,18 +196,36 @@ def _as_poly(v) -> Polynomial:
     raise TypeError(f"cannot treat {type(v).__name__} as a polynomial")
 
 
-def _int_coeffs(p: Polynomial) -> list[int]:
-    """Primitive integer coefficient list (positive leading coefficient)."""
-    lcm = 1
-    for c in p.coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in p.coeffs]
+def _cleared(*parts) -> list[list[int]]:
+    """Integer coefficient lists of parts, all scaled by one positive integer.
+
+    A part is a Polynomial, an int, a Fraction or a list of int or Fraction
+    coefficients in ascending order; integral coefficients pass through
+    without a Fraction round trip.  Trailing zeros are dropped.
+    """
+    parts = [p if isinstance(p, (list, tuple)) else _as_poly(p).coeffs
+             for p in parts]
+    scale = 1
+    for cs in parts:
+        for c in cs:
+            scale = math.lcm(scale, c.denominator)
+    out = []
+    for cs in parts:
+        ints = [c.numerator * (scale // c.denominator) for c in cs]
+        while ints and not ints[-1]:
+            ints.pop()
+        out.append(ints)
+    return out
+
+
+def _primitive(a: list[int]) -> list[int]:
+    """a divided by its content, signed so the leading coefficient is > 0."""
     g = 0
-    for c in ints:
+    for c in a:
         g = math.gcd(g, c)
-    if ints[-1] < 0:
+    if a[-1] < 0:
         g = -g
-    return [c // g for c in ints]
+    return [c // g for c in a]
 
 
 def _int_rem(a: list[int], b: list[int]) -> list[int]:
@@ -227,62 +249,86 @@ def _int_rem(a: list[int], b: list[int]) -> list[int]:
             r[shift + i] -= mult * b[i]
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd via a primitive remainder sequence over the integers.
+def _int_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd, leading coefficient > 0, of two nonzero integer
+    polynomials, by a primitive remainder sequence.
 
     Fraction-based Euclid suffers badly from coefficient blowup at the
     degrees window sums reach; integer remainders with content stripping
     keep the growth tame.
     """
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        r = _int_rem(a, b)
+        a, b = b, _primitive(r) if r else r
+    return a
+
+
+def _int_exact_div(a: list[int], b: list[int]) -> list[int]:
+    """a / b over Z; raises ArithmeticError unless b divides a exactly."""
+    r = list(a)
+    db, lb = len(b) - 1, b[-1]
+    q = [0] * (len(r) - db)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = f = r[k + db] // lb
+        for i, c in enumerate(b):
+            r[k + i] -= f * c
+    if any(r):  # a floored quotient leaves its remainder in r
+        raise ArithmeticError("inexact polynomial division over Z")
+    return q
+
+
+def _int_mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of two integer coefficient lists."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic gcd via a primitive remainder sequence over the integers."""
     if a.is_zero:
         return b.monic()
     if b.is_zero:
         return a.monic()
-    A, B = _int_coeffs(a), _int_coeffs(b)
-    if len(A) < len(B):
-        A, B = B, A
-    while B:
-        R = _int_rem(A, B)
-        if R:
-            g = 0
-            for c in R:
-                g = math.gcd(g, c)
-            if R[-1] < 0:
-                g = -g
-            R = [c // g for c in R]
-        A, B = B, R
-    lead = Fraction(A[-1])
-    return Polynomial([Fraction(c) / lead for c in A])
+    g = _int_gcd(*_cleared(a, b))
+    return Polynomial([Fraction(c, g[-1]) for c in g])
 
 
 class RationalFunction:
     """Quotient of polynomials kept in canonical form.
 
     Canonical means numerator and denominator coprime and the denominator
-    monic, so __eq__ is plain coefficient comparison.
+    monic, so __eq__ is plain coefficient comparison.  num and den may be
+    Polynomials, ints, Fractions or ascending lists of int or Fraction
+    coefficients; the form is computed over Z and stored with Fraction
+    coefficients.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        num = _as_poly(num)
-        den = Polynomial((1,)) if den is None else _as_poly(den)
-        if den.is_zero:
+        num, den = _cleared(num, 1 if den is None else den)
+        if not den:
             raise ZeroDivisionError("zero denominator polynomial")
-        if num.is_zero:
+        if not num:
             self.num = Polynomial()
             self.den = Polynomial((1,))
             return
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num = num // g
-            den = den // g
-        lead = den.leading
-        if lead != 1:
-            num = num.scale(1 / lead)
-            den = den.scale(1 / lead)
-        self.num = num
-        self.den = den
+        g = _int_gcd(num, den)
+        if len(g) > 1:
+            num = _int_exact_div(num, g)
+            den = _int_exact_div(den, g)
+        lead = den[-1]
+        self.num = Polynomial([Fraction(c, lead) for c in num])
+        self.den = Polynomial([Fraction(c, lead) for c in den])
 
     @classmethod
     def zero(cls) -> "RationalFunction":
@@ -491,19 +537,33 @@ def _sign_normal(p: int, q: int) -> tuple[int, int]:
     return (p, q) if p > 0 or (p == 0 and q > 0) else (-p, -q)
 
 
-def _linear_power(p: int, q: int, m: int) -> Polynomial:
-    """(p z + q)^m."""
-    return Polynomial((q, p)) ** m
+def _linear_power(p: int, q: int, m: int) -> list[int]:
+    """Integer coefficients of (p z + q)^m, ascending, by the binomial
+    theorem."""
+    return [math.comb(m, i) * q ** (m - i) * p ** i
+            for i in range(m + 1 if p else 1)]
 
 
 def _tally_sum(tally: Counter, m: int) -> RationalFunction:
-    """Exact sum of count * (p z + q)^m / (alpha z + beta)^m over the tally."""
-    total = RationalFunction.zero()
+    """Exact sum of count * (p z + q)^m / (alpha z + beta)^m over the tally.
+
+    Numerators that share a denominator are added first; the groups are
+    then added over the product of their denominators, in integers, and
+    canonicalised once.
+    """
+    groups = {}
     for (num, den), count in tally.items():
         if count:
-            total = total + RationalFunction(
-                _linear_power(*num, m).scale(count), _linear_power(*den, m))
-    return total
+            acc = groups.setdefault(den, [0] * (m + 1))
+            for i, c in enumerate(_linear_power(*num, m)):
+                acc[i] += count * c
+    num, den = [], [1]
+    for pair, acc in groups.items():
+        d = _linear_power(*pair, m)
+        num = [x + y for x, y in zip_longest(_int_mul(num, d),
+                                            _int_mul(acc, den), fillvalue=0)]
+        den = _int_mul(den, d)
+    return RationalFunction(num, den)
 
 
 def verify_identity_exact(equation: EquationId, half_width: int,
@@ -565,7 +625,7 @@ def verify_identity_exact(equation: EquationId, half_width: int,
     numerator = _linear_power(*rhs_num, m)
     boundary = []
     for sign, den in edges:
-        boundary.append(RationalFunction(numerator.scale(sign),
+        boundary.append(RationalFunction([sign * c for c in numerator],
                                          _linear_power(*den, m)))
         tally[rhs_num, _sign_normal(*den)] -= sign
     defect = _tally_sum(tally, m)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -87,6 +88,44 @@ def test_poles_j_cap_limit_is_named_before_the_table_grows():
                            match=f"^j_cap {j_cap} exceeds cap {limit}$"):
             poles_in_rect(Rect(-1, -1, 1, 1), j_cap)
     assert _DEFAULT_TABLE.computed_range == before
+
+
+def _scan_all_poles(region, j_cap):
+    """Every pole |j| <= j_cap tested on its exact location."""
+    found = [(pole_ratio(j), j) for j in range(-j_cap, j_cap + 1)
+             if region.contains(pole_ratio(j), 0)]
+    return [(j, loc) for loc, j in sorted(found,
+                                          key=lambda t: (t[0], abs(t[1])))]
+
+
+def test_poles_equal_full_scan_seeded():
+    rng = random.Random(20261018)
+    lo_lim, hi_lim = SILVER_CONJUGATE, SILVER_RATIO
+    rects = [Rect(0.5, -1, 2, 1), Rect(-0.4142, -1, 2.4142, 1),
+             Rect(lo_lim - 1e-9, -1, lo_lim + 1e-9, 1),
+             Rect(-3, 0, 3, 1), Rect(-3, -1, 3, 0), Rect(-3, 1e-300, 3, 1)]
+    for _ in range(40):
+        x0 = rng.choice([rng.uniform(-3, 4), lo_lim, hi_lim,
+                         float_pole(rng.randint(-30, 30))])
+        x0 += rng.choice([0.0, -1e-12, 1e-12, -1e-3])
+        x1 = x0 + rng.choice([1e-15, 1e-9, 1e-4, 0.3, 2.0, 5.0])
+        y0 = rng.choice([-1.0, 0.0, 1e-3])
+        rects.append(Rect(x0, y0, x1, y0 + rng.choice([1e-3, 2.0])))
+    for region in rects:
+        for j_cap in (0, 2, 3, 7, rng.randint(0, 300)):
+            got = poles_in_rect(region, j_cap)
+            assert [(p.index, p.location) for p in got] == \
+                _scan_all_poles(region, j_cap), (region, j_cap)
+
+
+def test_poles_away_from_both_limits_stop_early():
+    # The exact locations of |j| up to 99_999 run to tens of thousands of
+    # digits; both sides stop once their float hull leaves [0.5, 2].
+    start = time.perf_counter()
+    poles = poles_in_rect(Rect(0.5, -1, 2, 1), INDEX_CAP - 1)
+    assert time.perf_counter() - start < 1.0
+    assert [(p.index, p.location) for p in poles] == [(0, F(1))]
+    assert poles_in_rect(Rect(-10.0, 0.5, 10.0, 1.0), INDEX_CAP - 1) == []
 
 
 def test_pole_distance_to_limit_strictly_decreases():

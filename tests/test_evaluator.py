@@ -283,8 +283,9 @@ def test_eval_settings_validation():
         EvalSettings(target_tol=0.0)
     with pytest.raises(ValueError):
         EvalSettings(target_tol=math.nan)
-    # A bool is no tolerance, as it is no window cap.
-    for tol in (True, False):
+    # A bool is no tolerance, as it is no window cap; a str or None is
+    # refused by type before any comparison with 0.
+    for tol in (True, False, "1e-3", None):
         with pytest.raises(ValueError, match="^target_tol must be"):
             EvalSettings(target_tol=tol)
     with pytest.raises(ValueError):

@@ -2,10 +2,15 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fraction_reference as reference
 
 from pelleis import (DegreeCapExceeded, EquationId, MobiusMap, Polynomial,
                      RationalFunction, pell_lucas, substitute, term_rf,
@@ -494,3 +499,98 @@ def test_off_by_one_edge_pair_is_nonzero(monkeypatch, equation, half_width,
         - report.boundary_terms[1]
     assert report.defect == expected
     assert report.defect == honest.boundary_terms[0] - wrong
+
+
+# ------------------------------- fraction-free engine vs Fraction reference
+
+_INTS = st.integers(-10**6, 10**6)
+_FRACTIONS = st.builds(Fraction, st.integers(-10**30, 10**30),
+                       st.integers(1, 10**30))
+_COEFFS = st.one_of(_INTS, _FRACTIONS)
+
+
+def _poly(coeffs, min_size=1, max_size=4):
+    return st.lists(coeffs, min_size=min_size, max_size=max_size).map(
+        Polynomial)
+
+
+@st.composite
+def _planted_quotients(draw):
+    """num = a g and den = b g with a planted common factor g; den has a
+    negative or a constant leading coefficient in some draws."""
+    coeffs = draw(st.sampled_from([_INTS, _FRACTIONS, _COEFFS]))
+    g = draw(_poly(coeffs, max_size=3).filter(lambda p: not p.is_zero))
+    a = draw(_poly(coeffs))
+    b = draw(st.one_of(
+        _poly(coeffs).filter(lambda p: not p.is_zero),
+        _poly(coeffs, max_size=1).filter(lambda p: not p.is_zero),
+        _poly(st.integers(-50, -1), max_size=1),
+        _poly(coeffs, min_size=2).filter(lambda p: not p.is_zero).map(
+            lambda p: Polynomial(p.coeffs[:-1] + (-abs(p.coeffs[-1]),)))))
+    if draw(st.booleans()):
+        b = b * g
+    return a * g, b
+
+
+@given(_planted_quotients())
+@settings(max_examples=150)
+def test_canonical_form_equals_fraction_reference(parts):
+    num, den = parts
+    want = reference.canonical(num, den)
+    got = RationalFunction(num, den)
+    assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs,
+                                                 want.den.coeffs)
+    assert repr(got) == repr(want)  # Fraction coefficients, not ints
+    # Coefficient lists are the same quotient.
+    assert RationalFunction(list(num.coeffs), list(den.coeffs)) == got
+
+
+def test_canonical_form_constant_and_negative_denominators():
+    got = RationalFunction(X * F(3, 7), Polynomial((F(-6, 5),)))
+    assert got == reference.canonical(X * F(3, 7), Polynomial((F(-6, 5),)))
+    assert got.num == Polynomial((0, F(-5, 14))) and got.den == Polynomial(
+        (1,))
+    got = RationalFunction([2, 4], [6, 0, -8, 0])   # trailing zeros dropped
+    assert repr(got) == repr(RationalFunction(1 + 2 * X, 3 - 4 * X ** 2))
+    assert got.den == X ** 2 - F(3, 4)
+    with pytest.raises(ZeroDivisionError):
+        RationalFunction([1], [0, 0])
+    assert RationalFunction([0, 0], [5]) == RationalFunction.zero()
+
+
+def test_exact_division_raises_on_a_remainder():
+    assert exact._int_exact_div([-2, 1, 1], [-1, 1]) == [2, 1]
+    with pytest.raises(ArithmeticError):
+        exact._int_exact_div([1, 0, 1], [1, 1])      # remainder 2
+    with pytest.raises(ArithmeticError):
+        exact._int_exact_div([1, 1], [1, 2])         # 2z + 1 over Q only
+
+
+_PAIRS = st.tuples(st.integers(-40, 40), st.integers(-40, 40)).filter(
+    lambda pq: pq != (0, 0)).map(lambda pq: exact._sign_normal(*pq))
+
+
+@given(st.lists(st.tuples(_PAIRS, st.sampled_from(
+    [(1, 2), (2, 1), (3, -5), (1, 0), (0, 1)]), st.integers(-3, 3)),
+    max_size=8), st.sampled_from([2, 4]))
+@settings(max_examples=100)
+def test_tally_sum_equals_chained_fraction_sum(entries, m):
+    # Few denominator pairs, so entries with different numerators share a
+    # denominator and are grouped before the one canonicalisation.
+    tally = Counter()
+    for num, den, count in entries:
+        tally[num, den] += count
+    got = exact._tally_sum(tally, m)
+    assert repr(got) == repr(reference.tally_sum(tally, m))
+
+
+@pytest.mark.parametrize("equation", list(EquationId))
+def test_reports_equal_fraction_reference(monkeypatch, equation):
+    # Every report of the guarded range, rebuilt with the chained Fraction
+    # tally sum and Fraction-canonicalised boundary terms.
+    cases = [(J, k) for J in range(2, 9) for k in (1, 2, 3)]
+    got = [verify_identity_exact(equation, J, k) for J, k in cases]
+    monkeypatch.setattr(exact, "_tally_sum", reference.tally_sum)
+    monkeypatch.setattr(exact, "RationalFunction", reference.from_lists)
+    want = [verify_identity_exact(equation, J, k) for J, k in cases]
+    assert [repr(r) for r in got] == [repr(r) for r in want]
