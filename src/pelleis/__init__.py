@@ -8,9 +8,9 @@ numeric plus exact checks of the four functional equations.
 from .analysis import (DomainClass, DomainTag, Pole, accumulation_points,
                        classify, poles_in_rect)
 from .equations import EquationId
-from .errors import (DegreeCapExceeded, DidNotConverge, EmptyGrid,
-                     IndexCapExceeded, InvalidRange, InvalidRegion,
-                     PelleisError, PoleProximity, ZeroArgument)
+from .errors import (DidNotConverge, EmptyGrid, IndexCapExceeded,
+                     InvalidRange, InvalidRegion, PelleisError, PoleProximity,
+                     ZeroArgument)
 from .evaluator import (EvalResult, EvalSettings, eval_grid, eval_series,
                         tail_bound, term_value)
 from .exact import (ExactIdentityReport, MobiusMap, Polynomial,
@@ -24,7 +24,7 @@ from .verify import GridSummary, ResidualReport, residual, verify_grid
 __version__ = "0.1.0"
 
 __all__ = [
-    "DegreeCapExceeded", "DidNotConverge", "DomainClass", "DomainTag",
+    "DidNotConverge", "DomainClass", "DomainTag",
     "EmptyGrid", "EquationId", "EvalResult", "EvalSettings",
     "ExactIdentityReport", "GridSummary", "IndexCapExceeded", "InvalidRange",
     "InvalidRegion", "MobiusMap", "PelleisError", "Pole", "PoleProximity",

@@ -7,32 +7,25 @@ Writing S_m(z) for the bilateral sum of (Q_j z + Q_{j-1})^(-m) and m = 2k:
     shift:       S(z+2)   =  z^(-2k) * S(1/z)
     negation:    S(-z)    =  z^(-2k) * S(1/z)
 
-Each left side is S at a Mobius image of z; each right side is S at z or
-1/z times a power of z.  Both the numeric and the exact checkers read the
-equation shape from here.
+Each is S(L(z)) = z^(s*m) * S(R(z)) for maps L, R: z -> (a z + b)/(c z + d),
+and _ROWS holds one row per equation: (L, R, s, window offset).  Matching
+left-side terms with right-side terms moves the window |j| <= J by the
+offset: by 0 for the reflection (term j meets term -j), by 1 for the other
+three, which leaves right-side term J+1 and term -J over at the edges.  Both
+the numeric and the exact checkers read the equation shape from here.
 """
 
 from enum import Enum
 
-_LHS_COEFFS = {
-    "inversion": (0, -1, 1, 0),   # -1/z
-    "reflection": (-1, 2, 0, 1),  # 2 - z
-    "shift": (1, 2, 0, 1),        # z + 2
-    "negation": (-1, 0, 0, 1),    # -z
-}
+_Z = (1, 0, 0, 1)
+_RECIPROCAL = (0, 1, 1, 0)
 
-_RHS_RECIPROCAL = {
-    "inversion": False,
-    "reflection": False,
-    "shift": True,
-    "negation": True,
-}
-
-_PREFACTOR_SIGN = {
-    "inversion": 1,
-    "reflection": 0,
-    "shift": -1,
-    "negation": -1,
+_ROWS = {
+    #              left map L      right map R  s  offset
+    "inversion":  ((0, -1, 1, 0), _Z,           1, 1),  # -1/z
+    "reflection": ((-1, 2, 0, 1), _Z,           0, 0),  # 2 - z
+    "shift":      ((1, 2, 0, 1),  _RECIPROCAL, -1, 1),  # z + 2
+    "negation":   ((-1, 0, 0, 1), _RECIPROCAL, -1, 1),  # -z
 }
 
 
@@ -43,21 +36,28 @@ class EquationId(Enum):
     NEGATION = "negation"
 
     @property
+    def row(self) -> tuple[tuple[int, int, int, int],
+                           tuple[int, int, int, int], int, int]:
+        """(left map, right map, prefactor sign s, window offset); each map
+        is the (a, b, c, d) of (a z + b)/(c z + d)."""
+        return _ROWS[self.value]
+
+    @property
     def lhs_coeffs(self) -> tuple[int, int, int, int]:
         """(a, b, c, d) of the left-side argument map (a z + b)/(c z + d)."""
-        return _LHS_COEFFS[self.value]
+        return self.row[0]
 
     @property
     def rhs_reciprocal(self) -> bool:
         """True when the right side evaluates the series at 1/z."""
-        return _RHS_RECIPROCAL[self.value]
+        return self.row[1] == _RECIPROCAL
 
     @property
     def prefactor_sign(self) -> int:
         """Sign s of the right-side prefactor z^(s*2k); 0 means no prefactor."""
-        return _PREFACTOR_SIGN[self.value]
+        return self.row[2]
 
     @property
     def needs_nonzero_argument(self) -> bool:
-        """True when either side of the equation involves 1/z or -1/z."""
-        return self.rhs_reciprocal or self is EquationId.INVERSION
+        """True when either side's map has d = 0, so involves 1/z or -1/z."""
+        return self.row[0][3] == 0 or self.row[1][3] == 0

@@ -28,11 +28,7 @@ class InvalidRange(PelleisError):
 
 
 class InvalidRegion(PelleisError):
-    """Rectangle is degenerate or has non-finite corners."""
-
-
-class DegreeCapExceeded(PelleisError):
-    """Exact computation would produce a denominator above the degree cap."""
+    """Rectangle is degenerate or has non-finite corners or sides."""
 
 
 class ZeroArgument(PelleisError):

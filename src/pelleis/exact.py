@@ -8,23 +8,25 @@ one common integer, divided exactly by their primitive gcd, which by
 Gauss's lemma leaves integer quotients, and converted to Fractions once,
 when the denominator is made monic.
 
-The identity checks are termwise.  Under the left-side argument map
-T(z) = (a z + b)/(c z + d) of every functional equation, the term
-1/(Q_j z + Q_{j-1})^m becomes (c z + d)^m / (alpha z + beta)^m with the
-integers alpha = a Q_j + c Q_{j-1} and beta = b Q_j + d Q_{j-1}; each
-right-side term has the same shape.  Because m is even, two such terms are
-equal when their integer pairs agree up to sign, so the check tallies the
-terms of both sides by sign-normalised pairs and sums, as one exact
-rational function, only the terms whose tally is not zero.  That sum is
-the full residual lhs - rhs regrouped, not an assumption that the identity
-holds.  For the reflection the reindexing j -> -j is a bijection of the
-window |j| <= J; for the other three equations it shifts the window by one
-slot and leaves one extra term at each edge (for the inversion
-Q_{j-1} z - Q_j = (-1)^(j-1) (Q_{1-j} z + Q_{-j})).  Those boundary terms
-are written from their closed-form integer pairs in the same shape,
-returned, and entered into the same tally with the opposite sign; the
-defect, residual minus boundary, is the exact sum of the terms whose tally
-is still not zero, and is the zero rational function exactly when the
+The identity checks are termwise.  Under a map T(z) = (a z + b)/(c z + d)
+the term 1/(Q_j z + Q_{j-1})^m becomes (c z + d)^m / (alpha z + beta)^m
+with the integers alpha = a Q_j + c Q_{j-1} and beta = b Q_j + d Q_{j-1}.
+Every functional equation reads S(L(z)) = z^(s m) S(R(z)) (see equations),
+so each left-side term has this shape under L, and each right-side term
+under R, with numerator (z^s (c z + d))^m, which is z^m or 1 for every
+equation.  Because m is even, two such terms are equal when their integer
+pairs agree up to sign, so the check tallies the terms of both sides by
+sign-normalised pairs and sums, as one exact rational function, only the
+terms whose tally is not zero.  That sum is the full residual lhs - rhs
+regrouped, not an assumption that the identity holds.  One boundary rule
+serves every equation: with window offset 0 (the reflection, j -> -j) the
+window |j| <= J is matched onto itself; with offset 1 the matching moves
+it one slot (for the inversion Q_{j-1} z - Q_j = (-1)^(j-1) (Q_{1-j} z +
+Q_{-j})), and the boundary is + right-side term J+1 and - right-side term
+-J.  The boundary terms are written from their integer pairs, returned,
+and entered into the same tally with the opposite sign; the defect,
+residual minus boundary, is the exact sum of the terms whose tally is
+still not zero, and is the zero rational function exactly when the
 identity holds.
 
 window_sum, term_rf and substitute build the same residual and boundary
@@ -41,10 +43,9 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from .equations import EquationId
-from .errors import DegreeCapExceeded, require_int
+from .errors import require_int
 from .sequence import pell_lucas
 
-DEGREE_CAP = 400
 WINDOW_HALF_WIDTH_GUARD = 8
 WINDOW_WEIGHT_GUARD = 6
 
@@ -447,6 +448,7 @@ RECIPROCAL_MAP = MobiusMap(0, 1, 1, 0)
 
 def term_rf(j: int, m: int) -> RationalFunction:
     """The exact term 1/(Q_j z + Q_{j-1})^m as a canonical rational function."""
+    require_int("m", m)
     if m < 1:
         raise ValueError("term power must be at least 1")
     lin = Polynomial((pell_lucas(j - 1), pell_lucas(j)))
@@ -537,6 +539,14 @@ def _sign_normal(p: int, q: int) -> tuple[int, int]:
     return (p, q) if p > 0 or (p == 0 and q > 0) else (-p, -q)
 
 
+def _pair(coeffs: tuple[int, int, int, int], q_j: int,
+          q_prev: int) -> tuple[int, int]:
+    """Sign-normalised (a Q_j + c Q_{j-1}, b Q_j + d Q_{j-1}): term j under
+    the map (a z + b)/(c z + d) has denominator (alpha z + beta)^m."""
+    a, b, c, d = coeffs
+    return _sign_normal(a * q_j + c * q_prev, b * q_j + d * q_prev)
+
+
 def _linear_power(p: int, q: int, m: int) -> list[int]:
     """Integer coefficients of (p z + q)^m, ascending, by the binomial
     theorem."""
@@ -574,14 +584,14 @@ def verify_identity_exact(equation: EquationId, half_width: int,
     window reindexing, and the defect residual - sum(boundary).  The defect
     is the zero rational function exactly when the identity holds.
 
-    Every term on either side is (c z + d)^m / (alpha z + beta)^m with
-    integer pairs; terms are tallied by their sign-normalised pairs (+1 on
-    the left, -1 on the right) and the residual is the exact sum of the
-    terms whose tally is not zero.  Each boundary term is built from its
-    closed-form pairs and tallied with the opposite sign; the defect is the
-    exact sum of the terms whose tally is then still not zero.  Canonical
-    forms are unique, so it equals residual - sum(boundary) coefficient by
-    coefficient.
+    Every term on either side is (p z + q)^m / (alpha z + beta)^m with
+    integer pairs read from the equation's row; terms are tallied by their
+    sign-normalised pairs (+1 on the left, -1 on the right) and the residual
+    is the exact sum of the terms whose tally is not zero.  Each boundary
+    term is a right-side term at an index the window offset leaves over,
+    tallied with the opposite sign; the defect is the exact sum of the
+    terms whose tally is then still not zero.  Canonical forms are unique,
+    so it equals residual - sum(boundary) coefficient by coefficient.
     """
     require_int("half_width", half_width)
     require_int("k", k)
@@ -590,44 +600,31 @@ def verify_identity_exact(equation: EquationId, half_width: int,
     if k < 1:
         raise ValueError("k must be at least 1")
     m = 2 * k
-    if (2 * half_width + 3) * m > DEGREE_CAP:
-        raise DegreeCapExceeded(
-            f"identity check at half_width {half_width}, weight {m} "
-            f"needs denominator degree up to {(2 * half_width + 3) * m}, "
-            f"cap is {DEGREE_CAP}")
     _check_window_guard(half_width, m)
 
-    # Right-side term j is (p z + q)^m / (Q_j z + Q_{j-1})^m with
-    # (p, q) = rhs_num, or over (Q_{j-1} z + Q_j)^m when rhs_swap.  Each
-    # boundary term is (sign, denominator pair) over the same rhs_num power.
-    J, Q = half_width, pell_lucas
-    if equation is EquationId.REFLECTION:      # S(z)
-        rhs_num, rhs_swap = (0, 1), False
-        edges = []
-    elif equation is EquationId.INVERSION:     # z^m S(z)
-        rhs_num, rhs_swap = (1, 0), False
-        edges = [(1, (Q(J + 1), Q(J))), (-1, (Q(-J), Q(-J - 1)))]
-    else:  # SHIFT and NEGATION: z^-m S(1/z) = sum 1/(Q_{j-1} z + Q_j)^m
-        rhs_num, rhs_swap = (0, 1), True
-        edges = [(1, (Q(J), Q(J + 1))), (-1, (Q(-J - 1), Q(-J)))]
-
-    a, b, c, d = equation.lhs_coeffs
-    lhs_num = _sign_normal(c, d)
+    # Right-side term j is z^(s m) (c z + d)^m / (alpha z + beta)^m under
+    # the right map; z^s (c z + d) is z for the inversion and 1 otherwise.
+    left, right, s, offset = equation.row
+    lhs_num = _sign_normal(*left[2:])
+    rhs_num = (1, 0) if s == 1 else (0, 1)
     tally = Counter()
     for j in range(-half_width, half_width + 1):
         q_j, q_prev = pell_lucas(j), pell_lucas(j - 1)
-        alpha, beta = a * q_j + c * q_prev, b * q_j + d * q_prev
-        tally[lhs_num, _sign_normal(alpha, beta)] += 1
-        rhs_den = (q_prev, q_j) if rhs_swap else (q_j, q_prev)
-        tally[rhs_num, _sign_normal(*rhs_den)] -= 1
+        tally[lhs_num, _pair(left, q_j, q_prev)] += 1
+        tally[rhs_num, _pair(right, q_j, q_prev)] -= 1
     residual = _tally_sum(tally, m)
 
+    # With offset 1 the left window meets right-side terms -J+1 .. J+1, so
+    # the boundary is + right-side term J+1 and - right-side term -J.
+    J = half_width
+    edges = [(1, J + 1), (-1, -J)] if offset else []
     numerator = _linear_power(*rhs_num, m)
     boundary = []
-    for sign, den in edges:
+    for sign, j in edges:
+        den = _pair(right, pell_lucas(j), pell_lucas(j - 1))
         boundary.append(RationalFunction([sign * c for c in numerator],
                                          _linear_power(*den, m)))
-        tally[rhs_num, _sign_normal(*den)] -= sign
+        tally[rhs_num, den] -= sign
     defect = _tally_sum(tally, m)
     return ExactIdentityReport(equation, half_width, m, residual,
                                boundary, defect)

@@ -11,7 +11,8 @@ from .errors import InvalidRegion, require_int
 
 @dataclass(frozen=True)
 class Rect:
-    """Closed rectangle [x0, x1] x [y0, y1] with strictly positive sides."""
+    """Closed rectangle [x0, x1] x [y0, y1] with strictly positive, finite
+    sides."""
 
     x0: float
     y0: float
@@ -24,6 +25,9 @@ class Rect:
             raise InvalidRegion(f"non-finite corner in {corners}")
         if self.x1 <= self.x0 or self.y1 <= self.y0:
             raise InvalidRegion(f"rectangle sides must be positive: {corners}")
+        if not (math.isfinite(self.x1 - self.x0)
+                and math.isfinite(self.y1 - self.y0)):
+            raise InvalidRegion(f"rectangle sides overflow: {corners}")
 
     def contains(self, x, y) -> bool:
         # Exact when x, y are Fractions: comparisons against float bounds

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from pelleis import EvalSettings, cli, eval_series
+from pelleis import EvalSettings, InvalidRegion, Rect, cli, eval_series
 
 SEQ_0_4 = "n,Q_n\n0,2\n1,2\n2,6\n3,14\n4,34\n"
 
@@ -131,6 +131,22 @@ def test_grid_bad_rect(capsys):
                         "--nx", "2", "--ny", "2", "--weight", "2")
     assert code == 1
     assert "# error:" in out
+
+
+@pytest.mark.parametrize("command", [
+    ("grid", "--nx", "2", "--ny", "1", "--weight", "2"),
+    ("verify", "--eq", "shift", "--k", "1"),
+])
+def test_overflowing_rect_side_is_refused(capsys, command):
+    # Finite corners whose width overflows: the grid had printed its header
+    # and then crashed on inf cell centres, and verify called the same
+    # rectangle one with no testable points.
+    code, out = run_cli(capsys, *command, "--rect", "-1e308,0,1e308,1")
+    assert code == 1
+    assert out == ("# error: rectangle sides overflow: "
+                   "(-1e+308, 0.0, 1e+308, 1.0)\n")
+    with pytest.raises(InvalidRegion):
+        Rect(0, -1e308, 1, 1e308)
 
 
 # ---------------------------------------------------------------------- poles

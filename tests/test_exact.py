@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 import fraction_reference as reference
 
-from pelleis import (DegreeCapExceeded, EquationId, MobiusMap, Polynomial,
-                     RationalFunction, pell_lucas, substitute, term_rf,
-                     verify_identity_exact, window_sum)
+from pelleis import (EquationId, MobiusMap, Polynomial, RationalFunction,
+                     pell_lucas, substitute, term_rf, verify_identity_exact,
+                     window_sum)
 from pelleis import equations, exact
 from pelleis.exact import RECIPROCAL_MAP, ExactIdentityReport, poly_gcd
 
@@ -312,19 +312,20 @@ def test_identity_validation():
         with pytest.raises(ValueError,
                            match=f"^{name} must be an integer, got"):
             verify_identity_exact(EquationId.SHIFT, half_width, k)
-    # window_sum follows the same rule; a float crashed inside range().
+    # window_sum and term_rf follow the same rule; a float crashed inside
+    # range() or Polynomial.__pow__, and True was taken as weight 1.
     for half_width, m, name in ((2.0, 2, "half_width"), (True, 2, "half_width"),
                                 (2, 2.0, "m"), (2, True, "m")):
         with pytest.raises(ValueError,
                            match=f"^{name} must be an integer, got"):
             window_sum(half_width, m)
-    # The cap is 400: half-width 99 at weight 2 needs degree 402, and 98
-    # needs 398, which passes the cap and stops at the window guard.
-    with pytest.raises(DegreeCapExceeded,
-                       match="degree up to 402, cap is 400"):
-        verify_identity_exact(EquationId.INVERSION, 99, 1)
-    with pytest.raises(ValueError, match="window guard"):
-        verify_identity_exact(EquationId.INVERSION, 98, 1)
+    for m in (True, 2.0):
+        with pytest.raises(ValueError, match="^m must be an integer, got"):
+            term_rf(1, m)
+    # Any window too large to build stops at the window guard.
+    for half_width in (9, 98, 99):
+        with pytest.raises(ValueError, match="window guard"):
+            verify_identity_exact(EquationId.INVERSION, half_width, 1)
 
 
 def test_identity_window_guards():
@@ -335,10 +336,10 @@ def test_identity_window_guards():
     with pytest.raises(ValueError) as info:
         verify_identity_exact(EquationId.INVERSION, 2, 4)
     assert str(info.value) == guard
-    # The degree cap is checked before the window guard.
-    with pytest.raises(DegreeCapExceeded):
+    with pytest.raises(ValueError) as info:
         verify_identity_exact(EquationId.SHIFT, 100, 1)
-    # And half_width before k.
+    assert str(info.value) == guard
+    # The lower bound on half_width is checked before k.
     with pytest.raises(ValueError, match="half_width >= 2"):
         verify_identity_exact(EquationId.SHIFT, 1, 0)
 
@@ -358,16 +359,28 @@ def test_inversion_window_identity_against_sympy():
 
 # ------------------------------------------- termwise prover vs window sums
 
-def _window_sum_report(equation, half_width, k):
+# The referee's own statement of the left maps, written apart from the
+# equations table that the prover reads.
+_LEFT_MAPS = {
+    EquationId.INVERSION: (0, -1, 1, 0),   # -1/z
+    EquationId.REFLECTION: (-1, 2, 0, 1),  # 2 - z
+    EquationId.SHIFT: (1, 2, 0, 1),        # z + 2
+    EquationId.NEGATION: (-1, 0, 0, 1),    # -z
+}
+
+
+def _window_sum_report(equation, half_width, k, left_map=None):
     """The prover's report rebuilt by canonicalising the whole window sum.
 
-    Left side: the window sum substituted with the left-side map.  Right
-    side and boundary terms follow the equation's statement; the boundary
-    terms are written in closed form as the window-edge terms.
+    Left side: the window sum substituted with the left-side map (the
+    equation's, unless left_map is given).  Right side and boundary terms
+    follow the equation's statement; the boundary terms are written in
+    closed form as the window-edge terms.  Nothing here reads the
+    equations table.
     """
     m, J = 2 * k, half_width
     window = window_sum(J, m)
-    lhs = substitute(window, MobiusMap(*equation.lhs_coeffs))
+    lhs = substitute(window, MobiusMap(*(left_map or _LEFT_MAPS[equation])))
     z_pow = RationalFunction(X ** m)
 
     def edge(p, q):  # 1/(p z + q)^m
@@ -437,11 +450,49 @@ def test_largest_window_holds_and_matches_direct_sums(equation):
     (EquationId.NEGATION, (-1, 1, 0, 1)),  # 1 - z instead of -z
 ])
 def test_wrong_left_map_is_nonzero(monkeypatch, equation, wrong_map):
-    monkeypatch.setitem(equations._LHS_COEFFS, equation.value, wrong_map)
+    _, right, sign, offset = equation.row
+    monkeypatch.setitem(equations._ROWS, equation.value,
+                        (wrong_map, right, sign, offset))
     report = verify_identity_exact(equation, 2, 1)
     assert report.verdict == "NONZERO"
     assert not report.holds
-    assert report == _window_sum_report(equation, 2, 1)
+    assert report == _window_sum_report(equation, 2, 1, left_map=wrong_map)
+
+
+@pytest.mark.parametrize("equation, field, wrong", [
+    (EquationId.SHIFT, 1, (1, 0, 0, 1)),     # S(z) instead of S(1/z)
+    (EquationId.NEGATION, 1, (1, 0, 0, 1)),  # S(z) instead of S(1/z)
+    (EquationId.INVERSION, 1, (0, 1, 1, 0)),  # S(1/z) instead of S(z)
+    (EquationId.INVERSION, 3, 0),           # no boundary terms
+    (EquationId.SHIFT, 3, 0),               # no boundary terms
+    (EquationId.REFLECTION, 3, 1),          # two spurious boundary terms
+    (EquationId.INVERSION, 2, -1),          # prefactor sign flipped
+    (EquationId.SHIFT, 2, 1),               # prefactor sign flipped
+])
+@pytest.mark.parametrize("half_width, k", [(2, 1), (3, 2)])
+def test_wrong_row_is_nonzero(monkeypatch, equation, field, wrong,
+                              half_width, k):
+    row = list(equation.row)
+    row[field] = wrong
+    monkeypatch.setitem(equations._ROWS, equation.value, tuple(row))
+    report = verify_identity_exact(equation, half_width, k)
+    assert report.verdict == "NONZERO"
+    assert not report.holds
+
+
+def test_rows_give_the_statements():
+    # The properties the numeric side reads, derived from the one table:
+    # rhs_reciprocal, prefactor_sign, needs_nonzero_argument, window offset.
+    want = {
+        EquationId.INVERSION: (False, 1, True, 1),
+        EquationId.REFLECTION: (False, 0, False, 0),
+        EquationId.SHIFT: (True, -1, True, 1),
+        EquationId.NEGATION: (True, -1, True, 1),
+    }
+    for equation, props in want.items():
+        assert (equation.lhs_coeffs, equation.rhs_reciprocal,
+                equation.prefactor_sign, equation.needs_nonzero_argument,
+                equation.row[3]) == (_LEFT_MAPS[equation], *props)
 
 
 # ------------------------------------------- closed-form boundary terms
