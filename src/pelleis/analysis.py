@@ -104,31 +104,15 @@ def poles_in_rect(region: Rect, j_cap: int = DEFAULT_J_CAP) -> list[Pole]:
 
 
 @cache
-def _sorted_poles() -> tuple[float, ...]:
-    """The float locations p_j for |j| <= DEFAULT_J_CAP, ascending."""
-    return tuple(sorted(map(float_pole,
-                            range(-DEFAULT_J_CAP, DEFAULT_J_CAP + 1))))
-
-
-def _clear_of_poles(z: complex) -> bool:
-    """True when z is at least POLE_TOL from every pole p_j, |j| <= 60.
-
-    hypot(x - p, y) >= max(|x - p|, |y|) for every pole, so it suffices
-    that |y| or the distance from x to the nearest location (found by
-    bisection, as float subtraction is monotone) reaches POLE_TOL.  False
-    means undecided, not near.
-    """
-    if abs(z.imag) >= POLE_TOL:
-        return True
-    poles = _sorted_poles()
-    x = z.real
-    i = bisect_left(poles, x)
-    dx = math.inf
-    if i < len(poles):
-        dx = poles[i] - x
-    if i > 0:
-        dx = min(dx, x - poles[i - 1])
-    return dx >= POLE_TOL
+def _pole_table() -> tuple[tuple[float, ...], tuple[int, ...]]:
+    """The distinct float locations p_j for |j| <= DEFAULT_J_CAP, ascending,
+    and for each the index classify reports there: the smallest |j| at that
+    location, and the negative j when |j| ties."""
+    index = {}
+    for j in sorted(range(-DEFAULT_J_CAP, DEFAULT_J_CAP + 1),
+                    key=lambda j: (abs(j), j)):
+        index.setdefault(float_pole(j), j)
+    return tuple(zip(*sorted(index.items())))
 
 
 def classify(z: complex) -> DomainClass:
@@ -137,36 +121,45 @@ def classify(z: complex) -> DomainClass:
     NEAR_POLE means within POLE_TOL (1e-6) of a pole p_j, |j| <= 60, and
     NEAR_ACCUMULATION within ACCUM_TOL (1e-3) of 1 +/- sqrt(2).  The
     nearest feature wins; among equidistant poles the smallest |j|
-    wins, and a pole that ties an accumulation point defers to it (for
-    large |j| the rounded locations merge with the limit and are not
-    distinguishable in double precision).  A point at least ACCUM_TOL from
-    both limits and clear of every pole by a bisection of the sorted pole
-    locations is REGULAR at once; every other point is settled by a scan
-    of all poles.
+    wins (the negative j when |j| ties), and a pole that ties an
+    accumulation point defers to it (for large |j| the rounded locations
+    merge with the limit and are not distinguishable in double precision).
+
+    The nearest pole is found by one search: a bisection of the ascending
+    pole table for x, then the neighbours on each side, widening outward.
+    The poles are real, so the distance to p, hypot(x - p, y), is never
+    below |x - p|, and |x - p| cannot shrink as p moves outward from x
+    (float subtraction is monotone).  Once |x - p| exceeds the nearest
+    distance found, no pole further out on that side can be nearer or tie
+    it; on the axis the search widens only while the distance ties.  A
+    point at least POLE_TOL off the axis and ACCUM_TOL from both limits is
+    REGULAR at once, as every pole is at least |y| away.
     """
     z = _require_point(z)
+    x, y = z.real, z.imag
     d_minus = abs(z - SILVER_CONJUGATE)
     d_plus = abs(z - SILVER_RATIO)
-    if min(d_minus, d_plus) >= ACCUM_TOL and _clear_of_poles(z):
+    if abs(y) >= POLE_TOL and min(d_minus, d_plus) >= ACCUM_TOL:
         return _REGULAR
 
-    best_d = math.inf
-    best_j = 0
-    best_exact = False
-    for j in range(-DEFAULT_J_CAP, DEFAULT_J_CAP + 1):
-        loc = float_pole(j)
-        d = math.hypot(z.real - loc, z.imag)
-        if d < best_d or (d == best_d and abs(j) < abs(best_j)):
-            best_d = d
-            best_j = j
-            best_exact = z.imag == 0.0 and z.real == loc
+    locations, indices = _pole_table()
+    i = bisect_left(locations, x)
+    best = (math.inf, 0, 0)  # (distance, |j|, j), least first
+    for side in (range(i, len(locations)), range(i - 1, -1, -1)):
+        for n in side:
+            dx = x - locations[n]
+            if abs(dx) > best[0]:
+                break
+            j = indices[n]
+            best = min(best, (math.hypot(dx, y), abs(j), j))
+    best_d, _, best_j = best
 
     d_acc, limit = ((d_minus, SILVER_CONJUGATE) if d_minus <= d_plus
                     else (d_plus, SILVER_RATIO))
 
     if d_acc < ACCUM_TOL and d_acc <= best_d:
         return DomainClass(DomainTag.NEAR_ACCUMULATION, limit=limit)
-    if best_exact:
+    if best_d == 0.0:  # z is the pole itself
         return DomainClass(DomainTag.POLE, index=best_j)
     if best_d < POLE_TOL:
         return DomainClass(DomainTag.NEAR_POLE, index=best_j, distance=best_d)

@@ -41,23 +41,3 @@ class EquationId(Enum):
         """(left map, right map, prefactor sign s, window offset); each map
         is the (a, b, c, d) of (a z + b)/(c z + d)."""
         return _ROWS[self.value]
-
-    @property
-    def lhs_coeffs(self) -> tuple[int, int, int, int]:
-        """(a, b, c, d) of the left-side argument map (a z + b)/(c z + d)."""
-        return self.row[0]
-
-    @property
-    def rhs_reciprocal(self) -> bool:
-        """True when the right side evaluates the series at 1/z."""
-        return self.row[1] == _RECIPROCAL
-
-    @property
-    def prefactor_sign(self) -> int:
-        """Sign s of the right-side prefactor z^(s*2k); 0 means no prefactor."""
-        return self.row[2]
-
-    @property
-    def needs_nonzero_argument(self) -> bool:
-        """True when either side's map has d = 0, so involves 1/z or -1/z."""
-        return self.row[0][3] == 0 or self.row[1][3] == 0

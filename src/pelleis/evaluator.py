@@ -79,16 +79,18 @@ import sys
 from cmath import isfinite
 from dataclasses import dataclass
 
-from .errors import DidNotConverge, PoleProximity
+from .errors import (DidNotConverge, IndexCapExceeded, PoleProximity,
+                     require_int)
 from .geometry import Rect
-from .sequence import (POLE_GUARD, SILVER_CONJUGATE, SILVER_RATIO, float_pole,
-                       float_row, float_window)
+from .sequence import (INDEX_CAP, POLE_GUARD, SILVER_CONJUGATE, SILVER_RATIO,
+                       float_pole, float_row, float_window)
 from .sequence import pell_lucas, pole_ratio  # unused; perfbench wraps them
 
 DEFAULT_TARGET_TOL = 1e-12
 DEFAULT_MAX_HALF_WIDTH = 200
 
 MIN_TAIL_HALF_WIDTH = 2   # containment interval needs poles J+1, J+2
+_MAX_TAIL_HALF_WIDTH = INDEX_CAP - 3  # pole -J-2 reads Q_{-J-3}
 _DIST_SHAVE = 1.0 - 1e-12      # deflate distances against rounding
 _BOUND_SLACK = 1.0 + 1e-9      # inflate the bound against rounding
 _BOUND_FLOOR = 2e-300          # stay clear of subnormal arithmetic
@@ -149,6 +151,15 @@ def _require_point(z) -> complex:
     return z
 
 
+def _require_half_width(half_width) -> None:
+    require_int("half_width", half_width)
+    if half_width < MIN_TAIL_HALF_WIDTH:
+        raise ValueError(
+            f"tail bound needs half_width >= {MIN_TAIL_HALF_WIDTH}")
+    if half_width > _MAX_TAIL_HALF_WIDTH:
+        raise IndexCapExceeded(half_width, _MAX_TAIL_HALF_WIDTH, "half_width")
+
+
 def term_value(j: int, z: complex, m: int) -> complex:
     """One term (Q_j z + Q_{j-1})^(-m) in double precision.
 
@@ -190,15 +201,17 @@ def tail_bound(half_width: int, z: complex, m: int) -> float:
 
     Returns math.inf (the MaxReal sentinel) when z touches one of the
     pole containment intervals, i.e. when no finite bound is available.
+    The hulls read Q_n for |n| <= half_width + 3, so a half_width above
+    INDEX_CAP - 3 raises IndexCapExceeded before the table grows.
     """
     # A type test passes the common arguments; the rest get the full checks.
     if not (m.__class__ is int and m >= 2):
         _require_weight(m)
     if not (z.__class__ is complex and isfinite(z)):
         z = _require_point(z)
-    if half_width < MIN_TAIL_HALF_WIDTH:
-        raise ValueError(
-            f"tail bound needs half_width >= {MIN_TAIL_HALF_WIDTH}")
+    if not (half_width.__class__ is int
+            and MIN_TAIL_HALF_WIDTH <= half_width <= _MAX_TAIL_HALF_WIDTH):
+        _require_half_width(half_width)
     lo_p, hi_p, lo_n, hi_n, q_inv = float_window(half_width)
     # Distances from z to the two hulls.
     x, y = z.real, z.imag

@@ -32,15 +32,32 @@ class ResidualReport:
 
 @dataclass
 class GridSummary:
+    """A report per tested point, a (point, error) per failed point and the
+    skipped count; the other counts and the worst point derive from them."""
+
     equation: EquationId
     k: int
-    points_tested: int
-    points_skipped: int
-    points_failed: int
-    max_rel_residual: float
-    worst_point: complex | None
+    points_skipped: int = 0
     reports: list[ResidualReport] = field(default_factory=list)
     failures: list[tuple[complex, PelleisError]] = field(default_factory=list)
+
+    @property
+    def points_tested(self) -> int:
+        return len(self.reports)
+
+    @property
+    def points_failed(self) -> int:
+        return len(self.failures)
+
+    @property
+    def max_rel_residual(self) -> float:
+        return max((r.rel_residual for r in self.reports), default=0.0)
+
+    @property
+    def worst_point(self) -> complex | None:
+        """The first point with the largest relative residual above 0."""
+        worst = max(self.reports, key=lambda r: r.rel_residual, default=None)
+        return worst.point if worst and worst.rel_residual > 0 else None
 
 
 def _require_k(k) -> None:
@@ -58,12 +75,12 @@ def _pow_int(base: complex, n: int) -> complex:
 
 
 def _arguments(equation: EquationId, z: complex) -> tuple[complex, complex]:
-    """(left-side argument, right-side argument) of the equation at z."""
-    if equation.needs_nonzero_argument and z == 0:
+    """(left-side argument, right-side argument) of the equation at z: the
+    maps (a z + b)/(c z + d) of its row; one with d = 0 needs z != 0."""
+    left, right, _, _ = equation.row
+    if z == 0 and (left[3] == 0 or right[3] == 0):
         raise ZeroArgument(f"{equation.value} undefined at z = 0")
-    a, b, c, d = equation.lhs_coeffs
-    lhs_z = (a * z + b) / (c * z + d)
-    rhs_z = 1 / z if equation.rhs_reciprocal else z
+    lhs_z, rhs_z = ((a * z + b) / (c * z + d) for a, b, c, d in (left, right))
     if not (cmath.isfinite(lhs_z) and cmath.isfinite(rhs_z)):
         raise ZeroArgument(
             f"{equation.value} argument overflows at z = {z!r}")
@@ -98,7 +115,7 @@ def residual(equation: EquationId, z: complex, k: int,
     lhs_z, rhs_z = _arguments(equation, z)
     base = settings or _DEFAULT_SETTINGS
 
-    sign = equation.prefactor_sign
+    sign = equation.row[2]
     if sign == 0:
         prefactor = 1.0 + 0.0j
     else:
@@ -156,7 +173,7 @@ def verify_grid(equation: EquationId, region: Rect, nx: int, ny: int, k: int,
     skipped, i.e. when no point was either tested or failed.
     """
     _require_k(k)
-    summary = GridSummary(equation, k, 0, 0, 0, 0.0, None)
+    summary = GridSummary(equation, k)
     for z in region.cell_centers(nx, ny):
         try:
             lhs_z, rhs_z = _arguments(equation, z)
@@ -167,17 +184,10 @@ def verify_grid(equation: EquationId, region: Rect, nx: int, ny: int, k: int,
             summary.points_skipped += 1
             continue
         try:
-            report = residual(equation, z, k, settings)
+            summary.reports.append(residual(equation, z, k, settings))
         except PelleisError as exc:
-            summary.points_failed += 1
             summary.failures.append((z, exc))
-            continue
-        summary.points_tested += 1
-        summary.reports.append(report)
-        if report.rel_residual > summary.max_rel_residual:
-            summary.max_rel_residual = report.rel_residual
-            summary.worst_point = z
-    if summary.points_tested + summary.points_failed == 0:
+    if not (summary.reports or summary.failures):
         raise EmptyGrid(
             f"no testable points for {equation.value} on the given grid")
     return summary

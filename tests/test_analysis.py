@@ -254,7 +254,7 @@ def _offset(rng, tol):
 
 def _classify_case(rng):
     tol = rng.choice((POLE_TOL, ACCUM_TOL))
-    kind = rng.randrange(4)
+    kind = rng.randrange(5)
     if kind == 0:      # about a pole, inside and beyond |j| <= 60
         x = float_pole(rng.randint(-95, 95)) + _offset(rng, tol)
         y = _offset(rng, POLE_TOL)
@@ -265,9 +265,14 @@ def _classify_case(rng):
         x = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(5, 307)
         y = rng.choice((0.0, _offset(rng, POLE_TOL),
                         10.0 ** rng.uniform(5, 307)))
-    else:              # anywhere near the pole set
+    elif kind == 3:    # anywhere near the pole set
         x = rng.uniform(-4.0, 5.0)
         y = _offset(rng, tol)
+    else:              # in the cluster at a limit, where float poles crowd
+        x = (rng.choice((SILVER_CONJUGATE, SILVER_RATIO))
+             + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-17, -12))
+        y = rng.choice((0.0, -0.0, rng.choice((-1.0, 1.0))
+                        * 10.0 ** rng.uniform(-24, -6.01)))
     return complex(x, y)
 
 

@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 
 import oracle
 from pelleis import evaluator
-from pelleis import (DidNotConverge, EvalSettings, PoleProximity, Rect,
-                     eval_grid, eval_series, pell_lucas, pole_ratio,
-                     tail_bound, term_value)
+from pelleis import (DidNotConverge, EvalSettings, IndexCapExceeded,
+                     PoleProximity, Rect, eval_grid, eval_series, pell_lucas,
+                     pole_ratio, tail_bound, term_value)
 from pelleis.evaluator import MIN_TAIL_HALF_WIDTH
-from pelleis.sequence import (SILVER_CONJUGATE, SILVER_RATIO, float_pole,
-                              float_q)
+from pelleis.sequence import (_DEFAULT_TABLE, INDEX_CAP, SILVER_CONJUGATE,
+                              SILVER_RATIO, float_pole, float_q)
 
 # Reference values from the 40-digit depth-200 oracle (tests/oracle.py),
 # frozen as shortest strings that round to the same doubles.
@@ -171,6 +171,27 @@ def test_tail_bound_validation():
         tail_bound(1, 3j, 2)
     with pytest.raises(ValueError):
         tail_bound(5, 3j, 1)
+
+
+def test_tail_bound_half_width_validation():
+    # A non-integer half_width is named, not an untyped TypeError or the
+    # sequence's "index" rule; one above INDEX_CAP - 3 is refused by name
+    # before the table grows, not as an index the caller never passed.
+    for half_width in (None, "3", 2.0, True, 3.5):
+        with pytest.raises(ValueError,
+                           match="^half_width must be an integer"):
+            tail_bound(half_width, 1j, 2)
+    before = _DEFAULT_TABLE.computed_range
+    limit = INDEX_CAP - 3
+    for half_width in (limit + 1, limit + 2, INDEX_CAP, 10 ** 9):
+        with pytest.raises(
+                IndexCapExceeded,
+                match=f"^half_width {half_width} exceeds cap {limit}$"):
+            tail_bound(half_width, 1j, 2)
+    assert _DEFAULT_TABLE.computed_range == before
+    # The weight and the point are still checked first.
+    with pytest.raises(ValueError, match="weight"):
+        tail_bound(None, 1j, 1)
 
 
 def test_tail_bound_sentinel_inside_hull():

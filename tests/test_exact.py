@@ -359,13 +359,21 @@ def test_inversion_window_identity_against_sympy():
 
 # ------------------------------------------- termwise prover vs window sums
 
-# The referee's own statement of the left maps, written apart from the
-# equations table that the prover reads.
+# The referee's own statement of each equation S(L(z)) = z^(s*m) S(R(z)),
+# written apart from the equations table that the prover and verify read:
+# the left map L, and the right map R with the prefactor sign s.  Each map
+# is the (a, b, c, d) of (a z + b)/(c z + d).
 _LEFT_MAPS = {
     EquationId.INVERSION: (0, -1, 1, 0),   # -1/z
     EquationId.REFLECTION: (-1, 2, 0, 1),  # 2 - z
     EquationId.SHIFT: (1, 2, 0, 1),        # z + 2
     EquationId.NEGATION: (-1, 0, 0, 1),    # -z
+}
+_RIGHT_SIDES = {
+    EquationId.INVERSION: ((1, 0, 0, 1), 1),    # z^(2k) S(z)
+    EquationId.REFLECTION: ((1, 0, 0, 1), 0),   # S(z)
+    EquationId.SHIFT: ((0, 1, 1, 0), -1),       # z^(-2k) S(1/z)
+    EquationId.NEGATION: ((0, 1, 1, 0), -1),    # z^(-2k) S(1/z)
 }
 
 
@@ -415,8 +423,9 @@ def test_termwise_report_equals_window_sum_report(equation, half_width, k):
 
 def _direct_sides(equation, x, J, m):
     """lhs and rhs of the windowed equation at a rational x, term by term."""
-    a, b, c, d = equation.lhs_coeffs
-    tx = (a * x + b) / (c * x + d)
+    def mobius(coeffs):
+        a, b, c, d = coeffs
+        return (a * x + b) / (c * x + d)
 
     def window(arg):
         dens = [pell_lucas(j) * arg + pell_lucas(j - 1)
@@ -424,10 +433,9 @@ def _direct_sides(equation, x, J, m):
         assert all(dens), "sample point sits on a pole"
         return sum(F(1) / den ** m for den in dens)
 
-    lhs = window(tx)
-    sign = equation.prefactor_sign
-    arg = 1 / x if equation.rhs_reciprocal else x
-    return lhs, x ** (sign * m) * window(arg)
+    right, sign = _RIGHT_SIDES[equation]
+    lhs = window(mobius(_LEFT_MAPS[equation]))
+    return lhs, x ** (sign * m) * window(mobius(right))
 
 
 @pytest.mark.parametrize("equation", list(EquationId))
@@ -481,18 +489,12 @@ def test_wrong_row_is_nonzero(monkeypatch, equation, field, wrong,
 
 
 def test_rows_give_the_statements():
-    # The properties the numeric side reads, derived from the one table:
-    # rhs_reciprocal, prefactor_sign, needs_nonzero_argument, window offset.
-    want = {
-        EquationId.INVERSION: (False, 1, True, 1),
-        EquationId.REFLECTION: (False, 0, False, 0),
-        EquationId.SHIFT: (True, -1, True, 1),
-        EquationId.NEGATION: (True, -1, True, 1),
-    }
-    for equation, props in want.items():
-        assert (equation.lhs_coeffs, equation.rhs_reciprocal,
-                equation.prefactor_sign, equation.needs_nonzero_argument,
-                equation.row[3]) == (_LEFT_MAPS[equation], *props)
+    # The one table against the referee's statements; the window offset is
+    # 0 for the reflection (term j meets term -j) and 1 for the rest.
+    for equation in EquationId:
+        right, sign = _RIGHT_SIDES[equation]
+        offset = 0 if equation is EquationId.REFLECTION else 1
+        assert equation.row == (_LEFT_MAPS[equation], right, sign, offset)
 
 
 # ------------------------------------------- closed-form boundary terms

@@ -6,8 +6,9 @@ import random
 import pytest
 
 from pelleis import (DidNotConverge, EmptyGrid, EquationId, EvalSettings,
-                     PelleisError, PoleProximity, Rect, ZeroArgument,
-                     classify, eval_series, residual, verify_grid)
+                     GridSummary, PelleisError, PoleProximity, Rect,
+                     ZeroArgument, classify, eval_series, residual,
+                     verify_grid)
 from pelleis.sequence import SILVER_CONJUGATE, SILVER_RATIO, float_pole
 from pelleis.verify import ResidualReport, _arguments, _pow_int
 
@@ -140,7 +141,7 @@ def restart_residual(equation, z, k, settings=None):
     m = 2 * k
     lhs_z, rhs_z = _arguments(equation, z)
     base = settings or EvalSettings()
-    sign = equation.prefactor_sign
+    sign = equation.row[2]
     prefactor = (1.0 + 0.0j if sign == 0
                  else _pow_int(z if sign > 0 else 1 / z, m))
     pref_mag = abs(prefactor)
@@ -247,6 +248,26 @@ def test_verify_grid_standard_patch():
     assert len(summary.reports) == 16
     worst = max(r.rel_residual for r in summary.reports)
     assert summary.max_rel_residual == worst
+
+
+def test_grid_summary_derives_counts_and_worst_point():
+    def report(z, rel):
+        return ResidualReport(z, 1, 0j, 0j, 0.0, rel, 0.0, 0.0)
+
+    summary = GridSummary(EquationId.SHIFT, 1, points_skipped=3)
+    assert (summary.points_tested, summary.points_failed,
+            summary.max_rel_residual, summary.worst_point) == (0, 0, 0.0, None)
+    summary.reports.append(report(1j, 0.0))
+    assert summary.worst_point is None  # no residual above 0
+    summary.reports += [report(2j, 1e-16), report(3j, 2e-16),
+                        report(4j, 2e-16), report(5j, 0.0)]
+    summary.failures.append((6j, DidNotConverge(4, 1.0)))
+    # The first of two equal worst points wins.
+    assert (summary.points_tested, summary.points_skipped,
+            summary.points_failed, summary.max_rel_residual,
+            summary.worst_point) == (5, 3, 1, 2e-16, 3j)
+    with pytest.raises(AttributeError):
+        summary.points_tested = 0
 
 
 def test_verify_grid_skips_preconditions():
