@@ -17,8 +17,7 @@ from .exact import (ExactIdentityReport, MobiusMap, Polynomial,
                     RationalFunction, substitute, term_rf,
                     verify_identity_exact, window_sum)
 from .geometry import Rect
-from .sequence import (SequenceTable, pell_lucas, pell_lucas_range,
-                       pole_ratio)
+from .sequence import pell_lucas, pell_lucas_range, pole_ratio
 from .verify import GridSummary, ResidualReport, residual, verify_grid
 
 __version__ = "0.1.0"
@@ -29,9 +28,8 @@ __all__ = [
     "ExactIdentityReport", "GridSummary", "IndexCapExceeded", "InvalidRange",
     "InvalidRegion", "MobiusMap", "PelleisError", "Pole", "PoleProximity",
     "Polynomial", "RationalFunction", "Rect", "ResidualReport",
-    "SequenceTable", "ZeroArgument", "accumulation_points", "classify",
-    "eval_grid", "eval_series", "pell_lucas", "pell_lucas_range",
-    "pole_ratio", "poles_in_rect", "residual", "substitute", "tail_bound",
-    "term_rf", "term_value", "verify_grid", "verify_identity_exact",
-    "window_sum",
+    "ZeroArgument", "accumulation_points", "classify", "eval_grid",
+    "eval_series", "pell_lucas", "pell_lucas_range", "pole_ratio",
+    "poles_in_rect", "residual", "substitute", "tail_bound", "term_rf",
+    "term_value", "verify_grid", "verify_identity_exact", "window_sum",
 ]

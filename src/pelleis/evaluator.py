@@ -123,6 +123,17 @@ class EvalSettings:
 _DEFAULT_SETTINGS = EvalSettings()
 
 
+def _require_settings(settings) -> EvalSettings:
+    """settings itself, or the defaults for None; anything else raises
+    ValueError."""
+    if settings is None:
+        return _DEFAULT_SETTINGS
+    if not isinstance(settings, EvalSettings):
+        raise ValueError(
+            f"settings must be an EvalSettings or None, got {settings!r}")
+    return settings
+
+
 @dataclass(frozen=True)
 class EvalResult:
     """value = minus_part + plus_part exactly (one IEEE addition)."""
@@ -143,6 +154,8 @@ def _require_point(z) -> complex:
     """z as a complex number; a non-number or a non-finite point raises
     ValueError."""
     try:
+        if isinstance(z, str):  # complex() would parse it
+            raise TypeError
         z = complex(z)
     except TypeError:
         raise ValueError(f"point must be a number, got {z!r}") from None
@@ -395,7 +408,7 @@ def eval_series(z: complex, m: int,
     forever) or when finite terms sum past double range (half_width is then
     the window reached, tail_bound inf).
     """
-    s = settings or _DEFAULT_SETTINGS
+    s = _require_settings(settings)
     return _Series(z, m).extend(s.target_tol, s.max_half_width)
 
 
@@ -406,6 +419,7 @@ def eval_grid(region: Rect, nx: int, ny: int, m: int,
     Returns a row-major list of (point, EvalResult-or-error); per-point
     PoleProximity/DidNotConverge are recorded, not raised.
     """
+    settings = _require_settings(settings)
     out = []
     for z in region.cell_centers(nx, ny):
         try:

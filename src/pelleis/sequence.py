@@ -1,8 +1,9 @@
 """Pell-Lucas numbers over signed indices, memoized in exact integer arithmetic.
 
-The sequence satisfies Q_n = 2 Q_{n-1} + Q_{n-2} with Q_0 = Q_1 = 2 and is
-extended backward through Q_{n-2} = Q_n - 2 Q_{n-1}, giving
-... 34, -14, 6, -2, 2, 2, 6, 14, 34, ...  and Q_{-n} = (-1)^n Q_n.
+The sequence satisfies Q_n = 2 Q_{n-1} + Q_{n-2} with Q_0 = Q_1 = 2.  Run
+backward, Q_{n-2} = Q_n - 2 Q_{n-1} gives
+... 34, -14, 6, -2, 2, 2, 6, 14, 34, ...  that is Q_{-n} = (-1)^n Q_n, so
+one table of Q_n for n >= 0 serves every signed index.
 """
 
 from __future__ import annotations
@@ -26,54 +27,18 @@ SILVER_CONJUGATE = -0.41421356237309503  # 1 - sqrt(2)
 SILVER_RATIO = 2.414213562373095         # 1 + sqrt(2)
 
 
-class SequenceTable:
-    """Append-only table of Q_n over a contiguous signed index range.
-
-    Entries are immutable once computed.  Growth happens under a lock and
-    publishes values before widening the advertised range, so concurrent
-    readers always see a consistent table.
-    """
-
-    def __init__(self):
-        self._values: dict[int, int] = {0: 2, 1: 2}
-        self._lo = 0
-        self._hi = 1
-        self._lock = threading.Lock()
-
-    @property
-    def computed_range(self) -> tuple[int, int]:
-        return (self._lo, self._hi)
-
-    def value(self, n: int) -> int:
-        require_int("index", n)
-        if abs(n) > INDEX_CAP:
-            raise IndexCapExceeded(n, INDEX_CAP)
-        if not self._lo <= n <= self._hi:  # else lock-free: entries never change
-            with self._lock:
-                self._grow_to(n)
-        return self._values[n]
-
-    def _grow_to(self, n: int) -> None:
-        vals = self._values
-        while self._hi < n:
-            k = self._hi + 1
-            vals[k] = 2 * vals[k - 1] + vals[k - 2]
-            self._hi = k
-        while self._lo > n:
-            k = self._lo - 1
-            vals[k] = vals[k + 2] - 2 * vals[k + 1]
-            self._lo = k
+# Q_0, Q_1, ...: grown forward only, under _LOCK; Q_{-n} = (-1)^n Q_n is
+# read from Q_n.  Entries never change once appended, so reads need no lock.
+_Q: list[int] = [2, 2]
+_LOCK = threading.Lock()
 
 
-_DEFAULT_TABLE = SequenceTable()
-
-
-# One lazily filled float table over _DEFAULT_TABLE for the numeric layers.
+# One lazily filled float table over pell_lucas for the numeric layers.
 @cache
 def float_q(n: int) -> float | None:
     """float(Q_n), or None where it leaves double range."""
     try:
-        return float(_DEFAULT_TABLE.value(n))
+        return float(pell_lucas(n))
     except OverflowError:
         return None
 
@@ -92,7 +57,7 @@ def float_row(n: int) -> tuple[float, float, float] | None:
 def float_pole(n: int) -> float:
     """-Q_{n-1}/Q_n by int true division, correctly rounded as is
     float(pole_ratio(n))."""
-    return -_DEFAULT_TABLE.value(n - 1) / _DEFAULT_TABLE.value(n)
+    return -pell_lucas(n - 1) / pell_lucas(n)
 
 
 @cache
@@ -109,8 +74,18 @@ def float_window(n: int) -> tuple[float, float, float, float, float]:
 
 
 def pell_lucas(n: int) -> int:
-    """Q_n for any signed index within the cap."""
-    return _DEFAULT_TABLE.value(n)
+    """Q_n for any signed index within the cap: Q_{|n|}, negated for odd
+    negative n."""
+    require_int("index", n)
+    size = abs(n)
+    if size > INDEX_CAP:
+        raise IndexCapExceeded(n, INDEX_CAP)
+    if size >= len(_Q):
+        with _LOCK:
+            while len(_Q) <= size:
+                _Q.append(2 * _Q[-1] + _Q[-2])
+    q = _Q[size]
+    return -q if n < 0 and n & 1 else q
 
 
 def pell_lucas_range(lo: int, hi: int) -> list[int]:
@@ -124,13 +99,10 @@ def pell_lucas_range(lo: int, hi: int) -> list[int]:
     for n in (lo, hi):
         if abs(n) > INDEX_CAP:
             raise IndexCapExceeded(n, INDEX_CAP)
-    _DEFAULT_TABLE.value(lo)
-    _DEFAULT_TABLE.value(hi)
-    values = _DEFAULT_TABLE._values
-    return [values[n] for n in range(lo, hi + 1)]
+    return [pell_lucas(n) for n in range(lo, hi + 1)]
 
 
 def pole_ratio(j: int) -> Fraction:
     """-Q_{j-1}/Q_j, the location of the real pole of term j, in lowest
     terms (Fraction normalizes automatically)."""
-    return Fraction(-_DEFAULT_TABLE.value(j - 1), _DEFAULT_TABLE.value(j))
+    return Fraction(-pell_lucas(j - 1), pell_lucas(j))

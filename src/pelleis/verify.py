@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from .analysis import classify
 from .equations import EquationId
 from .errors import DidNotConverge, EmptyGrid, PelleisError, ZeroArgument
-from .evaluator import (_DEFAULT_SETTINGS, EvalSettings, _require_point,
+from .evaluator import (EvalSettings, _require_point, _require_settings,
                         _Series)
 from .evaluator import eval_series  # unused; perfbench wraps it
 from .geometry import Rect
@@ -111,9 +111,9 @@ def residual(equation: EquationId, z: complex, k: int,
     """
     _require_k(k)
     z = _require_point(z)
+    base = _require_settings(settings)
     m = 2 * k
     lhs_z, rhs_z = _arguments(equation, z)
-    base = settings or _DEFAULT_SETTINGS
 
     sign = equation.row[2]
     if sign == 0:
@@ -173,6 +173,7 @@ def verify_grid(equation: EquationId, region: Rect, nx: int, ny: int, k: int,
     skipped, i.e. when no point was either tested or failed.
     """
     _require_k(k)
+    settings = _require_settings(settings)
     summary = GridSummary(equation, k)
     for z in region.cell_centers(nx, ny):
         try:

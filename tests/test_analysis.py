@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from oracle import closer_to_sqrt2, dist_offset
 from pelleis import (DomainClass, DomainTag, EvalSettings, IndexCapExceeded,
                      Rect, accumulation_points, classify, eval_series,
-                     pell_lucas, pole_ratio, poles_in_rect)
-from pelleis.sequence import (_DEFAULT_TABLE, INDEX_CAP, SILVER_CONJUGATE,
-                              SILVER_RATIO, float_pole)
+                     pell_lucas, pole_ratio, poles_in_rect, sequence)
+from pelleis.sequence import (INDEX_CAP, SILVER_CONJUGATE, SILVER_RATIO,
+                              float_pole)
 
 F = Fraction
 
@@ -81,13 +81,13 @@ def test_poles_j_cap_validation():
 def test_poles_j_cap_limit_is_named_before_the_table_grows():
     # Pole -j_cap reads Q_{-j_cap-1}, so the limit is INDEX_CAP - 1; above
     # it the error names j_cap, not an index the caller never passed.
-    before = _DEFAULT_TABLE.computed_range
+    before = len(sequence._Q)
     limit = INDEX_CAP - 1
     for j_cap in (INDEX_CAP, INDEX_CAP + 5):
         with pytest.raises(IndexCapExceeded,
                            match=f"^j_cap {j_cap} exceeds cap {limit}$"):
             poles_in_rect(Rect(-1, -1, 1, 1), j_cap)
-    assert _DEFAULT_TABLE.computed_range == before
+    assert len(sequence._Q) == before
 
 
 def _scan_all_poles(region, j_cap):

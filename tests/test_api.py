@@ -3,10 +3,10 @@
 import dataclasses
 import inspect
 
-from pelleis import (EvalSettings, SequenceTable, classify, eval_grid,
-                     eval_series, evaluator, pell_lucas, pell_lucas_range,
-                     pole_ratio, residual, term_value, verify_grid,
-                     verify_identity_exact, window_sum)
+from pelleis import (EvalSettings, classify, eval_grid, eval_series,
+                     evaluator, pell_lucas, pell_lucas_range, pole_ratio,
+                     residual, term_value, verify_grid, verify_identity_exact,
+                     window_sum)
 
 FIXED = {"pole_guard", "k_cap", "pole_tol", "accum_tol", "j_cap",
          "degree_cap", "table", "trace", "index_cap"}
@@ -24,4 +24,3 @@ def test_no_fixed_knob_in_signatures():
                evaluator._Series.extend):
         params = set(inspect.signature(fn).parameters)
         assert not params & FIXED, (fn.__name__, params & FIXED)
-    assert not inspect.signature(SequenceTable).parameters

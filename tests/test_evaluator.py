@@ -12,13 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from pelleis import evaluator
-from pelleis import (DidNotConverge, EvalSettings, IndexCapExceeded,
-                     PoleProximity, Rect, eval_grid, eval_series, pell_lucas,
-                     pole_ratio, tail_bound, term_value)
+from pelleis import evaluator, sequence
+from pelleis import (DidNotConverge, EquationId, EvalSettings,
+                     IndexCapExceeded, PoleProximity, Rect, eval_grid,
+                     eval_series, pell_lucas, pole_ratio, residual,
+                     tail_bound, term_value, verify_grid)
 from pelleis.evaluator import MIN_TAIL_HALF_WIDTH
-from pelleis.sequence import (_DEFAULT_TABLE, INDEX_CAP, SILVER_CONJUGATE,
-                              SILVER_RATIO, float_pole, float_q)
+from pelleis.sequence import (INDEX_CAP, SILVER_CONJUGATE, SILVER_RATIO,
+                              float_pole, float_q)
 
 # Reference values from the 40-digit depth-200 oracle (tests/oracle.py),
 # frozen as shortest strings that round to the same doubles.
@@ -181,14 +182,14 @@ def test_tail_bound_half_width_validation():
         with pytest.raises(ValueError,
                            match="^half_width must be an integer"):
             tail_bound(half_width, 1j, 2)
-    before = _DEFAULT_TABLE.computed_range
+    before = len(sequence._Q)
     limit = INDEX_CAP - 3
     for half_width in (limit + 1, limit + 2, INDEX_CAP, 10 ** 9):
         with pytest.raises(
                 IndexCapExceeded,
                 match=f"^half_width {half_width} exceeds cap {limit}$"):
             tail_bound(half_width, 1j, 2)
-    assert _DEFAULT_TABLE.computed_range == before
+    assert len(sequence._Q) == before
     # The weight and the point are still checked first.
     with pytest.raises(ValueError, match="weight"):
         tail_bound(None, 1j, 1)
@@ -319,6 +320,18 @@ def test_eval_settings_validation():
     with pytest.raises(ValueError, match="at least 2e-300"):
         EvalSettings(target_tol=1e-300)
     assert EvalSettings(target_tol=2e-300).target_tol == 2e-300
+    # settings is an EvalSettings or None: a bare tolerance is refused by
+    # name, not by an AttributeError, and 0 does not stand for the defaults.
+    region = Rect(0.5, 0.5, 1, 1)
+    calls = (lambda s: eval_series(1j, 2, s),
+             lambda s: eval_grid(region, 1, 1, 2, s),
+             lambda s: residual(EquationId.SHIFT, 1 + 1j, 1, s),
+             lambda s: verify_grid(EquationId.SHIFT, region, 2, 2, 1, s))
+    for bad in (1e-12, 1e-10, 0, "", {}):
+        for call in calls:
+            with pytest.raises(ValueError, match="^settings must be"):
+                call(bad)
+    assert eval_series(1j, 2, None) == eval_series(1j, 2, EvalSettings())
 
 
 def test_eval_matches_frozen_oracle():
@@ -732,7 +745,8 @@ class _Weight(enum.IntEnum):
 def test_cheap_argument_checks_match_full_checks():
     # term_value and tail_bound test the common case (an int weight, a
     # finite complex point) by type; everything else goes through the
-    # full checks, which accept and refuse what they always did.
+    # full checks, which accept any finite number and refuse the rest,
+    # text included.
     for fn in (lambda z, m: term_value(3, z, m),
                lambda z, m: tail_bound(3, z, m)):
         for m in (True, False, 2.0, "2", 1, 0, -4, None):
@@ -741,7 +755,8 @@ def test_cheap_argument_checks_match_full_checks():
         assert fn(0.5j, _Weight.FOUR) == fn(0.5j, 4)
         assert fn(3, 2) == fn(3 + 0j, 2)
         assert fn(2.5, 2) == fn(2.5 + 0j, 2)
-        assert fn("2", 2) == fn(2 + 0j, 2)
+        with pytest.raises(ValueError, match="^point must be a number"):
+            fn("2", 2)
         for z in (math.nan, math.inf, -math.inf, complex(0, math.nan),
                   complex(1, math.inf), complex(math.inf, 0)):
             with pytest.raises(ValueError, match="finite"):

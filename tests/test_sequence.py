@@ -9,11 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracle import q_int
-from pelleis import (IndexCapExceeded, InvalidRange, SequenceTable,
-                     pell_lucas, pell_lucas_range, pole_ratio, tail_bound,
+from pelleis import (IndexCapExceeded, InvalidRange, pell_lucas,
+                     pell_lucas_range, pole_ratio, sequence, tail_bound,
                      term_value)
-from pelleis.sequence import (_DEFAULT_TABLE, SILVER_CONJUGATE, SILVER_RATIO,
-                              float_pole, float_q, float_window)
+from pelleis.sequence import (SILVER_CONJUGATE, SILVER_RATIO, float_pole,
+                              float_q, float_window)
 
 KNOWN_FORWARD = [2, 2, 6, 14, 34, 82, 198, 478, 1154, 2786]
 
@@ -86,28 +86,29 @@ def test_default_cap_raises_immediately():
         assert info.value.cap == 100_000
     # A range checks both ends before the table grows to either.  The last
     # lower end lies past the table, so growing to it first would show.
-    before = _DEFAULT_TABLE.computed_range
-    for lo, hi in ((0, 100_001), (-100_001, 0), (before[0] - 5, 100_001)):
+    before = len(sequence._Q)
+    for lo, hi in ((0, 100_001), (-100_001, 0), (-before - 5, 100_001)):
         with pytest.raises(IndexCapExceeded):
             pell_lucas_range(lo, hi)
-        assert _DEFAULT_TABLE.computed_range == before
+        assert len(sequence._Q) == before
 
 
-def test_non_integer_index_rejected():
+def test_non_integer_index_rejected(monkeypatch):
     # A fractional index is refused by a ValueError naming it, not by a
-    # bare KeyError: inside the computed range, and past it on a fresh
+    # bare TypeError: inside the computed range, and past it on a fresh
     # table, and through the float layers of the evaluator.
-    calls = {1.5: lambda: pell_lucas(1.5),
-             7.5: lambda: SequenceTable().value(7.5)}
-    for index, call in calls.items():
-        with pytest.raises(ValueError, match=f"integer, got {index}"):
-            call()
+    with pytest.raises(ValueError, match="integer, got 1.5"):
+        pell_lucas(1.5)
+    monkeypatch.setattr(sequence, "_Q", [2, 2])
+    with pytest.raises(ValueError, match="integer, got 7.5"):
+        pell_lucas(7.5)
+    assert sequence._Q == [2, 2]
     with pytest.raises(ValueError, match="integer, got 1.5"):
         term_value(1.5, 1j, 2)
     with pytest.raises(ValueError, match="integer, got 2.5"):
         tail_bound(2.5, 1j, 2)
-    # One rule for value and range: an int, not a bool and not an integral
-    # float, which would otherwise hit the dict key it equals.
+    # One rule for value and range: an int, not an integral float and not a
+    # bool, which would otherwise read the table entry it equals.
     refused = [("2.0", lambda: pell_lucas_range(0, 2.0)),
                ("0.0", lambda: pell_lucas_range(0.0, 2)),
                ("2.0", lambda: pell_lucas(2.0)),
@@ -120,22 +121,25 @@ def test_non_integer_index_rejected():
             call()
 
 
-def test_computed_range_tracks_growth():
-    table = SequenceTable()
-    assert table.computed_range == (0, 1)
-    table.value(5)
-    table.value(-3)
-    assert table.computed_range == (-3, 5)
+def test_negative_index_reads_the_nonnegative_table(monkeypatch):
+    # Q_{-n} = (-1)^n Q_n is read from Q_n: a negative index grows the one
+    # table of Q_0 .. Q_n, and Q_n is then already there.
+    for n in (7, 8):
+        monkeypatch.setattr(sequence, "_Q", [2, 2])
+        assert pell_lucas(-n) == (-1) ** n * q_int(n)
+        assert len(sequence._Q) == n + 1
+        assert pell_lucas(n) == q_int(n)
+        assert len(sequence._Q) == n + 1
 
 
-def test_concurrent_reads_consistent():
-    table = SequenceTable()
+def test_concurrent_reads_consistent(monkeypatch):
     expected = {n: pell_lucas(n) for n in range(-700, 701)}
+    monkeypatch.setattr(sequence, "_Q", [2, 2])
     mismatches = []
 
     def worker(step, hi):
         for n in range(-hi, hi, step):
-            if table.value(n) != expected[n]:
+            if pell_lucas(n) != expected[n]:
                 mismatches.append(n)
 
     threads = [threading.Thread(target=worker, args=(3 + i, 400 + 37 * i))
@@ -145,8 +149,8 @@ def test_concurrent_reads_consistent():
     for t in threads:
         t.join()
     assert mismatches == []
-    lo, hi = table.computed_range
-    assert lo <= -659 and hi >= 600
+    # The deepest read is Q_{-659}; the fresh table grew to it exactly.
+    assert sequence._Q == [expected[n] for n in range(660)]
 
 
 @given(st.integers(min_value=-400, max_value=400))

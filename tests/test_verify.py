@@ -8,7 +8,7 @@ import pytest
 from pelleis import (DidNotConverge, EmptyGrid, EquationId, EvalSettings,
                      GridSummary, PelleisError, PoleProximity, Rect,
                      ZeroArgument, classify, eval_series, residual,
-                     verify_grid)
+                     term_value, verify_grid)
 from pelleis.sequence import SILVER_CONJUGATE, SILVER_RATIO, float_pole
 from pelleis.verify import ResidualReport, _arguments, _pow_int
 
@@ -312,18 +312,21 @@ def test_verify_grid_all_failed_is_not_empty():
 
 
 def test_one_point_check_for_eval_classify_and_residual():
-    # A non-finite point or a non-number raises the same ValueError in all
-    # three, not ZeroArgument from the equation's argument map or a
-    # TypeError from complex().
+    # A non-finite point or a non-number raises the same ValueError in
+    # each, not ZeroArgument from the equation's argument map or a
+    # TypeError from complex().  Text is no number, though complex()
+    # parses it.
     calls = (lambda z: eval_series(z, 2), classify,
+             lambda z: term_value(0, z, 2),
              lambda z: residual(EquationId.REFLECTION, z, 1),
-             lambda z: residual(EquationId.INVERSION, z, 1))
+             lambda z: residual(EquationId.INVERSION, z, 1),
+             lambda z: residual(EquationId.SHIFT, z, 1))
     for z in (math.nan, math.inf, -math.inf, complex(1, math.nan),
               complex(0, math.inf)):
         for call in calls:
             with pytest.raises(ValueError, match="^point must be finite"):
                 call(z)
-    for z in (None, object(), [1]):
+    for z in (None, object(), [1], "1+1j", "0.5"):
         for call in calls:
             with pytest.raises(ValueError, match="^point must be a number"):
                 call(z)
