@@ -13,9 +13,8 @@ from .errors import (DidNotConverge, EmptyGrid, IndexCapExceeded,
                      ZeroArgument)
 from .evaluator import (EvalResult, EvalSettings, eval_grid, eval_series,
                         tail_bound, term_value)
-from .exact import (ExactIdentityReport, MobiusMap, Polynomial,
-                    RationalFunction, substitute, term_rf,
-                    verify_identity_exact, window_sum)
+from .exact import (ExactIdentityReport, Polynomial, RationalFunction,
+                    substitute, term_rf, verify_identity_exact, window_sum)
 from .geometry import Rect
 from .sequence import pell_lucas, pell_lucas_range, pole_ratio
 from .verify import GridSummary, ResidualReport, residual, verify_grid
@@ -26,7 +25,7 @@ __all__ = [
     "DidNotConverge", "DomainClass", "DomainTag",
     "EmptyGrid", "EquationId", "EvalResult", "EvalSettings",
     "ExactIdentityReport", "GridSummary", "IndexCapExceeded", "InvalidRange",
-    "InvalidRegion", "MobiusMap", "PelleisError", "Pole", "PoleProximity",
+    "InvalidRegion", "PelleisError", "Pole", "PoleProximity",
     "Polynomial", "RationalFunction", "Rect", "ResidualReport",
     "ZeroArgument", "accumulation_points", "classify", "eval_grid",
     "eval_series", "pell_lucas", "pell_lucas_range", "pole_ratio",

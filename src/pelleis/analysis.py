@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cache
 
-from .errors import IndexCapExceeded, require_int
+from .errors import IndexCapExceeded, require_int, require_type
 from .evaluator import MIN_TAIL_HALF_WIDTH, _require_point
 from .geometry import Rect
 from .sequence import (INDEX_CAP, SILVER_CONJUGATE, SILVER_RATIO, float_pole,
@@ -79,6 +79,7 @@ def poles_in_rect(region: Rect, j_cap: int = DEFAULT_J_CAP) -> list[Pole]:
     1 -/+ sqrt(2) costs a few dozen exact poles at any j_cap.  A region
     that holds one has about j_cap poles inside it and lists them all.
     """
+    require_type("region", region, Rect)
     require_int("j_cap", j_cap)
     if j_cap < 0:
         raise ValueError("j_cap must be nonnegative")

@@ -31,12 +31,8 @@ DEFAULT_RECT = "-3,0.5,3,3.5"
 DEFAULT_GRID_N = 12
 
 
-def _f(x: float) -> str:
-    return repr(float(x))
-
-
 def _eval_fields(z: complex, r: EvalResult) -> str:
-    # %r of a float is its repr, as in _f.
+    # %r of a float is its repr, the shortest round trip.
     value, minus, plus = r.value, r.minus_part, r.plus_part
     return "%r,%r,%r,%r,%r,%d,%r,%r,%r,%r" % (
         z.real, z.imag, value.real, value.imag, r.tail_bound, r.terms_used,
@@ -92,7 +88,7 @@ def _cmd_poles(args) -> int:
     print("j,location_num,location_den,location_float")
     for pole in poles_in_rect(rect, args.jcap):
         print(f"{pole.index},{pole.location.numerator},"
-              f"{pole.location.denominator},{_f(pole.location_float)}")
+              f"{pole.location.denominator},{pole.location_float!r}")
     return 0
 
 
@@ -103,23 +99,21 @@ def _cmd_verify(args) -> int:
                           _settings(args))
     print(VERIFY_HEADER)
     for r in summary.reports:
-        print(",".join([
-            _f(r.point.real), _f(r.point.imag),
-            _f(r.lhs.real), _f(r.lhs.imag),
-            _f(r.rhs.real), _f(r.rhs.imag),
-            _f(r.abs_residual), _f(r.rel_residual),
-            _f(r.lhs_tail), _f(r.rhs_tail),
-        ]))
+        print("%r,%r,%r,%r,%r,%r,%r,%r,%r,%r" % (
+            r.point.real, r.point.imag, r.lhs.real, r.lhs.imag,
+            r.rhs.real, r.rhs.imag, r.abs_residual, r.rel_residual,
+            r.lhs_tail, r.rhs_tail))
     for z, exc in summary.failures:
-        print(f"# failed: re={_f(z.real)} im={_f(z.imag)} {exc}")
+        print(f"# failed: re={z.real!r} im={z.imag!r} {exc}")
     worst = summary.worst_point
+    worst_re, worst_im = (("nan", "nan") if worst is None
+                          else (repr(worst.real), repr(worst.imag)))
     print(f"# summary eq={equation.value} k={args.k}"
           f" points_tested={summary.points_tested}"
           f" points_skipped={summary.points_skipped}"
           f" points_failed={summary.points_failed}"
-          f" max_rel_residual={_f(summary.max_rel_residual)}"
-          f" worst_re={_f(worst.real) if worst is not None else 'nan'}"
-          f" worst_im={_f(worst.imag) if worst is not None else 'nan'}")
+          f" max_rel_residual={summary.max_rel_residual!r}"
+          f" worst_re={worst_re} worst_im={worst_im}")
     return 1 if summary.points_failed else 0
 
 

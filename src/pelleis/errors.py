@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its integer rule."""
+"""Exception types shared across the package, and its argument rules."""
 
 
 class PelleisError(Exception):
@@ -11,6 +11,14 @@ def require_int(name: str, value) -> None:
     if value.__class__ is not int and (isinstance(value, bool)
                                        or not isinstance(value, int)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def require_type(name: str, value, cls: type) -> None:
+    """Refuse anything but an instance of cls with a ValueError that names
+    the argument."""
+    if not isinstance(value, cls):
+        raise ValueError(
+            f"{name} must be of type {cls.__name__}, got {value!r}")
 
 
 class IndexCapExceeded(PelleisError):

@@ -80,7 +80,7 @@ from cmath import isfinite
 from dataclasses import dataclass
 
 from .errors import (DidNotConverge, IndexCapExceeded, PoleProximity,
-                     require_int)
+                     require_int, require_type)
 from .geometry import Rect
 from .sequence import (INDEX_CAP, POLE_GUARD, SILVER_CONJUGATE, SILVER_RATIO,
                        float_pole, float_row, float_window)
@@ -419,6 +419,7 @@ def eval_grid(region: Rect, nx: int, ny: int, m: int,
     Returns a row-major list of (point, EvalResult-or-error); per-point
     PoleProximity/DidNotConverge are recorded, not raised.
     """
+    require_type("region", region, Rect)
     settings = _require_settings(settings)
     out = []
     for z in region.cell_centers(nx, ny):

@@ -32,6 +32,8 @@ identity holds.
 window_sum, term_rf and substitute build the same residual and boundary
 terms the slow way, by canonicalising whole rational functions; they
 remain the reference the tests check the termwise prover against.
+substitute takes a map as the integer tuple (a, b, c, d) of an equation
+row, the one form of a Moebius map in the package.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from .equations import EquationId
-from .errors import require_int
+from .errors import require_int, require_type
 from .sequence import pell_lucas
 
 WINDOW_HALF_WIDTH_GUARD = 8
@@ -66,10 +68,6 @@ class Polynomial:
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def x(cls) -> "Polynomial":
-        return cls((0, 1))
 
     @property
     def degree(self) -> int:
@@ -399,53 +397,6 @@ def _as_rf(v) -> RationalFunction:
     raise TypeError(f"cannot treat {type(v).__name__} as a rational function")
 
 
-class MobiusMap:
-    """Invertible map z -> (a z + b)/(c z + d) with rational entries."""
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a, b, c, d):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.c = Fraction(c)
-        self.d = Fraction(d)
-        if self.a * self.d - self.b * self.c == 0:
-            raise ValueError("degenerate map: zero determinant")
-
-    def __call__(self, z):
-        return (self.a * z + self.b) / (self.c * z + self.d)
-
-    def compose(self, other: "MobiusMap") -> "MobiusMap":
-        """Map acting as self after other: (self.compose(other))(z) = self(other(z))."""
-        return MobiusMap(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, MobiusMap):
-            return NotImplemented
-        # Equal as maps: entries may differ by a common nonzero scale (of
-        # either sign), which moves all six 2x2 cross products to zero.
-        return (self.a * other.b == self.b * other.a
-                and self.a * other.c == self.c * other.a
-                and self.a * other.d == self.d * other.a
-                and self.b * other.c == self.c * other.b
-                and self.b * other.d == self.d * other.b
-                and self.c * other.d == self.d * other.c)
-
-    def __hash__(self):
-        raise TypeError("MobiusMap equality is projective; not hashable")
-
-    def __repr__(self):
-        return f"MobiusMap({self.a}, {self.b}, {self.c}, {self.d})"
-
-
-RECIPROCAL_MAP = MobiusMap(0, 1, 1, 0)
-
-
 def term_rf(j: int, m: int) -> RationalFunction:
     """The exact term 1/(Q_j z + Q_{j-1})^m as a canonical rational function."""
     require_int("m", m)
@@ -480,16 +431,23 @@ def window_sum(half_width: int, m: int) -> RationalFunction:
     return total
 
 
-def substitute(f: RationalFunction, t: MobiusMap) -> RationalFunction:
+def substitute(f: RationalFunction,
+               t: tuple[int, int, int, int]) -> RationalFunction:
     """f composed with t, i.e. z -> f((a z + b)/(c z + d)), exactly.
+
+    t is the (a, b, c, d) of the map, as in EquationId.row; a map with
+    a d - b c = 0 raises ValueError.
 
     Both parts of f are cleared by the same power of (c z + d), so the
     result is again a ratio of polynomials.
     """
+    a, b, c, d = t
+    if a * d - b * c == 0:
+        raise ValueError("degenerate map: zero determinant")
     if f.is_zero:
         return RationalFunction.zero()
-    nt = Polynomial((t.b, t.a))
-    dt = Polynomial((t.d, t.c))
+    nt = Polynomial((b, a))
+    dt = Polynomial((d, c))
     p = max(f.num.degree, f.den.degree)
     npow = [Polynomial((1,))]
     dpow = [Polynomial((1,))]
@@ -593,6 +551,7 @@ def verify_identity_exact(equation: EquationId, half_width: int,
     terms whose tally is then still not zero.  Canonical forms are unique,
     so it equals residual - sum(boundary) coefficient by coefficient.
     """
+    require_type("equation", equation, EquationId)
     require_int("half_width", half_width)
     require_int("k", k)
     if half_width < 2:

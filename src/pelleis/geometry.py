@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -11,8 +12,8 @@ from .errors import InvalidRegion, require_int
 
 @dataclass(frozen=True)
 class Rect:
-    """Closed rectangle [x0, x1] x [y0, y1] with strictly positive, finite
-    sides."""
+    """Closed rectangle [x0, x1] x [y0, y1] with real corners and strictly
+    positive, finite sides."""
 
     x0: float
     y0: float
@@ -21,6 +22,8 @@ class Rect:
 
     def __post_init__(self):
         corners = (self.x0, self.y0, self.x1, self.y1)
+        if not all(isinstance(c, numbers.Real) for c in corners):
+            raise InvalidRegion(f"non-real corner in {corners}")
         if not all(math.isfinite(c) for c in corners):
             raise InvalidRegion(f"non-finite corner in {corners}")
         if self.x1 <= self.x0 or self.y1 <= self.y0:

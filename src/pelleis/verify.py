@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 
 from .analysis import classify
 from .equations import EquationId
-from .errors import DidNotConverge, EmptyGrid, PelleisError, ZeroArgument
+from .errors import (DidNotConverge, EmptyGrid, PelleisError, ZeroArgument,
+                     require_type)
 from .evaluator import (EvalSettings, _require_point, _require_settings,
                         _Series)
 from .evaluator import eval_series  # unused; perfbench wraps it
@@ -109,6 +110,7 @@ def residual(equation: EquationId, z: complex, k: int,
     arguments should classify REGULAR; every term is re-guarded during
     summation.
     """
+    require_type("equation", equation, EquationId)
     _require_k(k)
     z = _require_point(z)
     base = _require_settings(settings)
@@ -172,6 +174,8 @@ def verify_grid(equation: EquationId, region: Rect, nx: int, ny: int, k: int,
     are recorded as failures.  Raises EmptyGrid when every point was
     skipped, i.e. when no point was either tested or failed.
     """
+    require_type("equation", equation, EquationId)
+    require_type("region", region, Rect)
     _require_k(k)
     settings = _require_settings(settings)
     summary = GridSummary(equation, k)

@@ -76,6 +76,10 @@ def test_poles_j_cap_validation():
     for j_cap in (2.5, 2.0, True, None):
         with pytest.raises(ValueError, match="^j_cap must be an integer"):
             poles_in_rect(Rect(-1, -1, 1, 1), j_cap)
+    # The region is a Rect, not its corner tuple.
+    for region in ((0, 0, 1, 1), None):
+        with pytest.raises(ValueError, match="^region must be of type Rect"):
+            poles_in_rect(region)
 
 
 def test_poles_j_cap_limit_is_named_before_the_table_grows():

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 import oracle
 from pelleis import evaluator, sequence
 from pelleis import (DidNotConverge, EquationId, EvalSettings,
-                     IndexCapExceeded, PoleProximity, Rect, eval_grid,
-                     eval_series, pell_lucas, pole_ratio, residual,
-                     tail_bound, term_value, verify_grid)
+                     IndexCapExceeded, InvalidRegion, PoleProximity, Rect,
+                     eval_grid, eval_series, pell_lucas, pole_ratio,
+                     residual, tail_bound, term_value, verify_grid)
 from pelleis.evaluator import MIN_TAIL_HALF_WIDTH
 from pelleis.sequence import (INDEX_CAP, SILVER_CONJUGATE, SILVER_RATIO,
                               float_pole, float_q)
@@ -250,9 +250,16 @@ def test_tail_bound_survives_underflowing_halving():
                 + (pell_lucas(j) * y) ** 2)
 
     for m in (1076, 1100, 2000):
-        exact = sum(abs_sq(j) ** -(m // 2)
-                    for j in range(-12, 13) if abs(j) > 2)
-        assert Fraction(tail_bound(2, z, m)) >= exact, m
+        # The exact tail as num / den over one integer denominator: summing
+        # the huge Fractions themselves takes a gcd at every addition.
+        num, den = 0, 1
+        for j in range(-12, 13):
+            if abs(j) > 2:
+                term = abs_sq(j) ** (m // 2)  # the reciprocal of the term
+                num = num * term.numerator + den * term.denominator
+                den *= term.numerator
+        bound = Fraction(tail_bound(2, z, m))
+        assert bound.numerator * den >= num * bound.denominator, m
 
 
 def test_tail_bound_shrinks_geometrically():
@@ -803,3 +810,14 @@ def test_eval_grid_validation():
                          (2, 1.0, "ny"), (1, True, "ny"), (2, "2", "ny")):
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             eval_grid(Rect(-1, -1, 1, 1), nx, ny, 2)
+    # The region is a Rect, checked before any cell, and a Rect's corners
+    # are real numbers: a str or None corner raised a TypeError.
+    for bad in ((0, 0, 1, 1), None, "0,0,1,1"):
+        with pytest.raises(ValueError, match="^region must be of type Rect"):
+            eval_grid(bad, 2, 2, 2)
+    for corner in ("0", None, 1j, [0]):
+        with pytest.raises(InvalidRegion, match="^non-real corner in"):
+            Rect(corner, 0, 1, 1)
+        with pytest.raises(InvalidRegion, match="^non-real corner in"):
+            Rect(-1, -1, 1, corner)
+    assert Rect(Fraction(1, 2), 0, 1, 1).contains(Fraction(3, 4), 0)

@@ -12,14 +12,14 @@ from hypothesis import strategies as st
 
 import fraction_reference as reference
 
-from pelleis import (EquationId, MobiusMap, Polynomial, RationalFunction,
-                     pell_lucas, substitute, term_rf, verify_identity_exact,
-                     window_sum)
+from pelleis import (EquationId, Polynomial, RationalFunction, pell_lucas,
+                     substitute, term_rf, verify_identity_exact, window_sum)
 from pelleis import equations, exact
-from pelleis.exact import RECIPROCAL_MAP, ExactIdentityReport, poly_gcd
+from pelleis.exact import ExactIdentityReport, poly_gcd
 
-X = Polynomial.x()
+X = Polynomial((0, 1))
 F = Fraction
+RECIPROCAL_MAP = (0, 1, 1, 0)  # 1/z, as (a, b, c, d) of (a z + b)/(c z + d)
 
 
 # ---------------------------------------------------------------- polynomials
@@ -206,30 +206,13 @@ def test_window_sum_guards():
         window_sum(1, 7)
 
 
-# ----------------------------------------------------------------- Mobius maps
-
-def test_mobius_call_and_compose():
-    assert RECIPROCAL_MAP(F(2)) == F(1, 2)
-    f = MobiusMap(1, 1, 0, 1)   # z + 1
-    g = MobiusMap(2, 0, 0, 1)   # 2z
-    assert f.compose(g)(F(3)) == 7   # f(g(3))
-    assert g.compose(f)(F(3)) == 8   # g(f(3))
-
+# ----------------------------------------------------------------- substitute
 
 def test_mobius_degenerate_rejected():
-    with pytest.raises(ValueError):
-        MobiusMap(1, 2, 2, 4)
-
-
-def test_mobius_projective_equality():
-    assert MobiusMap(0, 2, 2, 0) == RECIPROCAL_MAP
-    assert MobiusMap(0, -1, -1, 0) == RECIPROCAL_MAP
-    assert MobiusMap(1, 0, 0, 1) != RECIPROCAL_MAP
-    with pytest.raises(TypeError):
-        hash(RECIPROCAL_MAP)
-
-
-# ----------------------------------------------------------------- substitute
+    for f in (term_rf(1, 1), RationalFunction.zero()):
+        with pytest.raises(ValueError,
+                           match="^degenerate map: zero determinant$"):
+            substitute(f, (1, 2, 2, 4))
 
 def test_substitute_reciprocal():
     # 1/(2z+2) with z -> 1/z becomes z/(2z+2).
@@ -248,19 +231,25 @@ def test_substitute_right_action():
         while True:
             a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
             if a * d - b * c != 0:
-                return MobiusMap(a, b, c, d)
+                return a, b, c, d
+
+    def compose(s, t):  # the map z -> s(t(z)), as a 2x2 matrix product
+        a, b, c, d = s
+        e, f, g, h = t
+        return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
 
     f = term_rf(2, 1) + term_rf(-1, 2)
     for _ in range(10):
         t1, t2 = rand_map(), rand_map()
-        assert substitute(substitute(f, t1), t2) == substitute(f, t1.compose(t2))
+        assert substitute(substitute(f, t1), t2) == substitute(f,
+                                                               compose(t1, t2))
 
 
 def test_substitute_reflection_fixes_even_window():
     # Reflection z -> 2 - z maps term j to term -j for even weight, so the
     # symmetric window is fixed as a rational function.
     w = window_sum(2, 2)
-    assert substitute(w, MobiusMap(-1, 2, 0, 1)) == w
+    assert substitute(w, (-1, 2, 0, 1)) == w
 
 
 # ---------------------------------------------------------- identity checking
@@ -322,6 +311,11 @@ def test_identity_validation():
     for m in (True, 2.0):
         with pytest.raises(ValueError, match="^m must be an integer, got"):
             term_rf(1, m)
+    # The equation is an EquationId; its value string is not taken for it.
+    for equation in ("shift", None, 2):
+        with pytest.raises(ValueError,
+                           match="^equation must be of type EquationId, got"):
+            verify_identity_exact(equation, 2, 1)
     # Any window too large to build stops at the window guard.
     for half_width in (9, 98, 99):
         with pytest.raises(ValueError, match="window guard"):
@@ -388,7 +382,7 @@ def _window_sum_report(equation, half_width, k, left_map=None):
     """
     m, J = 2 * k, half_width
     window = window_sum(J, m)
-    lhs = substitute(window, MobiusMap(*(left_map or _LEFT_MAPS[equation])))
+    lhs = substitute(window, left_map or _LEFT_MAPS[equation])
     z_pow = RationalFunction(X ** m)
 
     def edge(p, q):  # 1/(p z + q)^m

@@ -88,6 +88,19 @@ def test_k_validation():
         residual(EquationId.REFLECTION, 1j, True)
     with pytest.raises(ValueError):
         verify_grid(EquationId.REFLECTION, Rect(0, 0, 1, 1), 2, 2, 0)
+    # The equation and region are typed too: a value string or a corner
+    # tuple raised an AttributeError.
+    region = Rect(0.5, 0.5, 1, 1)
+    for equation in ("shift", None):
+        with pytest.raises(ValueError,
+                           match="^equation must be of type EquationId, got"):
+            residual(equation, 1j, 1)
+        with pytest.raises(ValueError,
+                           match="^equation must be of type EquationId, got"):
+            verify_grid(equation, region, 2, 2, 1)
+    for bad in (None, (0.5, 0.5, 1, 1)):
+        with pytest.raises(ValueError, match="^region must be of type Rect"):
+            verify_grid(EquationId.SHIFT, bad, 2, 2, 1)
 
 
 def test_failure_reports_which_side():
