@@ -67,9 +67,10 @@ All summation goes through one resumable kernel, _Series: eval_series
 builds one and extends it once, and verify.residual keeps one per side and
 extends it to each refined tolerance, so a refinement continues the window
 sum where the previous tolerance stopped it instead of restarting at j = 0.
-The kernel adds each term with a branch-free complex TwoSum, and each term
-reads Q_j, Q_{j-1} and its guard radius from one cached row of the float
-table (sequence.float_row).
+The kernel fetches the float rows of its window (sequence.float_rows: Q_j,
+Q_{j-1} and the guard radius of terms +j and -j) once, computes both terms
+of each level inline, with no call per term, and adds each with a
+branch-free complex TwoSum.  term_value is the same arithmetic for one term.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ from .errors import (DidNotConverge, IndexCapExceeded, PoleProximity,
                      require_int, require_type)
 from .geometry import Rect
 from .sequence import (INDEX_CAP, POLE_GUARD, SILVER_CONJUGATE, SILVER_RATIO,
-                       float_pole, float_row, float_window)
+                       float_pole, float_rows, float_window)
 from .sequence import pell_lucas, pole_ratio  # unused; perfbench wraps them
 
 DEFAULT_TARGET_TOL = 1e-12
@@ -176,8 +177,9 @@ def _require_half_width(half_width) -> None:
 def term_value(j: int, z: complex, m: int) -> complex:
     """One term (Q_j z + Q_{j-1})^(-m) in double precision.
 
-    Q_j, Q_{j-1} and the guard radius POLE_GUARD * |Q_j| come from one
-    cached row of the float table (sequence.float_row).  The reciprocal is
+    Q_j, Q_{j-1} and the guard radius POLE_GUARD * |Q_j| come from the
+    row of term j in the float row table (sequence.float_rows), the row
+    _Series.extend reads for it, with the same arithmetic.  The reciprocal is
     taken first and powered by repeated multiplication, so huge |Q_j|
     underflows gracefully to 0 instead of overflowing.  Raises
     PoleProximity when |Q_j z + Q_{j-1}| < POLE_GUARD * |Q_j|, i.e. when z
@@ -189,7 +191,14 @@ def term_value(j: int, z: complex, m: int) -> complex:
         _require_weight(m)
     if not (z.__class__ is complex and isfinite(z)):
         z = _require_point(z)
-    row = float_row(j)
+    if j.__class__ is not int:
+        require_int("index", j)
+    return _row_term(j, float_rows(abs(j))[abs(j)][j < 0], z, m)
+
+
+def _row_term(j: int, row, z: complex, m: int) -> complex:
+    """Term j at z from its float row: the arithmetic of term_value, which
+    _Series.extend repeats inline for every term it adds."""
     if row is None:
         # |Q_j| beyond double range: the term is zero unless z sits
         # essentially on the pole.
@@ -337,7 +346,7 @@ class _Series:
         self.bound = math.inf
         # A compensated sum started at 0 holds 0 + v, with no correction,
         # after its first finite term.
-        self._sums = (0j + term_value(0, z, m), 0j, 0j, 0j)
+        self._sums = (0j + _row_term(0, float_rows(0)[0][0], z, m), 0j, 0j, 0j)
 
     def extend(self, target_tol: float, max_half_width: int) -> EvalResult:
         """The result at the first window J >= 2 whose tail bound is
@@ -361,13 +370,44 @@ class _Series:
                 raise DidNotConverge(level, bound, point=z)
             stop, bound = _stopping_window(z, m, lo, target_tol,
                                            max_half_width)
+            # Each term as _row_term computes it, inlined: +level, then
+            # -level.
+            rows = float_rows(stop)
+            powers = range(m - 1)
             for level in range(level + 1, stop + 1):
-                v = term_value(level, z, m)
+                row_p, row_m = rows[level]
+                if row_p is None:
+                    if abs(z - float_pole(level)) < POLE_GUARD:
+                        raise PoleProximity(level, z)
+                    v = 0j
+                else:
+                    q, q_prev, radius = row_p
+                    w = q * z + q_prev
+                    if abs(w) < radius:
+                        raise PoleProximity(level, z)
+                    v = r = 1.0 / w
+                    for _ in powers:
+                        v *= r
+                    if not isfinite(v):
+                        raise PoleProximity(level, z)
                 t = s_p + v
                 e = t - s_p
                 c_p += (s_p - (t - e)) + (v - e)
                 s_p = t
-                v = term_value(-level, z, m)
+                if row_m is None:
+                    if abs(z - float_pole(-level)) < POLE_GUARD:
+                        raise PoleProximity(-level, z)
+                    v = 0j
+                else:
+                    q, q_prev, radius = row_m
+                    w = q * z + q_prev
+                    if abs(w) < radius:
+                        raise PoleProximity(-level, z)
+                    v = r = 1.0 / w
+                    for _ in powers:
+                        v *= r
+                    if not isfinite(v):
+                        raise PoleProximity(-level, z)
                 t = s_m + v
                 e = t - s_m
                 c_m += (s_m - (t - e)) + (v - e)

@@ -43,14 +43,36 @@ def float_q(n: int) -> float | None:
         return None
 
 
-@cache
-def float_row(n: int) -> tuple[float, float, float] | None:
-    """(float(Q_n), float(Q_{n-1}), POLE_GUARD * |Q_n|): what term n of the
-    series reads, or None where Q_n or Q_{n-1} leaves double range."""
-    q, q_prev = float_q(n), float_q(n - 1)
+# The float rows of the series terms: entry j >= 0 is the pair (row of term
+# j, row of term -j), where the row of term i is (float(Q_i), float(Q_{i-1}),
+# POLE_GUARD * |Q_i|), or None where Q_i or Q_{i-1} leaves double range.
+# Grown forward only, under its own lock (pell_lucas takes _LOCK, which is
+# not reentrant); entries never change once appended, so reads need no lock.
+_Row = tuple[float, float, float]
+_ROWS: list[tuple[_Row | None, _Row | None]] = []
+_ROWS_LOCK = threading.Lock()
+
+
+def _float_row(i: int) -> _Row | None:
+    q, q_prev = float_q(i), float_q(i - 1)
     if q is None or q_prev is None:
         return None
     return (q, q_prev, POLE_GUARD * abs(q))
+
+
+def float_rows(n: int) -> list[tuple[_Row | None, _Row | None]]:
+    """The float row table, holding at least the entries 0 .. n.
+
+    Entry n reads Q_{-n-1}, so an n above INDEX_CAP - 1 raises
+    IndexCapExceeded before the table grows."""
+    if n >= len(_ROWS):
+        if n >= INDEX_CAP:
+            raise IndexCapExceeded(n, INDEX_CAP - 1)
+        with _ROWS_LOCK:
+            while len(_ROWS) <= n:
+                j = len(_ROWS)
+                _ROWS.append((_float_row(j), _float_row(-j)))
+    return _ROWS
 
 
 @cache

@@ -460,8 +460,12 @@ def test_eval_nonfinite_term_is_pole_proximity():
 
 
 def test_eval_nonfinite_sum_is_refused(monkeypatch):
-    # Finite terms whose sum overflows are refused as well.
-    monkeypatch.setattr(evaluator, "term_value", lambda *args: 1e308 + 0j)
+    # Finite terms whose sum overflows are refused as well.  Every row of
+    # the patched table gives w = 1e-154 and so the finite term 1e308.
+    row = (0.0, 1e-154, 0.0)
+    assert term_value(5, 3j, 2) != 1e308
+    monkeypatch.setattr(sequence, "_ROWS", [(row, row)] * 300)
+    assert term_value(5, 3j, 2) == term_value(-5, 3j, 2) == 1e308
     with pytest.raises(DidNotConverge) as info:
         eval_series(3j, 2)
     assert info.value.point == 3j
@@ -502,11 +506,21 @@ def test_series_extend_adds_no_terms_when_bound_met(monkeypatch):
     assert series.extend(1e-12, 200).terms_used > first.terms_used
     tighter = series.extend(1e-12, 200)
     met = series.extend(tighter.tail_bound, 200)
-    terms = []
-    monkeypatch.setattr(evaluator, "term_value",
-                        lambda *args: terms.append(args))
+    reads = []
+
+    class RecordingRows(list):
+        def __getitem__(self, index):
+            reads.append(index)
+            return super().__getitem__(index)
+
+    monkeypatch.setattr(sequence, "_ROWS",
+                        RecordingRows(sequence.float_rows(200)))
     assert series.extend(1e-9, 200) == met == tighter
-    assert terms == []
+    assert reads == []
+    # The recording sees the rows of the terms that are added.
+    assert series.extend(1e-14, 200).terms_used > tighter.terms_used
+    assert reads == list(range(tighter.terms_used + 1,
+                               series.level + 1))
 
 
 def _neumaier(s, c, x):
@@ -743,6 +757,81 @@ def test_search_matches_scan_fuzzed(data):
         st.tuples(_TOLS, st.sampled_from((4, 12, 200))),
         min_size=1, max_size=4))
     _search_matches_scan(z, m, steps)
+
+
+def test_fold_matches_per_term_reference_on_lattices():
+    # The kernel computes its terms inline from the row table; scan_extend
+    # adds term_value's.  Seeded lattices shaped like the grid CLI's, some
+    # straddling the real axis, at each weight 2..8.
+    rng = random.Random(20261019)
+    for m in range(2, 9):
+        for _ in range(2):
+            w, h = rng.uniform(0.5, 3.0), rng.uniform(0.5, 2.0)
+            x0 = rng.uniform(-3.0, 3.0 - w)
+            y0 = rng.choice((rng.uniform(-0.5, -0.05),
+                             rng.uniform(0.05, 3.5 - h)))
+            region = Rect(x0, y0, x0 + w, y0 + h)
+            for z in region.cell_centers(6, 6):
+                _search_matches_scan(z, m, [(1e-12, 200), (1e-15, 200)])
+
+
+def test_fold_matches_per_term_reference_near_poles():
+    # 1e-7 to 1e-3 from a pole p_j, at weights up to 64: the terms at the
+    # edge of the guard, and powers that overflow.
+    rng = random.Random(20261020)
+    started = 0
+    for _ in range(300):
+        r = 10 ** rng.uniform(-7, -3)
+        angle = rng.uniform(0, 2 * math.pi)
+        z = float_pole(rng.randint(-8, 8)) + complex(r * math.cos(angle),
+                                                   r * math.sin(angle))
+        m = rng.choice((2, 3, 4, 6, 8, 16, 32, 64, rng.randint(2, 64)))
+        started += _search_matches_scan(z, m, [(1e-12, 200), (1e-20, 200)])
+    assert started == 300
+
+
+def test_fold_matches_per_term_reference_past_double_range(monkeypatch):
+    # Rows turn None past |j| = 805, where Q_j or Q_{j-1} leaves double
+    # range.  No window of eval_series gets there: its bound would have to
+    # stay above the 2e-300 floor with Q_J near 1e307, so z would lie
+    # within 1e-157 of the pole hulls, which are then within 1e-300 of
+    # 1 +- sqrt(2), where _Series refuses to start.  A bound patched to inf
+    # below window 850, still non-increasing, takes the kernel and the
+    # reference past it.
+    real = tail_bound
+
+    def late_bound(j, z, m):
+        return math.inf if j < 850 else real(j, z, m)
+
+    monkeypatch.setattr(sys.modules[__name__], "tail_bound", late_bound)
+    monkeypatch.setattr(evaluator, "tail_bound", late_bound)
+    assert sequence.float_rows(850)[806] == (None, None)
+    for z in (complex(SILVER_RATIO, 1.1e-8), complex(SILVER_CONJUGATE, 2e-8),
+              1 + 1j):
+        for m in (2, 3, 8, 64):
+            assert _search_matches_scan(z, m, [(1e-12, 900), (1e-12, 1000)])
+            assert evaluator._Series(z, m).extend(1e-12, 900).terms_used == 850
+
+
+def test_fold_none_rows_follow_term_value(monkeypatch):
+    # A None row is a zero term unless z lies within POLE_GUARD of the
+    # term's pole.  The poles of the real None rows, past |j| = 805, round
+    # to 1 +- sqrt(2), where _Series refuses to start, so a table with None
+    # rows from level 3 on checks the rule, on both sides.
+    rows = [(None, None) if j >= 3 else pair
+            for j, pair in enumerate(sequence.float_rows(200))]
+    monkeypatch.setattr(sequence, "_ROWS", rows)
+    for j in (3, -3, 5, -6):
+        z = float_pole(j) + 5e-9j
+        assert _search_matches_scan(z, 2, [(1e-12, 200)])
+        with pytest.raises(PoleProximity) as info:
+            evaluator._Series(z, 2).extend(1e-12, 200)
+        assert info.value.index == j
+    assert _search_matches_scan(1 + 1j, 4, [(1e-12, 200)])
+    # Only the terms 0, +-1 and +-2 are nonzero.
+    assert cmath.isclose(evaluator._Series(1 + 1j, 4).extend(1e-12, 200).value,
+                         sum(term_value(j, 1 + 1j, 4) for j in range(-2, 3)),
+                         rel_tol=1e-14)
 
 
 class _Weight(enum.IntEnum):

@@ -1,6 +1,7 @@
 """Integer sequence: exact values, recurrences, symmetry, caps, concurrency."""
 
 import math
+import sys
 import threading
 from fractions import Fraction
 
@@ -12,8 +13,8 @@ from oracle import q_int
 from pelleis import (IndexCapExceeded, InvalidRange, pell_lucas,
                      pell_lucas_range, pole_ratio, sequence, tail_bound,
                      term_value)
-from pelleis.sequence import (SILVER_CONJUGATE, SILVER_RATIO, float_pole,
-                              float_q, float_window)
+from pelleis.sequence import (INDEX_CAP, SILVER_CONJUGATE, SILVER_RATIO,
+                              float_pole, float_q, float_rows, float_window)
 
 KNOWN_FORWARD = [2, 2, 6, 14, 34, 82, 198, 478, 1154, 2786]
 
@@ -202,3 +203,63 @@ def test_float_table_windows_match_exact_hulls():
             q_inv = 0.0
         assert float_window(half_width) == plus + minus + (q_inv,)
     assert float_window(850)[4] == 0.0
+
+
+def _exact_row(i):
+    """(Q_i, Q_{i-1}, 1e-8 |Q_i|) as floats, or None where one overflows."""
+    try:
+        q, q_prev = float(pell_lucas(i)), float(pell_lucas(i - 1))
+    except OverflowError:
+        return None
+    return (q, q_prev, 1e-8 * abs(q))
+
+
+def test_float_rows_pair_the_terms_of_each_level(monkeypatch):
+    # Entry j holds the rows of terms j and -j; a row turns None where its
+    # Q_i or Q_{i-1} leaves double range (first at -805, which reads
+    # Q_{-806}).
+    rows = float_rows(900)
+    assert rows[0] == ((2.0, -2.0, 2e-8),) * 2
+    for j in range(901):
+        assert rows[j] == (_exact_row(j), _exact_row(-j)), j
+    assert rows[805][1] is None and rows[805][0] is not None
+    assert rows[806] == (None, None)
+    # Entry INDEX_CAP would read Q_{-INDEX_CAP-1}: refused before the
+    # table grows.
+    monkeypatch.setattr(sequence, "_ROWS", [])
+    with pytest.raises(IndexCapExceeded, match=f"index {INDEX_CAP} "):
+        float_rows(INDEX_CAP)
+    assert sequence._ROWS == []
+
+
+def test_float_rows_concurrent_growth(monkeypatch):
+    monkeypatch.setattr(sequence, "_ROWS", [])
+    expected = list(float_rows(900))
+    mismatches = []
+
+    def worker(step, hi):
+        for n in range(0, hi, step):
+            rows = float_rows(n)
+            if rows[n] != expected[n] or rows[n // 2] != expected[n // 2]:
+                mismatches.append(n)
+
+    # Switch threads often, so that unlocked growth would interleave; ten
+    # rounds, each on a fresh table.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            monkeypatch.setattr(sequence, "_ROWS", [])
+            threads = [threading.Thread(target=worker,
+                                        args=(3 + i, 500 + 53 * i))
+                       for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            # The deepest read is entry 870; the table grew to it exactly.
+            assert sequence._ROWS == expected[:871]
+    finally:
+        sys.setswitchinterval(interval)
+    assert mismatches == []
