@@ -53,7 +53,9 @@ _ROWS: list[tuple[_Row | None, _Row | None]] = []
 _ROWS_LOCK = threading.Lock()
 
 
-def _float_row(i: int) -> _Row | None:
+def term_row(i: int) -> _Row | None:
+    """The float row of term i, uncached: what its entry in float_rows
+    holds."""
     q, q_prev = float_q(i), float_q(i - 1)
     if q is None or q_prev is None:
         return None
@@ -71,7 +73,7 @@ def float_rows(n: int) -> list[tuple[_Row | None, _Row | None]]:
         with _ROWS_LOCK:
             while len(_ROWS) <= n:
                 j = len(_ROWS)
-                _ROWS.append((_float_row(j), _float_row(-j)))
+                _ROWS.append((term_row(j), term_row(-j)))
     return _ROWS
 
 

@@ -76,6 +76,28 @@ def test_term_value_giant_index_underflows():
         term_value(900, on_pole, 2)
 
 
+def test_term_value_domain_ends_at_index_cap(monkeypatch):
+    # term_value(j) reads Q_j and Q_{j-1} alone, so it serves j up to
+    # INDEX_CAP and down to 1 - INDEX_CAP, refusing past them as
+    # pell_lucas does, and it does not grow the float row table.  The cap
+    # is lowered to 100 here: the real cap would grow the integer table to
+    # about 800 MB.  float_q is cleared so that no cached value hides the
+    # cap.
+    z = 0.3 + 0.7j
+    want = {j: term_value(j, z, 4) for j in (100, -99)}
+    assert all(want.values())
+    monkeypatch.setattr(sequence, "INDEX_CAP", 100)
+    monkeypatch.setattr(sequence, "_ROWS", [])
+    sequence.float_q.cache_clear()
+    for j, value in want.items():
+        assert term_value(j, z, 4) == value
+    for j, index in ((101, 101), (-100, -101)):
+        with pytest.raises(IndexCapExceeded,
+                           match=f"^index {index} exceeds cap 100$"):
+            term_value(j, z, 4)
+    assert sequence._ROWS == []
+
+
 def test_term_decay_ratio():
     # From a modest onset the term magnitudes shrink by at least ~2^m per
     # step on both sides of the window.
@@ -459,12 +481,21 @@ def test_eval_nonfinite_term_is_pole_proximity():
     assert math.isfinite(term_value(0, z, 20).real)
 
 
+def _patch_rows(monkeypatch, row_of, n):
+    """Give every term i the row row_of(i): as the kernel reads it, from
+    the float row table (entries 0 .. n), and as term_value and term 0
+    read it, from evaluator.term_row."""
+    monkeypatch.setattr(evaluator, "term_row", row_of)
+    monkeypatch.setattr(sequence, "_ROWS",
+                        [(row_of(j), row_of(-j)) for j in range(n + 1)])
+
+
 def test_eval_nonfinite_sum_is_refused(monkeypatch):
-    # Finite terms whose sum overflows are refused as well.  Every row of
-    # the patched table gives w = 1e-154 and so the finite term 1e308.
+    # Finite terms whose sum overflows are refused as well.  Every patched
+    # row gives w = 1e-154 and so the finite term 1e308.
     row = (0.0, 1e-154, 0.0)
     assert term_value(5, 3j, 2) != 1e308
-    monkeypatch.setattr(sequence, "_ROWS", [(row, row)] * 300)
+    _patch_rows(monkeypatch, lambda i: row, 300)
     assert term_value(5, 3j, 2) == term_value(-5, 3j, 2) == 1e308
     with pytest.raises(DidNotConverge) as info:
         eval_series(3j, 2)
@@ -816,11 +847,10 @@ def test_fold_matches_per_term_reference_past_double_range(monkeypatch):
 def test_fold_none_rows_follow_term_value(monkeypatch):
     # A None row is a zero term unless z lies within POLE_GUARD of the
     # term's pole.  The poles of the real None rows, past |j| = 805, round
-    # to 1 +- sqrt(2), where _Series refuses to start, so a table with None
-    # rows from level 3 on checks the rule, on both sides.
-    rows = [(None, None) if j >= 3 else pair
-            for j, pair in enumerate(sequence.float_rows(200))]
-    monkeypatch.setattr(sequence, "_ROWS", rows)
+    # to 1 +- sqrt(2), where _Series refuses to start, so rows patched to
+    # None from level 3 on check the rule, on both sides.
+    _patch_rows(monkeypatch,
+                lambda i: None if abs(i) >= 3 else sequence.term_row(i), 200)
     for j in (3, -3, 5, -6):
         z = float_pole(j) + 5e-9j
         assert _search_matches_scan(z, 2, [(1e-12, 200)])
