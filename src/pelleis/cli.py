@@ -31,11 +31,12 @@ DEFAULT_RECT = "-3,0.5,3,3.5"
 DEFAULT_GRID_N = 12
 
 
-def _eval_fields(z: complex, r: EvalResult) -> str:
+def _result_fields(r: EvalResult) -> str:
+    """The eight columns of a row after re and im."""
     # %r of a float is its repr, the shortest round trip.
     value, minus, plus = r.value, r.minus_part, r.plus_part
-    return "%r,%r,%r,%r,%r,%d,%r,%r,%r,%r" % (
-        z.real, z.imag, value.real, value.imag, r.tail_bound, r.terms_used,
+    return "%r,%r,%r,%d,%r,%r,%r,%r" % (
+        value.real, value.imag, r.tail_bound, r.terms_used,
         minus.real, minus.imag, plus.real, plus.imag)
 
 
@@ -62,24 +63,35 @@ def _cmd_seq(args) -> int:
 
 def _cmd_eval(args) -> int:
     print(EVAL_HEADER)
-    result = eval_series(complex(args.re, args.im), args.weight,
-                         _settings(args))
-    print(_eval_fields(complex(args.re, args.im), result))
+    z = complex(args.re, args.im)
+    result = eval_series(z, args.weight, _settings(args))
+    print("%r,%r,%s" % (z.real, z.imag, _result_fields(result)))
     return 0
 
 
 def _cmd_grid(args) -> int:
     rect = Rect.parse(args.rect)
-    write = sys.stdout.write
-    write(EVAL_HEADER + ",status\n")
-    for z, outcome in eval_grid(rect, args.nx, args.ny, args.weight,
-                                _settings(args)):
-        if isinstance(outcome, EvalResult):
-            write(_eval_fields(z, outcome) + ",ok\n")
-        else:
-            # value/tail/terms/minus/plus columns left blank
-            status = "pole" if isinstance(outcome, PoleProximity) else "diverged"
-            write("%r,%r,,,,,,,,,%s\n" % (z.real, z.imag, status))
+    # The header goes out first, so that an error is reported after it.
+    sys.stdout.write(EVAL_HEADER + ",status\n")
+    cells = eval_grid(rect, args.nx, args.ny, args.weight, _settings(args))
+    # Cells come row by row, and every row has the same nx real parts, so
+    # each coordinate is formatted once.  Columns are keyed by index, not by
+    # value: 0.0 == -0.0, but their reprs differ.
+    nx = args.nx
+    columns = ["%r," % z.real for z, _ in cells[:nx]]
+    lines = []
+    for start in range(0, len(cells), nx):
+        row = cells[start:start + nx]
+        y = "%r," % row[0][0].imag
+        for x, (_, outcome) in zip(columns, row):
+            if isinstance(outcome, EvalResult):
+                lines.append(x + y + _result_fields(outcome) + ",ok\n")
+            elif isinstance(outcome, PoleProximity):
+                # value/tail/terms/minus/plus columns left blank
+                lines.append(x + y + ",,,,,,,,pole\n")
+            else:
+                lines.append(x + y + ",,,,,,,,diverged\n")
+    sys.stdout.write("".join(lines))
     return 0
 
 

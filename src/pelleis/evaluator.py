@@ -61,7 +61,13 @@ windows.  Write u = 2^-53.
 
 _Series.extend relies on this order: the windows whose bound meets a
 tolerance form a suffix, so it searches for the first of them instead of
-checking every window in turn.
+checking every window in turn.  The search (_stopping_window) starts from
+a closed-form guess: the formula above with Q_J ~ (1 + sqrt(2))^J, and d+
+and d- replaced by the distances from z to 1 -/+ sqrt(2), which every hull
+contains.  A window J whose bound b meets the tolerance with
+b * 2^m * (1 - 2e-9) still above it is the first such window, by the 2^m
+fall proven above, so the window below it is not probed; most evaluations
+make one bound check.
 
 All summation goes through one resumable kernel, _Series: eval_series
 builds one and extends it once, and verify.residual keeps one per side and
@@ -98,6 +104,8 @@ _BOUND_SLACK = 1.0 + 1e-9      # inflate the bound against rounding
 _BOUND_FLOOR = 2e-300          # stay clear of subnormal arithmetic
 _MIN_NORMAL = sys.float_info.min
 _LOG_SILVER = math.log(SILVER_RATIO)   # Q_{J+1} / Q_J tends to 1 + sqrt(2)
+_LOG_TWO = math.log(2.0)
+_FALL_SLACK = 1.0 - 2e-9       # below the proven 1 - 1e-9 of the 2^m fall
 
 
 @dataclass(frozen=True)
@@ -267,20 +275,41 @@ def tail_bound(half_width: int, z: complex, m: int) -> float:
 
 
 def _stopping_window(z: complex, m: int, lo: int, target_tol: float,
-                     max_half_width: int) -> tuple[int, float]:
+                     max_half_width: int, d_minus: float,
+                     d_plus: float) -> tuple[int, float]:
     """(J, tail_bound(J)) for the first J in [lo, max_half_width] with
-    tail_bound(J) <= target_tol, or for J = max_half_width if none is.
+    tail_bound(J) <= target_tol, or for J = max_half_width if none is;
+    target_tol is positive and finite, as EvalSettings requires.
 
     tail_bound is non-increasing in J (module docstring), so the windows
     that meet the tolerance form a suffix of the range, and its first
-    window can be searched for.  Each failing probe predicts the next
-    from a fall of (1 + sqrt(2))^m per window, or doubles its distance
-    from lo while the bound is inf.  A passing probe is confirmed by its
-    lower neighbour, then by bisection if that passes as well.  Only
-    windows in [lo, max_half_width] are probed.
+    window can be searched for.  The first probe is the guess: the
+    smallest J with
+
+        (d_minus^-m + d_plus^-m) (1 + sqrt(2))^(-J m) 2^-m / (1 - 2^-m)
+            <= target_tol,
+
+    where d_minus and d_plus are the distances from z to 1 - sqrt(2) and
+    1 + sqrt(2), clamped to the range.  Each failing probe predicts the
+    next from a fall of (1 + sqrt(2))^m per window, or doubles its
+    distance from lo while the bound is inf.  A passing probe J with a
+    bound b above the floor and b * 2^m * (1 - 2e-9) > target_tol is the
+    answer: the computed bound falls by at least 2^m (1 - 1e-9) per window
+    above its floor (module docstring), so window J - 1 fails unprobed.
+    Any other passing probe is checked against its lower neighbour, then
+    by bisection, each new passing probe certified alike.  Only windows
+    in [lo, max_half_width] are probed, none twice.
     """
+    # The guess is taken in logs, where d^-m cannot overflow; 2^m overflows
+    # a float from m = 1024, and a smaller factor only weakens the
+    # certificate.
+    near, far = (d_minus, d_plus) if d_minus < d_plus else (d_plus, d_minus)
+    log_bound = (math.log1p((near / far) ** m) - m * math.log(near)
+                 - m * _LOG_TWO - math.log1p(-(2.0 ** -m)))
+    guess = math.ceil((log_bound - math.log(target_tol)) / (m * _LOG_SILVER))
+    fall = 2.0 ** min(m, 1023) * _FALL_SLACK
     bad = lo - 1    # the windows up to bad fail (or lie below the range)
-    j = lo
+    j = min(max(guess, lo), max_half_width)
     while True:
         b = tail_bound(j, z, m)
         if b <= target_tol:
@@ -296,7 +325,8 @@ def _stopping_window(z: complex, m: int, lo: int, target_tol: float,
         j = min(j, max_half_width)
     good, good_b = j, b
     j = good - 1
-    while j > bad:
+    while j > bad and not (_BOUND_FLOOR < good_b
+                           and good_b * fall > target_tol):
         b = tail_bound(j, z, m)
         if b <= target_tol:
             good, good_b = j, b
@@ -330,7 +360,9 @@ class _Series:
 
     # _sums: running sum and correction of the j <= 0 sum (suffix _m) and
     # of the j >= 1 sum (suffix _p), four complex numbers.
-    __slots__ = ("z", "m", "level", "bound", "_sums")
+    # d_minus, d_plus: distances from z to 1 - sqrt(2) and 1 + sqrt(2), from
+    # which _stopping_window guesses its first probe.
+    __slots__ = ("z", "m", "d_minus", "d_plus", "level", "bound", "_sums")
 
     def __init__(self, z: complex, m: int):
         # The type test of term_value passes the common arguments.
@@ -338,11 +370,12 @@ class _Series:
             _require_weight(m)
         if not (z.__class__ is complex and isfinite(z)):
             z = _require_point(z)
-        acc_dist = min(abs(z - SILVER_CONJUGATE), abs(z - SILVER_RATIO))
-        if acc_dist <= POLE_GUARD:
+        d_minus, d_plus = abs(z - SILVER_CONJUGATE), abs(z - SILVER_RATIO)
+        if min(d_minus, d_plus) <= POLE_GUARD:
             raise DidNotConverge(0, math.inf, point=z)
         self.z = z
         self.m = m
+        self.d_minus, self.d_plus = d_minus, d_plus
         self.level = 0
         self.bound = math.inf
         # A compensated sum started at 0 holds 0 + v, with no correction,
@@ -370,7 +403,8 @@ class _Series:
             if lo > max_half_width:
                 raise DidNotConverge(level, bound, point=z)
             stop, bound = _stopping_window(z, m, lo, target_tol,
-                                           max_half_width)
+                                           max_half_width, self.d_minus,
+                                           self.d_plus)
             # Each term as _row_term computes it, inlined: +level, then
             # -level.  The two copies are kept on purpose: one block looping
             # over both terms of a level, with the two sums swapped after
@@ -443,8 +477,8 @@ def eval_series(z: complex, m: int,
     Terms are accumulated in two compensated sums (j <= 0 and j >= 1) in a
     fixed interleaved order, so results are bit-reproducible.  The window
     is the first J >= 2 with tail_bound(J, z, m) <= target_tol.  The bound
-    never grows with J, so J is searched for with a few bound checks
-    before any term is summed.
+    never grows with J and falls by at least 2^m per window, so J is
+    searched for before any term is summed, mostly with one bound check.
 
     Raises PoleProximity when a term denominator nearly vanishes or a term
     overflows, and DidNotConverge when the bound cannot reach the tolerance

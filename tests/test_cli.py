@@ -133,6 +133,21 @@ def test_grid_bad_rect(capsys):
     assert "# error:" in out
 
 
+@pytest.mark.parametrize("option, message", [
+    (("--weight", "1"), "weight must be an integer >= 2, got 1"),
+    (("--weight", "2", "--tol", "0"),
+     "target_tol must be a positive finite float"),
+])
+def test_grid_error_follows_header(capsys, option, message):
+    # The header is written before any cell is evaluated, the rows in one
+    # write after all of them: an error leaves exactly the header and the
+    # error line.
+    code, out = run_cli(capsys, "grid", "--rect", "-1,0.5,1,1.5",
+                        "--nx", "3", "--ny", "2", *option)
+    assert code == 1
+    assert out == f"{cli.EVAL_HEADER},status\n# error: {message}\n"
+
+
 @pytest.mark.parametrize("command", [
     ("grid", "--nx", "2", "--ny", "1", "--weight", "2"),
     ("verify", "--eq", "shift", "--k", "1"),
@@ -407,7 +422,8 @@ def test_max_j_does_not_carry_over(capsys):
     code, out = run_cli(capsys, *point)
     assert code == 0
     z = complex(1, 1)
-    expected = cli._eval_fields(z, eval_series(z, 2, EvalSettings()))
+    expected = "1.0,1.0," + cli._result_fields(eval_series(z, 2,
+                                                           EvalSettings()))
     assert out == f"{cli.EVAL_HEADER}\n{expected}\n"
     assert cli.build_parser().parse_args(list(point)).max_j is None
 

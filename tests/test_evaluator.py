@@ -691,14 +691,22 @@ def _search_matches_scan(z, m, steps):
         return False
     ref._sums = neumaier_state(ref)
     probes = []
+    searches = []
+    search = evaluator._stopping_window
 
     def recording_tail_bound(j, z, m):
         probes.append(j)
         return tail_bound(j, z, m)
 
+    def recording_search(z, m, lo, tol, *rest):
+        found = search(z, m, lo, tol, *rest)
+        searches.append((lo, tol, found[0]))
+        return found
+
     last = None
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(evaluator, "tail_bound", recording_tail_bound)
+        patch.setattr(evaluator, "_stopping_window", recording_search)
         for tol, max_hw in steps:
             if isinstance(tol, tuple):
                 kind, j = tol
@@ -717,6 +725,12 @@ def _search_matches_scan(z, m, steps):
             assert all(lo <= j <= max_hw for j in probes), (context, probes)
             # The search probes no window twice.
             assert len(set(probes)) == len(probes), (context, probes)
+            # A window above lo is returned only once the window below it
+            # is known to fail, whether probed or certified by the 2^m fall.
+            for start, goal, found in searches:
+                assert (found == start
+                        or tail_bound(found - 1, z, m) > goal), (context, found)
+            searches.clear()
             if isinstance(got, evaluator.EvalResult):
                 last = got
     return True
@@ -788,6 +802,62 @@ def test_search_matches_scan_fuzzed(data):
         st.tuples(_TOLS, st.sampled_from((4, 12, 200))),
         min_size=1, max_size=4))
     _search_matches_scan(z, m, steps)
+
+
+def test_search_certificate_at_the_first_windows():
+    # Tolerances that make window 2, 3, 4 or 5 the answer, or fall between
+    # the bounds of two of them.  The ratios Q_3/Q_2 = 7/3 and Q_5/Q_4 =
+    # 41/17 lie below 1 + sqrt(2), so a certificate that trusted the
+    # predicted (1 + sqrt(2))^m fall instead of the proven 2^m would skip
+    # window 2 or 4 there.  Weight 1100 takes 2^m past double range, and
+    # 2e-300 is the bound's floor.
+    rng = random.Random(20261021)
+    points = [3j, 1 + 1j, -2 + 0.5j, 0.3 - 4j, 5.0, -7.5 + 0.1j,
+              SILVER_RATIO + 1e-3j, SILVER_CONJUGATE - 2e-4 + 1e-5j]
+    points += [complex(rng.uniform(-6, 6), rng.uniform(-6, 6))
+               for _ in range(4)]
+    for z in points:
+        for m in (2, 3, 4, 5, 8, 16, 64, 1100):
+            tols = [("bound", j) for j in range(2, 6)]
+            for j in range(2, 5):
+                a, b = tail_bound(j, z, m), tail_bound(j + 1, z, m)
+                if a < math.inf:    # the geometric mean, in logs
+                    tols.append(math.exp((math.log(a) + math.log(b)) / 2))
+            # At low weights the floor lies a hundred windows or more out,
+            # where the window-by-window reference is slow.
+            if m >= 64:
+                tols.append(2e-300)
+            for tol in tols:
+                assert _search_matches_scan(z, m, [(tol, 200)])
+                assert _search_matches_scan(z, m, [(tol, 4)])
+
+
+def test_search_makes_few_tail_checks():
+    # The first probe is guessed from the distances to 1 +- sqrt(2) and a
+    # passing probe is certified by the 2^m fall, so most evaluations make
+    # one tail check.  The count is deterministic.
+    rng = random.Random(20261022)
+    w, h = rng.uniform(2.0, 4.0), rng.uniform(1.0, 3.0)
+    x0 = rng.uniform(-3.0, 3.0 - w)
+    y0 = -rng.uniform(0.05, 0.5) * h
+    region = Rect(x0, y0, x0 + w, y0 + h)    # crosses the real axis
+    calls = {"tail_bound": 0, "eval_series": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in calls:
+            patch.setattr(evaluator, name,
+                          counted(name, getattr(evaluator, name)))
+        for m in (2, 4, 6, 8):
+            calls.update(tail_bound=0, eval_series=0)
+            eval_grid(region, 40, 40, m)
+            assert calls["eval_series"] == 1600
+            assert calls["tail_bound"] / calls["eval_series"] <= 1.5, m
 
 
 def test_fold_matches_per_term_reference_on_lattices():
