@@ -90,9 +90,8 @@ def poles_in_rect(region: Rect, j_cap: int = DEFAULT_J_CAP) -> list[Pole]:
     found = []
     for sign, first in ((1, 0), (-1, 1)):
         for n in range(first, j_cap + 1):
-            # float_window(n - 1) holds every pole from index sign * n on
-            # and reads Q up to index n + 1 and down to -n - 2.
-            if MIN_TAIL_HALF_WIDTH < n <= INDEX_CAP - 2:
+            # float_window(n - 1) holds every pole from index sign * n on.
+            if n > MIN_TAIL_HALF_WIDTH:
                 w = float_window(n - 1)
                 lo, hi = w[:2] if sign > 0 else w[2:4]
                 if hi < region.x0 or lo > region.x1:

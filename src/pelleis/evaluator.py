@@ -73,11 +73,12 @@ All summation goes through one resumable kernel, _Series: eval_series
 builds one and extends it once, and verify.residual keeps one per side and
 extends it to each refined tolerance, so a refinement continues the window
 sum where the previous tolerance stopped it instead of restarting at j = 0.
-The kernel fetches the float rows of its window (sequence.float_rows: Q_j,
+The kernel fetches the levels of its window (sequence.float_table: Q_j,
 Q_{j-1} and the guard radius of terms +j and -j) once, computes both terms
 of each level inline, with no call per term, and adds each with a
-branch-free complex TwoSum.  term_value is the same arithmetic for one term,
-on its row alone (sequence.term_row).
+branch-free complex TwoSum; past level LAST_LEVEL - 1 every term is an
+exact zero, and none is added.  term_value is the same arithmetic for one
+term, on its row of the same table (sequence.float_row).
 """
 
 from __future__ import annotations
@@ -90,15 +91,15 @@ from dataclasses import dataclass
 from .errors import (DidNotConverge, IndexCapExceeded, PoleProximity,
                      require_int, require_type)
 from .geometry import Rect
-from .sequence import (INDEX_CAP, POLE_GUARD, SILVER_CONJUGATE, SILVER_RATIO,
-                       float_pole, float_rows, float_window, term_row)
+from .sequence import (INDEX_CAP, LAST_LEVEL, POLE_GUARD, SILVER_CONJUGATE,
+                       SILVER_RATIO, float_pole, float_row, float_table,
+                       float_window)
 from .sequence import pell_lucas, pole_ratio  # unused; perfbench wraps them
 
 DEFAULT_TARGET_TOL = 1e-12
 DEFAULT_MAX_HALF_WIDTH = 200
 
 MIN_TAIL_HALF_WIDTH = 2   # containment interval needs poles J+1, J+2
-_MAX_TAIL_HALF_WIDTH = INDEX_CAP - 3  # pole -J-2 reads Q_{-J-3}
 _DIST_SHAVE = 1.0 - 1e-12      # deflate distances against rounding
 _BOUND_SLACK = 1.0 + 1e-9      # inflate the bound against rounding
 _BOUND_FLOOR = 2e-300          # stay clear of subnormal arithmetic
@@ -160,40 +161,38 @@ def _require_weight(m) -> None:
         raise ValueError(f"weight must be an integer >= 2, got {m!r}")
 
 
+def _modulus(w: complex) -> float:
+    """abs(w), or inf where it raises OverflowError (finite parts)."""
+    try:
+        return abs(w)
+    except OverflowError:
+        return math.inf
+
+
 def _require_point(z) -> complex:
-    """z as a complex number; a non-number or a non-finite point raises
-    ValueError."""
+    """z as a complex number; a non-number, or a point that is not finite
+    (its modulus included), raises ValueError."""
     try:
         if isinstance(z, str):  # complex() would parse it
             raise TypeError
         z = complex(z)
     except TypeError:
         raise ValueError(f"point must be a number, got {z!r}") from None
-    if not isfinite(z):
+    if not _modulus(z) < math.inf:  # a nan part compares False as well
         raise ValueError(f"point must be finite, got {z!r}")
     return z
-
-
-def _require_half_width(half_width) -> None:
-    require_int("half_width", half_width)
-    if half_width < MIN_TAIL_HALF_WIDTH:
-        raise ValueError(
-            f"tail bound needs half_width >= {MIN_TAIL_HALF_WIDTH}")
-    if half_width > _MAX_TAIL_HALF_WIDTH:
-        raise IndexCapExceeded(half_width, _MAX_TAIL_HALF_WIDTH, "half_width")
 
 
 def term_value(j: int, z: complex, m: int) -> complex:
     """One term (Q_j z + Q_{j-1})^(-m) in double precision.
 
     Q_j, Q_{j-1} and the guard radius POLE_GUARD * |Q_j| come from
-    sequence.term_row(j), the row that _Series.extend reads for term j from
-    the float row table, and the arithmetic is the same.  The reciprocal is
-    taken first and powered by repeated multiplication, so huge |Q_j|
-    underflows gracefully to 0 instead of overflowing.  Raises
-    PoleProximity when |Q_j z + Q_{j-1}| < POLE_GUARD * |Q_j|, i.e. when z
-    is within POLE_GUARD (1e-8) of the term's pole, or so close that the
-    m-th power overflows.
+    sequence.float_row(j), the row that _Series.extend reads for term j,
+    and the arithmetic is the same.  The reciprocal is taken first and
+    powered by repeated multiplication, so huge |Q_j| underflows gracefully
+    to 0 instead of overflowing.  Raises PoleProximity when
+    |Q_j z + Q_{j-1}| < POLE_GUARD * |Q_j|, i.e. when z is within POLE_GUARD
+    (1e-8) of the term's pole, or so close that the m-th power overflows.
     """
     # A type test passes the common arguments; the rest get the full checks.
     if not (m.__class__ is int and m >= 2):
@@ -202,7 +201,9 @@ def term_value(j: int, z: complex, m: int) -> complex:
         z = _require_point(z)
     if j.__class__ is not int:
         require_int("index", j)
-    return _row_term(j, term_row(j), z, m)
+    if not -INDEX_CAP < j <= INDEX_CAP:  # Q_j or Q_{j-1} past the cap
+        raise IndexCapExceeded(j if abs(j) > INDEX_CAP else j - 1, INDEX_CAP)
+    return _row_term(j, float_row(j), z, m)
 
 
 def _row_term(j: int, row, z: complex, m: int) -> complex:
@@ -211,12 +212,12 @@ def _row_term(j: int, row, z: complex, m: int) -> complex:
     if row is None:
         # |Q_j| beyond double range: the term is zero unless z sits
         # essentially on the pole.
-        if abs(z - float_pole(j)) < POLE_GUARD:
+        if _modulus(z - float_pole(j)) < POLE_GUARD:
             raise PoleProximity(j, z)
         return 0j
     fj, fjm1, radius = row
     w = fj * z + fjm1
-    if abs(w) < radius:
+    if _modulus(w) < radius:  # far from the pole where |w| overflows
         raise PoleProximity(j, z)
     r = 1.0 / w
     out = r
@@ -232,8 +233,8 @@ def tail_bound(half_width: int, z: complex, m: int) -> float:
 
     Returns math.inf (the MaxReal sentinel) when z touches one of the
     pole containment intervals, i.e. when no finite bound is available.
-    The hulls read Q_n for |n| <= half_width + 3, so a half_width above
-    INDEX_CAP - 3 raises IndexCapExceeded before the table grows.
+    Any integer half_width >= 2 is taken: the hulls and 1/Q_J come from
+    the float table, which reads no Q past its last level.
     """
     # A type test passes the common arguments; the rest get the full checks.
     if not (m.__class__ is int and m >= 2):
@@ -241,8 +242,11 @@ def tail_bound(half_width: int, z: complex, m: int) -> float:
     if not (z.__class__ is complex and isfinite(z)):
         z = _require_point(z)
     if not (half_width.__class__ is int
-            and MIN_TAIL_HALF_WIDTH <= half_width <= _MAX_TAIL_HALF_WIDTH):
-        _require_half_width(half_width)
+            and half_width >= MIN_TAIL_HALF_WIDTH):
+        require_int("half_width", half_width)
+        if half_width < MIN_TAIL_HALF_WIDTH:
+            raise ValueError(
+                f"tail bound needs half_width >= {MIN_TAIL_HALF_WIDTH}")
     lo_p, hi_p, lo_n, hi_n, q_inv = float_window(half_width)
     # Distances from z to the two hulls.
     x, y = z.real, z.imag
@@ -370,7 +374,10 @@ class _Series:
             _require_weight(m)
         if not (z.__class__ is complex and isfinite(z)):
             z = _require_point(z)
-        d_minus, d_plus = abs(z - SILVER_CONJUGATE), abs(z - SILVER_RATIO)
+        try:
+            d_minus, d_plus = abs(z - SILVER_CONJUGATE), abs(z - SILVER_RATIO)
+        except OverflowError:  # |z| leaves double range
+            raise ValueError(f"point must be finite, got {z!r}") from None
         if min(d_minus, d_plus) <= POLE_GUARD:
             raise DidNotConverge(0, math.inf, point=z)
         self.z = z
@@ -380,7 +387,7 @@ class _Series:
         self.bound = math.inf
         # A compensated sum started at 0 holds 0 + v, with no correction,
         # after its first finite term.
-        self._sums = (0j + _row_term(0, term_row(0), z, m), 0j, 0j, 0j)
+        self._sums = (0j + _row_term(0, float_row(0), z, m), 0j, 0j, 0j)
 
     def extend(self, target_tol: float, max_half_width: int) -> EvalResult:
         """The result at the first window J >= 2 whose tail bound is
@@ -411,16 +418,11 @@ class _Series:
             # each term, ran grid-sweep 6% slower (a median of 26,200
             # against 27,900 ops/s, 6 alternating 8 s runs each, 2-vCPU
             # VM, Python 3.11.7).
-            rows = float_rows(stop)
+            levels = float_table(stop)
             powers = range(m - 1)
-            for level in range(level + 1, stop + 1):
-                row_p, row_m = rows[level]
-                if row_p is None:
-                    if abs(z - float_pole(level)) < POLE_GUARD:
-                        raise PoleProximity(level, z)
-                    v = 0j
-                else:
-                    q, q_prev, radius = row_p
+            try:
+                for level in range(level + 1, min(stop, LAST_LEVEL - 1) + 1):
+                    (q, q_prev, radius), row_m, _ = levels[level]
                     w = q * z + q_prev
                     if abs(w) < radius:
                         raise PoleProximity(level, z)
@@ -429,15 +431,10 @@ class _Series:
                         v *= r
                     if not isfinite(v):
                         raise PoleProximity(level, z)
-                t = s_p + v
-                e = t - s_p
-                c_p += (s_p - (t - e)) + (v - e)
-                s_p = t
-                if row_m is None:
-                    if abs(z - float_pole(-level)) < POLE_GUARD:
-                        raise PoleProximity(-level, z)
-                    v = 0j
-                else:
+                    t = s_p + v
+                    e = t - s_p
+                    c_p += (s_p - (t - e)) + (v - e)
+                    s_p = t
                     q, q_prev, radius = row_m
                     w = q * z + q_prev
                     if abs(w) < radius:
@@ -447,10 +444,13 @@ class _Series:
                         v *= r
                     if not isfinite(v):
                         raise PoleProximity(-level, z)
-                t = s_m + v
-                e = t - s_m
-                c_m += (s_m - (t - e)) + (v - e)
-                s_m = t
+                    t = s_m + v
+                    e = t - s_m
+                    c_m += (s_m - (t - e)) + (v - e)
+                    s_m = t
+            except OverflowError:  # abs(w) of finite parts beyond range
+                raise DidNotConverge(level, math.inf, point=z) from None
+            level = stop  # the levels past LAST_LEVEL - 1 add exact zeros
             if bound > target_tol:
                 raise DidNotConverge(level, bound, point=z)
             self.level, self.bound = level, bound
@@ -484,8 +484,9 @@ def eval_series(z: complex, m: int,
     overflows, and DidNotConverge when the bound cannot reach the tolerance
     (immediately so within POLE_GUARD of the accumulation points
     1 +/- sqrt(2), where poles cluster and the bound stays at the sentinel
-    forever) or when finite terms sum past double range (half_width is then
-    the window reached, tail_bound inf).
+    forever) or when finite terms, or the modulus of a term's denominator,
+    leave double range (half_width is then the level reached, tail_bound
+    inf).
     """
     s = _require_settings(settings)
     return _Series(z, m).extend(s.target_tol, s.max_half_width)

@@ -1,4 +1,4 @@
-"""Pell-Lucas numbers over signed indices, memoized in exact integer arithmetic.
+"""Pell-Lucas numbers over signed indices, exact and in one float table.
 
 The sequence satisfies Q_n = 2 Q_{n-1} + Q_{n-2} with Q_0 = Q_1 = 2.  Run
 backward, Q_{n-2} = Q_n - 2 Q_{n-1} gives
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from functools import cache
 from math import inf, nextafter
 
 from .errors import IndexCapExceeded, InvalidRange, require_int
@@ -27,74 +26,74 @@ SILVER_CONJUGATE = -0.41421356237309503  # 1 - sqrt(2)
 SILVER_RATIO = 2.414213562373095         # 1 + sqrt(2)
 
 
-# Q_0, Q_1, ...: grown forward only, under _LOCK; Q_{-n} = (-1)^n Q_n is
-# read from Q_n.  Entries never change once appended, so reads need no lock.
+# Q_0, Q_1, ...: grown forward only, under _LOCK (reentrant: the float table
+# grows under it too); Q_{-n} = (-1)^n Q_n is read from Q_n.  Entries never
+# change once appended, so reads need no lock; nor do the float table's.
 _Q: list[int] = [2, 2]
-_LOCK = threading.Lock()
+_LOCK = threading.RLock()
+
+# The float table of the numeric layers.  Level n = 0 .. LAST_LEVEL holds
+# the rows of terms n and -n, the row of term i being (float(Q_i),
+# float(Q_{i-1}), POLE_GUARD * |Q_i|) or None past double range, and window
+# n, (lo+, hi+, lo-, hi-, 1/Q_n): the outward rounded hulls of p_{n+1},
+# p_{n+2} and of p_{-n-1}, p_{-n-2}, which hold every pole beyond |j| <= n.
+# Past the table every value is a constant that reads no Q (the tests derive
+# the limits exactly): float(p_n) is 1 -/+ sqrt(2) from |n| =
+# FIRST_LIMIT_POLE on, rows are None, and windows are _FAR_WINDOW (1/Q = 0).
+FIRST_LIMIT_POLE = 22   # first |n| with float(p_n) equal to its limit
+LAST_LEVEL = 805        # last n with float(Q_n) finite (row -805 is None)
+_TABLE: list[tuple] = []
 
 
-# One lazily filled float table over pell_lucas for the numeric layers.
-@cache
-def float_q(n: int) -> float | None:
-    """float(Q_n), or None where it leaves double range."""
+def float_pole(n: int) -> float:
+    """-Q_{n-1}/Q_n, correctly rounded as is float(pole_ratio(n)): by int
+    true division below FIRST_LIMIT_POLE, else the limit 1 -/+ sqrt(2)."""
+    if abs(n) >= FIRST_LIMIT_POLE:
+        return SILVER_CONJUGATE if n > 0 else SILVER_RATIO
+    return -pell_lucas(n - 1) / pell_lucas(n)
+
+
+_FAR_WINDOW = tuple(nextafter(limit, side)
+                    for limit in (SILVER_CONJUGATE, SILVER_RATIO)
+                    for side in (-inf, inf)) + (0.0,)
+
+
+def _row(i: int) -> tuple | None:
     try:
-        return float(pell_lucas(n))
+        q, q_prev = float(pell_lucas(i)), float(pell_lucas(i - 1))
     except OverflowError:
-        return None
-
-
-# The float rows of the series terms: entry j >= 0 is the pair (row of term
-# j, row of term -j), where the row of term i is (float(Q_i), float(Q_{i-1}),
-# POLE_GUARD * |Q_i|), or None where Q_i or Q_{i-1} leaves double range.
-# Grown forward only, under its own lock (pell_lucas takes _LOCK, which is
-# not reentrant); entries never change once appended, so reads need no lock.
-_Row = tuple[float, float, float]
-_ROWS: list[tuple[_Row | None, _Row | None]] = []
-_ROWS_LOCK = threading.Lock()
-
-
-def term_row(i: int) -> _Row | None:
-    """The float row of term i, uncached: what its entry in float_rows
-    holds."""
-    q, q_prev = float_q(i), float_q(i - 1)
-    if q is None or q_prev is None:
         return None
     return (q, q_prev, POLE_GUARD * abs(q))
 
 
-def float_rows(n: int) -> list[tuple[_Row | None, _Row | None]]:
-    """The float row table, holding at least the entries 0 .. n.
-
-    Entry n reads Q_{-n-1}, so an n above INDEX_CAP - 1 raises
-    IndexCapExceeded before the table grows."""
-    if n >= len(_ROWS):
-        if n >= INDEX_CAP:
-            raise IndexCapExceeded(n, INDEX_CAP - 1)
-        with _ROWS_LOCK:
-            while len(_ROWS) <= n:
-                j = len(_ROWS)
-                _ROWS.append((term_row(j), term_row(-j)))
-    return _ROWS
-
-
-@cache
-def float_pole(n: int) -> float:
-    """-Q_{n-1}/Q_n by int true division, correctly rounded as is
-    float(pole_ratio(n))."""
-    return -pell_lucas(n - 1) / pell_lucas(n)
-
-
-@cache
-def float_window(n: int) -> tuple[float, float, float, float, float]:
-    """(lo+, hi+, lo-, hi-, 1/Q_n): the outward rounded hulls of p_{n+1},
-    p_{n+2} and of p_{-n-1}, p_{-n-2}, which hold every pole beyond
-    |j| <= n, and 1/Q_n (0.0 where Q_n overflows)."""
+def _level(n: int) -> tuple:
     lo_p, hi_p = sorted((float_pole(n + 1), float_pole(n + 2)))
     lo_n, hi_n = sorted((float_pole(-n - 1), float_pole(-n - 2)))
-    q = float_q(n)
-    return (nextafter(lo_p, -inf), nextafter(hi_p, inf),
-            nextafter(lo_n, -inf), nextafter(hi_n, inf),
-            0.0 if q is None else 1.0 / q)
+    row = _row(n)   # finite for n <= LAST_LEVEL
+    return (row, _row(-n), (nextafter(lo_p, -inf), nextafter(hi_p, inf),
+                            nextafter(lo_n, -inf), nextafter(hi_n, inf),
+                            1.0 / row[0]))
+
+
+def float_table(n: int) -> list[tuple]:
+    """The float table, holding at least the levels 0 .. min(n, LAST_LEVEL);
+    it reads Q_i for |i| <= LAST_LEVEL + 1 alone, whatever n is."""
+    if n >= len(_TABLE) and len(_TABLE) <= LAST_LEVEL:
+        with _LOCK:
+            while len(_TABLE) <= min(n, LAST_LEVEL):
+                _TABLE.append(_level(len(_TABLE)))
+    return _TABLE
+
+
+def float_row(i: int) -> tuple | None:
+    """The float row of term i (level |i|, second for i < 0), or None."""
+    n = abs(i)
+    return float_table(n)[n][i < 0] if n <= LAST_LEVEL else None
+
+
+def float_window(n: int) -> tuple:
+    """Window n >= 0: the hulls of the poles beyond |j| <= n, and 1/Q_n."""
+    return float_table(n)[n][2] if n <= LAST_LEVEL else _FAR_WINDOW
 
 
 def pell_lucas(n: int) -> int:

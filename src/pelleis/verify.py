@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -10,8 +9,8 @@ from .analysis import classify
 from .equations import EquationId
 from .errors import (DidNotConverge, EmptyGrid, PelleisError, ZeroArgument,
                      require_type)
-from .evaluator import (EvalSettings, _require_point, _require_settings,
-                        _Series)
+from .evaluator import (EvalSettings, _modulus, _require_point,
+                        _require_settings, _Series)
 from .evaluator import eval_series  # unused; perfbench wraps it
 from .geometry import Rect
 
@@ -77,12 +76,13 @@ def _pow_int(base: complex, n: int) -> complex:
 
 def _arguments(equation: EquationId, z: complex) -> tuple[complex, complex]:
     """(left-side argument, right-side argument) of the equation at z: the
-    maps (a z + b)/(c z + d) of its row; one with d = 0 needs z != 0."""
+    maps (a z + b)/(c z + d) of its row; one with d = 0 needs z != 0, and
+    an argument whose modulus leaves double range is refused."""
     left, right, _, _ = equation.row
     if z == 0 and (left[3] == 0 or right[3] == 0):
         raise ZeroArgument(f"{equation.value} undefined at z = 0")
     lhs_z, rhs_z = ((a * z + b) / (c * z + d) for a, b, c, d in (left, right))
-    if not (cmath.isfinite(lhs_z) and cmath.isfinite(rhs_z)):
+    if not (_modulus(lhs_z) < math.inf and _modulus(rhs_z) < math.inf):
         raise ZeroArgument(
             f"{equation.value} argument overflows at z = {z!r}")
     return lhs_z, rhs_z
@@ -122,7 +122,7 @@ def residual(equation: EquationId, z: complex, k: int,
         prefactor = 1.0 + 0.0j
     else:
         prefactor = _pow_int(z if sign > 0 else 1 / z, m)
-    pref_mag = abs(prefactor)
+    pref_mag = _modulus(prefactor)
 
     lhs_series = rhs_series = None
     lhs_tol = rhs_tol = base.target_tol
@@ -143,7 +143,7 @@ def residual(equation: EquationId, z: complex, k: int,
             raise
         rhs = prefactor * right.value
         rhs_tail = pref_mag * right.tail_bound
-        if not (cmath.isfinite(rhs) and math.isfinite(rhs_tail)):
+        if not (_modulus(rhs) < math.inf and math.isfinite(rhs_tail)):
             # The prefactor z^(+-2k) left double range.
             raise DidNotConverge(right.terms_used, math.inf, point=rhs_z,
                                  side="rhs")

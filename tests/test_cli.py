@@ -164,6 +164,20 @@ def test_overflowing_rect_side_is_refused(capsys, command):
         Rect(0, -1e308, 1, 1e308)
 
 
+def test_points_beyond_double_range_are_typed_errors(capsys):
+    # Finite inputs whose modulus leaves double range: an error line and
+    # exit 1 for the point, a diverged cell for the grid, no traceback.
+    code, out = run_cli(capsys, "eval", "--re", "1.5e308", "--im", "1.5e308",
+                        "--weight", "2")
+    assert code == 1
+    assert out.splitlines()[-1] == (
+        "# error: point must be finite, got (1.5e+308+1.5e+308j)")
+    code, out = run_cli(capsys, "grid", "--rect=2e307,2e307,2.4e307,2.4e307",
+                        "--nx", "1", "--ny", "1", "--weight", "2")
+    assert code == 0
+    assert out.splitlines()[-1] == "2.2e+307,2.2e+307,,,,,,,,,diverged"
+
+
 # ---------------------------------------------------------------------- poles
 
 def test_poles_jcap_above_limit(capsys):

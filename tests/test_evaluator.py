@@ -18,8 +18,8 @@ from pelleis import (DidNotConverge, EquationId, EvalSettings,
                      eval_grid, eval_series, pell_lucas, pole_ratio,
                      residual, tail_bound, term_value, verify_grid)
 from pelleis.evaluator import MIN_TAIL_HALF_WIDTH
-from pelleis.sequence import (INDEX_CAP, SILVER_CONJUGATE, SILVER_RATIO,
-                              float_pole, float_q)
+from pelleis.sequence import (INDEX_CAP, LAST_LEVEL, SILVER_CONJUGATE,
+                              SILVER_RATIO, float_pole, float_row)
 
 # Reference values from the 40-digit depth-200 oracle (tests/oracle.py),
 # frozen as shortest strings that round to the same doubles.
@@ -77,25 +77,45 @@ def test_term_value_giant_index_underflows():
 
 
 def test_term_value_domain_ends_at_index_cap(monkeypatch):
-    # term_value(j) reads Q_j and Q_{j-1} alone, so it serves j up to
+    # term_value(j) stands for Q_j and Q_{j-1}, so it serves j up to
     # INDEX_CAP and down to 1 - INDEX_CAP, refusing past them as
-    # pell_lucas does, and it does not grow the float row table.  The cap
-    # is lowered to 100 here: the real cap would grow the integer table to
-    # about 800 MB.  float_q is cleared so that no cached value hides the
-    # cap.
+    # pell_lucas does, and names the first index past the cap.  Past double
+    # range its row reads no Q, so the ends of the domain grow no integer
+    # table.  The cap is lowered to 100 for the refusals.
     z = 0.3 + 0.7j
+    before = len(sequence._Q)
+    assert term_value(INDEX_CAP, z, 4) == term_value(1 - INDEX_CAP, z, 4) == 0
+    assert len(sequence._Q) == before
     want = {j: term_value(j, z, 4) for j in (100, -99)}
     assert all(want.values())
-    monkeypatch.setattr(sequence, "INDEX_CAP", 100)
-    monkeypatch.setattr(sequence, "_ROWS", [])
-    sequence.float_q.cache_clear()
+    monkeypatch.setattr(evaluator, "INDEX_CAP", 100)
     for j, value in want.items():
         assert term_value(j, z, 4) == value
-    for j, index in ((101, 101), (-100, -101)):
+    for j, index in ((101, 101), (-100, -101), (-150, -150)):
         with pytest.raises(IndexCapExceeded,
                            match=f"^index {index} exceeds cap 100$"):
             term_value(j, z, 4)
-    assert sequence._ROWS == []
+
+
+def test_huge_points_refused_or_underflowing():
+    # abs() raises OverflowError where finite parts have a modulus beyond
+    # double range.  At z itself that is the point rule's ValueError; a
+    # denominator of the window that gets there is a DidNotConverge (the
+    # grid records it per cell); a term_value denominator that gets there
+    # is far from its pole, and the term underflows to zero, as the
+    # reference computes it.
+    with pytest.raises(ValueError, match="^point must be finite"):
+        eval_series(1.5e308 + 1.5e308j, 2)
+    with pytest.raises(DidNotConverge) as info:
+        eval_series(2.2e307 + 2.2e307j, 2)
+    assert info.value.tail_bound == math.inf
+    assert info.value.half_width == 2   # w = 6 z + 2 at level 2
+    (_, cell), = eval_grid(Rect(2e307, 2e307, 2.4e307, 2.4e307), 1, 1, 2)
+    assert isinstance(cell, DidNotConverge)
+    z = 0.585786437626905 + 1j
+    assert term_value(805, z, 2) == 0
+    assert _term_matches_reference(805, z, 2) == repr(term_value(805, z, 2))
+    assert term_value(900, 1.5e308 + 1.5e308j, 2) == 0j
 
 
 def test_term_decay_ratio():
@@ -108,23 +128,39 @@ def test_term_decay_ratio():
             assert step <= abs(term_value(j, z, m)) * 0.5 ** m * 1.2
 
 
+def _float_q(n):
+    """float(Q_n), or None where it leaves double range."""
+    try:
+        return float(pell_lucas(n))
+    except OverflowError:
+        return None
+
+
+def _near(w, radius):
+    """abs(w) < radius, where an abs beyond double range is not near."""
+    try:
+        return abs(w) < radius
+    except OverflowError:
+        return False
+
+
 def two_float_term_value(j, z, m):
     """Reference for term_value: the same arithmetic with Q_j and Q_{j-1}
-    read by two float_q lookups and the guard radius computed per call, as
-    before the row table."""
+    converted from the integers per call and the guard radius computed per
+    call, as before the float table."""
     if not (m.__class__ is int and m >= 2):
         evaluator._require_weight(m)
     if not (z.__class__ is complex and math.isfinite(z.real)
             and math.isfinite(z.imag)):
         z = evaluator._require_point(z)
-    fj = float_q(j)
-    fjm1 = float_q(j - 1)
+    fj = _float_q(j)
+    fjm1 = _float_q(j - 1)
     if fj is None or fjm1 is None:
-        if abs(z - float_pole(j)) < 1e-8:
+        if _near(z - float(pole_ratio(j)), 1e-8):
             raise PoleProximity(j, z)
         return 0j
     w = fj * z + fjm1
-    if abs(w) < 1e-8 * abs(fj):
+    if _near(w, 1e-8 * abs(fj)):
         raise PoleProximity(j, z)
     r = 1.0 / w
     out = r
@@ -154,9 +190,9 @@ def test_term_value_matches_two_float_reference_seeded():
     kinds = set()
     for _ in range(20000):
         kind = rng.randrange(4)
-        if kind == 0:      # float_q exact, |j| < 42
+        if kind == 0:      # float(Q_j) exact, |j| < 42
             j = rng.randint(-41, 41)
-        elif kind == 1:    # float_q rounded
+        elif kind == 1:    # float(Q_j) rounded
             j = rng.choice((1, -1)) * rng.randint(42, 800)
         elif kind == 2:    # rows past double range start at |j| = 806
             j = rng.choice((1, -1)) * rng.randint(800, 812)
@@ -198,8 +234,8 @@ def test_tail_bound_validation():
 
 def test_tail_bound_half_width_validation():
     # A non-integer half_width is named, not an untyped TypeError or the
-    # sequence's "index" rule; one above INDEX_CAP - 3 is refused by name
-    # before the table grows, not as an index the caller never passed.
+    # sequence's "index" rule.  Any integer half_width >= 2 is taken, and
+    # one past the float table grows no integer table.
     for half_width in (None, "3", 2.0, True, 3.5):
         with pytest.raises(ValueError,
                            match="^half_width must be an integer"):
@@ -207,10 +243,7 @@ def test_tail_bound_half_width_validation():
     before = len(sequence._Q)
     limit = INDEX_CAP - 3
     for half_width in (limit + 1, limit + 2, INDEX_CAP, 10 ** 9):
-        with pytest.raises(
-                IndexCapExceeded,
-                match=f"^half_width {half_width} exceeds cap {limit}$"):
-            tail_bound(half_width, 1j, 2)
+        assert tail_bound(half_width, 1j, 2) == 2e-300
     assert len(sequence._Q) == before
     # The weight and the point are still checked first.
     with pytest.raises(ValueError, match="weight"):
@@ -481,13 +514,14 @@ def test_eval_nonfinite_term_is_pole_proximity():
     assert math.isfinite(term_value(0, z, 20).real)
 
 
-def _patch_rows(monkeypatch, row_of, n):
-    """Give every term i the row row_of(i): as the kernel reads it, from
-    the float row table (entries 0 .. n), and as term_value and term 0
-    read it, from evaluator.term_row."""
-    monkeypatch.setattr(evaluator, "term_row", row_of)
-    monkeypatch.setattr(sequence, "_ROWS",
-                        [(row_of(j), row_of(-j)) for j in range(n + 1)])
+def _patch_rows(monkeypatch, row_of):
+    """Give every term i, |i| <= LAST_LEVEL, the row row_of(i) in the float
+    table, where the kernel, term 0 and term_value all read it; the windows
+    stay as they are."""
+    levels = sequence.float_table(LAST_LEVEL)
+    monkeypatch.setattr(sequence, "_TABLE",
+                        [(row_of(j), row_of(-j), levels[j][2])
+                         for j in range(LAST_LEVEL + 1)])
 
 
 def test_eval_nonfinite_sum_is_refused(monkeypatch):
@@ -495,7 +529,7 @@ def test_eval_nonfinite_sum_is_refused(monkeypatch):
     # row gives w = 1e-154 and so the finite term 1e308.
     row = (0.0, 1e-154, 0.0)
     assert term_value(5, 3j, 2) != 1e308
-    _patch_rows(monkeypatch, lambda i: row, 300)
+    _patch_rows(monkeypatch, lambda i: row)
     assert term_value(5, 3j, 2) == term_value(-5, 3j, 2) == 1e308
     with pytest.raises(DidNotConverge) as info:
         eval_series(3j, 2)
@@ -531,27 +565,43 @@ def test_series_extend_matches_fresh_eval(z, m):
                 tols.insert(0, got.tail_bound)
 
 
+def _record_levels(monkeypatch):
+    """Put a copy of the whole float table in its place that records the
+    index of every level read; returns the list of reads."""
+    reads = []
+
+    class RecordingLevels(list):
+        def __getitem__(self, index):
+            reads.append(index)
+            return super().__getitem__(index)
+
+    monkeypatch.setattr(sequence, "_TABLE",
+                        RecordingLevels(sequence.float_table(LAST_LEVEL)))
+    return reads
+
+
 def test_series_extend_adds_no_terms_when_bound_met(monkeypatch):
     series = evaluator._Series(1 + 1j, 2)
     first = series.extend(1e-6, 200)
     assert series.extend(1e-12, 200).terms_used > first.terms_used
     tighter = series.extend(1e-12, 200)
     met = series.extend(tighter.tail_bound, 200)
-    reads = []
+    probes = []
 
-    class RecordingRows(list):
-        def __getitem__(self, index):
-            reads.append(index)
-            return super().__getitem__(index)
+    def recording_tail_bound(j, z, m):
+        probes.append(j)
+        return tail_bound(j, z, m)
 
-    monkeypatch.setattr(sequence, "_ROWS",
-                        RecordingRows(sequence.float_rows(200)))
+    reads = _record_levels(monkeypatch)
+    monkeypatch.setattr(evaluator, "tail_bound", recording_tail_bound)
     assert series.extend(1e-9, 200) == met == tighter
-    assert reads == []
-    # The recording sees the rows of the terms that are added.
+    assert reads == probes == []
+    # The recording sees the windows of the probed bounds, then the levels
+    # of the terms that are added.
     assert series.extend(1e-14, 200).terms_used > tighter.terms_used
-    assert reads == list(range(tighter.terms_used + 1,
-                               series.level + 1))
+    assert probes
+    assert reads == probes + list(range(tighter.terms_used + 1,
+                                        series.level + 1))
 
 
 def _neumaier(s, c, x):
@@ -906,7 +956,7 @@ def test_fold_matches_per_term_reference_past_double_range(monkeypatch):
 
     monkeypatch.setattr(sys.modules[__name__], "tail_bound", late_bound)
     monkeypatch.setattr(evaluator, "tail_bound", late_bound)
-    assert sequence.float_rows(850)[806] == (None, None)
+    assert float_row(-805) is float_row(806) is float_row(-806) is None
     for z in (complex(SILVER_RATIO, 1.1e-8), complex(SILVER_CONJUGATE, 2e-8),
               1 + 1j):
         for m in (2, 3, 8, 64):
@@ -914,24 +964,40 @@ def test_fold_matches_per_term_reference_past_double_range(monkeypatch):
             assert evaluator._Series(z, m).extend(1e-12, 900).terms_used == 850
 
 
-def test_fold_none_rows_follow_term_value(monkeypatch):
-    # A None row is a zero term unless z lies within POLE_GUARD of the
-    # term's pole.  The poles of the real None rows, past |j| = 805, round
-    # to 1 +- sqrt(2), where _Series refuses to start, so rows patched to
-    # None from level 3 on check the rule, on both sides.
-    _patch_rows(monkeypatch,
-                lambda i: None if abs(i) >= 3 else sequence.term_row(i), 200)
-    for j in (3, -3, 5, -6):
-        z = float_pole(j) + 5e-9j
-        assert _search_matches_scan(z, 2, [(1e-12, 200)])
-        with pytest.raises(PoleProximity) as info:
-            evaluator._Series(z, 2).extend(1e-12, 200)
-        assert info.value.index == j
-    assert _search_matches_scan(1 + 1j, 4, [(1e-12, 200)])
-    # Only the terms 0, +-1 and +-2 are nonzero.
-    assert cmath.isclose(evaluator._Series(1 + 1j, 4).extend(1e-12, 200).value,
-                         sum(term_value(j, 1 + 1j, 4) for j in range(-2, 3)),
-                         rel_tol=1e-14)
+def test_levels_past_the_end_add_nothing(monkeypatch):
+    # Every term from level LAST_LEVEL on is an exact zero: its row reads Q
+    # beyond double range, or |Q_j| near 1e308 makes the power underflow.
+    # The kernel reads no level past LAST_LEVEL - 1, and a window that ends
+    # past it holds the sums of the window that ends there.  A bound
+    # patched to inf below window stop[0] makes the kernel stop there.
+    real = tail_bound
+    stop = [0]
+    windows = []    # the table levels whose window the bound reads
+
+    def late_bound(j, z, m):
+        if j < stop[0]:
+            return math.inf
+        if j <= LAST_LEVEL:
+            windows.append(j)
+        return real(j, z, m)
+
+    monkeypatch.setattr(evaluator, "tail_bound", late_bound)
+    reads = _record_levels(monkeypatch)
+    for z in (complex(SILVER_RATIO, 1.1e-8), complex(SILVER_CONJUGATE, 2e-8),
+              1 + 1j):
+        for m in (2, 3, 64):
+            for j in (LAST_LEVEL, -LAST_LEVEL, LAST_LEVEL + 1, -900):
+                assert term_value(j, z, m) == 0, (j, z, m)
+            sums = set()
+            for stop[0] in (LAST_LEVEL - 1, LAST_LEVEL, LAST_LEVEL + 1, 900):
+                series = evaluator._Series(z, m)
+                reads.clear()
+                windows.clear()
+                assert series.extend(1e-12, 1000).terms_used == stop[0]
+                assert reads == windows + list(range(1, LAST_LEVEL)), (
+                    z, m, stop[0])
+                sums.add(repr(series._sums))
+            assert len(sums) == 1, (z, m)
 
 
 class _Weight(enum.IntEnum):

@@ -13,8 +13,9 @@ from oracle import q_int
 from pelleis import (IndexCapExceeded, InvalidRange, pell_lucas,
                      pell_lucas_range, pole_ratio, sequence, tail_bound,
                      term_value)
-from pelleis.sequence import (INDEX_CAP, SILVER_CONJUGATE, SILVER_RATIO,
-                              float_pole, float_q, float_rows, float_window)
+from pelleis.sequence import (FIRST_LIMIT_POLE, INDEX_CAP, LAST_LEVEL,
+                              SILVER_CONJUGATE, SILVER_RATIO, float_pole,
+                              float_row, float_table, float_window)
 
 KNOWN_FORWARD = [2, 2, 6, 14, 34, 82, 198, 478, 1154, 2786]
 
@@ -175,34 +176,17 @@ def test_neighbor_product_defect(n):
 
 # ------------------------------------------------------------- float table
 
-def test_float_table_q_marks_overflow():
-    for n in range(-20, 21):
-        assert float_q(n) == float(pell_lucas(n))
-    assert float_q(900) is None and float_q(-900) is None
-    assert float_q(800) == float(pell_lucas(800))
+# float(Q) is finite below the midpoint of the largest double and 2^1024;
+# the midpoint itself rounds to the even 2^1024, which overflows.
+_OVERFLOW = 2 ** 1024 - 2 ** 970
 
 
-def test_float_table_poles_round_like_fractions():
-    for j in range(-900, 901):
-        assert float_pole(j) == float(pole_ratio(j))
-
-
-def test_float_table_windows_match_exact_hulls():
-    # Hulls built from exact rational comparisons, then rounded outward.
-    def hull(a, b):
-        lo, hi = (a, b) if a <= b else (b, a)
-        return (math.nextafter(float(lo), -math.inf),
-                math.nextafter(float(hi), math.inf))
-
-    for half_width in range(1, 900):
-        plus = hull(pole_ratio(half_width + 1), pole_ratio(half_width + 2))
-        minus = hull(pole_ratio(-half_width - 1), pole_ratio(-half_width - 2))
-        try:
-            q_inv = 1.0 / float(pell_lucas(half_width))
-        except OverflowError:
-            q_inv = 0.0
-        assert float_window(half_width) == plus + minus + (q_inv,)
-    assert float_window(850)[4] == 0.0
+def _rounds_to(x, d):
+    """Exact test that the rational x rounds to the double d: x lies
+    strictly between the midpoints of d and its two neighbours."""
+    lo = (Fraction(math.nextafter(d, -math.inf)) + Fraction(d)) / 2
+    hi = (Fraction(d) + Fraction(math.nextafter(d, math.inf))) / 2
+    return lo < x < hi
 
 
 def _exact_row(i):
@@ -214,52 +198,112 @@ def _exact_row(i):
     return (q, q_prev, 1e-8 * abs(q))
 
 
-def test_float_rows_pair_the_terms_of_each_level(monkeypatch):
-    # Entry j holds the rows of terms j and -j; a row turns None where its
-    # Q_i or Q_{i-1} leaves double range (first at -805, which reads
-    # Q_{-806}).
-    rows = float_rows(900)
-    assert rows[0] == ((2.0, -2.0, 2e-8),) * 2
-    for j in range(901):
-        assert rows[j] == (_exact_row(j), _exact_row(-j)), j
-    assert rows[805][1] is None and rows[805][0] is not None
-    assert rows[806] == (None, None)
-    # Entry INDEX_CAP would read Q_{-INDEX_CAP-1}: refused before the
-    # table grows.
-    monkeypatch.setattr(sequence, "_ROWS", [])
-    with pytest.raises(IndexCapExceeded, match=f"index {INDEX_CAP} "):
-        float_rows(INDEX_CAP)
-    assert sequence._ROWS == []
+def _exact_window(n):
+    """Window n from exact rational comparisons, rounded outward."""
+    def hull(a, b):
+        lo, hi = (a, b) if a <= b else (b, a)
+        return (math.nextafter(float(lo), -math.inf),
+                math.nextafter(float(hi), math.inf))
+
+    plus = hull(pole_ratio(n + 1), pole_ratio(n + 2))
+    minus = hull(pole_ratio(-n - 1), pole_ratio(-n - 2))
+    q = pell_lucas(n)
+    return plus + minus + ((1.0 / float(q) if q < _OVERFLOW else 0.0),)
+
+
+def test_float_table_limits_derived_exactly():
+    # FIRST_LIMIT_POLE: the first n from which p_n rounds to 1 - sqrt(2)
+    # and p_-n to 1 + sqrt(2).  Two neighbours suffice: p_{k+2} lies
+    # between p_k and p_{k+1}.
+    def first(sign, limit):
+        return next(n for n in range(1, 100)
+                    if _rounds_to(pole_ratio(sign * n), limit)
+                    and _rounds_to(pole_ratio(sign * (n + 1)), limit))
+
+    assert first(1, SILVER_CONJUGATE) == FIRST_LIMIT_POLE == 22
+    assert first(-1, SILVER_RATIO) == FIRST_LIMIT_POLE
+    # LAST_LEVEL: the last n with float(Q_n) finite, by integer comparison.
+    last = max(n for n in range(2000) if pell_lucas(n) < _OVERFLOW)
+    assert last == LAST_LEVEL == 805
+    # Window n reads p_{n+1}, p_{n+2}, p_{-n-1}, p_{-n-2} and 1/Q_n, so the
+    # first constant window is the first n past both limits: 806.
+    assert max(FIRST_LIMIT_POLE - 1, last + 1) == 806
+    assert float_window(805) != float_window(806) == float_window(10 ** 9)
+
+
+def test_float_table_poles_round_like_fractions():
+    for j in range(-2999, 3000):
+        assert float_pole(j) == float(pole_ratio(j)), j
+
+
+def test_float_table_q_marks_overflow():
+    # Row i turns None where Q_i or Q_{i-1} leaves double range: first at
+    # -805, which reads Q_{-806}, and at 806.
+    for i in range(-2999, 3000):
+        assert float_row(i) == _exact_row(i), i
+    assert float_row(805) is not None
+    assert float_row(-805) is None and float_row(806) is None
+    assert float_row(0) == (2.0, -2.0, 2e-8)
+
+
+def test_float_table_windows_match_exact_hulls():
+    for n in range(3000):
+        assert float_window(n) == _exact_window(n), n
+    assert float_window(806)[4] == 0.0 and float_window(805)[4] > 0.0
+
+
+def test_float_rows_pair_the_terms_of_each_level():
+    # Level n holds the rows of terms n and -n and window n; the table
+    # stops at LAST_LEVEL, however far it is asked to grow.
+    levels = float_table(10 ** 9)
+    assert len(levels) == LAST_LEVEL + 1
+    for n, level in enumerate(levels):
+        assert level == (_exact_row(n), _exact_row(-n), _exact_window(n)), n
+
+
+def test_float_table_reads_no_q_past_its_end(monkeypatch):
+    # Past the table nothing reads Q, and the whole table reads Q_i for
+    # |i| <= LAST_LEVEL + 1 alone (row -805 reads Q_{-806}).
+    monkeypatch.setattr(sequence, "_Q", [2, 2])
+    monkeypatch.setattr(sequence, "_TABLE", [])
+    assert (tail_bound(INDEX_CAP - 3, 1j, 2) == tail_bound(10 ** 9, 1j, 2)
+            == 2e-300)
+    assert term_value(INDEX_CAP, 1j, 2) == 0j
+    assert len(sequence._Q) == 2 and sequence._TABLE == []
+    float_table(10 ** 9)
+    assert len(sequence._Q) == LAST_LEVEL + 2
 
 
 def test_float_rows_concurrent_growth(monkeypatch):
-    monkeypatch.setattr(sequence, "_ROWS", [])
-    expected = list(float_rows(900))
+    expected = list(float_table(LAST_LEVEL))
     mismatches = []
 
     def worker(step, hi):
         for n in range(0, hi, step):
-            rows = float_rows(n)
-            if rows[n] != expected[n] or rows[n // 2] != expected[n // 2]:
+            levels = float_table(n)
+            k = min(n, LAST_LEVEL)
+            if levels[k] != expected[k] or levels[k // 2] != expected[k // 2]:
                 mismatches.append(n)
 
+    # The deepest requests lie past the table's end, where it stops.
+    args = [(3 + i, 500 + 53 * i) for i in range(8)]
+    deepest = min(max(max(range(0, hi, step)) for step, hi in args),
+                  LAST_LEVEL)
     # Switch threads often, so that unlocked growth would interleave; ten
     # rounds, each on a fresh table.
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(10):
-            monkeypatch.setattr(sequence, "_ROWS", [])
-            threads = [threading.Thread(target=worker,
-                                        args=(3 + i, 500 + 53 * i))
-                       for i in range(8)]
+            monkeypatch.setattr(sequence, "_TABLE", [])
+            threads = [threading.Thread(target=worker, args=a) for a in args]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
-            # The deepest read is entry 870; the table grew to it exactly.
-            assert sequence._ROWS == expected[:871]
+            # The table grew to the deepest level read, or to its end.
+            assert sequence._TABLE == expected[:deepest + 1]
     finally:
         sys.setswitchinterval(interval)
     assert mismatches == []

@@ -343,3 +343,28 @@ def test_one_point_check_for_eval_classify_and_residual():
         for call in calls:
             with pytest.raises(ValueError, match="^point must be a number"):
                 call(z)
+
+
+def test_points_and_arguments_beyond_double_range_are_refused():
+    # Finite parts whose modulus leaves double range: abs() raises
+    # OverflowError there, which each call turns into a typed refusal.
+    huge = 1.5e308 + 1.5e308j
+    for call in (lambda z: eval_series(z, 2), classify,
+                 lambda z: residual(EquationId.REFLECTION, z, 1),
+                 lambda z: residual(EquationId.INVERSION, z, 1)):
+        with pytest.raises(ValueError, match="^point must be finite, got "):
+            call(huge)
+    # 1/z at z = 3.3e-309 (1 + i) has such a modulus: the equations that
+    # need it are undefined there, and a grid skips the point.
+    tiny = 3.3e-309 + 3.3e-309j
+    for eq in (EquationId.INVERSION, EquationId.SHIFT, EquationId.NEGATION):
+        with pytest.raises(ZeroArgument, match="argument overflows"):
+            residual(eq, tiny, 1)
+        with pytest.raises(EmptyGrid):
+            verify_grid(eq, Rect(0, 0, 6.6e-309, 6.6e-309), 1, 1, 1)
+    # z^16 with parts near 1.5e308 each: the prefactor's modulus leaves
+    # double range, a right-side DidNotConverge as when its parts do.
+    z = complex(1.861613197024165e+19, 9.145519185906381e+17)
+    with pytest.raises(DidNotConverge) as info:
+        residual(EquationId.INVERSION, z, 8)
+    assert info.value.side == "rhs" and info.value.tail_bound == math.inf
