@@ -74,11 +74,12 @@ builds one and extends it once, and verify.residual keeps one per side and
 extends it to each refined tolerance, so a refinement continues the window
 sum where the previous tolerance stopped it instead of restarting at j = 0.
 The kernel fetches the levels of its window (sequence.float_table: Q_j,
-Q_{j-1} and the guard radius of terms +j and -j) once, computes both terms
-of each level inline, with no call per term, and adds each with a
-branch-free complex TwoSum; past level LAST_LEVEL - 1 every term is an
-exact zero, and none is added.  term_value is the same arithmetic for one
-term, on its row of the same table (sequence.float_row).
+Q_{j-1} and the guard radius of terms +j and -j) once and adds each side's
+terms in one pass of _add_terms, with no call per term: +1 .. +J to the
+j >= 1 sum, then 0, -1 .. -J to the j <= 0 sum, each with a branch-free
+complex TwoSum; past level LAST_LEVEL - 1 every term is an exact zero, and
+none is added.  term_value is the same arithmetic for one term, on its row
+of the same table (sequence.float_row).
 """
 
 from __future__ import annotations
@@ -187,12 +188,13 @@ def term_value(j: int, z: complex, m: int) -> complex:
     """One term (Q_j z + Q_{j-1})^(-m) in double precision.
 
     Q_j, Q_{j-1} and the guard radius POLE_GUARD * |Q_j| come from
-    sequence.float_row(j), the row that _Series.extend reads for term j,
-    and the arithmetic is the same.  The reciprocal is taken first and
-    powered by repeated multiplication, so huge |Q_j| underflows gracefully
-    to 0 instead of overflowing.  Raises PoleProximity when
+    sequence.float_row(j), the row that _add_terms reads for term j, and
+    the arithmetic is the same.  The reciprocal is taken first and powered
+    by repeated multiplication, so huge |Q_j| underflows gracefully to 0
+    instead of overflowing.  Raises PoleProximity when
     |Q_j z + Q_{j-1}| < POLE_GUARD * |Q_j|, i.e. when z is within POLE_GUARD
     (1e-8) of the term's pole, or so close that the m-th power overflows.
+    A denominator beyond double range gives the term's zero.
     """
     # A type test passes the common arguments; the rest get the full checks.
     if not (m.__class__ is int and m >= 2):
@@ -203,12 +205,7 @@ def term_value(j: int, z: complex, m: int) -> complex:
         require_int("index", j)
     if not -INDEX_CAP < j <= INDEX_CAP:  # Q_j or Q_{j-1} past the cap
         raise IndexCapExceeded(j if abs(j) > INDEX_CAP else j - 1, INDEX_CAP)
-    return _row_term(j, float_row(j), z, m)
-
-
-def _row_term(j: int, row, z: complex, m: int) -> complex:
-    """Term j at z from its float row: the arithmetic of term_value, which
-    _Series.extend repeats inline for every term it adds."""
+    row = float_row(j)
     if row is None:
         # |Q_j| beyond double range: the term is zero unless z sits
         # essentially on the pole.
@@ -224,8 +221,39 @@ def _row_term(j: int, row, z: complex, m: int) -> complex:
     for _ in range(m - 1):
         out *= r
     if not isfinite(out):
-        raise PoleProximity(j, z)
+        if isfinite(w):
+            raise PoleProximity(j, z)
+        return 0j  # both parts of w overflowed: 1/w is nan, |term| < 1e-600
     return out
+
+
+def _add_terms(levels, side: int, lo: int, hi: int, z: complex, m: int,
+               s: complex, c: complex) -> tuple[complex, complex]:
+    """s, c with the terms of levels lo .. hi - 1 of one side added in
+    order by the TwoSum of _Series: +level from row levels[level][0], or
+    -level from levels[level][1] (level 0's is term 0).  Raises as
+    term_value does, or DidNotConverge(level, inf) where abs(w) overflows."""
+    powers = range(m - 1)
+    try:
+        for level in range(lo, hi):
+            q, q_prev, radius = levels[level][side]
+            w = q * z + q_prev
+            if abs(w) < radius:
+                raise PoleProximity(-level if side else level, z)
+            v = r = 1.0 / w
+            for _ in powers:
+                v *= r
+            if not isfinite(v):
+                if isfinite(w):
+                    raise PoleProximity(-level if side else level, z)
+                v = 0j  # both parts of w overflowed: 1/w is nan
+            t = s + v
+            e = t - s
+            c += (s - (t - e)) + (v - e)
+            s = t
+    except OverflowError:  # abs(w) of finite parts beyond range
+        raise DidNotConverge(level, math.inf, point=z) from None
+    return s, c
 
 
 def tail_bound(half_width: int, z: complex, m: int) -> float:
@@ -343,9 +371,9 @@ def _stopping_window(z: complex, m: int, lo: int, target_tol: float,
 class _Series:
     """Resumable adaptive summation of S_m(z): the one summation kernel.
 
-    Terms are accumulated in two compensated sums (j <= 0 and j >= 1) in a
-    fixed interleaved order: j = 0, then +J and -J for J = 1, 2, ...  Each
-    is a complex sum s and correction c, and a term v is added by Knuth's
+    Terms are accumulated in two compensated sums in a fixed order, j >= 1
+    as +1, +2, ... and j <= 0 as 0, -1, -2, ...  Each is a complex sum s
+    and correction c, and a term v is added by Knuth's
     branch-free TwoSum: t = s + v; e = t - s; c += (s - (t - e)) + (v - e);
     s = t.  Complex + and - act on each part alone, and while t is finite
     the added correction is exactly the rounding error s + v - t, the
@@ -383,11 +411,9 @@ class _Series:
         self.z = z
         self.m = m
         self.d_minus, self.d_plus = d_minus, d_plus
-        self.level = 0
+        self.level = -1    # no term added yet, not even term 0
         self.bound = math.inf
-        # A compensated sum started at 0 holds 0 + v, with no correction,
-        # after its first finite term.
-        self._sums = (0j + _row_term(0, float_row(0), z, m), 0j, 0j, 0j)
+        self._sums = (0j, 0j, 0j, 0j)
 
     def extend(self, target_tol: float, max_half_width: int) -> EvalResult:
         """The result at the first window J >= 2 whose tail bound is
@@ -412,45 +438,18 @@ class _Series:
             stop, bound = _stopping_window(z, m, lo, target_tol,
                                            max_half_width, self.d_minus,
                                            self.d_plus)
-            # Each term as _row_term computes it, inlined: +level, then
-            # -level.  The two copies are kept on purpose: one block looping
-            # over both terms of a level, with the two sums swapped after
-            # each term, ran grid-sweep 6% slower (a median of 26,200
-            # against 27,900 ops/s, 6 alternating 8 s runs each, 2-vCPU
-            # VM, Python 3.11.7).
+            # The sums never read each other, so one pass per side gives
+            # the bits of adding +level and -level in turn, and the same
+            # first error: near-pole failures of +j (Re z in [-1.5, -0.17])
+            # and of -j and 0 ([0.5, 3.5]) never meet, and at huge |z| the
+            # + pass meets a denominator past double range first.
             levels = float_table(stop)
-            powers = range(m - 1)
-            try:
-                for level in range(level + 1, min(stop, LAST_LEVEL - 1) + 1):
-                    (q, q_prev, radius), row_m, _ = levels[level]
-                    w = q * z + q_prev
-                    if abs(w) < radius:
-                        raise PoleProximity(level, z)
-                    v = r = 1.0 / w
-                    for _ in powers:
-                        v *= r
-                    if not isfinite(v):
-                        raise PoleProximity(level, z)
-                    t = s_p + v
-                    e = t - s_p
-                    c_p += (s_p - (t - e)) + (v - e)
-                    s_p = t
-                    q, q_prev, radius = row_m
-                    w = q * z + q_prev
-                    if abs(w) < radius:
-                        raise PoleProximity(-level, z)
-                    v = r = 1.0 / w
-                    for _ in powers:
-                        v *= r
-                    if not isfinite(v):
-                        raise PoleProximity(-level, z)
-                    t = s_m + v
-                    e = t - s_m
-                    c_m += (s_m - (t - e)) + (v - e)
-                    s_m = t
-            except OverflowError:  # abs(w) of finite parts beyond range
-                raise DidNotConverge(level, math.inf, point=z) from None
-            level = stop  # the levels past LAST_LEVEL - 1 add exact zeros
+            hi = min(stop, LAST_LEVEL - 1) + 1  # past it, exact zeros
+            # Level 0 holds term 0 alone, which the j <= 0 sum adds.
+            s_p, c_p = _add_terms(levels, 0, max(level + 1, 1), hi, z, m,
+                                  s_p, c_p)
+            s_m, c_m = _add_terms(levels, 1, level + 1, hi, z, m, s_m, c_m)
+            level = stop
             if bound > target_tol:
                 raise DidNotConverge(level, bound, point=z)
             self.level, self.bound = level, bound
@@ -474,19 +473,19 @@ def eval_series(z: complex, m: int,
                 settings: EvalSettings | None = None) -> EvalResult:
     """Adaptive evaluation of the full bilateral series at z with weight m.
 
-    Terms are accumulated in two compensated sums (j <= 0 and j >= 1) in a
-    fixed interleaved order, so results are bit-reproducible.  The window
-    is the first J >= 2 with tail_bound(J, z, m) <= target_tol.  The bound
-    never grows with J and falls by at least 2^m per window, so J is
-    searched for before any term is summed, mostly with one bound check.
+    Terms are accumulated in two compensated sums (j <= 0 and j >= 1), each
+    in a fixed order, so results are bit-reproducible.  The window is the
+    first J >= 2 with tail_bound(J, z, m) <= target_tol.  The bound never
+    grows with J and falls by at least 2^m per window, so J is searched for
+    before any term is summed, mostly with one bound check.
 
     Raises PoleProximity when a term denominator nearly vanishes or a term
     overflows, and DidNotConverge when the bound cannot reach the tolerance
     (immediately so within POLE_GUARD of the accumulation points
     1 +/- sqrt(2), where poles cluster and the bound stays at the sentinel
-    forever) or when finite terms, or the modulus of a term's denominator,
-    leave double range (half_width is then the level reached, tail_bound
-    inf).
+    forever) or when finite terms, or the modulus of a term's denominator
+    with finite parts, leave double range (half_width is then the level
+    reached, tail_bound inf); an infinite part gives the term's zero.
     """
     s = _require_settings(settings)
     return _Series(z, m).extend(s.target_tol, s.max_half_width)

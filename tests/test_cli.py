@@ -176,6 +176,14 @@ def test_points_beyond_double_range_are_typed_errors(capsys):
                         "--nx", "1", "--ny", "1", "--weight", "2")
     assert code == 0
     assert out.splitlines()[-1] == "2.2e+307,2.2e+307,,,,,,,,,diverged"
+    # At 1e308 + 1e308i both parts of every denominator overflow: each term
+    # is the term's zero, not a pole.
+    code, out = run_cli(capsys, "grid",
+                        "--rect=0.9e308,0.9e308,1.1e308,1.1e308",
+                        "--nx", "1", "--ny", "1", "--weight", "2")
+    assert code == 0
+    assert out.splitlines()[-1] == (
+        "1e+308,1e+308,0.0,0.0,2e-300,2,0.0,0.0,0.0,0.0,ok")
 
 
 # ---------------------------------------------------------------------- poles

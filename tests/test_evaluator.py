@@ -2,6 +2,7 @@
 
 import cmath
 import enum
+import hashlib
 import math
 import random
 import sys
@@ -118,6 +119,25 @@ def test_huge_points_refused_or_underflowing():
     assert term_value(900, 1.5e308 + 1.5e308j, 2) == 0j
 
 
+def test_denominators_with_two_infinite_parts_give_zero_terms():
+    # Where both parts of Q_j z + Q_{j-1} overflow, 1/w is nan, yet z is far
+    # from every pole.  The true term is below 1e-600 there, so it is the
+    # term's zero, as where one part overflows.
+    z = 1e308 + 1e308j
+    for j, point in ((0, z), (3, 3e307 + 3e307j)):
+        w = float(pell_lucas(j)) * point + float(pell_lucas(j - 1))
+        assert math.isinf(w.real) and math.isinf(w.imag)
+        assert _term_matches_reference(j, point, 2) == "0j"
+    one_part = eval_series(1e308 + 1j, 2)
+    assert one_part == evaluator.EvalResult(0j, 0j, 0j, 2e-300, 2)
+    assert eval_series(z, 2) == one_part
+    (centre, cell), = eval_grid(Rect(0.9e308, 0.9e308, 1.1e308, 1.1e308),
+                                1, 1, 2)
+    assert centre == z and cell == one_part
+    report = residual(EquationId.SHIFT, z, 1)
+    assert report.lhs == report.rhs == 0j
+
+
 def test_term_decay_ratio():
     # From a modest onset the term magnitudes shrink by at least ~2^m per
     # step on both sides of the window.
@@ -167,7 +187,9 @@ def two_float_term_value(j, z, m):
     for _ in range(m - 1):
         out *= r
     if not (math.isfinite(out.real) and math.isfinite(out.imag)):
-        raise PoleProximity(j, z)
+        if math.isfinite(w.real) and math.isfinite(w.imag):
+            raise PoleProximity(j, z)
+        return 0j
     return out
 
 
@@ -597,11 +619,11 @@ def test_series_extend_adds_no_terms_when_bound_met(monkeypatch):
     assert series.extend(1e-9, 200) == met == tighter
     assert reads == probes == []
     # The recording sees the windows of the probed bounds, then the levels
-    # of the terms that are added.
+    # of the terms that are added, once for the + pass and once for the -.
     assert series.extend(1e-14, 200).terms_used > tighter.terms_used
     assert probes
-    assert reads == probes + list(range(tighter.terms_used + 1,
-                                        series.level + 1))
+    added = list(range(tighter.terms_used + 1, series.level + 1))
+    assert reads == probes + added + added
 
 
 def _neumaier(s, c, x):
@@ -623,12 +645,12 @@ def _two_sum(s, c, v):
 
 def _both_sums(terms):
     """The states after each term of a complex TwoSum and of a Neumaier
-    sum per part, both started as the kernel starts them, as 4 floats."""
-    first, *rest = terms
-    s, c = 0j + first, 0j
-    sr, cr, si, ci = 0.0 + first.real, 0.0, 0.0 + first.imag, 0.0
-    out = [((s.real, c.real, s.imag, c.imag), (sr, cr, si, ci))]
-    for v in rest:
+    sum per part, both started from zero as the kernel starts them, as 4
+    floats."""
+    s, c = 0j, 0j
+    sr = cr = si = ci = 0.0
+    out = []
+    for v in terms:
         s, c = _two_sum(s, c, v)
         sr, cr = _neumaier(sr, cr, v.real)
         si, ci = _neumaier(si, ci, v.imag)
@@ -693,19 +715,21 @@ def neumaier_state(series):
 
 
 def scan_extend(series, target_tol, max_half_width):
-    """Reference for _Series.extend: add the terms one window at a time
-    with a branching Neumaier sum of each real part and check the tail
-    bound after each window J >= 2, stopping at the first whose bound
-    meets the tolerance.  series._sums holds the eight floats of
+    """Reference for _Series.extend: add the terms one window at a time,
+    +J then -J, with a branching Neumaier sum of each real part and check
+    the tail bound after each window J >= 2, stopping at the first whose
+    bound meets the tolerance.  The empty series is at level -1, and term
+    0 is added once, at level 0.  series._sums holds the eight floats of
     neumaier_state."""
     z, m = series.z, series.m
     level, bound = series.level, series.bound
     sr_m, cr_m, si_m, ci_m, sr_p, cr_p, si_p, ci_p = series._sums
     if level < MIN_TAIL_HALF_WIDTH or bound > target_tol:
         for level in range(level + 1, max_half_width + 1):
-            v = term_value(level, z, m)
-            sr_p, cr_p = _neumaier(sr_p, cr_p, v.real)
-            si_p, ci_p = _neumaier(si_p, ci_p, v.imag)
+            if level:
+                v = term_value(level, z, m)
+                sr_p, cr_p = _neumaier(sr_p, cr_p, v.real)
+                si_p, ci_p = _neumaier(si_p, ci_p, v.imag)
             v = term_value(-level, z, m)
             sr_m, cr_m = _neumaier(sr_m, cr_m, v.real)
             si_m, ci_m = _neumaier(si_m, ci_m, v.imag)
@@ -737,7 +761,7 @@ def _search_matches_scan(z, m, steps):
     of the last result.  Returns False when the series cannot start at z."""
     try:
         new, ref = evaluator._Series(z, m), evaluator._Series(z, m)
-    except (PoleProximity, DidNotConverge):
+    except DidNotConverge:    # within POLE_GUARD of 1 +- sqrt(2)
         return False
     ref._sums = neumaier_state(ref)
     probes = []
@@ -911,9 +935,10 @@ def test_search_makes_few_tail_checks():
 
 
 def test_fold_matches_per_term_reference_on_lattices():
-    # The kernel computes its terms inline from the row table; scan_extend
-    # adds term_value's.  Seeded lattices shaped like the grid CLI's, some
-    # straddling the real axis, at each weight 2..8.
+    # The kernel adds each side's terms in one pass of _add_terms;
+    # scan_extend adds term_value's, level by level.  Seeded lattices shaped
+    # like the grid CLI's, some straddling the real axis, at each weight
+    # 2..8.
     rng = random.Random(20261019)
     for m in range(2, 9):
         for _ in range(2):
@@ -967,7 +992,8 @@ def test_fold_matches_per_term_reference_past_double_range(monkeypatch):
 def test_levels_past_the_end_add_nothing(monkeypatch):
     # Every term from level LAST_LEVEL on is an exact zero: its row reads Q
     # beyond double range, or |Q_j| near 1e308 makes the power underflow.
-    # The kernel reads no level past LAST_LEVEL - 1, and a window that ends
+    # The kernel reads no level past LAST_LEVEL - 1, in its + pass from
+    # level 1 or its - pass from level 0 (term 0), and a window that ends
     # past it holds the sums of the window that ends there.  A bound
     # patched to inf below window stop[0] makes the kernel stop there.
     real = tail_bound
@@ -994,10 +1020,99 @@ def test_levels_past_the_end_add_nothing(monkeypatch):
                 reads.clear()
                 windows.clear()
                 assert series.extend(1e-12, 1000).terms_used == stop[0]
-                assert reads == windows + list(range(1, LAST_LEVEL)), (
-                    z, m, stop[0])
+                assert reads == (windows + list(range(1, LAST_LEVEL))
+                                 + list(range(LAST_LEVEL))), (z, m, stop[0])
                 sums.add(repr(series._sums))
             assert len(sums) == 1, (z, m)
+
+
+def test_kernel_adds_each_term_once(monkeypatch):
+    # One evaluation adds 2 * terms_used + 1 terms, +1 .. +J and then 0,
+    # -1 .. -J, and a resumed extend adds only the terms of its new levels;
+    # a tolerance already met adds none.
+    passes = []
+    add_terms = evaluator._add_terms
+
+    def recording_add_terms(levels, side, lo, hi, *rest):
+        passes.append((side, lo, hi))
+        return add_terms(levels, side, lo, hi, *rest)
+
+    monkeypatch.setattr(evaluator, "_add_terms", recording_add_terms)
+    for z, m in ((1 + 1j, 2), (0.5 + 0.5j, 8), (-1.25 + 2j, 4), (5.0, 2),
+                 (complex(SILVER_RATIO + 2e-3, 0), 2)):
+        passes.clear()
+        used = eval_series(z, m).terms_used
+        assert passes == [(0, 1, used + 1), (1, 0, used + 1)]
+        assert sum(hi - lo for _, lo, hi in passes) == 2 * used + 1
+        series = evaluator._Series(z, m)
+        first = series.extend(1e-6, 200).terms_used
+        passes.clear()
+        second = series.extend(1e-14, 200).terms_used
+        assert second > first
+        assert passes == [(0, first + 1, second + 1),
+                          (1, first + 1, second + 1)]
+        passes.clear()
+        series.extend(1e-6, 200)
+        assert passes == []
+
+
+def _huge_points():
+    """3000 seeded points whose parts are exact binary scalings, so the same
+    on every platform: |z| from about 1e300 to past the largest double, on
+    the axes, the diagonals and off them, with weights 2 .. 1100."""
+    rng = random.Random(20261019)
+
+    def part():
+        return (math.ldexp(rng.uniform(0.5, 1.0), rng.randint(998, 1024))
+                * rng.choice((1, -1)))
+
+    for _ in range(3000):
+        x, kind = part(), rng.randrange(3)
+        y = (x * rng.choice((1, -1)) if kind == 0    # a diagonal
+             else 0.0 if kind == 1 else part())    # an axis, or off both
+        z = complex(x, y) if rng.random() < 0.5 else complex(y, x)
+        yield z, rng.choice((rng.randint(2, 8), rng.randint(2, 1100), 1100))
+
+
+def _first_infinite_denominator(z, half_width):
+    """The first term j, in the order 0, +1, -1, +2, -2, ... up to
+    +-half_width, whose float denominator Q_j z + Q_{j-1} has two infinite
+    parts, or None."""
+    for n in range(half_width + 1):
+        for j in ((n, -n) if n else (0,)):
+            w = float(pell_lucas(j)) * z + float(pell_lucas(j - 1))
+            if math.isinf(w.real) and math.isinf(w.imag):
+                return j
+    return None
+
+
+# sha256 of the eval_series outcomes at _huge_points from before a
+# denominator with two infinite parts gave a zero term.  Such a point then
+# raised PoleProximity at the first of those terms, in the order in which
+# the terms were then added; every other outcome is unchanged.
+_HUGE_OUTCOMES = (
+    "0df5b19b13d73d0d690411eec783012428b04799ff2ac9164eb7b3b4462488d3")
+
+
+def test_outcomes_at_huge_points_are_pinned():
+    outcomes = []
+    zero_terms = 0
+    for z, m in _huge_points():
+        try:
+            got = eval_series(z, m)
+        except (PoleProximity, DidNotConverge, ValueError) as exc:
+            outcomes.append(repr((type(exc).__name__, exc.args)))
+            continue
+        j = _first_infinite_denominator(z, got.terms_used)
+        if j is None:
+            outcomes.append(repr(got))
+        else:
+            assert got.value == 0j, (z, m)
+            zero_terms += 1
+            outcomes.append(repr(("PoleProximity", (j, z, None))))
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == _HUGE_OUTCOMES
+    assert zero_terms == 48
 
 
 class _Weight(enum.IntEnum):
