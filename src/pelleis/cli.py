@@ -109,23 +109,24 @@ def _cmd_verify(args) -> int:
     equation = EquationId(args.eq)
     summary = verify_grid(equation, rect, args.nx, args.ny, args.k,
                           _settings(args))
-    print(VERIFY_HEADER)
+    lines = [VERIFY_HEADER + "\n"]
     for r in summary.reports:
-        print("%r,%r,%r,%r,%r,%r,%r,%r,%r,%r" % (
+        lines.append("%r,%r,%r,%r,%r,%r,%r,%r,%r,%r\n" % (
             r.point.real, r.point.imag, r.lhs.real, r.lhs.imag,
             r.rhs.real, r.rhs.imag, r.abs_residual, r.rel_residual,
             r.lhs_tail, r.rhs_tail))
     for z, exc in summary.failures:
-        print(f"# failed: re={z.real!r} im={z.imag!r} {exc}")
+        lines.append(f"# failed: re={z.real!r} im={z.imag!r} {exc}\n")
     worst = summary.worst_point
     worst_re, worst_im = (("nan", "nan") if worst is None
                           else (repr(worst.real), repr(worst.imag)))
-    print(f"# summary eq={equation.value} k={args.k}"
-          f" points_tested={summary.points_tested}"
-          f" points_skipped={summary.points_skipped}"
-          f" points_failed={summary.points_failed}"
-          f" max_rel_residual={summary.max_rel_residual!r}"
-          f" worst_re={worst_re} worst_im={worst_im}")
+    lines.append(f"# summary eq={equation.value} k={args.k}"
+                 f" points_tested={summary.points_tested}"
+                 f" points_skipped={summary.points_skipped}"
+                 f" points_failed={summary.points_failed}"
+                 f" max_rel_residual={summary.max_rel_residual!r}"
+                 f" worst_re={worst_re} worst_im={worst_im}\n")
+    sys.stdout.write("".join(lines))
     return 1 if summary.points_failed else 0
 
 

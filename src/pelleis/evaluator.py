@@ -69,10 +69,13 @@ b * 2^m * (1 - 2e-9) still above it is the first such window, by the 2^m
 fall proven above, so the window below it is not probed; most evaluations
 make one bound check.
 
-All summation goes through one resumable kernel, _Series: eval_series
-builds one and extends it once, and verify.residual keeps one per side and
-extends it to each refined tolerance, so a refinement continues the window
-sum where the previous tolerance stopped it instead of restarting at j = 0.
+All summation goes through one resumable kernel, _Series.  Its extend
+returns the value alone and keeps the window reached, its bound and the
+sums on the series: eval_series builds one, extends it once and reads its
+one EvalResult from that state, and verify.residual keeps one per side,
+extends it to each refined tolerance and reads the bounds and windows off
+the series, so a refinement continues the window sum where the previous
+tolerance stopped it instead of restarting at j = 0, and builds no result.
 The kernel fetches the levels of its window (sequence.float_table: Q_j,
 Q_{j-1} and the guard radius of terms +j and -j) once and adds each side's
 terms in one pass of _add_terms, with no call per term: +1 .. +J to the
@@ -231,28 +234,39 @@ def _add_terms(levels, side: int, lo: int, hi: int, z: complex, m: int,
                s: complex, c: complex) -> tuple[complex, complex]:
     """s, c with the terms of levels lo .. hi - 1 of one side added in
     order by the TwoSum of _Series: +level from row levels[level][0], or
-    -level from levels[level][1] (level 0's is term 0).  Raises as
-    term_value does, or DidNotConverge(level, inf) where abs(w) overflows."""
+    -level from levels[level][1] (level 0's is term 0).  Raises
+    PoleProximity as term_value does; a denominator beyond double range
+    gives its computed term, which underflows to zero."""
+    # The guard |w| < radius = POLE_GUARD |Q_j| can fire only on the strip
+    # -2 < Re z < 4, |Im z| < 2 POLE_GUARD, so abs(w) is taken only there.
+    # Every pole p_j = -Q_{j-1}/Q_j lies in [-1, 3], and Im w = fl(Q_j Im z)
+    # exactly (the float Q_{j-1} adds to the real part alone).  Off the
+    # strip, either |Im z| >= 2 POLE_GUARD, so |w| >= |fl(Q_j Im z)| >
+    # POLE_GUARD |Q_j| (|Q_j| >= 2, so the product neither underflows nor
+    # loses the factor 2 to rounding); or Re z <= -2 or Re z >= 4, so
+    # |Re z - p_j| >= 1 and |Re w| ~ |Q_j| |Re z - p_j| >= |Q_j|, up to a
+    # rounding of a few units of 2^-53 times |Q_j Re z| + |Q_{j-1}| <=
+    # |Q_j| (|Re z - p_j| + 6).  An infinite part only makes |w| larger.
+    # On the strip |Im w| < 2e-8 |Q_j| is tiny beside a finite |Re w|, so
+    # abs(w) cannot raise OverflowError there.
+    near = -2.0 < z.real < 4.0 and -2 * POLE_GUARD < z.imag < 2 * POLE_GUARD
     powers = range(m - 1)
-    try:
-        for level in range(lo, hi):
-            q, q_prev, radius = levels[level][side]
-            w = q * z + q_prev
-            if abs(w) < radius:
+    for level in range(lo, hi):
+        q, q_prev, radius = levels[level][side]
+        w = q * z + q_prev
+        if near and abs(w) < radius:
+            raise PoleProximity(-level if side else level, z)
+        v = r = 1.0 / w
+        for _ in powers:
+            v *= r
+        if not isfinite(v):
+            if isfinite(w):
                 raise PoleProximity(-level if side else level, z)
-            v = r = 1.0 / w
-            for _ in powers:
-                v *= r
-            if not isfinite(v):
-                if isfinite(w):
-                    raise PoleProximity(-level if side else level, z)
-                v = 0j  # both parts of w overflowed: 1/w is nan
-            t = s + v
-            e = t - s
-            c += (s - (t - e)) + (v - e)
-            s = t
-    except OverflowError:  # abs(w) of finite parts beyond range
-        raise DidNotConverge(level, math.inf, point=z) from None
+            v = 0j  # both parts of w overflowed: 1/w is nan
+        t = s + v
+        e = t - s
+        c += (s - (t - e)) + (v - e)
+        s = t
     return s, c
 
 
@@ -387,7 +401,10 @@ class _Series:
     extend() grows the window from the level reached so far, so asking
     again with a tighter tolerance (and the same max_half_width) adds
     exactly the terms, in the same order, and stops at the same window that
-    a restart from j = 0 would; the result is the same to the bit.
+    a restart from j = 0 would; the value, level, bound and sums are the
+    same to the bit.  extend returns the value; level (the half-width J
+    reached, -1 before the first extend), bound (its tail bound) and the
+    sums are read off the series.
     """
 
     # _sums: running sum and correction of the j <= 0 sum (suffix _m) and
@@ -415,9 +432,10 @@ class _Series:
         self.bound = math.inf
         self._sums = (0j, 0j, 0j, 0j)
 
-    def extend(self, target_tol: float, max_half_width: int) -> EvalResult:
-        """The result at the first window J >= 2 whose tail bound is
-        <= target_tol, summing on from the level already reached.
+    def extend(self, target_tol: float, max_half_width: int) -> complex:
+        """The value at the first window J >= 2 whose tail bound is
+        <= target_tol, summing on from the level already reached; J and its
+        bound are left in level and bound, the sums in _sums.
 
         J is found first, by _stopping_window, among the windows past the
         level reached; then exactly the terms up to J are added, with no
@@ -425,8 +443,9 @@ class _Series:
         effects for the series' point and weight, so a term's
         PoleProximity is raised at the same term as by a scan that checks
         the bound after every window.  A tolerance that the
-        reached window's bound already meets returns that window's result
-        without adding terms.  Raises as eval_series.
+        reached window's bound already meets returns that window's value
+        without adding terms.  Raises as eval_series; a window that misses
+        the tolerance leaves the series as it was.
         """
         z, m = self.z, self.m
         level, bound = self.level, self.bound
@@ -441,8 +460,7 @@ class _Series:
             # The sums never read each other, so one pass per side gives
             # the bits of adding +level and -level in turn, and the same
             # first error: near-pole failures of +j (Re z in [-1.5, -0.17])
-            # and of -j and 0 ([0.5, 3.5]) never meet, and at huge |z| the
-            # + pass meets a denominator past double range first.
+            # and of -j and 0 ([0.5, 3.5]) never meet.
             levels = float_table(stop)
             hi = min(stop, LAST_LEVEL - 1) + 1  # past it, exact zeros
             # Level 0 holds term 0 alone, which the j <= 0 sum adds.
@@ -455,18 +473,10 @@ class _Series:
             self.level, self.bound = level, bound
             self._sums = (s_m, c_m, s_p, c_p)
 
-        minus_part = s_m + c_m
-        plus_part = s_p + c_p
-        value = minus_part + plus_part
+        value = (s_m + c_m) + (s_p + c_p)
         if not isfinite(value):
             raise DidNotConverge(level, math.inf, point=z)
-        return EvalResult(
-            value=value,
-            minus_part=minus_part,
-            plus_part=plus_part,
-            tail_bound=bound,
-            terms_used=level,
-        )
+        return value
 
 
 def eval_series(z: complex, m: int,
@@ -477,18 +487,23 @@ def eval_series(z: complex, m: int,
     in a fixed order, so results are bit-reproducible.  The window is the
     first J >= 2 with tail_bound(J, z, m) <= target_tol.  The bound never
     grows with J and falls by at least 2^m per window, so J is searched for
-    before any term is summed, mostly with one bound check.
+    before any term is summed, mostly with one bound check.  One _Series
+    is extended once, and the result is read from its state.
 
     Raises PoleProximity when a term denominator nearly vanishes or a term
     overflows, and DidNotConverge when the bound cannot reach the tolerance
     (immediately so within POLE_GUARD of the accumulation points
     1 +/- sqrt(2), where poles cluster and the bound stays at the sentinel
-    forever) or when finite terms, or the modulus of a term's denominator
-    with finite parts, leave double range (half_width is then the level
-    reached, tail_bound inf); an infinite part gives the term's zero.
+    forever) or when the sums leave double range (half_width is then the
+    level reached, tail_bound inf).  A term denominator beyond double
+    range, in a part or in modulus, gives the term's zero.
     """
     s = _require_settings(settings)
-    return _Series(z, m).extend(s.target_tol, s.max_half_width)
+    series = _Series(z, m)
+    value = series.extend(s.target_tol, s.max_half_width)
+    s_m, c_m, s_p, c_p = series._sums
+    return EvalResult(value, s_m + c_m, s_p + c_p, series.bound,
+                      series.level)
 
 
 def eval_grid(region: Rect, nx: int, ny: int, m: int,

@@ -6,7 +6,9 @@ numerator and denominator coprime, denominator monic.  The canonical form
 is computed over the integers (fraction-free): both parts are cleared by
 one common integer, divided exactly by their primitive gcd, which by
 Gauss's lemma leaves integer quotients, and converted to Fractions once,
-when the denominator is made monic.
+when the denominator is made monic.  The gcd is found modulo the prime
+2^61 - 1 and checked by exact division; only where that one prime does
+not decide it does the primitive remainder sequence run.
 
 The identity checks are termwise.  Under a map T(z) = (a z + b)/(c z + d)
 the term 1/(Q_j z + Q_{j-1})^m becomes (c z + d)^m / (alpha z + beta)^m
@@ -265,6 +267,63 @@ def _int_gcd(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
+_PRIME = (1 << 61) - 1   # a Mersenne prime
+_LIFT_BOUND = math.isqrt(_PRIME // 2)
+
+
+def _lift(c: int) -> tuple[int, int]:
+    """(n, d) with n = c d modulo _PRIME, |n| <= sqrt(p/2) and d != 0, by
+    the extended Euclid of p and c stopped half way (Wang's rational
+    reconstruction); d may exceed sqrt(p/2) where no such fraction is."""
+    r0, r1, t0, t1 = _PRIME, c, 0, 1
+    while r1 > _LIFT_BOUND:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _gcd_mod_p(a: list[int], b: list[int]) -> list[int] | None:
+    """The primitive gcd of the nonzero integer polynomials a and b, as
+    _int_gcd gives it, found modulo the prime p = 2^61 - 1, or None where
+    this one prime does not decide it.
+
+    If p divides neither leading coefficient, the gcd g over Z divides a
+    and b with a leading coefficient that p does not divide, so g keeps its
+    degree modulo p and divides the gcd h over GF(p) (Knuth, TAOCP vol. 2,
+    4.6.1): deg g <= deg h.  h of degree 0 gives g = 1.  Otherwise the
+    coefficients of monic h are lifted to small fractions, cleared and made
+    primitive; a candidate that divides a and b over Z divides g, and has
+    the degree of h, so it is g.
+    """
+    p = _PRIME
+    if a[-1] % p == 0 or b[-1] % p == 0:
+        return None
+    h, r = [c % p for c in a], [c % p for c in b]
+    while r:
+        # h becomes h mod r over GF(p); then the two swap.
+        inv, dr = pow(r[-1], -1, p), len(r) - 1
+        while len(h) > dr:
+            f, shift = h[-1] * inv % p, len(h) - 1 - dr
+            h.pop()   # the leading term cancels
+            for i in range(dr):
+                h[shift + i] = (h[shift + i] - f * r[i]) % p
+            while h and h[-1] == 0:
+                h.pop()
+        h, r = r, h
+    if len(h) == 1:
+        return [1]
+    inv = pow(h[-1], -1, p)
+    lifted = [_lift(c * inv % p) for c in h]
+    scale = math.lcm(*(d for _, d in lifted))
+    g = _primitive([n * (scale // d) for n, d in lifted])
+    try:
+        _int_exact_div(a, g)
+        _int_exact_div(b, g)
+    except ArithmeticError:
+        return None
+    return g
+
+
 def _int_exact_div(a: list[int], b: list[int]) -> list[int]:
     """a / b over Z; raises ArithmeticError unless b divides a exactly."""
     r = list(a)
@@ -321,7 +380,7 @@ class RationalFunction:
             self.num = Polynomial()
             self.den = Polynomial((1,))
             return
-        g = _int_gcd(num, den)
+        g = _gcd_mod_p(num, den) or _int_gcd(num, den)
         if len(g) > 1:
             num = _int_exact_div(num, g)
             den = _int_exact_div(den, g)

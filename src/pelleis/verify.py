@@ -102,13 +102,14 @@ def residual(equation: EquationId, z: complex, k: int,
     identity rather than the flat truncation error.  Each side is one
     resumable window sum (evaluator._Series): a refinement round sums on
     from the window the previous tolerance stopped at, and gives the same
-    bits as a fresh eval_series at the tighter tolerance.  Tail bounds stay
-    certified throughout.  The prefactor z^(+-2k) is applied to the right
-    side by repeated multiplication and scales the right tail accordingly;
-    a right side that leaves double range raises DidNotConverge (tail
-    bound inf).  Evaluation errors carry side="lhs" or side="rhs".  Both
-    arguments should classify REGULAR; every term is re-guarded during
-    summation.
+    bits as a fresh eval_series at the tighter tolerance.  Values come from
+    extend, bounds and windows from the series' state, so no EvalResult is
+    built.  Tail bounds stay certified throughout.  The prefactor z^(+-2k)
+    is applied to the right side by repeated multiplication and scales the
+    right tail accordingly; a right side that leaves double range raises
+    DidNotConverge (tail bound inf).  Evaluation errors carry side="lhs"
+    or side="rhs".  Both arguments should classify REGULAR; every term is
+    re-guarded during summation.
     """
     require_type("equation", equation, EquationId)
     _require_k(k)
@@ -125,43 +126,43 @@ def residual(equation: EquationId, z: complex, k: int,
     pref_mag = _modulus(prefactor)
 
     lhs_series = rhs_series = None
-    lhs_tol = rhs_tol = base.target_tol
+    lhs_tol = rhs_tol = target_tol = base.target_tol
+    max_half_width = base.max_half_width
     for _ in range(_REFINE_ROUNDS + 1):
         try:
             if lhs_series is None:
                 lhs_series = _Series(lhs_z, m)
-            left = lhs_series.extend(lhs_tol, base.max_half_width)
+            lhs = lhs_series.extend(lhs_tol, max_half_width)
         except PelleisError as exc:
             exc.side = "lhs"
             raise
         try:
             if rhs_series is None:
                 rhs_series = _Series(rhs_z, m)
-            right = rhs_series.extend(rhs_tol, base.max_half_width)
+            rhs = prefactor * rhs_series.extend(rhs_tol, max_half_width)
         except PelleisError as exc:
             exc.side = "rhs"
             raise
-        rhs = prefactor * right.value
-        rhs_tail = pref_mag * right.tail_bound
+        rhs_tail = pref_mag * rhs_series.bound
         if not (_modulus(rhs) < math.inf and math.isfinite(rhs_tail)):
             # The prefactor z^(+-2k) left double range.
-            raise DidNotConverge(right.terms_used, math.inf, point=rhs_z,
+            raise DidNotConverge(rhs_series.level, math.inf, point=rhs_z,
                                  side="rhs")
-        scale = max(abs(left.value), abs(rhs))
+        scale = max(abs(lhs), abs(rhs))
         if (scale < _REFINE_TOL_FLOOR
-                or left.tail_bound + rhs_tail <= 4.0 * scale * base.target_tol):
+                or lhs_series.bound + rhs_tail <= 4.0 * scale * target_tol):
             break
         # A tolerance looser than one a side already met leaves it as it is.
-        lhs_tol = max(scale * base.target_tol, _REFINE_TOL_FLOOR)
-        rhs_tol = max(scale * base.target_tol / max(pref_mag, 1e-300),
+        lhs_tol = max(scale * target_tol, _REFINE_TOL_FLOOR)
+        rhs_tol = max(scale * target_tol / max(pref_mag, 1e-300),
                       _REFINE_TOL_FLOOR)
 
-    abs_res = abs(left.value - rhs)
-    rel_res = abs_res / max(abs(left.value), abs(rhs), _REL_FLOOR)
+    abs_res = abs(lhs - rhs)
+    rel_res = abs_res / max(abs(lhs), abs(rhs), _REL_FLOOR)
     return ResidualReport(
-        point=z, k=k, lhs=left.value, rhs=rhs,
+        point=z, k=k, lhs=lhs, rhs=rhs,
         abs_residual=abs_res, rel_residual=rel_res,
-        lhs_tail=left.tail_bound, rhs_tail=rhs_tail,
+        lhs_tail=lhs_series.bound, rhs_tail=rhs_tail,
     )
 
 

@@ -165,8 +165,10 @@ def test_overflowing_rect_side_is_refused(capsys, command):
 
 
 def test_points_beyond_double_range_are_typed_errors(capsys):
-    # Finite inputs whose modulus leaves double range: an error line and
-    # exit 1 for the point, a diverged cell for the grid, no traceback.
+    # A finite input whose modulus leaves double range: an error line and
+    # exit 1 for the point, no traceback.  A cell whose term denominators
+    # leave double range, in modulus or in a part, is far from every pole:
+    # each term is the term's zero, and the cell is ok.
     code, out = run_cli(capsys, "eval", "--re", "1.5e308", "--im", "1.5e308",
                         "--weight", "2")
     assert code == 1
@@ -175,9 +177,9 @@ def test_points_beyond_double_range_are_typed_errors(capsys):
     code, out = run_cli(capsys, "grid", "--rect=2e307,2e307,2.4e307,2.4e307",
                         "--nx", "1", "--ny", "1", "--weight", "2")
     assert code == 0
-    assert out.splitlines()[-1] == "2.2e+307,2.2e+307,,,,,,,,,diverged"
-    # At 1e308 + 1e308i both parts of every denominator overflow: each term
-    # is the term's zero, not a pole.
+    assert out.splitlines()[-1] == (
+        "2.2e+307,2.2e+307,0.0,0.0,2e-300,2,0.0,0.0,0.0,0.0,ok")
+    # At 1e308 + 1e308i both parts of every denominator overflow.
     code, out = run_cli(capsys, "grid",
                         "--rect=0.9e308,0.9e308,1.1e308,1.1e308",
                         "--nx", "1", "--ny", "1", "--weight", "2")

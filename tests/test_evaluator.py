@@ -19,8 +19,9 @@ from pelleis import (DidNotConverge, EquationId, EvalSettings,
                      eval_grid, eval_series, pell_lucas, pole_ratio,
                      residual, tail_bound, term_value, verify_grid)
 from pelleis.evaluator import MIN_TAIL_HALF_WIDTH
-from pelleis.sequence import (INDEX_CAP, LAST_LEVEL, SILVER_CONJUGATE,
-                              SILVER_RATIO, float_pole, float_row)
+from pelleis.sequence import (INDEX_CAP, LAST_LEVEL, POLE_GUARD,
+                              SILVER_CONJUGATE, SILVER_RATIO, float_pole,
+                              float_row)
 
 # Reference values from the 40-digit depth-200 oracle (tests/oracle.py),
 # frozen as shortest strings that round to the same doubles.
@@ -101,18 +102,21 @@ def test_term_value_domain_ends_at_index_cap(monkeypatch):
 def test_huge_points_refused_or_underflowing():
     # abs() raises OverflowError where finite parts have a modulus beyond
     # double range.  At z itself that is the point rule's ValueError; a
-    # denominator of the window that gets there is a DidNotConverge (the
-    # grid records it per cell); a term_value denominator that gets there
-    # is far from its pole, and the term underflows to zero, as the
-    # reference computes it.
+    # denominator of the window or of term_value that gets there is far
+    # from its pole, and the term underflows to zero, as the reference
+    # computes it.
     with pytest.raises(ValueError, match="^point must be finite"):
         eval_series(1.5e308 + 1.5e308j, 2)
-    with pytest.raises(DidNotConverge) as info:
-        eval_series(2.2e307 + 2.2e307j, 2)
-    assert info.value.tail_bound == math.inf
-    assert info.value.half_width == 2   # w = 6 z + 2 at level 2
+    z = 2.2e307 + 2.2e307j
+    w = 6 * z + 2    # the denominator of term 2
+    assert math.isfinite(w.real) and math.isfinite(w.imag)
+    with pytest.raises(OverflowError):
+        abs(w)
+    assert term_value(2, z, 2) == 0j
+    zero = evaluator.EvalResult(0j, 0j, 0j, 2e-300, 2)
+    assert eval_series(z, 2) == zero == eval_series(1e308 + 1e308j, 2)
     (_, cell), = eval_grid(Rect(2e307, 2e307, 2.4e307, 2.4e307), 1, 1, 2)
-    assert isinstance(cell, DidNotConverge)
+    assert cell == zero
     z = 0.585786437626905 + 1j
     assert term_value(805, z, 2) == 0
     assert _term_matches_reference(805, z, 2) == repr(term_value(805, z, 2))
@@ -136,6 +140,35 @@ def test_denominators_with_two_infinite_parts_give_zero_terms():
     assert centre == z and cell == one_part
     report = residual(EquationId.SHIFT, z, 1)
     assert report.lhs == report.rhs == 0j
+
+
+def test_pole_guard_cannot_fire_off_the_strip():
+    # _add_terms tests |w| < POLE_GUARD |Q_j| only on the strip
+    # -2 < Re z < 4, |Im z| < 2 POLE_GUARD, around the poles in [-1, 3].
+    # Just off its edges (above a pole too), and far out to past double
+    # range, no row up to level LAST_LEVEL meets the guard; a modulus that
+    # overflows is inf.
+    rng = random.Random(20261021)
+    edge = 2 * POLE_GUARD
+    points = [complex(-2.0, 0.0), complex(4.0, -0.0), complex(-1.0, edge),
+              complex(3.0, -edge), complex(float_pole(1), edge)]
+    for _ in range(60):
+        y = rng.uniform(-edge, edge)
+        points.append(complex(-2.0 - 10 ** rng.uniform(-15, 0), y))
+        points.append(complex(4.0 + 10 ** rng.uniform(-15, 0), y))
+        x = rng.choice((float_pole(rng.randint(-40, 40)), rng.uniform(-2, 4)))
+        y = edge * (1.0 + rng.choice((0.0, 10 ** rng.uniform(-15, 0))))
+        points.append(complex(x, rng.choice((y, -y))))
+        points.append(complex(rng.choice((1, -1)) * 10 ** rng.uniform(0, 308),
+                              rng.uniform(-1, 1) * 10 ** rng.uniform(-300,
+                                                                     308)))
+    rows = [row for level in sequence.float_table(LAST_LEVEL)
+            for row in level[:2] if row is not None]
+    assert len(rows) == 2 * LAST_LEVEL + 1   # term 0 twice, no row -805
+    for z in points:
+        assert not (-2.0 < z.real < 4.0 and -edge < z.imag < edge), z
+        for q, q_prev, radius in rows:
+            assert not evaluator._modulus(q * z + q_prev) < radius, (z, q)
 
 
 def test_term_decay_ratio():
@@ -566,6 +599,15 @@ def _outcome(fn):
         return type(exc), exc.args
 
 
+def _extended(series, target_tol, max_half_width):
+    """The value series.extend returns, with the window, bound and sums it
+    leaves on the series, as the EvalResult of eval_series."""
+    value = series.extend(target_tol, max_half_width)
+    s_m, c_m, s_p, c_p = series._sums
+    return evaluator.EvalResult(value, s_m + c_m, s_p + c_p, series.bound,
+                                series.level)
+
+
 @pytest.mark.parametrize("z, m", [
     (1 + 1j, 2), (0.7 - 1.3j, 6), (-1.25 + 2j, 4), (5.0 + 0j, 2),
     (complex(-1 / 3 + 1e-5, 1e-7), 4), (complex(SILVER_RATIO + 2e-3, 0), 2),
@@ -581,7 +623,7 @@ def test_series_extend_matches_fresh_eval(z, m):
             tol = tols.pop(0)
             want = _outcome(lambda: eval_series(
                 z, m, EvalSettings(target_tol=tol, max_half_width=max_hw)))
-            got = _outcome(lambda: series.extend(tol, max_hw))
+            got = _outcome(lambda: _extended(series, tol, max_hw))
             assert got == want, (tol, max_hw)
             if isinstance(got, evaluator.EvalResult) and got.tail_bound < tol:
                 tols.insert(0, got.tail_bound)
@@ -604,10 +646,10 @@ def _record_levels(monkeypatch):
 
 def test_series_extend_adds_no_terms_when_bound_met(monkeypatch):
     series = evaluator._Series(1 + 1j, 2)
-    first = series.extend(1e-6, 200)
-    assert series.extend(1e-12, 200).terms_used > first.terms_used
-    tighter = series.extend(1e-12, 200)
-    met = series.extend(tighter.tail_bound, 200)
+    first = _extended(series, 1e-6, 200)
+    assert _extended(series, 1e-12, 200).terms_used > first.terms_used
+    tighter = _extended(series, 1e-12, 200)
+    met = _extended(series, tighter.tail_bound, 200)
     probes = []
 
     def recording_tail_bound(j, z, m):
@@ -616,11 +658,11 @@ def test_series_extend_adds_no_terms_when_bound_met(monkeypatch):
 
     reads = _record_levels(monkeypatch)
     monkeypatch.setattr(evaluator, "tail_bound", recording_tail_bound)
-    assert series.extend(1e-9, 200) == met == tighter
+    assert _extended(series, 1e-9, 200) == met == tighter
     assert reads == probes == []
     # The recording sees the windows of the probed bounds, then the levels
     # of the terms that are added, once for the + pass and once for the -.
-    assert series.extend(1e-14, 200).terms_used > tighter.terms_used
+    assert _extended(series, 1e-14, 200).terms_used > tighter.terms_used
     assert probes
     added = list(range(tighter.terms_used + 1, series.level + 1))
     assert reads == probes + added + added
@@ -720,7 +762,8 @@ def scan_extend(series, target_tol, max_half_width):
     the tail bound after each window J >= 2, stopping at the first whose
     bound meets the tolerance.  The empty series is at level -1, and term
     0 is added once, at level 0.  series._sums holds the eight floats of
-    neumaier_state."""
+    neumaier_state.  Returns the value, and leaves the window and its bound
+    in series.level and series.bound, as extend does."""
     z, m = series.z, series.m
     level, bound = series.level, series.bound
     sr_m, cr_m, si_m, ci_m, sr_p, cr_p, si_p, ci_p = series._sums
@@ -747,7 +790,7 @@ def scan_extend(series, target_tol, max_half_width):
     value = minus_part + plus_part
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise DidNotConverge(level, math.inf, point=z)
-    return evaluator.EvalResult(value, minus_part, plus_part, bound, level)
+    return value
 
 
 def _search_matches_scan(z, m, steps):
@@ -758,7 +801,7 @@ def _search_matches_scan(z, m, steps):
     the search may probe only windows in [max(level + 1, 2),
     max_half_width], none of them twice.  A tolerance given as
     ("bound", J) is the exact bound of window J, and ("met", 0) the bound
-    of the last result.  Returns False when the series cannot start at z."""
+    of the last value.  Returns False when the series cannot start at z."""
     try:
         new, ref = evaluator._Series(z, m), evaluator._Series(z, m)
     except DidNotConverge:    # within POLE_GUARD of 1 +- sqrt(2)
@@ -777,7 +820,7 @@ def _search_matches_scan(z, m, steps):
         searches.append((lo, tol, found[0]))
         return found
 
-    last = None
+    last = None    # the bound of the last value
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(evaluator, "tail_bound", recording_tail_bound)
         patch.setattr(evaluator, "_stopping_window", recording_search)
@@ -785,7 +828,7 @@ def _search_matches_scan(z, m, steps):
             if isinstance(tol, tuple):
                 kind, j = tol
                 tol = (tail_bound(j, z, m) if kind == "bound" else
-                       last.tail_bound if last is not None else 1e-12)
+                       last if last is not None else 1e-12)
                 if not 2e-300 <= tol < math.inf:
                     continue
             lo = max(new.level + 1, MIN_TAIL_HALF_WIDTH)
@@ -805,8 +848,8 @@ def _search_matches_scan(z, m, steps):
                 assert (found == start
                         or tail_bound(found - 1, z, m) > goal), (context, found)
             searches.clear()
-            if isinstance(got, evaluator.EvalResult):
-                last = got
+            if isinstance(got, complex):
+                last = new.bound
     return True
 
 
@@ -986,7 +1029,8 @@ def test_fold_matches_per_term_reference_past_double_range(monkeypatch):
               1 + 1j):
         for m in (2, 3, 8, 64):
             assert _search_matches_scan(z, m, [(1e-12, 900), (1e-12, 1000)])
-            assert evaluator._Series(z, m).extend(1e-12, 900).terms_used == 850
+            series = evaluator._Series(z, m)
+            assert _extended(series, 1e-12, 900).terms_used == 850
 
 
 def test_levels_past_the_end_add_nothing(monkeypatch):
@@ -1019,7 +1063,7 @@ def test_levels_past_the_end_add_nothing(monkeypatch):
                 series = evaluator._Series(z, m)
                 reads.clear()
                 windows.clear()
-                assert series.extend(1e-12, 1000).terms_used == stop[0]
+                assert _extended(series, 1e-12, 1000).terms_used == stop[0]
                 assert reads == (windows + list(range(1, LAST_LEVEL))
                                  + list(range(LAST_LEVEL))), (z, m, stop[0])
                 sums.add(repr(series._sums))
@@ -1045,9 +1089,9 @@ def test_kernel_adds_each_term_once(monkeypatch):
         assert passes == [(0, 1, used + 1), (1, 0, used + 1)]
         assert sum(hi - lo for _, lo, hi in passes) == 2 * used + 1
         series = evaluator._Series(z, m)
-        first = series.extend(1e-6, 200).terms_used
+        first = _extended(series, 1e-6, 200).terms_used
         passes.clear()
-        second = series.extend(1e-14, 200).terms_used
+        second = _extended(series, 1e-14, 200).terms_used
         assert second > first
         assert passes == [(0, first + 1, second + 1),
                           (1, first + 1, second + 1)]
@@ -1074,45 +1118,54 @@ def _huge_points():
         yield z, rng.choice((rng.randint(2, 8), rng.randint(2, 1100), 1100))
 
 
-def _first_infinite_denominator(z, half_width):
-    """The first term j, in the order 0, +1, -1, +2, -2, ... up to
-    +-half_width, whose float denominator Q_j z + Q_{j-1} has two infinite
-    parts, or None."""
+def _first_outsize_denominator(z, half_width):
+    """The outcome that eval_series had before a term denominator beyond
+    double range gave a zero term: at the first term j, in the order 0, +1,
+    -1, +2, -2, ... up to +-half_width, whose float denominator
+    Q_j z + Q_{j-1} has two infinite parts, PoleProximity; at the first
+    j != 0 with finite parts whose modulus overflows, DidNotConverge with
+    bound inf (term 0 then treated such a modulus as inf, and gave its
+    zero).  None when there is no such term."""
     for n in range(half_width + 1):
         for j in ((n, -n) if n else (0,)):
             w = float(pell_lucas(j)) * z + float(pell_lucas(j - 1))
             if math.isinf(w.real) and math.isinf(w.imag):
-                return j
+                return "PoleProximity", (j, z, None)
+            if (j and math.isfinite(w.real) and math.isfinite(w.imag)
+                    and math.isinf(math.hypot(w.real, w.imag))):
+                return "DidNotConverge", (n, math.inf, z, None)
     return None
 
 
-# sha256 of the eval_series outcomes at _huge_points from before a
-# denominator with two infinite parts gave a zero term.  Such a point then
-# raised PoleProximity at the first of those terms, in the order in which
-# the terms were then added; every other outcome is unchanged.
+# sha256 of the eval_series outcomes at _huge_points from before a term
+# denominator beyond double range gave a zero term.  A point then raised at
+# the first such term, in the order in which the terms were then added:
+# PoleProximity where both parts of the denominator overflowed, and
+# DidNotConverge (bound inf) where only its modulus did.  Every other
+# outcome is unchanged.
 _HUGE_OUTCOMES = (
     "0df5b19b13d73d0d690411eec783012428b04799ff2ac9164eb7b3b4462488d3")
 
 
 def test_outcomes_at_huge_points_are_pinned():
     outcomes = []
-    zero_terms = 0
+    zero_terms = {"PoleProximity": 0, "DidNotConverge": 0}
     for z, m in _huge_points():
         try:
             got = eval_series(z, m)
         except (PoleProximity, DidNotConverge, ValueError) as exc:
             outcomes.append(repr((type(exc).__name__, exc.args)))
             continue
-        j = _first_infinite_denominator(z, got.terms_used)
-        if j is None:
+        before = _first_outsize_denominator(z, got.terms_used)
+        if before is None:
             outcomes.append(repr(got))
         else:
             assert got.value == 0j, (z, m)
-            zero_terms += 1
-            outcomes.append(repr(("PoleProximity", (j, z, None))))
+            zero_terms[before[0]] += 1
+            outcomes.append(repr(before))
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
     assert digest == _HUGE_OUTCOMES
-    assert zero_terms == 48
+    assert zero_terms == {"PoleProximity": 48, "DidNotConverge": 50}
 
 
 class _Weight(enum.IntEnum):

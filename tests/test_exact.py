@@ -471,7 +471,7 @@ def test_wrong_left_map_is_nonzero(monkeypatch, equation, wrong_map):
     (EquationId.INVERSION, 2, -1),          # prefactor sign flipped
     (EquationId.SHIFT, 2, 1),               # prefactor sign flipped
 ])
-@pytest.mark.parametrize("half_width, k", [(2, 1), (3, 2)])
+@pytest.mark.parametrize("half_width, k", [(2, 1), (3, 2), (8, 3)])
 def test_wrong_row_is_nonzero(monkeypatch, equation, field, wrong,
                               half_width, k):
     row = list(equation.row)
@@ -603,6 +603,60 @@ def test_canonical_form_constant_and_negative_denominators():
     with pytest.raises(ZeroDivisionError):
         RationalFunction([1], [0, 0])
     assert RationalFunction([0, 0], [5]) == RationalFunction.zero()
+
+
+_P = exact._PRIME
+_BIG_INTS = st.one_of(_INTS, st.integers(-2**80, 2**80),
+                      st.sampled_from((_P, -_P, 2 * _P, _P + 1, _P - 1)))
+
+
+def _int_poly(coeffs, max_size=6):
+    return st.lists(coeffs, min_size=1, max_size=max_size).filter(
+        lambda cs: cs[-1] != 0)
+
+
+@st.composite
+def _int_poly_pairs(draw):
+    """Nonzero integer polynomials a, b, in some draws with a planted
+    common factor, and in some with a leading coefficient divisible by
+    p = 2^61 - 1."""
+    a, b = draw(_int_poly(_BIG_INTS)), draw(_int_poly(_BIG_INTS))
+    if draw(st.booleans()):
+        g = draw(_int_poly(_BIG_INTS, max_size=3))
+        a, b = exact._int_mul(a, g), exact._int_mul(b, g)
+    if draw(st.booleans()):
+        a = a[:-1] + [_P * draw(st.integers(-3, 3).filter(bool))]
+    return a, b
+
+
+@given(_int_poly_pairs())
+@settings(max_examples=400)
+def test_gcd_mod_p_agrees_with_int_gcd(pair):
+    # The modular gcd is the remainder sequence's, or declines.
+    a, b = pair
+    got = exact._gcd_mod_p(a, b)
+    assert got in (None, exact._int_gcd(a, b))
+    if a[-1] % _P == 0 or b[-1] % _P == 0:
+        assert got is None
+
+
+def test_gcd_mod_p_finds_small_gcds_and_declines_the_rest():
+    # Shared factors with small coefficients, monic or not, are found.
+    z2m1, lin = [-1, 0, 1], [1, 3]    # z^2 - 1 and 3 z + 1
+    for g in ([1], z2m1, lin, exact._int_mul(z2m1, lin)):
+        a = exact._int_mul(g, [7, -2, 5])
+        b = exact._int_mul(g, [-4, 0, 0, 9])
+        assert exact._gcd_mod_p(a, b) == exact._int_gcd(a, b) == g
+    # z + p and z are coprime over Z, but both are z modulo p; z + 2^70
+    # and its square lift to no small fraction; a leading coefficient
+    # divisible by p leaves the degree unknown.  The remainder sequence
+    # decides each.
+    assert exact._gcd_mod_p([_P, 1], [0, 1]) is None
+    assert exact._int_gcd([_P, 1], [0, 1]) == [1]
+    big = [2 ** 70, 1]
+    assert exact._gcd_mod_p(big, exact._int_mul(big, big)) is None
+    assert exact._gcd_mod_p([1, 2 * _P], [1, 1]) is None
+    assert RationalFunction([_P, 1], [0, 1]).den == Polynomial((0, 1))
 
 
 def test_exact_division_raises_on_a_remainder():

@@ -7,8 +7,8 @@ import pytest
 
 from pelleis import (DidNotConverge, EmptyGrid, EquationId, EvalSettings,
                      GridSummary, PelleisError, PoleProximity, Rect,
-                     ZeroArgument, classify, eval_series, residual,
-                     term_value, verify_grid)
+                     ZeroArgument, classify, eval_series, evaluator,
+                     residual, term_value, verify_grid)
 from pelleis.sequence import SILVER_CONJUGATE, SILVER_RATIO, float_pole
 from pelleis.verify import ResidualReport, _arguments, _pow_int
 
@@ -246,6 +246,68 @@ def test_residual_equals_restart_reference(equation, k):
             rounds_seen.add(rounds)
         assert got == want, (z, settings)
     assert rounds_seen >= ({1, 2, 3} if k % 2 else {1, 2})
+
+
+@pytest.mark.parametrize("equation", ALL_EQUATIONS)
+def test_residual_sides_equal_fresh_evaluations(monkeypatch, equation):
+    # Each side's value and tail are those of a fresh eval_series at the
+    # final tolerance of that side, the tightest it was extended to (a
+    # looser one leaves the series as it is), bit for bit.
+    extends = []
+    extend = evaluator._Series.extend
+
+    def recording_extend(series, target_tol, max_half_width):
+        extends.append((series, EvalSettings(target_tol, max_half_width)))
+        return extend(series, target_tol, max_half_width)
+
+    monkeypatch.setattr(evaluator._Series, "extend", recording_extend)
+    k, refined = 3, 0
+    for z, settings in _residual_cases(equation, seed=17):
+        extends.clear()
+        try:
+            report = residual(equation, z, k, settings)
+        except PelleisError:
+            continue
+        final = {}
+        for series, tight in extends:
+            if (series not in final
+                    or tight.target_tol < final[series].target_tol):
+                final[series] = tight
+        (lhs_series, lhs_settings), (rhs_series, rhs_settings) = final.items()
+        refined += len(extends) > 2
+        left = eval_series(lhs_series.z, 2 * k, lhs_settings)
+        right = eval_series(rhs_series.z, 2 * k, rhs_settings)
+        sign = equation.row[2]
+        prefactor = (1.0 + 0.0j if sign == 0
+                     else _pow_int(z if sign > 0 else 1 / z, 2 * k))
+        assert (lhs_series.z, rhs_series.z) == _arguments(equation, z)
+        assert repr((report.lhs, report.lhs_tail, report.rhs,
+                     report.rhs_tail)) == repr((
+                         left.value, left.tail_bound, prefactor * right.value,
+                         abs(prefactor) * right.tail_bound)), (z, settings)
+    assert refined > 10
+
+
+def test_residuals_build_no_eval_result(monkeypatch):
+    # Refinement reads values, bounds and windows off the series; only
+    # eval_series builds an EvalResult.
+    built = []
+
+    class CountingResult(evaluator.EvalResult):
+        def __init__(self, *args, **kwargs):
+            built.append(args or kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(evaluator, "EvalResult", CountingResult)
+    assert isinstance(eval_series(1 + 1j, 2), CountingResult)
+    assert len(built) == 1
+    built.clear()
+    for equation in ALL_EQUATIONS:
+        for z, settings in _residual_cases(equation, seed=5)[:20]:
+            _residual_outcome(lambda: residual(equation, z, 2, settings))
+        summary = verify_grid(equation, Rect(-3, -0.5, 3, 3.5), 6, 6, 2)
+        assert summary.points_tested
+    assert built == []
 
 
 # ------------------------------------------------------------------- grids
