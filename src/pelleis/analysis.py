@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
-from fractions import Fraction
 from functools import cache
 
 from .errors import IndexCapExceeded, require_int, require_type
@@ -31,13 +30,10 @@ def accumulation_points() -> tuple[float, float]:
     return (SILVER_CONJUGATE, SILVER_RATIO)
 
 
-@dataclass(frozen=True)
-class Pole:
+class Pole(namedtuple("Pole", "index location location_float")):
     """One term pole: exact rational location plus its rounded double."""
 
-    index: int
-    location: Fraction
-    location_float: float
+    __slots__ = ()
 
 
 class DomainTag(Enum):
@@ -47,14 +43,13 @@ class DomainTag(Enum):
     NEAR_ACCUMULATION = "near-accumulation"
 
 
-@dataclass(frozen=True)
-class DomainClass:
-    """Classification of a point against the pole set."""
+class DomainClass(namedtuple("DomainClass", "tag index distance limit",
+                             defaults=(None, None, None))):
+    """Classification of a point against the pole set: the pole index for
+    POLE and NEAR_POLE, the distance to that pole for NEAR_POLE, and the
+    accumulation point for NEAR_ACCUMULATION; None where it does not apply."""
 
-    tag: DomainTag
-    index: int | None = None       # pole index for POLE / NEAR_POLE
-    distance: float | None = None  # distance to that pole for NEAR_POLE
-    limit: float | None = None     # accumulation point for NEAR_ACCUMULATION
+    __slots__ = ()
 
     @property
     def is_regular(self) -> bool:

@@ -90,7 +90,7 @@ from __future__ import annotations
 import math
 import sys
 from cmath import isfinite
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (DidNotConverge, IndexCapExceeded, PoleProximity,
                      require_int, require_type)
@@ -113,26 +113,32 @@ _LOG_TWO = math.log(2.0)
 _FALL_SLACK = 1.0 - 2e-9       # below the proven 1 - 1e-9 of the 2^m fall
 
 
-@dataclass(frozen=True)
-class EvalSettings:
+class EvalSettings(namedtuple("EvalSettings", "target_tol max_half_width")):
     """Tolerance and window cap of adaptive summation."""
 
-    target_tol: float = DEFAULT_TARGET_TOL
-    max_half_width: int = DEFAULT_MAX_HALF_WIDTH
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, target_tol=DEFAULT_TARGET_TOL,
+                max_half_width=DEFAULT_MAX_HALF_WIDTH):
         # The type is tested first: a str or None cannot be compared with 0.
-        if (isinstance(self.target_tol, bool)
-                or not isinstance(self.target_tol, (int, float))
-                or not (self.target_tol > 0
-                        and math.isfinite(self.target_tol))):
+        # The range is compared, not converted to float, so that an int
+        # beyond double range is refused as well.
+        if (isinstance(target_tol, bool)
+                or not isinstance(target_tol, (int, float))
+                or not 0 < target_tol <= sys.float_info.max):
             raise ValueError("target_tol must be a positive finite float")
-        if self.target_tol < _BOUND_FLOOR:
+        if target_tol < _BOUND_FLOOR:
             raise ValueError(f"target_tol must be at least {_BOUND_FLOOR!r}, "
                              "the floor of tail_bound")
         # A bool is an int below 4, so it is refused as well.
-        if not isinstance(self.max_half_width, int) or self.max_half_width < 4:
+        if not isinstance(max_half_width, int) or max_half_width < 4:
             raise ValueError("max_half_width must be an integer >= 4")
+        return super().__new__(cls, target_tol, max_half_width)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would skip the checks.
+        return cls(*iterable)
 
 
 _DEFAULT_SETTINGS = EvalSettings()
@@ -149,15 +155,13 @@ def _require_settings(settings) -> EvalSettings:
     return settings
 
 
-@dataclass(frozen=True)
-class EvalResult:
-    """value = minus_part + plus_part exactly (one IEEE addition)."""
+class EvalResult(namedtuple("EvalResult", "value minus_part plus_part "
+                                          "tail_bound terms_used")):
+    """value = minus_part + plus_part exactly (one IEEE addition); the
+    minus part sums the indices j <= 0, the plus part j >= 1, and
+    terms_used is the final half-width J."""
 
-    value: complex
-    minus_part: complex    # indices j <= 0
-    plus_part: complex     # indices j >= 1
-    tail_bound: float
-    terms_used: int        # final half-width J
+    __slots__ = ()
 
 
 def _require_weight(m) -> None:
@@ -182,6 +186,8 @@ def _require_point(z) -> complex:
         z = complex(z)
     except TypeError:
         raise ValueError(f"point must be a number, got {z!r}") from None
+    except OverflowError:  # an int or Fraction beyond double range
+        raise ValueError(f"point must be finite, got {z!r}") from None
     if not _modulus(z) < math.inf:  # a nan part compares False as well
         raise ValueError(f"point must be finite, got {z!r}")
     return z

@@ -41,8 +41,7 @@ row, the one form of a Moebius map in the package.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -524,16 +523,12 @@ def substitute(f: RationalFunction,
     return RationalFunction(clear(f.num), clear(f.den))
 
 
-@dataclass
-class ExactIdentityReport:
+class ExactIdentityReport(namedtuple("ExactIdentityReport",
+                                     "equation half_width weight residual "
+                                     "boundary_terms defect")):
     """Outcome of a finite-window functional-equation check."""
 
-    equation: EquationId
-    half_width: int
-    weight: int
-    residual: RationalFunction
-    boundary_terms: list[RationalFunction]
-    defect: RationalFunction
+    __slots__ = ()
 
     @property
     def holds(self) -> bool:

@@ -2,35 +2,40 @@
 
 from __future__ import annotations
 
-import math
 import numbers
-from dataclasses import dataclass
-from typing import Iterator
+import sys
+from collections import namedtuple
+from collections.abc import Iterator
 
 from .errors import InvalidRegion, require_int
 
+_MAX_FLOAT = sys.float_info.max
 
-@dataclass(frozen=True)
-class Rect:
+
+class Rect(namedtuple("Rect", "x0 y0 x1 y1")):
     """Closed rectangle [x0, x1] x [y0, y1] with real corners and strictly
-    positive, finite sides."""
+    positive sides, all within double range."""
 
-    x0: float
-    y0: float
-    x1: float
-    y1: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        corners = (self.x0, self.y0, self.x1, self.y1)
+    def __new__(cls, x0, y0, x1, y1):
+        corners = (x0, y0, x1, y1)
         if not all(isinstance(c, numbers.Real) for c in corners):
             raise InvalidRegion(f"non-real corner in {corners}")
-        if not all(math.isfinite(c) for c in corners):
+        # Compared, not converted to float, so that an int beyond double
+        # range is refused as well.
+        if not all(-_MAX_FLOAT <= c <= _MAX_FLOAT for c in corners):
             raise InvalidRegion(f"non-finite corner in {corners}")
-        if self.x1 <= self.x0 or self.y1 <= self.y0:
+        if x1 <= x0 or y1 <= y0:
             raise InvalidRegion(f"rectangle sides must be positive: {corners}")
-        if not (math.isfinite(self.x1 - self.x0)
-                and math.isfinite(self.y1 - self.y0)):
+        if not (x1 - x0 <= _MAX_FLOAT and y1 - y0 <= _MAX_FLOAT):
             raise InvalidRegion(f"rectangle sides overflow: {corners}")
+        return super().__new__(cls, x0, y0, x1, y1)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would skip the checks.
+        return cls(*iterable)
 
     def contains(self, x, y) -> bool:
         # Exact when x, y are Fractions: comparisons against float bounds

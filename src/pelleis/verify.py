@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .analysis import classify
 from .equations import EquationId
@@ -18,28 +18,21 @@ K_CAP = 8  # keeps |z|^(2k) within double range on the usual grids
 _REL_FLOOR = 1e-300
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    point: complex
-    k: int
-    lhs: complex
-    rhs: complex
-    abs_residual: float
-    rel_residual: float
-    lhs_tail: float
-    rhs_tail: float
+ResidualReport = namedtuple(
+    "ResidualReport", "point k lhs rhs abs_residual rel_residual "
+                      "lhs_tail rhs_tail")
 
 
-@dataclass
 class GridSummary:
     """A report per tested point, a (point, error) per failed point and the
     skipped count; the other counts and the worst point derive from them."""
 
-    equation: EquationId
-    k: int
-    points_skipped: int = 0
-    reports: list[ResidualReport] = field(default_factory=list)
-    failures: list[tuple[complex, PelleisError]] = field(default_factory=list)
+    def __init__(self, equation: EquationId, k: int, points_skipped: int = 0):
+        self.equation = equation
+        self.k = k
+        self.points_skipped = points_skipped
+        self.reports: list[ResidualReport] = []
+        self.failures: list[tuple[complex, PelleisError]] = []
 
     @property
     def points_tested(self) -> int:

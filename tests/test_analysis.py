@@ -200,6 +200,9 @@ def test_classify_regular():
 def test_classify_validation():
     with pytest.raises(ValueError):
         classify(complex(math.inf, 0.0))
+    # An int beyond double range raised an untyped OverflowError.
+    with pytest.raises(ValueError, match="^point must be finite"):
+        classify(10**400)
 
 
 def test_regular_points_evaluate(off_axis_points):

@@ -107,6 +107,9 @@ def test_huge_points_refused_or_underflowing():
     # computes it.
     with pytest.raises(ValueError, match="^point must be finite"):
         eval_series(1.5e308 + 1.5e308j, 2)
+    # An int beyond double range raised an untyped OverflowError.
+    with pytest.raises(ValueError, match="^point must be finite"):
+        eval_series(10**400, 2)
     z = 2.2e307 + 2.2e307j
     w = 6 * z + 2    # the denominator of term 2
     assert math.isfinite(w.real) and math.isfinite(w.imag)
@@ -427,6 +430,16 @@ def test_eval_settings_validation():
     for tol in (True, False, "1e-3", None):
         with pytest.raises(ValueError, match="^target_tol must be"):
             EvalSettings(target_tol=tol)
+    # An int beyond double range is no finite float: it raised an untyped
+    # OverflowError.  _replace runs the checks as the constructor does.
+    with pytest.raises(ValueError,
+                       match="^target_tol must be a positive finite float"):
+        EvalSettings(target_tol=10**400)
+    with pytest.raises(ValueError,
+                       match="^target_tol must be a positive finite float"):
+        EvalSettings()._replace(target_tol=0.0)
+    with pytest.raises(ValueError, match="integer"):
+        EvalSettings()._replace(max_half_width=3)
     with pytest.raises(ValueError):
         EvalSettings(max_half_width=3)
     for width in (10.5, 10.0, True, "10"):
@@ -1244,3 +1257,12 @@ def test_eval_grid_validation():
         with pytest.raises(InvalidRegion, match="^non-real corner in"):
             Rect(-1, -1, 1, corner)
     assert Rect(Fraction(1, 2), 0, 1, 1).contains(Fraction(3, 4), 0)
+    # Corners and sides beyond double range are an InvalidRegion; an int
+    # there raised an untyped OverflowError.  _replace runs the checks as
+    # the constructor does.
+    with pytest.raises(InvalidRegion, match="^non-finite corner in"):
+        Rect(0, 0, 10**400, 1)
+    with pytest.raises(InvalidRegion, match="^rectangle sides overflow"):
+        Rect(-10**308, 0, 10**308, 1)
+    with pytest.raises(InvalidRegion, match="^rectangle sides must be"):
+        Rect(0, 0, 1, 1)._replace(x1=-1)

@@ -294,9 +294,9 @@ def test_residuals_build_no_eval_result(monkeypatch):
     built = []
 
     class CountingResult(evaluator.EvalResult):
-        def __init__(self, *args, **kwargs):
+        def __new__(cls, *args, **kwargs):
             built.append(args or kwargs)
-            super().__init__(*args, **kwargs)
+            return super().__new__(cls, *args, **kwargs)
 
     monkeypatch.setattr(evaluator, "EvalResult", CountingResult)
     assert isinstance(eval_series(1 + 1j, 2), CountingResult)
