@@ -130,27 +130,27 @@ def _cmd_verify(args) -> int:
     return 1 if summary.points_failed else 0
 
 
-def _coeff_list(poly) -> str:
-    if poly.is_zero:
-        return "0"
-    return " ".join(str(c) for c in poly.coeffs)
+def _coeff_lines(name: str, rf) -> list[str]:
+    """The report lines of rf's coefficients; the zero polynomial is "0"."""
+    return [f"{name} {part} coefficients: "
+            + (" ".join(str(c) for c in poly.coeffs) or "0")
+            for part, poly in (("numerator", rf.num), ("denominator", rf.den))]
 
 
 def _cmd_prove(args) -> int:
     equation = EquationId(args.eq)
     report = verify_identity_exact(equation, args.window, args.k)
-    print(f"equation: {equation.value}")
-    print(f"window half-width: {report.half_width}")
-    print(f"weight: {report.weight}")
-    print(f"residual numerator coefficients: {_coeff_list(report.residual.num)}")
-    print(f"residual denominator coefficients: {_coeff_list(report.residual.den)}")
-    print(f"boundary terms: {len(report.boundary_terms)}")
+    lines = [f"equation: {equation.value}",
+             f"window half-width: {report.half_width}",
+             f"weight: {report.weight}",
+             *_coeff_lines("residual", report.residual),
+             f"boundary terms: {len(report.boundary_terms)}"]
     for i, term in enumerate(report.boundary_terms, start=1):
-        print(f"boundary {i} numerator coefficients: {_coeff_list(term.num)}")
-        print(f"boundary {i} denominator coefficients: {_coeff_list(term.den)}")
-    print(f"defect numerator coefficients: {_coeff_list(report.defect.num)}")
-    print(f"defect denominator coefficients: {_coeff_list(report.defect.den)}")
-    print(f"verdict: {report.verdict}")
+        lines += _coeff_lines(f"boundary {i}", term)
+    lines += _coeff_lines("defect", report.defect)
+    lines.append(f"verdict: {report.verdict}")
+    # One write, after the report is complete: an error leaves no lines.
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0 if report.holds else 1
 
 

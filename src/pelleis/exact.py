@@ -8,7 +8,10 @@ one common integer, divided exactly by their primitive gcd, which by
 Gauss's lemma leaves integer quotients, and converted to Fractions once,
 when the denominator is made monic.  The gcd is found modulo the prime
 2^61 - 1 and checked by exact division; only where that one prime does
-not decide it does the primitive remainder sequence run.
+not decide it does the primitive remainder sequence run.  That gcd serves
+the general constructor alone: the prover's sums have denominators that
+are products of powers of known linear factors, and their canonical form
+is read off those roots with no gcd (_tally_sum).
 
 The identity checks are termwise.  Under a map T(z) = (a z + b)/(c z + d)
 the term 1/(Q_j z + Q_{j-1})^m becomes (c z + d)^m / (alpha z + beta)^m
@@ -25,11 +28,11 @@ serves every equation: with window offset 0 (the reflection, j -> -j) the
 window |j| <= J is matched onto itself; with offset 1 the matching moves
 it one slot (for the inversion Q_{j-1} z - Q_j = (-1)^(j-1) (Q_{1-j} z +
 Q_{-j})), and the boundary is + right-side term J+1 and - right-side term
--J.  The boundary terms are written from their integer pairs, returned,
-and entered into the same tally with the opposite sign; the defect,
-residual minus boundary, is the exact sum of the terms whose tally is
-still not zero, and is the zero rational function exactly when the
-identity holds.
+-J.  The boundary terms are written from their integer pairs, each summed
+as a one-entry tally, returned, and entered into the same tally with the
+opposite sign; the defect, residual minus boundary, is the exact sum of
+the terms whose tally is still not zero, and is the zero rational
+function exactly when the identity holds.
 
 window_sum, term_rf and substitute build the same residual and boundary
 terms the slow way, by canonicalising whole rational functions; they
@@ -47,7 +50,7 @@ from itertools import zip_longest
 
 from .equations import EquationId
 from .errors import require_int, require_type
-from .sequence import pell_lucas
+from .sequence import pell_lucas, pell_lucas_range
 
 WINDOW_HALF_WIDTH_GUARD = 8
 WINDOW_WEIGHT_GUARD = 6
@@ -375,14 +378,18 @@ class RationalFunction:
         num, den = _cleared(num, 1 if den is None else den)
         if not den:
             raise ZeroDivisionError("zero denominator polynomial")
-        if not num:
-            self.num = Polynomial()
-            self.den = Polynomial((1,))
+        if num:
+            g = _gcd_mod_p(num, den) or _int_gcd(num, den)
+            if len(g) > 1:
+                num = _int_exact_div(num, g)
+                den = _int_exact_div(den, g)
+        self._store(num, den)
+
+    def _store(self, num: list[int], den: list[int]) -> None:
+        """Store coprime integer parts with the denominator made monic."""
+        if not any(num):
+            self.num, self.den = Polynomial(), Polynomial((1,))
             return
-        g = _gcd_mod_p(num, den) or _int_gcd(num, den)
-        if len(g) > 1:
-            num = _int_exact_div(num, g)
-            den = _int_exact_div(den, g)
         lead = den[-1]
         self.num = Polynomial([Fraction(c, lead) for c in num])
         self.den = Polynomial([Fraction(c, lead) for c in den])
@@ -567,25 +574,52 @@ def _linear_power(p: int, q: int, m: int) -> list[int]:
 
 
 def _tally_sum(tally: Counter, m: int) -> RationalFunction:
-    """Exact sum of count * (p z + q)^m / (alpha z + beta)^m over the tally.
+    """Exact sum of count * (p z + q)^m / (alpha z + beta)^m over the tally,
+    in canonical form, found with no gcd.
 
-    Numerators that share a denominator are added first; the groups are
-    then added over the product of their denominators, in integers, and
-    canonicalised once.
+    The denominator pairs are sign-normalised, as _pair gives them.
+    Entries are grouped by the primitive pair (a, b) = (alpha, beta) / g,
+    g the content; a group's numerators are summed over one integer scale,
+    the lcm of g^m over its entries.  Each group's numerator is then divided
+    by a z + b while that divides exactly, at most m times, and the groups
+    are summed over the product of the powers that remain.  The result is
+    coprime over Q: distinct primitive pairs have distinct roots -b/a; at
+    the root of a remaining factor its own group's numerator does not
+    vanish, since the division there was inexact, and no other group's
+    factor vanishes there either, so neither does the numerator of the sum.
     """
     groups = {}
-    for (num, den), count in tally.items():
+    for (num, (alpha, beta)), count in tally.items():
         if count:
-            acc = groups.setdefault(den, [0] * (m + 1))
-            for i, c in enumerate(_linear_power(*num, m)):
-                acc[i] += count * c
+            g = math.gcd(alpha, beta)
+            groups.setdefault((alpha // g, beta // g), []).append(
+                (num, g ** m, count))
     num, den = [], [1]
-    for pair, acc in groups.items():
-        d = _linear_power(*pair, m)
+    for (a, b), entries in groups.items():
+        scale = math.lcm(*(gm for _, gm, _ in entries))
+        acc = [0] * (m + 1)
+        for pair, gm, count in entries:
+            f = count * (scale // gm)
+            for i, c in enumerate(_linear_power(*pair, m)):
+                acc[i] += f * c
+        while acc and not acc[-1]:
+            acc.pop()
+        if not acc:
+            continue
+        power = m
+        try:
+            while power and a:  # (0, 1) is the constant 1: nothing to strip
+                acc = _int_exact_div(acc, [b, a])
+                power -= 1
+        except ArithmeticError:
+            pass
+        d = [scale * c for c in _linear_power(a, b, power)]
         num = [x + y for x, y in zip_longest(_int_mul(num, d),
                                             _int_mul(acc, den), fillvalue=0)]
         den = _int_mul(den, d)
-    return RationalFunction(num, den)
+    rf = RationalFunction.__new__(RationalFunction)
+    rf._store(num, den)
+    return rf
 
 
 def verify_identity_exact(equation: EquationId, half_width: int,
@@ -620,23 +654,22 @@ def verify_identity_exact(equation: EquationId, half_width: int,
     left, right, s, offset = equation.row
     lhs_num = _sign_normal(*left[2:])
     rhs_num = (1, 0) if s == 1 else (0, 1)
+    J = half_width
+    qs = pell_lucas_range(-J - 1, J + 1)   # Q_n is qs[n + J + 1]
     tally = Counter()
-    for j in range(-half_width, half_width + 1):
-        q_j, q_prev = pell_lucas(j), pell_lucas(j - 1)
+    for j in range(-J, J + 1):
+        q_j, q_prev = qs[j + J + 1], qs[j + J]
         tally[lhs_num, _pair(left, q_j, q_prev)] += 1
         tally[rhs_num, _pair(right, q_j, q_prev)] -= 1
     residual = _tally_sum(tally, m)
 
     # With offset 1 the left window meets right-side terms -J+1 .. J+1, so
     # the boundary is + right-side term J+1 and - right-side term -J.
-    J = half_width
     edges = [(1, J + 1), (-1, -J)] if offset else []
-    numerator = _linear_power(*rhs_num, m)
     boundary = []
     for sign, j in edges:
-        den = _pair(right, pell_lucas(j), pell_lucas(j - 1))
-        boundary.append(RationalFunction([sign * c for c in numerator],
-                                         _linear_power(*den, m)))
+        den = _pair(right, qs[j + J + 1], qs[j + J])
+        boundary.append(_tally_sum(Counter({(rhs_num, den): sign}), m))
         tally[rhs_num, den] -= sign
     defect = _tally_sum(tally, m)
     return ExactIdentityReport(equation, half_width, m, residual,

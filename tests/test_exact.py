@@ -461,7 +461,7 @@ def test_wrong_left_map_is_nonzero(monkeypatch, equation, wrong_map):
     assert report == _window_sum_report(equation, 2, 1, left_map=wrong_map)
 
 
-@pytest.mark.parametrize("equation, field, wrong", [
+_WRONG_ROWS = [
     (EquationId.SHIFT, 1, (1, 0, 0, 1)),     # S(z) instead of S(1/z)
     (EquationId.NEGATION, 1, (1, 0, 0, 1)),  # S(z) instead of S(1/z)
     (EquationId.INVERSION, 1, (0, 1, 1, 0)),  # S(1/z) instead of S(z)
@@ -470,16 +470,44 @@ def test_wrong_left_map_is_nonzero(monkeypatch, equation, wrong_map):
     (EquationId.REFLECTION, 3, 1),          # two spurious boundary terms
     (EquationId.INVERSION, 2, -1),          # prefactor sign flipped
     (EquationId.SHIFT, 2, 1),               # prefactor sign flipped
-])
-@pytest.mark.parametrize("half_width, k", [(2, 1), (3, 2), (8, 3)])
-def test_wrong_row_is_nonzero(monkeypatch, equation, field, wrong,
-                              half_width, k):
+]
+_WRONG_ROW_WINDOWS = [(2, 1), (3, 2), (8, 3)]
+
+
+def _wrong_row_report(monkeypatch, equation, field, wrong, half_width, k):
     row = list(equation.row)
     row[field] = wrong
-    monkeypatch.setitem(equations._ROWS, equation.value, tuple(row))
-    report = verify_identity_exact(equation, half_width, k)
+    with monkeypatch.context() as patch:
+        patch.setitem(equations._ROWS, equation.value, tuple(row))
+        return verify_identity_exact(equation, half_width, k)
+
+
+@pytest.mark.parametrize("equation, field, wrong", _WRONG_ROWS)
+@pytest.mark.parametrize("half_width, k", _WRONG_ROW_WINDOWS)
+def test_wrong_row_is_nonzero(monkeypatch, equation, field, wrong,
+                              half_width, k):
+    report = _wrong_row_report(monkeypatch, equation, field, wrong,
+                               half_width, k)
     assert report.verdict == "NONZERO"
     assert not report.holds
+
+
+def test_prover_finds_no_gcd(monkeypatch):
+    # Every report of the guarded range, and every wrong row, is built
+    # with its canonical form read off the tally: no gcd runs.
+    def forbidden(*args):
+        raise AssertionError("the prover ran a gcd")
+
+    monkeypatch.setattr(exact, "_gcd_mod_p", forbidden)
+    monkeypatch.setattr(exact, "_int_gcd", forbidden)
+    for equation in EquationId:
+        for J in range(2, 9):
+            for k in (1, 2, 3):
+                assert verify_identity_exact(equation, J, k).holds
+    for case in _WRONG_ROWS:
+        for half_width, k in _WRONG_ROW_WINDOWS:
+            report = _wrong_row_report(monkeypatch, *case, half_width, k)
+            assert report.verdict == "NONZERO"
 
 
 def test_rows_give_the_statements():
@@ -526,10 +554,11 @@ def test_off_by_one_edge_pair_is_nonzero(monkeypatch, equation, half_width,
     J, m = half_width, 2 * k
     honest = verify_identity_exact(equation, J, k)
 
-    def shifted(n):
-        return pell_lucas(J + 2 if n == J + 1 else n)
+    def shifted(lo, hi):
+        return [pell_lucas(J + 2 if n == J + 1 else n)
+                for n in range(lo, hi + 1)]
 
-    monkeypatch.setattr(exact, "pell_lucas", shifted)
+    monkeypatch.setattr(exact, "pell_lucas_range", shifted)
     report = verify_identity_exact(equation, J, k)
     assert report.verdict == "NONZERO"
     assert not report.holds
@@ -683,6 +712,53 @@ def test_tally_sum_equals_chained_fraction_sum(entries, m):
         tally[num, den] += count
     got = exact._tally_sum(tally, m)
     assert repr(got) == repr(reference.tally_sum(tally, m))
+
+
+# Primitive, sign-normalised pairs with roots 0, +-1, +-2, +-1/2 and none.
+_PRIMITIVE = [(0, 1), (1, 0), (1, 1), (1, -1), (1, 2), (1, -2), (2, 1),
+              (2, -1)]
+_SMALL_PAIRS = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(
+    lambda pq: pq != (0, 0))
+
+
+@st.composite
+def _tallies(draw):
+    """(tally, m): random entries whose denominator pairs are multiples,
+    with content 1 to 3, of a few primitive pairs, and in some draws one
+    group whose numerators sum to a multiple of (a z + b)^k exactly, for a
+    k from 0 to m."""
+    m = draw(st.integers(1, 6))
+    tally = Counter()
+    for _ in range(draw(st.integers(0, 6))):
+        p, q = draw(st.sampled_from(_PRIMITIVE))
+        g = draw(st.integers(1, 3))
+        tally[draw(_SMALL_PAIRS), (g * p, g * q)] += draw(
+            st.integers(-3, 3))
+    if draw(st.booleans()):
+        # With u = a z + b, sum_i (-1)^i C(k, i) (i u + 1)^m has the
+        # coefficient sum_i (-1)^i C(k, i) i^j at u^j: zero for j < k only.
+        a, b = draw(st.sampled_from(_PRIMITIVE[1:]))
+        g, k = draw(st.integers(1, 3)), draw(st.integers(0, m))
+        c = draw(st.sampled_from([-2, -1, 1, 2]))
+        for i in range(k + 1):
+            tally[(i * a, i * b + 1), (g * a, g * b)] += (
+                c * (-1) ** i * math.comb(k, i))
+    return tally, m
+
+
+@given(_tallies())
+@settings(max_examples=400)
+def test_tally_sum_equals_rational_function_sum(drawn):
+    # The canonical form read off the tally is the one the general
+    # constructor finds with a gcd.
+    tally, m = drawn
+    want = RationalFunction.zero()
+    for ((p, q), (alpha, beta)), count in tally.items():
+        want = want + RationalFunction(
+            count * Polynomial((q, p)) ** m, Polynomial((beta, alpha)) ** m)
+    got = exact._tally_sum(tally, m)
+    assert got == want
+    assert repr(got) == repr(want)
 
 
 @pytest.mark.parametrize("equation", list(EquationId))
