@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from cmath import isfinite
 from collections import namedtuple
 from enum import Enum
 from functools import cache
@@ -130,10 +131,13 @@ def classify(z: complex) -> DomainClass:
     point at least POLE_TOL off the axis and ACCUM_TOL from both limits is
     REGULAR at once, as every pole is at least |y| away.
     """
-    z = _require_point(z)
+    if not (z.__class__ is complex and isfinite(z)):
+        z = _require_point(z)
     x, y = z.real, z.imag
-    d_minus = abs(z - SILVER_CONJUGATE)
-    d_plus = abs(z - SILVER_RATIO)
+    try:
+        d_minus, d_plus = abs(z - SILVER_CONJUGATE), abs(z - SILVER_RATIO)
+    except OverflowError:  # |z| leaves double range
+        raise ValueError(f"point must be finite, got {z!r}") from None
     if abs(y) >= POLE_TOL and min(d_minus, d_plus) >= ACCUM_TOL:
         return _REGULAR
 

@@ -109,12 +109,20 @@ def _cmd_verify(args) -> int:
     equation = EquationId(args.eq)
     summary = verify_grid(equation, rect, args.nx, args.ny, args.k,
                           _settings(args))
+    reprs = {}  # coordinates repeat along grid rows and columns
+
+    def coordinate(v: float) -> str:
+        # A zero is formatted anew: 0.0 == -0.0, but their reprs differ.
+        if not (v and v in reprs):
+            reprs[v] = repr(v)
+        return reprs[v]
+
     lines = [VERIFY_HEADER + "\n"]
     for r in summary.reports:
-        lines.append("%r,%r,%r,%r,%r,%r,%r,%r,%r,%r\n" % (
-            r.point.real, r.point.imag, r.lhs.real, r.lhs.imag,
-            r.rhs.real, r.rhs.imag, r.abs_residual, r.rel_residual,
-            r.lhs_tail, r.rhs_tail))
+        lines.append("%s,%s,%r,%r,%r,%r,%r,%r,%r,%r\n" % (
+            coordinate(r.point.real), coordinate(r.point.imag), r.lhs.real,
+            r.lhs.imag, r.rhs.real, r.rhs.imag, r.abs_residual,
+            r.rel_residual, r.lhs_tail, r.rhs_tail))
     for z, exc in summary.failures:
         lines.append(f"# failed: re={z.real!r} im={z.imag!r} {exc}\n")
     worst = summary.worst_point

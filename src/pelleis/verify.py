@@ -1,4 +1,5 @@
-"""Numeric residuals of the functional equations on points and grids."""
+"""Numeric residuals of the functional equations on points and grids; a
+grid checks its arguments once and maps each point once."""
 
 from __future__ import annotations
 
@@ -71,10 +72,11 @@ def _arguments(equation: EquationId, z: complex) -> tuple[complex, complex]:
     """(left-side argument, right-side argument) of the equation at z: the
     maps (a z + b)/(c z + d) of its row; one with d = 0 needs z != 0, and
     an argument whose modulus leaves double range is refused."""
-    left, right, _, _ = equation.row
-    if z == 0 and (left[3] == 0 or right[3] == 0):
+    (a, b, c, d), (e, f, g, h), _, _ = equation.row
+    if z == 0 and (d == 0 or h == 0):
         raise ZeroArgument(f"{equation.value} undefined at z = 0")
-    lhs_z, rhs_z = ((a * z + b) / (c * z + d) for a, b, c, d in (left, right))
+    lhs_z = (a * z + b) / (c * z + d)
+    rhs_z = (e * z + f) / (g * z + h)
     if not (_modulus(lhs_z) < math.inf and _modulus(rhs_z) < math.inf):
         raise ZeroArgument(
             f"{equation.value} argument overflows at z = {z!r}")
@@ -102,16 +104,20 @@ def residual(equation: EquationId, z: complex, k: int,
     right tail accordingly; a right side that leaves double range raises
     DidNotConverge (tail bound inf).  Evaluation errors carry side="lhs"
     or side="rhs".  Both arguments should classify REGULAR; every term is
-    re-guarded during summation.
+    re-guarded during summation.  verify_grid calls its core, _residual.
     """
     require_type("equation", equation, EquationId)
     _require_k(k)
     z = _require_point(z)
-    base = _require_settings(settings)
-    m = 2 * k
+    settings = _require_settings(settings)
     lhs_z, rhs_z = _arguments(equation, z)
+    return _residual(equation.row[2], z, k, lhs_z, rhs_z, settings)
 
-    sign = equation.row[2]
+
+def _residual(sign: int, z: complex, k: int, lhs_z: complex, rhs_z: complex,
+              settings: EvalSettings) -> ResidualReport:
+    """residual on checked arguments, z mapped to lhs_z and rhs_z."""
+    m = 2 * k
     if sign == 0:
         prefactor = 1.0 + 0.0j
     else:
@@ -119,22 +125,18 @@ def residual(equation: EquationId, z: complex, k: int,
     pref_mag = _modulus(prefactor)
 
     lhs_series = rhs_series = None
-    lhs_tol = rhs_tol = target_tol = base.target_tol
-    max_half_width = base.max_half_width
+    lhs_tol = rhs_tol = target_tol = settings.target_tol
+    max_half_width = settings.max_half_width
     for _ in range(_REFINE_ROUNDS + 1):
+        side = "lhs"
         try:
-            if lhs_series is None:
-                lhs_series = _Series(lhs_z, m)
+            lhs_series = lhs_series or _Series(lhs_z, m)
             lhs = lhs_series.extend(lhs_tol, max_half_width)
-        except PelleisError as exc:
-            exc.side = "lhs"
-            raise
-        try:
-            if rhs_series is None:
-                rhs_series = _Series(rhs_z, m)
+            side = "rhs"
+            rhs_series = rhs_series or _Series(rhs_z, m)
             rhs = prefactor * rhs_series.extend(rhs_tol, max_half_width)
         except PelleisError as exc:
-            exc.side = "rhs"
+            exc.side = side
             raise
         rhs_tail = pref_mag * rhs_series.bound
         if not (_modulus(rhs) < math.inf and math.isfinite(rhs_tail)):
@@ -152,17 +154,15 @@ def residual(equation: EquationId, z: complex, k: int,
 
     abs_res = abs(lhs - rhs)
     rel_res = abs_res / max(abs(lhs), abs(rhs), _REL_FLOOR)
-    return ResidualReport(
-        point=z, k=k, lhs=lhs, rhs=rhs,
-        abs_residual=abs_res, rel_residual=rel_res,
-        lhs_tail=lhs_series.bound, rhs_tail=rhs_tail,
-    )
+    return ResidualReport(z, k, lhs, rhs, abs_res, rel_res,
+                          lhs_series.bound, rhs_tail)
 
 
 def verify_grid(equation: EquationId, region: Rect, nx: int, ny: int, k: int,
                 settings: EvalSettings | None = None) -> GridSummary:
     """Residuals at every cell center whose arguments both classify REGULAR.
 
+    The arguments are checked once per grid, and each point is mapped once.
     Non-regular points (and z = 0, or a z whose 1/z overflows, where the
     equation needs 1/z) are skipped; evaluation failures at regular points
     are recorded as failures.  Raises EmptyGrid when every point was
@@ -172,21 +172,21 @@ def verify_grid(equation: EquationId, region: Rect, nx: int, ny: int, k: int,
     require_type("region", region, Rect)
     _require_k(k)
     settings = _require_settings(settings)
+    sign = equation.row[2]
     summary = GridSummary(equation, k)
+    reports, failures = summary.reports, summary.failures
     for z in region.cell_centers(nx, ny):
         try:
             lhs_z, rhs_z = _arguments(equation, z)
-        except ZeroArgument:
-            summary.points_skipped += 1
+        except ZeroArgument:  # skipped, as is a point not REGULAR
             continue
-        if not (classify(lhs_z).is_regular and classify(rhs_z).is_regular):
-            summary.points_skipped += 1
-            continue
-        try:
-            summary.reports.append(residual(equation, z, k, settings))
-        except PelleisError as exc:
-            summary.failures.append((z, exc))
-    if not (summary.reports or summary.failures):
+        if classify(lhs_z).is_regular and classify(rhs_z).is_regular:
+            try:
+                reports.append(_residual(sign, z, k, lhs_z, rhs_z, settings))
+            except PelleisError as exc:
+                failures.append((z, exc))
+    summary.points_skipped = nx * ny - len(reports) - len(failures)
+    if not (reports or failures):
         raise EmptyGrid(
             f"no testable points for {equation.value} on the given grid")
     return summary

@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from pelleis import EvalSettings, InvalidRegion, Rect, cli, eval_series
+from pelleis import (EquationId, EvalSettings, GridSummary, InvalidRegion,
+                     Rect, ResidualReport, cli, eval_series, verify_grid)
 
 SEQ_0_4 = "n,Q_n\n0,2\n1,2\n2,6\n3,14\n4,34\n"
 
@@ -234,6 +235,44 @@ def test_verify_summary(capsys):
     row = lines[1].split(",")
     assert len(row) == 10
     assert float(row[7]) <= 1e-9  # rel_residual column
+
+
+def _repr_rows(reports):
+    """The verify CSV rows of reports, repr of every field."""
+    return [",".join(repr(v) for v in (
+        r.point.real, r.point.imag, r.lhs.real, r.lhs.imag, r.rhs.real,
+        r.rhs.imag, r.abs_residual, r.rel_residual, r.lhs_tail, r.rhs_tail))
+        for r in reports]
+
+
+@pytest.mark.parametrize("eq", [e.value for e in EquationId])
+@pytest.mark.parametrize("rect, nx, ny", [("-1,0.5,1,1.5", 3, 12),
+                                          (cli.DEFAULT_RECT, 1, 1)])
+def test_verify_rows_are_reprs_of_every_field(capsys, eq, rect, nx, ny):
+    # Both grids have a column at re = 0.0; coordinates are formatted once
+    # and reused, to the same text.
+    code, out = run_cli(capsys, "verify", "--eq", eq, "--k", "2",
+                        f"--rect={rect}", "--nx", str(nx), "--ny", str(ny))
+    assert code == 0
+    summary = verify_grid(EquationId(eq), Rect.parse(rect), nx, ny, 2,
+                          EvalSettings(target_tol=1e-12))
+    rows = out.splitlines()[1:-1]
+    assert rows == _repr_rows(summary.reports)
+    assert any(row.startswith("0.0,") for row in rows)
+
+
+def test_verify_rows_keep_the_sign_of_zero(capsys, monkeypatch):
+    # 0.0 == -0.0, but the two print differently, in either order.
+    points = (complex(0.0, 1.0), complex(-0.0, 1.0), complex(-0.0, -0.0),
+              complex(0.0, -0.0), complex(0.0, 0.0), complex(-0.0, 0.0),
+              complex(2.5, 0.0), complex(2.5, -0.0))
+    summary = GridSummary(EquationId.SHIFT, 1)
+    summary.reports += [ResidualReport(z, 1, 1 + 2j, 1 - 2j, 4.0, 0.5,
+                                       1e-20, 2e-20) for z in points]
+    monkeypatch.setattr(cli, "verify_grid", lambda *args: summary)
+    code, out = run_cli(capsys, "verify", "--eq", "shift", "--k", "1")
+    assert code == 0
+    assert out.splitlines()[1:-1] == _repr_rows(summary.reports)
 
 
 def test_verify_rejects_unknown_equation(capsys):

@@ -8,7 +8,7 @@ import pytest
 from pelleis import (DidNotConverge, EmptyGrid, EquationId, EvalSettings,
                      GridSummary, PelleisError, PoleProximity, Rect,
                      ZeroArgument, classify, eval_series, evaluator,
-                     residual, term_value, verify_grid)
+                     residual, term_value, verify, verify_grid)
 from pelleis.sequence import SILVER_CONJUGATE, SILVER_RATIO, float_pole
 from pelleis.verify import ResidualReport, _arguments, _pow_int
 
@@ -323,6 +323,139 @@ def test_verify_grid_standard_patch():
     assert len(summary.reports) == 16
     worst = max(r.rel_residual for r in summary.reports)
     assert summary.max_rel_residual == worst
+
+
+def _preimage(equation, side, w):
+    """The z whose left (side 0) or right (side 1) argument is w."""
+    a, b, c, d = equation.row[side]
+    return (d * w - b) / (a - c * w)
+
+
+def _grid_cases(equation, k, seed):
+    """Seeded (region, settings) of three kinds: a wide rectangle, a thin
+    one across the real axis around the preimage of a pole p_j, and a
+    square around the preimage of 1 -/+ sqrt(2), under the left or the
+    right argument map.  Tolerances reach 1e-14 and some windows are capped
+    at 12 or 20 levels, so points are refined, skipped and failed."""
+    rng = random.Random(seed)
+    cases = []
+    for kind in ("wide", "axis", "accum"):
+        side = rng.randrange(2)
+        if kind == "wide":
+            w, h = rng.uniform(0.5, 6.0), rng.uniform(0.5, 3.0)
+            x0, y0 = rng.uniform(-3.0, 3.0 - w), rng.uniform(-0.5, 3.5 - h)
+            region = Rect(x0, y0, x0 + w, y0 + h)
+        elif kind == "axis":
+            w, h = 10.0 ** rng.uniform(-5.3, -4.3), 10.0 ** rng.uniform(-7, -5)
+            p = _preimage(equation, side, float_pole(rng.randint(-3, 3)))
+            cx = p + rng.uniform(-0.5, 0.5) * w
+            region = Rect(cx - w / 2, -h / 2, cx + w / 2, h / 2)
+        else:
+            s = 10.0 ** rng.uniform(-2.7, -2.2)
+            limit = rng.choice((SILVER_CONJUGATE, SILVER_RATIO))
+            cx = _preimage(equation, side, limit) + rng.uniform(-0.5, 0.5) * s
+            cy = rng.uniform(-0.5, 0.5) * s
+            region = Rect(cx - s, cy - s, cx + s, cy + s)
+        settings = EvalSettings(target_tol=10.0 ** -rng.uniform(6, 14),
+                                max_half_width=rng.choice((200, 12, 20)))
+        cases.append((region, settings))
+    return cases
+
+
+def _grid_outcome(equation, region, k, settings):
+    """(report fields as reprs, failures, skipped) of verify_grid on a 7x5
+    grid, or EmptyGrid."""
+    try:
+        summary = verify_grid(equation, region, 7, 5, k, settings)
+    except EmptyGrid:
+        return EmptyGrid
+    return ([[repr(f) for f in r] for r in summary.reports],
+            [(z, (type(exc), str(exc), exc.side))
+             for z, exc in summary.failures],
+            summary.points_skipped)
+
+
+def _point_by_point(equation, region, k, settings):
+    """_grid_outcome rebuilt from one public residual call per point."""
+    reports, failures, skipped = [], [], 0
+    for z in region.cell_centers(7, 5):
+        try:
+            lhs_z, rhs_z = _arguments(equation, z)
+        except ZeroArgument:
+            skipped += 1
+            continue
+        if not (classify(lhs_z).is_regular and classify(rhs_z).is_regular):
+            skipped += 1
+            continue
+        outcome = _residual_outcome(lambda: residual(equation, z, k, settings))
+        if isinstance(outcome, ResidualReport):
+            reports.append([repr(f) for f in outcome])
+        else:
+            failures.append((z, outcome))
+    if not (reports or failures):
+        return EmptyGrid
+    return reports, failures, skipped
+
+
+@pytest.mark.parametrize("equation", ALL_EQUATIONS)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_verify_grid_equals_residual_point_by_point(equation, k):
+    # verify_grid maps each point once and calls residual's core; every
+    # report field, failure and skip is what the public residual gives.
+    for region, settings in _grid_cases(equation, k, seed=k * 11):
+        assert (_grid_outcome(equation, region, k, settings)
+                == _point_by_point(equation, region, k, settings)), (
+                    region, settings)
+
+
+def test_grid_cases_test_skip_and_fail_points():
+    # The cases above test points, skip some, fail some on each side, and
+    # leave some grids with no testable point.
+    tested = skipped = empty = 0
+    sides = set()
+    for equation in ALL_EQUATIONS:
+        for k in (1, 2, 3):
+            for region, settings in _grid_cases(equation, k, seed=k * 11):
+                got = _grid_outcome(equation, region, k, settings)
+                if got is EmptyGrid:
+                    empty += 1
+                    continue
+                tested += len(got[0])
+                sides.update(outcome[2] for _, outcome in got[1])
+                skipped += got[2]
+    assert tested > 500 and skipped > 50 and empty > 0
+    assert sides == {"lhs", "rhs"}
+
+
+def test_verify_grid_maps_each_point_once(monkeypatch):
+    # The grid neither calls the public residual nor maps a point twice,
+    # and classifies each side of a point at most once.
+    regions = (Rect(-3, 0.5, 3, 3.5), Rect(-1, -1, 1, 1))
+    want = {(equation, region): _grid_outcome(equation, region, 2, None)
+            for equation in ALL_EQUATIONS for region in regions}
+    mapped, classified = [], []
+    arguments, classify_ = verify._arguments, verify.classify
+
+    def counting_arguments(equation, z):
+        mapped.append(z)
+        return arguments(equation, z)
+
+    def counting_classify(z):
+        classified.append(z)
+        return classify_(z)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_grid called the public residual")
+
+    monkeypatch.setattr(verify, "_arguments", counting_arguments)
+    monkeypatch.setattr(verify, "classify", counting_classify)
+    monkeypatch.setattr(verify, "residual", refuse)
+    for (equation, region), outcome in want.items():
+        mapped.clear()
+        classified.clear()
+        assert _grid_outcome(equation, region, 2, None) == outcome
+        assert mapped == list(region.cell_centers(7, 5))
+        assert len(classified) <= 2 * len(mapped)
 
 
 def test_grid_summary_derives_counts_and_worst_point():
