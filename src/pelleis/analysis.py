@@ -16,7 +16,7 @@ from enum import Enum
 from functools import cache
 
 from .errors import IndexCapExceeded, require_int, require_type
-from .evaluator import MIN_TAIL_HALF_WIDTH, _require_point
+from .evaluator import MIN_TAIL_HALF_WIDTH, _limit_distances, _require_point
 from .geometry import Rect
 from .sequence import (INDEX_CAP, SILVER_CONJUGATE, SILVER_RATIO, float_pole,
                        float_window, pole_ratio)
@@ -134,10 +134,7 @@ def classify(z: complex) -> DomainClass:
     if not (z.__class__ is complex and isfinite(z)):
         z = _require_point(z)
     x, y = z.real, z.imag
-    try:
-        d_minus, d_plus = abs(z - SILVER_CONJUGATE), abs(z - SILVER_RATIO)
-    except OverflowError:  # |z| leaves double range
-        raise ValueError(f"point must be finite, got {z!r}") from None
+    d_minus, d_plus = _limit_distances(z)
     if abs(y) >= POLE_TOL and min(d_minus, d_plus) >= ACCUM_TOL:
         return _REGULAR
 

@@ -13,10 +13,11 @@ import argparse
 import sys
 from functools import cache
 
-from .analysis import poles_in_rect
+from .analysis import DEFAULT_J_CAP, poles_in_rect
 from .equations import EquationId
 from .errors import PelleisError, PoleProximity
-from .evaluator import EvalResult, EvalSettings, eval_grid, eval_series
+from .evaluator import (DEFAULT_MAX_HALF_WIDTH, DEFAULT_TARGET_TOL,
+                        EvalResult, EvalSettings, eval_grid, eval_series)
 from .exact import verify_identity_exact
 from .geometry import Rect
 from .sequence import pell_lucas_range
@@ -47,10 +48,7 @@ def grid_size(text: str) -> int:
 
 
 def _settings(args) -> EvalSettings:
-    kwargs = {"target_tol": args.tol}
-    if getattr(args, "max_j", None) is not None:
-        kwargs["max_half_width"] = args.max_j
-    return EvalSettings(**kwargs)
+    return EvalSettings(args.tol, args.max_j)
 
 
 def _cmd_seq(args) -> int:
@@ -180,8 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--re", type=float, required=True)
     p.add_argument("--im", type=float, required=True)
     p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--max-j", dest="max_j", type=int, default=None)
+    p.add_argument("--tol", type=float, default=DEFAULT_TARGET_TOL)
+    p.add_argument("--max-j", dest="max_j", type=int,
+                   default=DEFAULT_MAX_HALF_WIDTH)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("grid", help="evaluate over a rectangular lattice")
@@ -189,12 +188,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nx", type=grid_size, required=True)
     p.add_argument("--ny", type=grid_size, required=True)
     p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.set_defaults(func=_cmd_grid, max_j=None)
+    p.add_argument("--tol", type=float, default=DEFAULT_TARGET_TOL)
+    p.set_defaults(func=_cmd_grid, max_j=DEFAULT_MAX_HALF_WIDTH)
 
     p = sub.add_parser("poles", help="list term poles inside a rectangle")
     p.add_argument("--rect", required=True, metavar="X0,Y0,X1,Y1")
-    p.add_argument("--jcap", type=int, default=60)
+    p.add_argument("--jcap", type=int, default=DEFAULT_J_CAP)
     p.set_defaults(func=_cmd_poles)
 
     eq_choices = [e.value for e in EquationId]
@@ -205,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rect", default=DEFAULT_RECT, metavar="X0,Y0,X1,Y1")
     p.add_argument("--nx", type=grid_size, default=DEFAULT_GRID_N)
     p.add_argument("--ny", type=grid_size, default=DEFAULT_GRID_N)
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.set_defaults(func=_cmd_verify, max_j=None)
+    p.add_argument("--tol", type=float, default=DEFAULT_TARGET_TOL)
+    p.set_defaults(func=_cmd_verify, max_j=DEFAULT_MAX_HALF_WIDTH)
 
     p = sub.add_parser("prove", help="exact finite-window identity check")
     p.add_argument("--eq", choices=eq_choices, required=True)

@@ -40,4 +40,4 @@ class EquationId(Enum):
                            tuple[int, int, int, int], int, int]:
         """(left map, right map, prefactor sign s, window offset); each map
         is the (a, b, c, d) of (a z + b)/(c z + d)."""
-        return _ROWS[self.value]
+        return _ROWS[self._value_]  # the value property costs a call

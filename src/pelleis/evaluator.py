@@ -81,8 +81,8 @@ Q_{j-1} and the guard radius of terms +j and -j) once and adds each side's
 terms in one pass of _add_terms, with no call per term: +1 .. +J to the
 j >= 1 sum, then 0, -1 .. -J to the j <= 0 sum, each with a branch-free
 complex TwoSum; past level LAST_LEVEL - 1 every term is an exact zero, and
-none is added.  term_value is the same arithmetic for one term, on its row
-of the same table (sequence.float_row).
+none is added.  term_value sums its one term through _add_terms, so the
+term arithmetic has one copy.
 """
 
 from __future__ import annotations
@@ -193,17 +193,22 @@ def _require_point(z) -> complex:
     return z
 
 
+def _limit_distances(z: complex) -> tuple[float, float]:
+    """The distances from a finite z to 1 - sqrt(2) and 1 + sqrt(2); a
+    distance beyond double range raises the ValueError of _require_point."""
+    try:
+        return abs(z - SILVER_CONJUGATE), abs(z - SILVER_RATIO)
+    except OverflowError:  # |z| leaves double range
+        raise ValueError(f"point must be finite, got {z!r}") from None
+
+
 def term_value(j: int, z: complex, m: int) -> complex:
     """One term (Q_j z + Q_{j-1})^(-m) in double precision.
 
-    Q_j, Q_{j-1} and the guard radius POLE_GUARD * |Q_j| come from
-    sequence.float_row(j), the row that _add_terms reads for term j, and
-    the arithmetic is the same.  The reciprocal is taken first and powered
-    by repeated multiplication, so huge |Q_j| underflows gracefully to 0
-    instead of overflowing.  Raises PoleProximity when
-    |Q_j z + Q_{j-1}| < POLE_GUARD * |Q_j|, i.e. when z is within POLE_GUARD
-    (1e-8) of the term's pole, or so close that the m-th power overflows.
-    A denominator beyond double range gives the term's zero.
+    The term is summed alone through _add_terms, on the row of term j in
+    sequence.float_table, so it has the bits the kernel adds for term j
+    and raises as the kernel does.  Past double range (no float row) the
+    term is zero, unless z is within POLE_GUARD of its pole.
     """
     # A type test passes the common arguments; the rest get the full checks.
     if not (m.__class__ is int and m >= 2):
@@ -214,35 +219,31 @@ def term_value(j: int, z: complex, m: int) -> complex:
         require_int("index", j)
     if not -INDEX_CAP < j <= INDEX_CAP:  # Q_j or Q_{j-1} past the cap
         raise IndexCapExceeded(j if abs(j) > INDEX_CAP else j - 1, INDEX_CAP)
-    row = float_row(j)
-    if row is None:
+    if float_row(j) is None:
         # |Q_j| beyond double range: the term is zero unless z sits
         # essentially on the pole.
         if _modulus(z - float_pole(j)) < POLE_GUARD:
             raise PoleProximity(j, z)
         return 0j
-    fj, fjm1, radius = row
-    w = fj * z + fjm1
-    if _modulus(w) < radius:  # far from the pole where |w| overflows
-        raise PoleProximity(j, z)
-    r = 1.0 / w
-    out = r
-    for _ in range(m - 1):
-        out *= r
-    if not isfinite(out):
-        if isfinite(w):
-            raise PoleProximity(j, z)
-        return 0j  # both parts of w overflowed: 1/w is nan, |term| < 1e-600
-    return out
+    # A sum started at -0j keeps the term's bits: -0.0 + v is v, signed
+    # zeros included.
+    n = abs(j)
+    return _add_terms(float_table(n), j < 0, n, n + 1, z, m, -0j, 0j)[0]
 
 
 def _add_terms(levels, side: int, lo: int, hi: int, z: complex, m: int,
                s: complex, c: complex) -> tuple[complex, complex]:
     """s, c with the terms of levels lo .. hi - 1 of one side added in
     order by the TwoSum of _Series: +level from row levels[level][0], or
-    -level from levels[level][1] (level 0's is term 0).  Raises
-    PoleProximity as term_value does; a denominator beyond double range
-    gives its computed term, which underflows to zero."""
+    -level from levels[level][1] (level 0's is term 0); term_value sums
+    one term through here.
+
+    A term is (Q_j z + Q_{j-1})^(-m), the reciprocal powered by repeated
+    multiplication, so huge |Q_j| underflows gracefully to 0 instead of
+    overflowing.  Raises PoleProximity when |Q_j z + Q_{j-1}| < POLE_GUARD
+    * |Q_j|, i.e. when z is within POLE_GUARD (1e-8) of the term's pole,
+    or so close that the m-th power overflows.  A denominator beyond
+    double range gives its computed term, which underflows to zero."""
     # The guard |w| < radius = POLE_GUARD |Q_j| can fire only on the strip
     # -2 < Re z < 4, |Im z| < 2 POLE_GUARD, so abs(w) is taken only there.
     # Every pole p_j = -Q_{j-1}/Q_j lies in [-1, 3], and Im w = fl(Q_j Im z)
@@ -425,10 +426,7 @@ class _Series:
             _require_weight(m)
         if not (z.__class__ is complex and isfinite(z)):
             z = _require_point(z)
-        try:
-            d_minus, d_plus = abs(z - SILVER_CONJUGATE), abs(z - SILVER_RATIO)
-        except OverflowError:  # |z| leaves double range
-            raise ValueError(f"point must be finite, got {z!r}") from None
+        d_minus, d_plus = _limit_distances(z)
         if min(d_minus, d_plus) <= POLE_GUARD:
             raise DidNotConverge(0, math.inf, point=z)
         self.z = z

@@ -488,7 +488,8 @@ def test_max_j_does_not_carry_over(capsys):
     expected = "1.0,1.0," + cli._result_fields(eval_series(z, 2,
                                                            EvalSettings()))
     assert out == f"{cli.EVAL_HEADER}\n{expected}\n"
-    assert cli.build_parser().parse_args(list(point)).max_j is None
+    assert (cli.build_parser().parse_args(list(point)).max_j
+            == EvalSettings().max_half_width)
 
 
 def test_help_twice_is_identical(capsys):

@@ -46,6 +46,9 @@ def test_term_value_examples():
     assert term_value(1, 1j, 2) == -0.125j       # (2i + 2)^-2 = 1/(8i)
     assert term_value(2, 0j, 2) == 0.25 + 0j     # Q_1^-2
     assert term_value(0, 5 + 0j, 2) == 0.015625 + 0j  # (10 - 2)^-2
+    # A one-term sum keeps a -0.0 part: it starts at -0j, not 0j.
+    assert (repr(term_value(0, complex(-5, -0.0), 3))
+            == "(-0.0005787037037037037-0j)")
 
 
 def test_term_value_weight_validation():
