@@ -102,6 +102,7 @@ from .sequence import pell_lucas, pole_ratio  # unused; perfbench wraps them
 
 DEFAULT_TARGET_TOL = 1e-12
 DEFAULT_MAX_HALF_WIDTH = 200
+MAX_WEIGHT = 1 << 16   # a term takes m - 1 multiplications
 
 MIN_TAIL_HALF_WIDTH = 2   # containment interval needs poles J+1, J+2
 _DIST_SHAVE = 1.0 - 1e-12      # deflate distances against rounding
@@ -167,6 +168,8 @@ class EvalResult(namedtuple("EvalResult", "value minus_part plus_part "
 def _require_weight(m) -> None:
     if not isinstance(m, int) or isinstance(m, bool) or m < 2:
         raise ValueError(f"weight must be an integer >= 2, got {m!r}")
+    if m > MAX_WEIGHT:
+        raise ValueError(f"weight must be at most {MAX_WEIGHT}, got {m!r}")
 
 
 def _modulus(w: complex) -> float:
@@ -211,7 +214,7 @@ def term_value(j: int, z: complex, m: int) -> complex:
     term is zero, unless z is within POLE_GUARD of its pole.
     """
     # A type test passes the common arguments; the rest get the full checks.
-    if not (m.__class__ is int and m >= 2):
+    if not (m.__class__ is int and 2 <= m <= MAX_WEIGHT):
         _require_weight(m)
     if not (z.__class__ is complex and isfinite(z)):
         z = _require_point(z)
@@ -286,7 +289,7 @@ def tail_bound(half_width: int, z: complex, m: int) -> float:
     the float table, which reads no Q past its last level.
     """
     # A type test passes the common arguments; the rest get the full checks.
-    if not (m.__class__ is int and m >= 2):
+    if not (m.__class__ is int and 2 <= m <= MAX_WEIGHT):
         _require_weight(m)
     if not (z.__class__ is complex and isfinite(z)):
         z = _require_point(z)
@@ -422,7 +425,7 @@ class _Series:
 
     def __init__(self, z: complex, m: int):
         # The type test of term_value passes the common arguments.
-        if not (m.__class__ is int and m >= 2):
+        if not (m.__class__ is int and 2 <= m <= MAX_WEIGHT):
             _require_weight(m)
         if not (z.__class__ is complex and isfinite(z)):
             z = _require_point(z)

@@ -11,7 +11,9 @@ when the denominator is made monic.  The gcd is found modulo the prime
 not decide it does the primitive remainder sequence run.  That gcd serves
 the general constructor alone: the prover's sums have denominators that
 are products of powers of known linear factors, and their canonical form
-is read off those roots with no gcd (_tally_sum).
+is read off those roots with no gcd (_tally_sum).  The constructor takes
+Polynomials, ints and Fractions as parts, and rational-function arithmetic
+takes rational functions alone: a scalar operand raises TypeError.
 
 The identity checks are termwise.  Under a map T(z) = (a z + b)/(c z + d)
 the term 1/(Q_j z + Q_{j-1})^m becomes (c z + d)^m / (alpha z + beta)^m
@@ -202,23 +204,16 @@ def _as_poly(v) -> Polynomial:
 def _cleared(*parts) -> list[list[int]]:
     """Integer coefficient lists of parts, all scaled by one positive integer.
 
-    A part is a Polynomial, an int, a Fraction or a list of int or Fraction
-    coefficients in ascending order; integral coefficients pass through
-    without a Fraction round trip.  Trailing zeros are dropped.
+    A part is a Polynomial, an int or a Fraction; integral coefficients
+    pass through without a Fraction round trip.
     """
-    parts = [p if isinstance(p, (list, tuple)) else _as_poly(p).coeffs
-             for p in parts]
+    parts = [_as_poly(p).coeffs for p in parts]
     scale = 1
     for cs in parts:
         for c in cs:
             scale = math.lcm(scale, c.denominator)
-    out = []
-    for cs in parts:
-        ints = [c.numerator * (scale // c.denominator) for c in cs]
-        while ints and not ints[-1]:
-            ints.pop()
-        out.append(ints)
-    return out
+    return [[c.numerator * (scale // c.denominator) for c in cs]
+            for cs in parts]
 
 
 def _primitive(a: list[int]) -> list[int]:
@@ -367,9 +362,8 @@ class RationalFunction:
 
     Canonical means numerator and denominator coprime and the denominator
     monic, so __eq__ is plain coefficient comparison.  num and den may be
-    Polynomials, ints, Fractions or ascending lists of int or Fraction
-    coefficients; the form is computed over Z and stored with Fraction
-    coefficients.
+    Polynomials, ints or Fractions; the form is computed over Z and stored
+    with Fraction coefficients.  Arithmetic takes rational functions only.
     """
 
     __slots__ = ("num", "den")
@@ -414,28 +408,26 @@ class RationalFunction:
         return RationalFunction(-self.num, self.den)
 
     def __add__(self, other) -> "RationalFunction":
-        other = _as_rf(other)
+        if not isinstance(other, RationalFunction):
+            return NotImplemented
         return RationalFunction(
             self.num * other.den + other.num * self.den,
             self.den * other.den,
         )
 
-    __radd__ = __add__
-
     def __sub__(self, other) -> "RationalFunction":
-        return self + (-_as_rf(other))
-
-    def __rsub__(self, other) -> "RationalFunction":
-        return _as_rf(other) + (-self)
+        if not isinstance(other, RationalFunction):
+            return NotImplemented
+        return self + (-other)
 
     def __mul__(self, other) -> "RationalFunction":
-        other = _as_rf(other)
+        if not isinstance(other, RationalFunction):
+            return NotImplemented
         return RationalFunction(self.num * other.num, self.den * other.den)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other) -> "RationalFunction":
-        other = _as_rf(other)
+        if not isinstance(other, RationalFunction):
+            return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)
@@ -452,14 +444,6 @@ class RationalFunction:
     def __repr__(self):
         return (f"RationalFunction({list(self.num.coeffs)!r}, "
                 f"{list(self.den.coeffs)!r})")
-
-
-def _as_rf(v) -> RationalFunction:
-    if isinstance(v, RationalFunction):
-        return v
-    if isinstance(v, (int, Fraction, Polynomial)):
-        return RationalFunction(v)
-    raise TypeError(f"cannot treat {type(v).__name__} as a rational function")
 
 
 def term_rf(j: int, m: int) -> RationalFunction:

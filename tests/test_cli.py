@@ -85,6 +85,16 @@ def test_eval_tol_validation(capsys):
                         "the floor of tail_bound\n")
 
 
+def test_eval_huge_weight_is_refused(capsys):
+    # Each term's power loop runs m - 1 times: a weight of 10^10 would run
+    # for most of an hour, and is refused at once.
+    code, out = run_cli(capsys, "eval", "--re", "0.3", "--im", "1",
+                        "--weight", "10000000000")
+    assert code == 1
+    assert out == (f"{cli.EVAL_HEADER}\n"
+                   "# error: weight must be at most 65536, got 10000000000\n")
+
+
 def test_eval_max_j_cap(capsys):
     code, out = run_cli(capsys, "eval", "--re", "0.5", "--im", "0.5",
                         "--weight", "2", "--max-j", "8")
@@ -106,6 +116,13 @@ def test_grid_statuses(capsys):
     # Error rows keep the column count: re, im, eight blanks, status.
     assert lines[1].count(",") == 10
     assert lines[1].split(",")[2:10] == [""] * 8
+    # A cell within POLE_GUARD of 1 - sqrt(2), where the poles cluster and
+    # no tail bound is finite.
+    code, out = run_cli(capsys, "grid",
+                        "--rect=-0.4142135624,-1e-9,-0.4142135623,1e-9",
+                        "--nx", "1", "--ny", "1", "--weight", "2")
+    assert code == 0
+    assert out.splitlines()[1:] == ["-0.41421356235,0.0,,,,,,,,,diverged"]
 
 
 def test_grid_deterministic(capsys):
@@ -132,10 +149,19 @@ def test_grid_bad_rect(capsys):
                         "--nx", "2", "--ny", "2", "--weight", "2")
     assert code == 1
     assert "# error:" in out
+    # Rect.parse refuses a wrong count of corners and a corner that is no
+    # number, before any header is written.
+    code, out = run_cli(capsys, "grid", "--rect", "1,2,3",
+                        "--nx", "2", "--ny", "2", "--weight", "2")
+    assert (code, out) == (1, "# error: expected X0,Y0,X1,Y1 got '1,2,3'\n")
+    code, out = run_cli(capsys, "poles", "--rect", "a,b,c,d")
+    assert (code, out) == (1, "# error: bad rectangle 'a,b,c,d': could not "
+                              "convert string to float: 'a'\n")
 
 
 @pytest.mark.parametrize("option, message", [
     (("--weight", "1"), "weight must be an integer >= 2, got 1"),
+    (("--weight", "65537"), "weight must be at most 65536, got 65537"),
     (("--weight", "2", "--tol", "0"),
      "target_tol must be a positive finite float"),
 ])

@@ -18,7 +18,7 @@ from pelleis import (DidNotConverge, EquationId, EvalSettings,
                      IndexCapExceeded, InvalidRegion, PoleProximity, Rect,
                      eval_grid, eval_series, pell_lucas, pole_ratio,
                      residual, tail_bound, term_value, verify_grid)
-from pelleis.evaluator import MIN_TAIL_HALF_WIDTH
+from pelleis.evaluator import MAX_WEIGHT, MIN_TAIL_HALF_WIDTH
 from pelleis.sequence import (INDEX_CAP, LAST_LEVEL, POLE_GUARD,
                               SILVER_CONJUGATE, SILVER_RATIO, float_pole,
                               float_row)
@@ -1186,19 +1186,22 @@ def test_outcomes_at_huge_points_are_pinned():
 
 class _Weight(enum.IntEnum):
     FOUR = 4
+    MAX = MAX_WEIGHT
 
 
 def test_cheap_argument_checks_match_full_checks():
-    # term_value and tail_bound test the common case (an int weight, a
-    # finite complex point) by type; everything else goes through the
-    # full checks, which accept any finite number and refuse the rest,
-    # text included.
+    # term_value and tail_bound test the common case (an int weight from 2
+    # to MAX_WEIGHT, a finite complex point) by type; everything else goes
+    # through the full checks, which accept any finite number and refuse
+    # the rest, text included.
     for fn in (lambda z, m: term_value(3, z, m),
                lambda z, m: tail_bound(3, z, m)):
-        for m in (True, False, 2.0, "2", 1, 0, -4, None):
+        for m in (True, False, 2.0, "2", 1, 0, -4, None, MAX_WEIGHT + 1,
+                  2 ** 70):
             with pytest.raises(ValueError, match="weight"):
                 fn(0.5j, m)
         assert fn(0.5j, _Weight.FOUR) == fn(0.5j, 4)
+        assert fn(0.5j, _Weight.MAX) == fn(0.5j, MAX_WEIGHT)
         assert fn(3, 2) == fn(3 + 0j, 2)
         assert fn(2.5, 2) == fn(2.5 + 0j, 2)
         with pytest.raises(ValueError, match="^point must be a number"):
@@ -1207,6 +1210,14 @@ def test_cheap_argument_checks_match_full_checks():
                   complex(1, math.inf), complex(math.inf, 0)):
             with pytest.raises(ValueError, match="finite"):
                 fn(z, 2)
+    # A weight above the bound is refused before any term is summed: the
+    # power loop of each term runs m - 1 times.
+    for m in (MAX_WEIGHT + 1, 10 ** 10):
+        for call in (lambda: eval_series(0.3 + 1j, m),
+                     lambda: eval_grid(Rect(0, 0, 1, 1), 2, 2, m)):
+            with pytest.raises(ValueError, match=(
+                    f"^weight must be at most {MAX_WEIGHT}, got {m}$")):
+                call()
 
 
 # ------------------------------------------------------------------ eval_grid
