@@ -161,9 +161,9 @@ def test_grid_bad_rect(capsys):
 
 @pytest.mark.parametrize("option, message", [
     (("--weight", "1"), "weight must be an integer >= 2, got 1"),
-    (("--weight", "65537"), "weight must be at most 65536, got 65537"),
     (("--weight", "2", "--tol", "0"),
      "target_tol must be a positive finite float"),
+    (("--weight", "65537"), "weight must be at most 65536, got 65537"),
 ])
 def test_grid_error_follows_header(capsys, option, message):
     # The header is written before any cell is evaluated, the rows in one
