@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from cmath import isfinite
 from collections import namedtuple
 from enum import Enum
 from functools import cache
@@ -131,8 +130,7 @@ def classify(z: complex) -> DomainClass:
     point at least POLE_TOL off the axis and ACCUM_TOL from both limits is
     REGULAR at once, as every pole is at least |y| away.
     """
-    if not (z.__class__ is complex and isfinite(z)):
-        z = _require_point(z)
+    z = _require_point(z)
     x, y = z.real, z.imag
     d_minus, d_plus = _limit_distances(z)
     if abs(y) >= POLE_TOL and min(d_minus, d_plus) >= ACCUM_TOL:

@@ -5,12 +5,28 @@ class PelleisError(Exception):
     """Base class for all library-specific errors."""
 
 
+def shown(value, show=repr) -> str:
+    """show(value) for a refusal message: repr, or format where the message
+    formats the value as str.  Text beyond Python's int-to-string limit (an
+    int of more than 4,300 digits, or a Fraction holding one) is replaced by
+    the type and size, and a tuple is shown item by item, so that the
+    refusal keeps its own type and message."""
+    try:
+        return show(value)
+    except ValueError:
+        if type(value) is tuple:
+            return f"({', '.join(shown(v) for v in value)})"
+        if isinstance(value, int):
+            return f"<{type(value).__name__} of {value.bit_length()} bits>"
+        return f"<{type(value).__name__} too long to show>"
+
+
 def require_int(name: str, value) -> None:
     """Refuse anything but an int (a bool is no integer) with a ValueError
     that names the argument."""
     if value.__class__ is not int and (isinstance(value, bool)
                                        or not isinstance(value, int)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {shown(value)}")
 
 
 def require_type(name: str, value, cls: type) -> None:
@@ -18,7 +34,7 @@ def require_type(name: str, value, cls: type) -> None:
     the argument."""
     if not isinstance(value, cls):
         raise ValueError(
-            f"{name} must be of type {cls.__name__}, got {value!r}")
+            f"{name} must be of type {cls.__name__}, got {shown(value)}")
 
 
 class IndexCapExceeded(PelleisError):
@@ -26,7 +42,7 @@ class IndexCapExceeded(PelleisError):
     j_cap) lies beyond its cap."""
 
     def __init__(self, index: int, cap: int, name: str = "index"):
-        super().__init__(f"{name} {index} exceeds cap {cap}")
+        super().__init__(f"{name} {shown(index, format)} exceeds cap {cap}")
         self.index = index
         self.cap = cap
 

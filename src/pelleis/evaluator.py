@@ -93,7 +93,7 @@ from cmath import isfinite
 from collections import namedtuple
 
 from .errors import (DidNotConverge, IndexCapExceeded, PoleProximity,
-                     require_int, require_type)
+                     require_int, require_type, shown)
 from .geometry import Rect
 from .sequence import (INDEX_CAP, LAST_LEVEL, POLE_GUARD, SILVER_CONJUGATE,
                        SILVER_RATIO, float_pole, float_row, float_table,
@@ -152,7 +152,7 @@ def _require_settings(settings) -> EvalSettings:
         return _DEFAULT_SETTINGS
     if not isinstance(settings, EvalSettings):
         raise ValueError(
-            f"settings must be an EvalSettings or None, got {settings!r}")
+            f"settings must be an EvalSettings or None, got {shown(settings)}")
     return settings
 
 
@@ -166,10 +166,13 @@ class EvalResult(namedtuple("EvalResult", "value minus_part plus_part "
 
 
 def _require_weight(m) -> None:
+    if m.__class__ is int and 2 <= m <= MAX_WEIGHT:
+        return
     if not isinstance(m, int) or isinstance(m, bool) or m < 2:
-        raise ValueError(f"weight must be an integer >= 2, got {m!r}")
+        raise ValueError(f"weight must be an integer >= 2, got {shown(m)}")
     if m > MAX_WEIGHT:
-        raise ValueError(f"weight must be at most {MAX_WEIGHT}, got {m!r}")
+        raise ValueError(
+            f"weight must be at most {MAX_WEIGHT}, got {shown(m)}")
 
 
 def _modulus(w: complex) -> float:
@@ -181,18 +184,22 @@ def _modulus(w: complex) -> float:
 
 
 def _require_point(z) -> complex:
-    """z as a complex number; a non-number, or a point that is not finite
-    (its modulus included), raises ValueError."""
+    """z as a complex number with finite parts; a non-number (text
+    included) or a part that is inf or nan raises ValueError.  A modulus
+    beyond double range is refused only where the modulus is used
+    (_limit_distances); term_value and tail_bound take it."""
+    if z.__class__ is complex and isfinite(z):
+        return z
     try:
         if isinstance(z, str):  # complex() would parse it
             raise TypeError
         z = complex(z)
     except TypeError:
-        raise ValueError(f"point must be a number, got {z!r}") from None
+        raise ValueError(f"point must be a number, got {shown(z)}") from None
     except OverflowError:  # an int or Fraction beyond double range
-        raise ValueError(f"point must be finite, got {z!r}") from None
-    if not _modulus(z) < math.inf:  # a nan part compares False as well
-        raise ValueError(f"point must be finite, got {z!r}")
+        raise ValueError(f"point must be finite, got {shown(z)}") from None
+    if not isfinite(z):
+        raise ValueError(f"point must be finite, got {shown(z)}")
     return z
 
 
@@ -213,13 +220,9 @@ def term_value(j: int, z: complex, m: int) -> complex:
     and raises as the kernel does.  Past double range (no float row) the
     term is zero, unless z is within POLE_GUARD of its pole.
     """
-    # A type test passes the common arguments; the rest get the full checks.
-    if not (m.__class__ is int and 2 <= m <= MAX_WEIGHT):
-        _require_weight(m)
-    if not (z.__class__ is complex and isfinite(z)):
-        z = _require_point(z)
-    if j.__class__ is not int:
-        require_int("index", j)
+    _require_weight(m)
+    z = _require_point(z)
+    require_int("index", j)
     if not -INDEX_CAP < j <= INDEX_CAP:  # Q_j or Q_{j-1} past the cap
         raise IndexCapExceeded(j if abs(j) > INDEX_CAP else j - 1, INDEX_CAP)
     if float_row(j) is None:
@@ -288,17 +291,12 @@ def tail_bound(half_width: int, z: complex, m: int) -> float:
     Any integer half_width >= 2 is taken: the hulls and 1/Q_J come from
     the float table, which reads no Q past its last level.
     """
-    # A type test passes the common arguments; the rest get the full checks.
-    if not (m.__class__ is int and 2 <= m <= MAX_WEIGHT):
-        _require_weight(m)
-    if not (z.__class__ is complex and isfinite(z)):
-        z = _require_point(z)
-    if not (half_width.__class__ is int
-            and half_width >= MIN_TAIL_HALF_WIDTH):
-        require_int("half_width", half_width)
-        if half_width < MIN_TAIL_HALF_WIDTH:
-            raise ValueError(
-                f"tail bound needs half_width >= {MIN_TAIL_HALF_WIDTH}")
+    _require_weight(m)
+    z = _require_point(z)
+    require_int("half_width", half_width)
+    if half_width < MIN_TAIL_HALF_WIDTH:
+        raise ValueError(
+            f"tail bound needs half_width >= {MIN_TAIL_HALF_WIDTH}")
     lo_p, hi_p, lo_n, hi_n, q_inv = float_window(half_width)
     # Distances from z to the two hulls.
     x, y = z.real, z.imag
@@ -424,11 +422,8 @@ class _Series:
     __slots__ = ("z", "m", "d_minus", "d_plus", "level", "bound", "_sums")
 
     def __init__(self, z: complex, m: int):
-        # The type test of term_value passes the common arguments.
-        if not (m.__class__ is int and 2 <= m <= MAX_WEIGHT):
-            _require_weight(m)
-        if not (z.__class__ is complex and isfinite(z)):
-            z = _require_point(z)
+        _require_weight(m)
+        z = _require_point(z)
         d_minus, d_plus = _limit_distances(z)
         if min(d_minus, d_plus) <= POLE_GUARD:
             raise DidNotConverge(0, math.inf, point=z)

@@ -447,10 +447,14 @@ class RationalFunction:
 
 
 def term_rf(j: int, m: int) -> RationalFunction:
-    """The exact term 1/(Q_j z + Q_{j-1})^m as a canonical rational function."""
+    """The exact term 1/(Q_j z + Q_{j-1})^m as a canonical rational function,
+    for 1 <= m <= WINDOW_WEIGHT_GUARD (the power's cost grows faster than
+    m^2)."""
     require_int("m", m)
     if m < 1:
         raise ValueError("term power must be at least 1")
+    if m > WINDOW_WEIGHT_GUARD:
+        raise ValueError(f"term power must be at most {WINDOW_WEIGHT_GUARD}")
     lin = Polynomial((pell_lucas(j - 1), pell_lucas(j)))
     return RationalFunction(1, lin ** m)
 

@@ -7,7 +7,7 @@ import sys
 from collections import namedtuple
 from collections.abc import Iterator
 
-from .errors import InvalidRegion, require_int
+from .errors import InvalidRegion, require_int, shown
 
 _MAX_FLOAT = sys.float_info.max
 
@@ -21,15 +21,16 @@ class Rect(namedtuple("Rect", "x0 y0 x1 y1")):
     def __new__(cls, x0, y0, x1, y1):
         corners = (x0, y0, x1, y1)
         if not all(isinstance(c, numbers.Real) for c in corners):
-            raise InvalidRegion(f"non-real corner in {corners}")
+            raise InvalidRegion(f"non-real corner in {shown(corners)}")
         # Compared, not converted to float, so that an int beyond double
         # range is refused as well.
         if not all(-_MAX_FLOAT <= c <= _MAX_FLOAT for c in corners):
-            raise InvalidRegion(f"non-finite corner in {corners}")
+            raise InvalidRegion(f"non-finite corner in {shown(corners)}")
         if x1 <= x0 or y1 <= y0:
-            raise InvalidRegion(f"rectangle sides must be positive: {corners}")
+            raise InvalidRegion(
+                f"rectangle sides must be positive: {shown(corners)}")
         if not (x1 - x0 <= _MAX_FLOAT and y1 - y0 <= _MAX_FLOAT):
-            raise InvalidRegion(f"rectangle sides overflow: {corners}")
+            raise InvalidRegion(f"rectangle sides overflow: {shown(corners)}")
         return super().__new__(cls, x0, y0, x1, y1)
 
     @classmethod

@@ -12,7 +12,7 @@ import threading
 from fractions import Fraction
 from math import inf, nextafter
 
-from .errors import IndexCapExceeded, InvalidRange, require_int
+from .errors import IndexCapExceeded, InvalidRange, require_int, shown
 
 INDEX_CAP = 100_000   # largest |n| the table computes Q_n for
 POLE_GUARD = 1e-8     # a term within this of its pole is refused
@@ -118,7 +118,8 @@ def pell_lucas_range(lo: int, hi: int) -> list[int]:
     require_int("index", lo)
     require_int("index", hi)
     if lo > hi:
-        raise InvalidRange(f"lo={lo} exceeds hi={hi}")
+        raise InvalidRange(
+            f"lo={shown(lo, format)} exceeds hi={shown(hi, format)}")
     for n in (lo, hi):
         if abs(n) > INDEX_CAP:
             raise IndexCapExceeded(n, INDEX_CAP)

@@ -9,9 +9,9 @@ from collections import namedtuple
 from .analysis import classify
 from .equations import EquationId
 from .errors import (DidNotConverge, EmptyGrid, PelleisError, ZeroArgument,
-                     require_type)
-from .evaluator import (EvalSettings, _modulus, _require_point,
-                        _require_settings, _Series)
+                     require_type, shown)
+from .evaluator import (EvalSettings, _limit_distances, _modulus,
+                        _require_point, _require_settings, _Series)
 from .evaluator import eval_series  # unused; perfbench wraps it
 from .geometry import Rect
 
@@ -56,9 +56,9 @@ class GridSummary:
 
 def _require_k(k) -> None:
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+        raise ValueError(f"k must be an integer >= 1, got {shown(k)}")
     if k > K_CAP:
-        raise ValueError(f"k={k} above cap {K_CAP}")
+        raise ValueError(f"k={shown(k, format)} above cap {K_CAP}")
 
 
 def _pow_int(base: complex, n: int) -> complex:
@@ -109,6 +109,7 @@ def residual(equation: EquationId, z: complex, k: int,
     require_type("equation", equation, EquationId)
     _require_k(k)
     z = _require_point(z)
+    _limit_distances(z)  # refuses a modulus beyond double range
     settings = _require_settings(settings)
     lhs_z, rhs_z = _arguments(equation, z)
     return _residual(equation.row[2], z, k, lhs_z, rhs_z, settings)

@@ -43,11 +43,6 @@ def canonical(num: Polynomial,
     return rf
 
 
-def from_lists(num, den) -> RationalFunction:
-    """canonical() of two ascending coefficient lists."""
-    return canonical(Polynomial(num), Polynomial(den))
-
-
 def add(f: RationalFunction, g: RationalFunction) -> RationalFunction:
     return canonical(f.num * g.den + g.num * f.den, f.den * g.den)
 

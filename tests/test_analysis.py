@@ -80,6 +80,10 @@ def test_poles_j_cap_validation():
     for region in ((0, 0, 1, 1), None):
         with pytest.raises(ValueError, match="^region must be of type Rect"):
             poles_in_rect(region)
+    # A j_cap too long to print is shown by its size.
+    with pytest.raises(IndexCapExceeded,
+                       match=r"^j_cap <int of \d+ bits> exceeds cap"):
+        poles_in_rect(Rect(0, -1, 1, 1), 10 ** 5000)
 
 
 def test_poles_j_cap_limit_is_named_before_the_table_grows():

@@ -16,7 +16,7 @@ import oracle
 from pelleis import evaluator, sequence
 from pelleis import (DidNotConverge, EquationId, EvalSettings,
                      IndexCapExceeded, InvalidRegion, PoleProximity, Rect,
-                     eval_grid, eval_series, pell_lucas, pole_ratio,
+                     classify, eval_grid, eval_series, pell_lucas, pole_ratio,
                      residual, tail_bound, term_value, verify_grid)
 from pelleis.evaluator import MAX_WEIGHT, MIN_TAIL_HALF_WIDTH
 from pelleis.sequence import (INDEX_CAP, LAST_LEVEL, POLE_GUARD,
@@ -207,11 +207,8 @@ def two_float_term_value(j, z, m):
     """Reference for term_value: the same arithmetic with Q_j and Q_{j-1}
     converted from the integers per call and the guard radius computed per
     call, as before the float table."""
-    if not (m.__class__ is int and m >= 2):
-        evaluator._require_weight(m)
-    if not (z.__class__ is complex and math.isfinite(z.real)
-            and math.isfinite(z.imag)):
-        z = evaluator._require_point(z)
+    evaluator._require_weight(m)
+    z = evaluator._require_point(z)
     fj = _float_q(j)
     fjm1 = _float_q(j - 1)
     if fj is None or fjm1 is None:
@@ -1190,14 +1187,16 @@ class _Weight(enum.IntEnum):
 
 
 def test_cheap_argument_checks_match_full_checks():
-    # term_value and tail_bound test the common case (an int weight from 2
-    # to MAX_WEIGHT, a finite complex point) by type; everything else goes
-    # through the full checks, which accept any finite number and refuse
-    # the rest, text included.
+    # Each entry point checks its weight and point by one call to the rule
+    # of each.  A rule passes the common case (an int weight from 2 to
+    # MAX_WEIGHT, a complex point with finite parts) by a type test, and
+    # gives the rest the full check, which accepts any such number, of a
+    # subclass too, and refuses the rest, text included.
+    big = 10 ** 5000  # its text passes Python's int-to-string limit
     for fn in (lambda z, m: term_value(3, z, m),
                lambda z, m: tail_bound(3, z, m)):
         for m in (True, False, 2.0, "2", 1, 0, -4, None, MAX_WEIGHT + 1,
-                  2 ** 70):
+                  2 ** 70, big):
             with pytest.raises(ValueError, match="weight"):
                 fn(0.5j, m)
         assert fn(0.5j, _Weight.FOUR) == fn(0.5j, 4)
@@ -1207,9 +1206,17 @@ def test_cheap_argument_checks_match_full_checks():
         with pytest.raises(ValueError, match="^point must be a number"):
             fn("2", 2)
         for z in (math.nan, math.inf, -math.inf, complex(0, math.nan),
-                  complex(1, math.inf), complex(math.inf, 0)):
+                  complex(1, math.inf), complex(math.inf, 0), big):
             with pytest.raises(ValueError, match="finite"):
                 fn(z, 2)
+    # Finite parts whose modulus leaves double range: a complex subclass
+    # gives the plain complex's result, the term's zero and the floor.
+    class Point(complex):
+        pass
+
+    huge = 1.5e308 + 1.5e308j
+    assert term_value(900, Point(huge), 2) == term_value(900, huge, 2) == 0j
+    assert tail_bound(2, Point(huge), 2) == tail_bound(2, huge, 2) == 2e-300
     # A weight above the bound is refused before any term is summed: the
     # power loop of each term runs m - 1 times.
     for m in (MAX_WEIGHT + 1, 10 ** 10):
@@ -1218,6 +1225,16 @@ def test_cheap_argument_checks_match_full_checks():
             with pytest.raises(ValueError, match=(
                     f"^weight must be at most {MAX_WEIGHT}, got {m}$")):
                 call()
+    # An int too long to print is refused alike and shown by its size.
+    shown = f"<int of {big.bit_length()} bits>"
+    for call in (lambda: eval_series(1j, big), lambda: term_value(3, 1j, big)):
+        with pytest.raises(ValueError, match=(
+                f"^weight must be at most {MAX_WEIGHT}, got {shown}$")):
+            call()
+    for call in (lambda: eval_series(big, 2), lambda: classify(big)):
+        with pytest.raises(ValueError,
+                           match=f"^point must be finite, got {shown}$"):
+            call()
 
 
 # ------------------------------------------------------------------ eval_grid
@@ -1276,6 +1293,10 @@ def test_eval_grid_validation():
     # the constructor does.
     with pytest.raises(InvalidRegion, match="^non-finite corner in"):
         Rect(0, 0, 10**400, 1)
+    bits = (10**5000).bit_length()
+    with pytest.raises(InvalidRegion, match=(
+            rf"^non-finite corner in \(0, 0, <int of {bits} bits>, 1\)$")):
+        Rect(0, 0, 10**5000, 1)
     with pytest.raises(InvalidRegion, match="^rectangle sides overflow"):
         Rect(-10**308, 0, 10**308, 1)
     with pytest.raises(InvalidRegion, match="^rectangle sides must be"):

@@ -298,7 +298,8 @@ def test_identity_validation():
     # int it equals or left to crash inside the polynomial arithmetic.
     for half_width, k, name in ((2.0, 1, "half_width"), (True, 1, "half_width"),
                                 (2, 2.5, "k"), (3, True, "k"),
-                                (2, "1", "k")):
+                                (2, "1", "k"),
+                                (Fraction(10 ** 5000), 1, "half_width")):
         with pytest.raises(ValueError,
                            match=f"^{name} must be an integer, got"):
             verify_identity_exact(EquationId.SHIFT, half_width, k)
@@ -311,6 +312,11 @@ def test_identity_validation():
             window_sum(half_width, m)
     for m in (True, 2.0):
         with pytest.raises(ValueError, match="^m must be an integer, got"):
+            term_rf(1, m)
+    # term_rf stops at the window guard's weight: its power grows faster
+    # than m^2, and weight 10^10 did not return.
+    for m in (7, 10 ** 10):
+        with pytest.raises(ValueError, match="^term power must be at most 6$"):
             term_rf(1, m)
     # The equation is an EquationId; its value string is not taken for it.
     for equation in ("shift", None, 2):
@@ -777,6 +783,5 @@ def test_reports_equal_fraction_reference(monkeypatch, equation):
     cases = [(J, k) for J in range(2, 9) for k in (1, 2, 3)]
     got = [verify_identity_exact(equation, J, k) for J, k in cases]
     monkeypatch.setattr(exact, "_tally_sum", reference.tally_sum)
-    monkeypatch.setattr(exact, "RationalFunction", reference.from_lists)
     want = [verify_identity_exact(equation, J, k) for J, k in cases]
     assert [repr(r) for r in got] == [repr(r) for r in want]

@@ -93,6 +93,18 @@ def test_default_cap_raises_immediately():
         with pytest.raises(IndexCapExceeded):
             pell_lucas_range(lo, hi)
         assert len(sequence._Q) == before
+    # An index too long to print gets the same typed refusals, shown by
+    # its size.
+    big = 10 ** 5000
+    for call in (lambda: pell_lucas(big), lambda: pole_ratio(big),
+                 lambda: term_value(big, 1j, 2),
+                 lambda: pell_lucas_range(0, big)):
+        with pytest.raises(IndexCapExceeded, match=(
+                r"^index <int of \d+ bits> exceeds cap 100000$")):
+            call()
+    with pytest.raises(InvalidRange,
+                       match=r"^lo=<int of \d+ bits> exceeds hi=0$"):
+        pell_lucas_range(big, 0)
 
 
 def test_non_integer_index_rejected(monkeypatch):

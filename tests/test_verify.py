@@ -86,6 +86,9 @@ def test_k_validation():
         residual(EquationId.REFLECTION, 1j, 9)
     with pytest.raises(ValueError):
         residual(EquationId.REFLECTION, 1j, True)
+    # A k too long to print is shown by its size.
+    with pytest.raises(ValueError, match=r"^k=<int of \d+ bits> above cap 8$"):
+        residual(EquationId.SHIFT, 1j, 10 ** 5000)
     with pytest.raises(ValueError):
         verify_grid(EquationId.REFLECTION, Rect(0, 0, 1, 1), 2, 2, 0)
     # The equation and region are typed too: a value string or a corner
