@@ -9,7 +9,6 @@ one table of Q_n for n >= 0 serves every signed index.
 from __future__ import annotations
 
 import threading
-from fractions import Fraction
 from math import inf, nextafter
 
 from .errors import IndexCapExceeded, InvalidRange, require_int, shown
@@ -128,5 +127,7 @@ def pell_lucas_range(lo: int, hi: int) -> list[int]:
 
 def pole_ratio(j: int) -> Fraction:
     """-Q_{j-1}/Q_j, the location of the real pole of term j, in lowest
-    terms (Fraction normalizes automatically)."""
+    terms (Fraction normalizes automatically).  fractions, which loads
+    decimal, is imported on the first call, not with the package."""
+    from fractions import Fraction
     return Fraction(-pell_lucas(j - 1), pell_lucas(j))
