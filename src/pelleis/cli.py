@@ -5,6 +5,15 @@ deterministic, bit-stable formatting: floats via repr (shortest round trip),
 integers and rationals in full decimal.  Exit codes: 0 success, 1 domain
 errors, 2 usage errors.  If a domain error interrupts CSV output, the last
 line written is a trailing "# error:" comment.
+
+Each subcommand loads only the modules it runs.  verify_grid (the verify
+module) and verify_identity_exact (the exact engine, with fractions and
+decimal) are imported on first use through the module __getattr__, which
+resolves them through the package's own name-to-module table and binds
+them here.  The commands call both as attributes of this module, so a
+wrapper set on pelleis.cli.verify_grid, before or after first use, is the
+one that runs.  grid, eval and seq load neither; verify loads no exact
+engine, and prove no verify.
 """
 
 from __future__ import annotations
@@ -18,10 +27,8 @@ from .equations import EquationId
 from .errors import PelleisError, PoleProximity
 from .evaluator import (DEFAULT_MAX_HALF_WIDTH, DEFAULT_TARGET_TOL,
                         EvalResult, EvalSettings, eval_grid, eval_series)
-from .exact import verify_identity_exact
 from .geometry import Rect
 from .sequence import pell_lucas_range
-from .verify import verify_grid
 
 EVAL_HEADER = ("re,im,value_re,value_im,tail_bound,terms_used,"
                "minus_re,minus_im,plus_re,plus_im")
@@ -30,6 +37,19 @@ VERIFY_HEADER = ("re,im,lhs_re,lhs_im,rhs_re,rhs_im,"
 
 DEFAULT_RECT = "-3,0.5,3,3.5"
 DEFAULT_GRID_N = 12
+
+# The names bound here on first use; the package's __getattr__ imports the
+# module that defines each.
+_DEFERRED = ("verify_grid", "verify_identity_exact")
+
+
+def __getattr__(name: str):
+    if name not in _DEFERRED:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(sys.modules[__package__], name)
+    globals()[name] = value
+    return value
 
 
 def _result_fields(r: EvalResult) -> str:
@@ -105,8 +125,8 @@ def _cmd_poles(args) -> int:
 def _cmd_verify(args) -> int:
     rect = Rect.parse(args.rect)
     equation = EquationId(args.eq)
-    summary = verify_grid(equation, rect, args.nx, args.ny, args.k,
-                          _settings(args))
+    summary = sys.modules[__name__].verify_grid(
+        equation, rect, args.nx, args.ny, args.k, _settings(args))
     reprs = {}  # coordinates repeat along grid rows and columns
 
     def coordinate(v: float) -> str:
@@ -145,7 +165,8 @@ def _coeff_lines(name: str, rf) -> list[str]:
 
 def _cmd_prove(args) -> int:
     equation = EquationId(args.eq)
-    report = verify_identity_exact(equation, args.window, args.k)
+    report = sys.modules[__name__].verify_identity_exact(
+        equation, args.window, args.k)
     lines = [f"equation: {equation.value}",
              f"window half-width: {report.half_width}",
              f"weight: {report.weight}",

@@ -10,6 +10,7 @@ from collections.abc import Iterator
 from .errors import InvalidRegion, require_int, shown
 
 _MAX_FLOAT = sys.float_info.max
+MAX_CELLS = 1 << 18  # largest lattice nx * ny, 512 x 512
 
 
 class Rect(namedtuple("Rect", "x0 y0 x1 y1")):
@@ -45,11 +46,16 @@ class Rect(namedtuple("Rect", "x0 y0 x1 y1")):
 
     def cell_centers(self, nx: int, ny: int) -> Iterator[complex]:
         """Centers of an nx-by-ny lattice of equal cells, row-major (y outer,
-        both coordinates ascending)."""
+        both coordinates ascending), at most MAX_CELLS of them."""
         require_int("nx", nx)
         require_int("ny", ny)
         if nx < 1 or ny < 1:
             raise ValueError("grid must have at least one cell per axis")
+        # Checked before the sides are divided, which overflows for an nx
+        # or ny beyond double range.
+        if nx * ny > MAX_CELLS:
+            raise ValueError(f"grid must have at most {MAX_CELLS} cells, "
+                             f"got {shown(nx, format)} x {shown(ny, format)}")
         dx = (self.x1 - self.x0) / nx
         dy = (self.y1 - self.y0) / ny
         for iy in range(ny):

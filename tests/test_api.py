@@ -1,6 +1,7 @@
 """The public signatures carry no knob that only ever takes one value;
 importing the package loads neither dataclasses nor inspect, and loads the
-exact engine, verify, analysis and fractions only on first use."""
+exact engine, verify, analysis and fractions only on first use; each CLI
+subcommand loads only the modules it runs."""
 
 import inspect
 import subprocess
@@ -133,3 +134,61 @@ def test_pole_ratio_matches_an_independent_recurrence():
         ratio = pole_ratio(j)
         assert type(ratio) is Fraction
         assert ratio == Fraction(-q(j - 1), q(j)), j
+
+
+# What each CLI subcommand must not load: grid needs neither the exact
+# engine nor verify, verify no exact engine, prove no verify.
+CLI_ARGV = {
+    "grid": ["grid", "--rect", "-1,0.5,1,1.5", "--nx", "4", "--ny", "4",
+             "--weight", "2"],
+    "verify": ["verify", "--eq", "shift", "--k", "1", "--nx", "3",
+               "--ny", "3"],
+    "prove": ["prove", "--eq", "shift", "--window", "2", "--k", "1"],
+}
+CLI_UNLOADED = {
+    "grid": ("pelleis.exact", "pelleis.verify", "fractions", "decimal"),
+    "verify": ("pelleis.exact", "fractions", "decimal"),
+    "prove": ("pelleis.verify",),
+}
+
+
+@pytest.mark.parametrize("command", CLI_ARGV)
+def test_cli_command_loads_only_what_it_runs(command):
+    out = _fresh("import contextlib, io\n"
+                 "import pelleis.cli\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 f"    code = pelleis.cli.run({CLI_ARGV[command]!r})\n"
+                 "print(code, sorted("
+                 f"set({CLI_UNLOADED[command]!r}) & set(sys.modules)))\n")
+    assert out == "0 []\n"
+
+
+def test_cli_calls_a_wrapper_set_before_first_use():
+    # The benchmark's tracer and monkeypatch set pelleis.cli.verify_grid
+    # before any command has resolved it; verify must call that wrapper.
+    out = _fresh("import contextlib, io\n"
+                 "import pelleis, pelleis.cli\n"
+                 "calls = []\n"
+                 "def wrapper(*args):\n"
+                 "    calls.append(args[0])\n"
+                 "    return pelleis.verify_grid(*args)\n"
+                 "pelleis.cli.verify_grid = wrapper\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 f"    code = pelleis.cli.run({CLI_ARGV['verify']!r})\n"
+                 "print(code, [e.value for e in calls],\n"
+                 "      pelleis.cli.verify_grid is wrapper)\n")
+    assert out == "0 ['shift'] True\n"
+
+
+def test_cli_deferred_names_are_their_modules_objects():
+    out = _fresh("import pelleis.cli\n"
+                 "from pelleis.cli import verify_grid\n"
+                 "exact = pelleis.cli.verify_identity_exact\n"
+                 "from pelleis import exact as home, verify\n"
+                 "print(exact is home.verify_identity_exact,\n"
+                 "      verify_grid is verify.verify_grid,\n"
+                 "      'verify_identity_exact' in vars(pelleis.cli))\n")
+    assert out == "True True True\n"
+    from pelleis import cli
+    with pytest.raises(AttributeError, match="no attribute 'classify'"):
+        cli.classify

@@ -4,11 +4,14 @@ import hashlib
 import subprocess
 import sys
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
 
 from pelleis import (EquationId, EvalSettings, GridSummary, InvalidRegion,
-                     Rect, ResidualReport, cli, eval_series, verify_grid)
+                     Rect, ResidualReport, cli, eval_grid, eval_series,
+                     verify_grid)
+from pelleis.geometry import MAX_CELLS
 
 SEQ_0_4 = "n,Q_n\n0,2\n1,2\n2,6\n3,14\n4,34\n"
 
@@ -173,6 +176,52 @@ def test_grid_error_follows_header(capsys, option, message):
                         "--nx", "3", "--ny", "2", *option)
     assert code == 1
     assert out == f"{cli.EVAL_HEADER},status\n# error: {message}\n"
+
+
+# Lattices past MAX_CELLS: one cell more than the cap, and an nx beyond
+# double range, which crashed with an OverflowError when the side was divided
+# by it.  An nx of 100000 by ny 100000 was accepted and ran for days.
+HUGE_LATTICES = [(MAX_CELLS + 1, 1), (1, MAX_CELLS + 1), (10**400, 1),
+                 (100_000, 100_000)]
+
+
+def _cap_message(nx, ny):
+    return f"grid must have at most {MAX_CELLS} cells, got {nx} x {ny}"
+
+
+@pytest.mark.parametrize("nx, ny", HUGE_LATTICES)
+def test_huge_lattice_is_refused_at_once(nx, ny):
+    rect = Rect(-1, 0.5, 1, 1.5)
+    for build in (lambda: eval_grid(rect, nx, ny, 2),
+                  lambda: verify_grid(EquationId.SHIFT, rect, nx, ny, 1)):
+        t0 = perf_counter()
+        with pytest.raises(ValueError) as info:
+            build()
+        assert perf_counter() - t0 < 1.0
+        assert str(info.value) == _cap_message(nx, ny)
+
+
+@pytest.mark.parametrize("nx, ny", HUGE_LATTICES)
+def test_huge_lattice_is_an_error_line(capsys, nx, ny):
+    for command, head in (
+            (("grid", "--weight", "2"), f"{cli.EVAL_HEADER},status\n"),
+            (("verify", "--eq", "shift", "--k", "1"), "")):
+        t0 = perf_counter()
+        code, out = run_cli(capsys, *command, "--rect", "-1,0.5,1,1.5",
+                            "--nx", str(nx), "--ny", str(ny))
+        assert perf_counter() - t0 < 1.0
+        assert code == 1
+        assert out == f"{head}# error: {_cap_message(nx, ny)}\n"
+
+
+def test_lattice_of_max_cells_is_built():
+    # The cells alone, not evaluated: 512 x 512 is the largest lattice.
+    rect = Rect(0, 0, 1, 1)
+    cells = list(rect.cell_centers(512, 512))
+    assert 512 * 512 == MAX_CELLS == len(cells)
+    assert cells[0] == complex(0.5 / 512, 0.5 / 512)
+    assert cells[-1] == complex(511.5 / 512, 511.5 / 512)
+    assert sum(1 for _ in rect.cell_centers(MAX_CELLS, 1)) == MAX_CELLS
 
 
 @pytest.mark.parametrize("command", [
