@@ -67,22 +67,30 @@ def grid_size(text: str) -> int:
     return int(text)
 
 
-def _settings(args) -> EvalSettings:
-    return EvalSettings(args.tol, args.max_j)
+def _unprintable(name: str) -> ValueError:
+    """The refusal of a row whose integer Python will not convert to text."""
+    return ValueError(f"{name} has more than {sys.get_int_max_str_digits()} "
+                      "digits, Python's int-to-string limit")
 
 
 def _cmd_seq(args) -> int:
     values = pell_lucas_range(args.lo, args.hi)
-    print("n,Q_n")
+    # Every row is formatted before any is written, so a Q_n past Python's
+    # int-to-string limit leaves one error line and no part of the table.
+    lines = ["n,Q_n\n"]
     for n, q in zip(range(args.lo, args.hi + 1), values):
-        print(f"{n},{q}")
+        try:
+            lines.append(f"{n},{q}\n")
+        except ValueError:
+            raise _unprintable(f"Q_{n}") from None
+    sys.stdout.write("".join(lines))
     return 0
 
 
 def _cmd_eval(args) -> int:
     print(EVAL_HEADER)
     z = complex(args.re, args.im)
-    result = eval_series(z, args.weight, _settings(args))
+    result = eval_series(z, args.weight, EvalSettings(args.tol, args.max_j))
     print("%r,%r,%s" % (z.real, z.imag, _result_fields(result)))
     return 0
 
@@ -91,7 +99,8 @@ def _cmd_grid(args) -> int:
     rect = Rect.parse(args.rect)
     # The header goes out first, so that an error is reported after it.
     sys.stdout.write(EVAL_HEADER + ",status\n")
-    cells = eval_grid(rect, args.nx, args.ny, args.weight, _settings(args))
+    cells = eval_grid(rect, args.nx, args.ny, args.weight,
+                      EvalSettings(args.tol))
     # Cells come row by row, and every row has the same nx real parts, so
     # each coordinate is formatted once.  Columns are keyed by index, not by
     # value: 0.0 == -0.0, but their reprs differ.
@@ -116,9 +125,15 @@ def _cmd_grid(args) -> int:
 def _cmd_poles(args) -> int:
     rect = Rect.parse(args.rect)
     print("j,location_num,location_den,location_float")
+    lines = []  # all formatted first, as in seq
     for pole in poles_in_rect(rect, args.jcap):
-        print(f"{pole.index},{pole.location.numerator},"
-              f"{pole.location.denominator},{pole.location_float!r}")
+        try:
+            lines.append(f"{pole.index},{pole.location.numerator},"
+                         f"{pole.location.denominator},"
+                         f"{pole.location_float!r}\n")
+        except ValueError:
+            raise _unprintable(f"location of pole j={pole.index}") from None
+    sys.stdout.write("".join(lines))
     return 0
 
 
@@ -126,7 +141,7 @@ def _cmd_verify(args) -> int:
     rect = Rect.parse(args.rect)
     equation = EquationId(args.eq)
     summary = sys.modules[__name__].verify_grid(
-        equation, rect, args.nx, args.ny, args.k, _settings(args))
+        equation, rect, args.nx, args.ny, args.k, EvalSettings(args.tol))
     reprs = {}  # coordinates repeat along grid rows and columns
 
     def coordinate(v: float) -> str:
@@ -210,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ny", type=grid_size, required=True)
     p.add_argument("--weight", type=int, required=True)
     p.add_argument("--tol", type=float, default=DEFAULT_TARGET_TOL)
-    p.set_defaults(func=_cmd_grid, max_j=DEFAULT_MAX_HALF_WIDTH)
+    p.set_defaults(func=_cmd_grid)
 
     p = sub.add_parser("poles", help="list term poles inside a rectangle")
     p.add_argument("--rect", required=True, metavar="X0,Y0,X1,Y1")
@@ -226,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nx", type=grid_size, default=DEFAULT_GRID_N)
     p.add_argument("--ny", type=grid_size, default=DEFAULT_GRID_N)
     p.add_argument("--tol", type=float, default=DEFAULT_TARGET_TOL)
-    p.set_defaults(func=_cmd_verify, max_j=DEFAULT_MAX_HALF_WIDTH)
+    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("prove", help="exact finite-window identity check")
     p.add_argument("--eq", choices=eq_choices, required=True)
@@ -241,14 +256,9 @@ def _glue_rect_values(argv: list[str]) -> list[str]:
     # argparse mistakes "-3,0.5,3,3.5" for an option flag, so fold rect
     # values that start with a dash into --rect=... form.
     out = []
-    skip = False
-    for i, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if tok == "--rect" and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append("--rect=" + argv[i + 1])
-            skip = True
+    for tok in argv:
+        if tok.startswith("-") and out and out[-1] == "--rect":
+            out[-1] += "=" + tok
         else:
             out.append(tok)
     return out

@@ -459,11 +459,14 @@ def term_rf(j: int, m: int) -> RationalFunction:
     return RationalFunction(1, lin ** m)
 
 
-def _check_window_guard(half_width: int, m: int) -> None:
-    if half_width > WINDOW_HALF_WIDTH_GUARD or m > WINDOW_WEIGHT_GUARD:
+def _check_window_guard(half_width: int, name: str, weight: int,
+                        cap: int) -> None:
+    """Refuse a window past the guard; name is the caller's weight
+    parameter, weight its value and cap its largest allowed value."""
+    if half_width > WINDOW_HALF_WIDTH_GUARD or weight > cap:
         raise ValueError(
             f"window guard: half_width <= {WINDOW_HALF_WIDTH_GUARD} "
-            f"and m <= {WINDOW_WEIGHT_GUARD}")
+            f"and {name} <= {cap}")
 
 
 def window_sum(half_width: int, m: int) -> RationalFunction:
@@ -477,7 +480,7 @@ def window_sum(half_width: int, m: int) -> RationalFunction:
     require_int("m", m)
     if half_width < 1 or m < 1:
         raise ValueError("window needs half_width >= 1 and m >= 1")
-    _check_window_guard(half_width, m)
+    _check_window_guard(half_width, "m", m, WINDOW_WEIGHT_GUARD)
     total = RationalFunction.zero()
     for j in range(-half_width, half_width + 1):
         total = total + term_rf(j, m)
@@ -634,8 +637,8 @@ def verify_identity_exact(equation: EquationId, half_width: int,
         raise ValueError("identity check needs half_width >= 2")
     if k < 1:
         raise ValueError("k must be at least 1")
+    _check_window_guard(half_width, "k", k, WINDOW_WEIGHT_GUARD // 2)
     m = 2 * k
-    _check_window_guard(half_width, m)
 
     # Right-side term j is z^(s m) (c z + d)^m / (alpha z + beta)^m under
     # the right map; z^s (c z + d) is z for the inversion and 1 otherwise.

@@ -24,16 +24,12 @@ ResidualReport = namedtuple(
                       "lhs_tail rhs_tail")
 
 
-class GridSummary:
+class GridSummary(namedtuple("GridSummary", "equation k reports failures "
+                                             "points_skipped")):
     """A report per tested point, a (point, error) per failed point and the
     skipped count; the other counts and the worst point derive from them."""
 
-    def __init__(self, equation: EquationId, k: int, points_skipped: int = 0):
-        self.equation = equation
-        self.k = k
-        self.points_skipped = points_skipped
-        self.reports: list[ResidualReport] = []
-        self.failures: list[tuple[complex, PelleisError]] = []
+    __slots__ = ()
 
     @property
     def points_tested(self) -> int:
@@ -174,8 +170,8 @@ def verify_grid(equation: EquationId, region: Rect, nx: int, ny: int, k: int,
     _require_k(k)
     settings = _require_settings(settings)
     sign = equation.row[2]
-    summary = GridSummary(equation, k)
-    reports, failures = summary.reports, summary.failures
+    reports: list[ResidualReport] = []
+    failures: list[tuple[complex, PelleisError]] = []
     for z in region.cell_centers(nx, ny):
         try:
             lhs_z, rhs_z = _arguments(equation, z)
@@ -186,8 +182,8 @@ def verify_grid(equation: EquationId, region: Rect, nx: int, ny: int, k: int,
                 reports.append(_residual(sign, z, k, lhs_z, rhs_z, settings))
             except PelleisError as exc:
                 failures.append((z, exc))
-    summary.points_skipped = nx * ny - len(reports) - len(failures)
     if not (reports or failures):
         raise EmptyGrid(
             f"no testable points for {equation.value} on the given grid")
-    return summary
+    return GridSummary(equation, k, reports, failures,
+                       nx * ny - len(reports) - len(failures))

@@ -7,6 +7,8 @@ from fractions import Fraction
 from time import perf_counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pelleis import (EquationId, EvalSettings, GridSummary, InvalidRegion,
                      Rect, ResidualReport, cli, eval_grid, eval_series,
@@ -145,6 +147,31 @@ def test_grid_leading_dash_rect(capsys):
                         "--nx", "2", "--ny", "2", "--weight", "2")
     assert code == 0
     assert all(line.endswith(",ok") for line in out.strip().split("\n")[1:])
+
+
+def _glue_rect_values_lookahead(argv):
+    """The rect fold as it was, by index, lookahead and a skip flag."""
+    out = []
+    skip = False
+    for i, tok in enumerate(argv):
+        if skip:
+            skip = False
+            continue
+        if tok == "--rect" and i + 1 < len(argv) and argv[i + 1].startswith("-"):
+            out.append("--rect=" + argv[i + 1])
+            skip = True
+        else:
+            out.append(tok)
+    return out
+
+
+@given(st.lists(st.sampled_from(["--rect", "-1,0,1,1", "-", "--rect=-2,0,1,1",
+                                 "", "--nx", "3", "0,0,1,1", "--rect="]),
+                max_size=12))
+def test_glue_rect_values_equals_the_lookahead_fold(argv):
+    before = list(argv)
+    assert cli._glue_rect_values(argv) == _glue_rect_values_lookahead(argv)
+    assert argv == before
 
 
 def test_grid_bad_rect(capsys):
@@ -291,6 +318,38 @@ def test_poles_rows(capsys):
         assert float(Fraction(int(num), int(den))) == float(loc)
 
 
+@pytest.fixture
+def int_str_digits_640():
+    """Python's int-to-string limit at 640 digits, which Q_n passes from
+    n = 1,672 on, restored afterwards."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("command, head, name", [
+    ("seq --from 0 --to 2000", [], "Q_1672"),
+    ("seq --from -2000 --to 0", [], "Q_-2000"),
+    ("poles --rect=-0.5,-1,0,1 --jcap 2000",
+     ["j,location_num,location_den,location_float"],
+     "location of pole j=1673"),
+])
+def test_unprintable_rows_are_refused_whole(capsys, int_str_digits_640,
+                                            command, head, name):
+    # Every row is formatted before any is written: the refusal names the
+    # index and the limit, and no row of the table precedes it.
+    code, out = run_cli(capsys, *command.split())
+    assert code == 1
+    assert out.splitlines() == head + [
+        f"# error: {name} has more than 640 digits, "
+        "Python's int-to-string limit"]
+    # The last printable value still prints, all 640 digits of it.
+    code, out = run_cli(capsys, "seq", "--from", "1671", "--to", "1671")
+    assert code == 0
+    assert len(out.splitlines()[1]) == len("1671,") + 640
+
+
 # --------------------------------------------------------------------- verify
 
 def test_verify_summary(capsys):
@@ -341,9 +400,9 @@ def test_verify_rows_keep_the_sign_of_zero(capsys, monkeypatch):
     points = (complex(0.0, 1.0), complex(-0.0, 1.0), complex(-0.0, -0.0),
               complex(0.0, -0.0), complex(0.0, 0.0), complex(-0.0, 0.0),
               complex(2.5, 0.0), complex(2.5, -0.0))
-    summary = GridSummary(EquationId.SHIFT, 1)
-    summary.reports += [ResidualReport(z, 1, 1 + 2j, 1 - 2j, 4.0, 0.5,
-                                       1e-20, 2e-20) for z in points]
+    summary = GridSummary(EquationId.SHIFT, 1, [], [], 0)
+    summary.reports.extend(ResidualReport(z, 1, 1 + 2j, 1 - 2j, 4.0, 0.5,
+                                          1e-20, 2e-20) for z in points)
     monkeypatch.setattr(cli, "verify_grid", lambda *args: summary)
     code, out = run_cli(capsys, "verify", "--eq", "shift", "--k", "1")
     assert code == 0

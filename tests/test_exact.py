@@ -330,16 +330,20 @@ def test_identity_validation():
 
 
 def test_identity_window_guards():
-    guard = "window guard: half_width <= 8 and m <= 6"
-    with pytest.raises(ValueError) as info:
-        verify_identity_exact(EquationId.SHIFT, 9, 1)
-    assert str(info.value) == guard
-    with pytest.raises(ValueError) as info:
-        verify_identity_exact(EquationId.INVERSION, 2, 4)
-    assert str(info.value) == guard
-    with pytest.raises(ValueError) as info:
-        verify_identity_exact(EquationId.SHIFT, 100, 1)
-    assert str(info.value) == guard
+    # Each message names the caller's own weight parameter: the prover
+    # takes k (weight 2k), window_sum takes m.
+    guard = "window guard: half_width <= 8 and k <= 3"
+    for equation, half_width, k in ((EquationId.SHIFT, 9, 1),
+                                    (EquationId.INVERSION, 2, 4),
+                                    (EquationId.SHIFT, 100, 1),
+                                    (EquationId.SHIFT, 2, 10 ** 400)):
+        with pytest.raises(ValueError) as info:
+            verify_identity_exact(equation, half_width, k)
+        assert str(info.value) == guard
+    for half_width, m in ((9, 2), (2, 7)):
+        with pytest.raises(ValueError) as info:
+            window_sum(half_width, m)
+        assert str(info.value) == "window guard: half_width <= 8 and m <= 6"
     # The lower bound on half_width is checked before k.
     with pytest.raises(ValueError, match="half_width >= 2"):
         verify_identity_exact(EquationId.SHIFT, 1, 0)

@@ -465,13 +465,13 @@ def test_grid_summary_derives_counts_and_worst_point():
     def report(z, rel):
         return ResidualReport(z, 1, 0j, 0j, 0.0, rel, 0.0, 0.0)
 
-    summary = GridSummary(EquationId.SHIFT, 1, points_skipped=3)
+    summary = GridSummary(EquationId.SHIFT, 1, [], [], 3)
     assert (summary.points_tested, summary.points_failed,
             summary.max_rel_residual, summary.worst_point) == (0, 0, 0.0, None)
     summary.reports.append(report(1j, 0.0))
     assert summary.worst_point is None  # no residual above 0
-    summary.reports += [report(2j, 1e-16), report(3j, 2e-16),
-                        report(4j, 2e-16), report(5j, 0.0)]
+    summary.reports.extend([report(2j, 1e-16), report(3j, 2e-16),
+                            report(4j, 2e-16), report(5j, 0.0)])
     summary.failures.append((6j, DidNotConverge(4, 1.0)))
     # The first of two equal worst points wins.
     assert (summary.points_tested, summary.points_skipped,
@@ -479,6 +479,41 @@ def test_grid_summary_derives_counts_and_worst_point():
             summary.worst_point) == (5, 3, 1, 2e-16, 3j)
     with pytest.raises(AttributeError):
         summary.points_tested = 0
+
+
+def test_grid_summary_is_a_named_tuple():
+    reports = [ResidualReport(1j, 1, 0j, 0j, 0.0, 1e-16, 0.0, 0.0)]
+    failures = [(2j, DidNotConverge(4, 1.0))]
+    summary = GridSummary(EquationId.SHIFT, 1, reports, failures, 3)
+    assert GridSummary._fields == ("equation", "k", "reports", "failures",
+                                   "points_skipped")
+    assert summary == (EquationId.SHIFT, 1, reports, failures, 3)
+    assert summary == GridSummary(EquationId.SHIFT, 1, list(reports),
+                                  list(failures), 3)
+    assert summary != summary._replace(points_skipped=4)
+    changed = summary._replace(points_skipped=0)
+    assert (changed.reports, changed.failures) == (reports, failures)
+    assert (changed.points_skipped, summary.points_skipped) == (0, 3)
+    for name in ("points_tested", "points_failed", "max_rel_residual",
+                 "worst_point", *GridSummary._fields):
+        with pytest.raises(AttributeError):
+            setattr(summary, name, 0)
+    assert (summary.points_tested, summary.points_failed,
+            summary.max_rel_residual, summary.worst_point) == (1, 1, 1e-16,
+                                                               1j)
+
+
+def test_verify_grid_returns_the_summary_it_built():
+    # 7 x 3 cells: z = 0 is skipped, and a window capped at 4 levels leaves
+    # some regular points failed and some tested.
+    nx, ny = 7, 3
+    summary = verify_grid(EquationId.INVERSION, Rect(-3, -1, 3, 1), nx, ny,
+                          1, EvalSettings(target_tol=1e-3, max_half_width=4))
+    assert type(summary) is GridSummary and isinstance(summary, tuple)
+    assert summary[:2] == (EquationId.INVERSION, 1)
+    tested, failed = summary.points_tested, summary.points_failed
+    assert tested and failed and summary.points_skipped
+    assert summary.points_skipped == nx * ny - tested - failed
 
 
 def test_verify_grid_skips_preconditions():
