@@ -4,25 +4,22 @@ Every subcommand prints CSV (or a plain-text proof report) to stdout with
 deterministic, bit-stable formatting: floats via repr (shortest round trip),
 integers and rationals in full decimal.  Exit codes: 0 success, 1 domain
 errors, 2 usage errors.  If a domain error interrupts CSV output, the last
-line written is a trailing "# error:" comment.
+line written is a trailing "# error:" comment.  parse_args reads argv in
+one pass over COMMANDS, the table of each subcommand's options.
 
-Each subcommand loads only the modules it runs.  verify_grid (the verify
-module) and verify_identity_exact (the exact engine, with fractions and
-decimal) are imported on first use through the module __getattr__, which
-resolves them through the package's own name-to-module table and binds
-them here.  The commands call both as attributes of this module, so a
-wrapper set on pelleis.cli.verify_grid, before or after first use, is the
-one that runs.  grid, eval and seq load neither; verify loads no exact
-engine, and prove no verify.
+Each subcommand loads only the modules it runs: verify_grid (verify),
+verify_identity_exact (the exact engine), poles_in_rect and DEFAULT_J_CAP
+(analysis) are bound here on first use by the module __getattr__.  Commands
+call them as attributes of this module, so a wrapper set on, say,
+pelleis.cli.verify_grid, before or after first use, is the one that runs.
+grid, eval, seq and prove load no analysis, verify no exact engine.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
-from functools import cache
+from types import SimpleNamespace
 
-from .analysis import DEFAULT_J_CAP, poles_in_rect
 from .equations import EquationId
 from .errors import PelleisError, PoleProximity
 from .evaluator import (DEFAULT_MAX_HALF_WIDTH, DEFAULT_TARGET_TOL,
@@ -38,16 +35,17 @@ VERIFY_HEADER = ("re,im,lhs_re,lhs_im,rhs_re,rhs_im,"
 DEFAULT_RECT = "-3,0.5,3,3.5"
 DEFAULT_GRID_N = 12
 
-# The names bound here on first use; the package's __getattr__ imports the
-# module that defines each.
-_DEFERRED = ("verify_grid", "verify_identity_exact")
+# The names bound here on first use, each with the submodule that defines
+# it; the package's __getattr__ imports the submodule.
+_DEFERRED = {"verify_grid": "verify", "verify_identity_exact": "exact",
+             "poles_in_rect": "analysis", "DEFAULT_J_CAP": "analysis"}
 
 
 def __getattr__(name: str):
     if name not in _DEFERRED:
         raise AttributeError(
             f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(sys.modules[__package__], name)
+    value = getattr(getattr(sys.modules[__package__], _DEFERRED[name]), name)
     globals()[name] = value
     return value
 
@@ -63,7 +61,7 @@ def _result_fields(r: EvalResult) -> str:
 
 def grid_size(text: str) -> int:
     if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+        raise ValueError(f"must be at least 1, got {text}")
     return int(text)
 
 
@@ -126,7 +124,7 @@ def _cmd_poles(args) -> int:
     rect = Rect.parse(args.rect)
     print("j,location_num,location_den,location_float")
     lines = []  # all formatted first, as in seq
-    for pole in poles_in_rect(rect, args.jcap):
+    for pole in sys.modules[__name__].poles_in_rect(rect, args.jcap):
         try:
             lines.append(f"{pole.index},{pole.location.numerator},"
                          f"{pole.location.denominator},"
@@ -196,82 +194,124 @@ def _cmd_prove(args) -> int:
     return 0 if report.holds else 1
 
 
-@cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing leaves it as it is."""
-    parser = argparse.ArgumentParser(
-        prog="pelleis",
-        description="Pell-Lucas numbers and their Eisenstein-like series",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("seq", help="print Q_n over an index range as CSV")
-    p.add_argument("--from", dest="lo", type=int, required=True)
-    p.add_argument("--to", dest="hi", type=int, required=True)
-    p.set_defaults(func=_cmd_seq)
-
-    p = sub.add_parser("eval", help="evaluate the series at one point")
-    p.add_argument("--re", type=float, required=True)
-    p.add_argument("--im", type=float, required=True)
-    p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_TARGET_TOL)
-    p.add_argument("--max-j", dest="max_j", type=int,
-                   default=DEFAULT_MAX_HALF_WIDTH)
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("grid", help="evaluate over a rectangular lattice")
-    p.add_argument("--rect", required=True, metavar="X0,Y0,X1,Y1")
-    p.add_argument("--nx", type=grid_size, required=True)
-    p.add_argument("--ny", type=grid_size, required=True)
-    p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_TARGET_TOL)
-    p.set_defaults(func=_cmd_grid)
-
-    p = sub.add_parser("poles", help="list term poles inside a rectangle")
-    p.add_argument("--rect", required=True, metavar="X0,Y0,X1,Y1")
-    p.add_argument("--jcap", type=int, default=DEFAULT_J_CAP)
-    p.set_defaults(func=_cmd_poles)
-
-    eq_choices = [e.value for e in EquationId]
-
-    p = sub.add_parser("verify", help="numeric residuals of one equation")
-    p.add_argument("--eq", choices=eq_choices, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--rect", default=DEFAULT_RECT, metavar="X0,Y0,X1,Y1")
-    p.add_argument("--nx", type=grid_size, default=DEFAULT_GRID_N)
-    p.add_argument("--ny", type=grid_size, default=DEFAULT_GRID_N)
-    p.add_argument("--tol", type=float, default=DEFAULT_TARGET_TOL)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("prove", help="exact finite-window identity check")
-    p.add_argument("--eq", choices=eq_choices, required=True)
-    p.add_argument("--window", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=_cmd_prove)
-
-    return parser
+# Each subcommand's help line, function and options.  An option maps to its
+# dest, its value's converter and its default: None if it is required, else
+# the name of the constant here that holds it, read if the option is absent.
+_TOL = ("tol", float, "DEFAULT_TARGET_TOL")
+_EQ = ("eq", lambda text: EquationId(text).value, None)
+_METAVARS = {"eq": "{%s}" % ",".join(e.value for e in EquationId),
+             "rect": "X0,Y0,X1,Y1"}
+COMMANDS = {
+    "seq": ("print Q_n over an index range as CSV", _cmd_seq, {
+        "--from": ("lo", int, None), "--to": ("hi", int, None)}),
+    "eval": ("evaluate the series at one point", _cmd_eval, {
+        "--re": ("re", float, None), "--im": ("im", float, None),
+        "--weight": ("weight", int, None), "--tol": _TOL,
+        "--max-j": ("max_j", int, "DEFAULT_MAX_HALF_WIDTH")}),
+    "grid": ("evaluate over a rectangular lattice", _cmd_grid, {
+        "--rect": ("rect", str, None), "--nx": ("nx", grid_size, None),
+        "--ny": ("ny", grid_size, None), "--weight": ("weight", int, None),
+        "--tol": _TOL}),
+    "poles": ("list term poles inside a rectangle", _cmd_poles, {
+        "--rect": ("rect", str, None),
+        "--jcap": ("jcap", int, "DEFAULT_J_CAP")}),
+    "verify": ("numeric residuals of one equation", _cmd_verify, {
+        "--eq": _EQ, "--k": ("k", int, None),
+        "--rect": ("rect", str, "DEFAULT_RECT"),
+        "--nx": ("nx", grid_size, "DEFAULT_GRID_N"),
+        "--ny": ("ny", grid_size, "DEFAULT_GRID_N"), "--tol": _TOL}),
+    "prove": ("exact finite-window identity check", _cmd_prove, {
+        "--eq": _EQ, "--window": ("window", int, None),
+        "--k": ("k", int, None)}),
+}
 
 
-def _glue_rect_values(argv: list[str]) -> list[str]:
-    # argparse mistakes "-3,0.5,3,3.5" for an option flag, so fold rect
-    # values that start with a dash into --rect=... form.
-    out = []
-    for tok in argv:
-        if tok.startswith("-") and out and out[-1] == "--rect":
-            out[-1] += "=" + tok
+def _exit(command, reason=None):
+    """Help on stdout and exit 0 if reason is None, else the usage and the
+    reason on stderr and exit 2."""
+    usage = f"usage: pelleis [-h] {{{','.join(COMMANDS)}}} ..."
+    about = ["Pell-Lucas numbers and their Eisenstein-like series", "", *(
+        f"  {name:8}{spec[0]}" for name, spec in COMMANDS.items())]
+    if command is not None:
+        usage, about = f"usage: pelleis {command} [-h]", [COMMANDS[command][0]]
+        for option, (dest, _, default) in COMMANDS[command][2].items():
+            shown = f"{option} {_METAVARS.get(dest, dest.upper())}"
+            usage += f" {shown}" if default is None else f" [{shown}]"
+    if reason is None:
+        print(usage, "", *about, sep="\n")
+        raise SystemExit(0)
+    print(usage, f"pelleis: error: {reason}", sep="\n", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _option(tok: str, options, command):
+    """(option, the value after "=" or None) for the option tok names, in
+    full or by a unique prefix; None if it names none.  Help exits."""
+    name, eq, value = tok.partition("=")
+    if tok[:2] == "-h" and name != "-h":  # -hh, -hx: help, as in argparse 3.13
+        name, eq = "-h", ""
+    elif name[:2] == "--" and name not in options:
+        found = [o for o in (*options, "--help") if o.startswith(name)]
+        if len(found) > 1:
+            _exit(command, f"ambiguous option {name}: " + ", ".join(found))
+        name = found[0] if found else None
+    if name in ("-h", "--help"):
+        _exit(command, f"{name} takes no value" if eq else None)
+    return (name, value if eq else None) if name in options else None
+
+
+def parse_args(argv):
+    """The command and option values argv names, read left to right: an
+    option's value is the token after it, even one that starts with "-", or
+    the text after its "=".  Help and refusals exit (README, "CLI")."""
+    rest, command, options, values, stray = list(argv), None, {}, {}, []
+    while rest:
+        tok = rest.pop(0)
+        found = None if tok == "--" else _option(tok, options, command)
+        # The command is the first token argparse took for no option (no
+        # dash, "-", a negative number or a space), or any token after "--".
+        if command is None and (tok == "--" or found is None and (
+                tok[:1] != "-" or tok == "-" or " " in tok or tok[-1] != "."
+                and tok[1:].replace(".", "", 1).isdecimal())):
+            command = tok if tok != "--" else rest.pop(0) if rest else None
+            if command not in COMMANDS:
+                break
+            options = COMMANDS[command][2]
+        elif tok == "--":  # no token after it is an option
+            stray, rest = [*stray, tok, *rest], []
+        elif found is None:
+            stray.append(tok)
+            if tok == "--rect" and rest and rest[0][:1] == "-":
+                stray.append(rest.pop(0))  # argparse's --rect fold joined them
         else:
-            out.append(tok)
-    return out
+            option, text = found
+            if text is None and not rest:
+                _exit(command, f"argument {option}: expected one argument")
+            dest, convert, _ = options[option]
+            try:
+                values[dest] = convert(rest.pop(0) if text is None else text)
+            except ValueError as exc:
+                _exit(command, f"argument {option}: {exc}")
+    if command not in COMMANDS:
+        _exit(None, "no command" if command is None
+              else f"invalid command {command!r}")
+    missing = [o for o, (dest, _, default) in options.items()
+               if default is None and dest not in values]
+    if missing or stray:
+        _exit(command, f"missing {', '.join(missing)}" if missing
+              else f"unrecognized arguments: {' '.join(stray)}")
+    defaults = {dest: getattr(sys.modules[__name__], default)
+                for dest, _, default in options.values() if dest not in values}
+    return SimpleNamespace(command=command, func=COMMANDS[command][1],
+                           **values, **defaults)
 
 
 def run(argv=None) -> int:
     """Parse argv and execute; returns the process exit code."""
-    parser = build_parser()
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        args = parser.parse_args(_glue_rect_values(argv))
-    except SystemExit as exc:  # argparse prints usage itself
-        return int(exc.code or 0)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except SystemExit as exc:  # help (0) or a refused argv (2)
+        return exc.code
     try:
         return args.func(args)
     except (PelleisError, ValueError) as exc:

@@ -137,7 +137,8 @@ def test_pole_ratio_matches_an_independent_recurrence():
 
 
 # What each CLI subcommand must not load: grid needs neither the exact
-# engine nor verify, verify no exact engine, prove no verify.
+# engine, verify nor analysis, verify no exact engine, prove neither verify
+# nor analysis, and none argparse (with the gettext and locale it loads).
 CLI_ARGV = {
     "grid": ["grid", "--rect", "-1,0.5,1,1.5", "--nx", "4", "--ny", "4",
              "--weight", "2"],
@@ -145,10 +146,12 @@ CLI_ARGV = {
                "--ny", "3"],
     "prove": ["prove", "--eq", "shift", "--window", "2", "--k", "1"],
 }
+_NO_ARGPARSE = ("argparse", "gettext", "locale")
 CLI_UNLOADED = {
-    "grid": ("pelleis.exact", "pelleis.verify", "fractions", "decimal"),
-    "verify": ("pelleis.exact", "fractions", "decimal"),
-    "prove": ("pelleis.verify",),
+    "grid": ("pelleis.exact", "pelleis.verify", "pelleis.analysis",
+             "fractions", "decimal", *_NO_ARGPARSE),
+    "verify": ("pelleis.exact", "fractions", "decimal", *_NO_ARGPARSE),
+    "prove": ("pelleis.verify", "pelleis.analysis", *_NO_ARGPARSE),
 }
 
 
@@ -187,8 +190,11 @@ def test_cli_deferred_names_are_their_modules_objects():
                  "from pelleis import exact as home, verify\n"
                  "print(exact is home.verify_identity_exact,\n"
                  "      verify_grid is verify.verify_grid,\n"
-                 "      'verify_identity_exact' in vars(pelleis.cli))\n")
-    assert out == "True True True\n"
+                 "      'verify_identity_exact' in vars(pelleis.cli))\n"
+                 "from pelleis import analysis as a\n"
+                 "print(pelleis.cli.poles_in_rect is a.poles_in_rect,\n"
+                 "      pelleis.cli.DEFAULT_J_CAP == a.DEFAULT_J_CAP)\n")
+    assert out == "True True True\nTrue True\n"
     from pelleis import cli
     with pytest.raises(AttributeError, match="no attribute 'classify'"):
         cli.classify

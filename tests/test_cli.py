@@ -1,15 +1,19 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import copy
 import hashlib
+import io
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from time import perf_counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from argparse_reference import reference_parse
 from pelleis import (EquationId, EvalSettings, GridSummary, InvalidRegion,
                      Rect, ResidualReport, cli, eval_grid, eval_series,
                      verify_grid)
@@ -141,37 +145,12 @@ def test_grid_deterministic(capsys):
 
 
 def test_grid_leading_dash_rect(capsys):
-    # Rectangle strings starting with '-' must parse despite argparse's
-    # option-prefix rules.
+    # A rectangle string starting with '-' is the value of --rect, not an
+    # option.
     code, out = run_cli(capsys, "grid", "--rect", "-1,-1,1,1",
                         "--nx", "2", "--ny", "2", "--weight", "2")
     assert code == 0
     assert all(line.endswith(",ok") for line in out.strip().split("\n")[1:])
-
-
-def _glue_rect_values_lookahead(argv):
-    """The rect fold as it was, by index, lookahead and a skip flag."""
-    out = []
-    skip = False
-    for i, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if tok == "--rect" and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append("--rect=" + argv[i + 1])
-            skip = True
-        else:
-            out.append(tok)
-    return out
-
-
-@given(st.lists(st.sampled_from(["--rect", "-1,0,1,1", "-", "--rect=-2,0,1,1",
-                                 "", "--nx", "3", "0,0,1,1", "--rect="]),
-                max_size=12))
-def test_glue_rect_values_equals_the_lookahead_fold(argv):
-    before = list(argv)
-    assert cli._glue_rect_values(argv) == _glue_rect_values_lookahead(argv)
-    assert argv == before
 
 
 def test_grid_bad_rect(capsys):
@@ -596,8 +575,13 @@ def test_help_exits_0(capsys):
 
 # ------------------------------------------------------------ parser reuse
 
-def test_parser_is_built_once():
-    assert cli.build_parser() is cli.build_parser()
+def test_option_table_is_a_module_constant(capsys):
+    table = cli.COMMANDS
+    before = copy.deepcopy(table)
+    assert run_cli(capsys, "prove", "--eq", "shift", "--window", "x",
+                   "--k", "2")[0] == 2
+    assert run_cli(capsys, "grid", "--bogus", "--rect", "0,0,1,1")[0] == 2
+    assert cli.COMMANDS is table and table == before
 
 
 def test_usage_error_leaves_parser_clean(capsys):
@@ -622,8 +606,7 @@ def test_max_j_does_not_carry_over(capsys):
     expected = "1.0,1.0," + cli._result_fields(eval_series(z, 2,
                                                            EvalSettings()))
     assert out == f"{cli.EVAL_HEADER}\n{expected}\n"
-    assert (cli.build_parser().parse_args(list(point)).max_j
-            == EvalSettings().max_half_width)
+    assert cli.parse_args(point).max_j == EvalSettings().max_half_width
 
 
 def test_help_twice_is_identical(capsys):
@@ -633,6 +616,154 @@ def test_help_twice_is_identical(capsys):
     assert sub[0] == 0 and "--window" in sub[1]
     assert first == run_cli(capsys, "--help")
     assert sub == run_cli(capsys, "prove", "--help")
+
+
+# ------------------------------------------------- parser against argparse
+
+_OPTIONS = ("--from", "--to", "--re", "--im", "--weight", "--tol", "--max-j",
+            "--rect", "--nx", "--ny", "--jcap", "--eq", "--k", "--window",
+            "--help")
+_PREFIXES = sorted({o[:n] for o in _OPTIONS for n in range(3, len(o) + 1)})
+_VALUES = ("0", "1", "2", "12", "0.5", "1e-5", "-1e-5", "nan", "-1",
+           "-1,0,1,1", "0,0,1,1", "x", "rotation", "shift")
+_WORD = st.one_of(
+    st.sampled_from((*_PREFIXES, *_VALUES, "-h", "--", "seq", "prove")),
+    st.builds("{}={}".format, st.sampled_from(_PREFIXES),
+              st.sampled_from((*_VALUES, "", "--"))))
+# One accepted request per command, as (option, value) pairs.
+_REQUESTS = {
+    "seq": (("--from", "-1"), ("--to", "2")),
+    "eval": (("--re", "0.5"), ("--im", "1"), ("--weight", "2")),
+    "grid": (("--rect", "-1,0,1,1"), ("--nx", "2"), ("--ny", "3"),
+             ("--weight", "2")),
+    "poles": (("--rect", "0,0,1,1"),),
+    "verify": (("--eq", "shift"), ("--k", "1")),
+    "prove": (("--eq", "shift"), ("--window", "2"), ("--k", "1")),
+}
+
+
+@st.composite
+def _argvs(draw):
+    """An accepted request, its options shuffled, abbreviated and perhaps
+    joined to their values by "=", then words inserted, replaced or
+    deleted, one or two at a time."""
+    command = draw(st.sampled_from(sorted(_REQUESTS)))
+    argv = [command]
+    for option, value in draw(st.permutations(_REQUESTS[command])):
+        option = option[:draw(st.integers(3, len(option)))]
+        argv += [f"{option}={value}"] if draw(st.booleans()) else [option,
+                                                                   value]
+    edits = st.tuples(st.sampled_from("ird"), st.integers(0, 20),
+                      st.lists(_WORD, min_size=1, max_size=2))
+    for edit, at, words in draw(st.lists(edits, max_size=3)):
+        if edit == "i":
+            at %= len(argv) + 1
+            argv[at:at] = words
+        elif argv and edit == "r":
+            argv[at % len(argv)] = words[0]
+        elif argv:
+            del argv[at % len(argv)]
+    return argv
+
+
+def _read(argv):
+    """cli.parse_args(argv) in the form of reference_parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            args = cli.parse_args(argv)
+        except SystemExit as exc:
+            return ("help" if exc.code == 0 else "usage", exc.code,
+                    out.getvalue(), err.getvalue())
+    return "ok", vars(args), out.getvalue(), err.getvalue()
+
+
+def _unlike_argparse(argv, expected, got):
+    """The README's name for the class of argv that the parser reads
+    unlike argparse did, if argv is in one; None otherwise."""
+    status, reason, read = expected[0], expected[3], got[0]
+    if status == "usage" and "expected one argument" in reason:
+        return "a value that starts with '-'"
+    if status == "usage" and "invalid choice: '--'" in reason:
+        return "'--' before the command"
+    if status == "usage" and read == "help" and "ambiguous option" in reason:
+        return "an ambiguous prefix after -h"
+    if (status == "usage" and read == "help"
+            and "ignored explicit argument" in reason
+            and any(t[:2] == "-h" and t[2:3] not in ("", "=") for t in argv)):
+        return "-h run on with other letters"
+    if status != "usage" and (
+            any(t[:2] == "--" and t.partition("=")[2] == "--" for t in argv)
+            or any(pair == ("--rect", "--")
+                   for pair in zip(argv, argv[1:]))):
+        return "the value '--'"
+    return None
+
+
+@settings(max_examples=1000)
+@given(st.one_of(_argvs(), st.lists(_WORD, max_size=8)))
+@example(["eval", "--rect", "--tol", "-h"])  # the fold joins --tol to --rect
+@example(["--rect", "-1", "prove", "-h"])
+@example(["-1", "prove", "-h"])  # a negative number stands for a command
+@example(["-x y", "prove", "-h"])  # and so does a token with a space
+@example(["prove", "--", "-h"])  # no token after "--" is an option
+@example(["--eq", "prove", "-h"])  # help after an unknown option
+@example(["prove", "x", "-h"])
+@example(["verify", "--eq", "shift", "--k", "1", "--n", "3"])
+@example(["grid", "--rec=-1,0,1,1", "--nx", "2", "--ny", "3", "--wei=2",
+          "--w", "4"])
+def test_parser_reads_argv_as_argparse_did(argv):
+    expected, got = reference_parse(argv), _read(argv)
+    status, code, out, err = got
+    if status == "usage":
+        assert code == 2 and not out and err.startswith("usage: pelleis")
+    elif status == "help":
+        assert code == 0 and out.startswith("usage: pelleis") and not err
+    if status == expected[0] and (status != "ok" or {
+            k: repr(v) for k, v in expected[1].items()} == {
+            k: repr(v) for k, v in got[1].items()}):
+        return
+    assert _unlike_argparse(argv, expected, got), (argv, expected, got)
+
+
+@pytest.mark.parametrize("argv, dest, value", [
+    (["eval", "--re", "0", "--im", "1", "--weight", "2", "--tol", "-1e-5"],
+     "tol", -1e-5),
+    (["eval", "--re", "-2e-3", "--im", "1", "--weight", "2"], "re", -2e-3),
+    (["poles", "--rec", "-1,0,1,1"], "rect", "-1,0,1,1"),
+    (["--", "prove", "--eq", "shift", "--window", "2", "--k", "1"],
+     "window", 2),
+])
+def test_parser_reads_on_where_argparse_refused(argv, dest, value):
+    # argparse refused each of these; the last one only before Python
+    # 3.13.13 (README, "CLI").
+    assert getattr(cli.parse_args(argv), dest) == value
+
+
+def test_the_value_dashdash_is_read_as_text(capsys):
+    # argparse before Python 3.13 read "--" as an empty list and passed it
+    # on unconverted: eval and grid then stopped with a traceback.
+    code, out = run_cli(capsys, "eval", "--re=--", "--im", "1",
+                        "--weight", "2")
+    assert (code, out) == (2, "")
+    code, out = run_cli(capsys, "grid", "--rect", "--", "--nx", "2",
+                        "--ny", "2", "--weight", "2")
+    assert code == 1 and out == "# error: expected X0,Y0,X1,Y1 got '--'\n"
+
+
+def test_help_flag_run_on_prints_help(capsys):
+    code, out = run_cli(capsys, "prove", "-hx")
+    assert code == 0 and out.startswith("usage: pelleis prove")
+
+
+def test_refusal_names_the_usage_and_the_reason(capsys):
+    code = cli.run(["prove", "--eq", "rotation", "--window", "2", "--k", "1"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "usage: pelleis prove [-h] --eq {inversion,reflection,shift,negation}"
+        " --window WINDOW --k K",
+        "pelleis: error: argument --eq: 'rotation' is not a valid EquationId"]
 
 
 def test_module_entry_point():
