@@ -94,8 +94,19 @@ def poles_in_rect(region: Rect, j_cap: int = DEFAULT_J_CAP) -> list[Pole]:
             loc = pole_ratio(sign * n)
             if region.contains(loc, 0):
                 found.append(Pole(sign * n, loc, float_pole(sign * n)))
-    found.sort(key=lambda p: (p.location, abs(p.index)))
+    found.sort(key=lambda p: _pole_order(p.index))
     return found
+
+
+def _pole_order(j: int) -> tuple:
+    """The key that sorts poles by location.  Poles j >= 0 lie in [-1, 1]
+    and poles j < 0 in [7/3, 3], each side converging to its limit with
+    alternating sign and shrinking distance: odd j >= 1 ascend toward
+    1 - sqrt(2) and even j >= 0 descend toward it from p_0 = 1, and j < 0
+    mirror them, p_{-j} = 2 - p_j, so even j < 0 ascend toward 1 + sqrt(2)
+    and odd j < 0 descend toward it from p_{-1} = 3."""
+    from_above = (j % 2 == 0) == (j >= 0)
+    return (j < 0, from_above, -abs(j) if from_above else abs(j))
 
 
 @cache

@@ -50,13 +50,8 @@ def __getattr__(name: str):
     return value
 
 
-def _result_fields(r: EvalResult) -> str:
-    """The eight columns of a row after re and im."""
-    # %r of a float is its repr, the shortest round trip.
-    value, minus, plus = r.value, r.minus_part, r.plus_part
-    return "%r,%r,%r,%d,%r,%r,%r,%r" % (
-        value.real, value.imag, r.tail_bound, r.terms_used,
-        minus.real, minus.imag, plus.real, plus.imag)
+# A row of eval and grid, re and im as text; %r of a float is its repr.
+_EVAL_ROW = "%s,%s,%r,%r,%r,%d,%r,%r,%r,%r"
 
 
 def grid_size(text: str) -> int:
@@ -88,8 +83,11 @@ def _cmd_seq(args) -> int:
 def _cmd_eval(args) -> int:
     print(EVAL_HEADER)
     z = complex(args.re, args.im)
-    result = eval_series(z, args.weight, EvalSettings(args.tol, args.max_j))
-    print("%r,%r,%s" % (z.real, z.imag, _result_fields(result)))
+    value, minus, plus, bound, used = eval_series(
+        z, args.weight, EvalSettings(args.tol, args.max_j))
+    print(_EVAL_ROW % (repr(z.real), repr(z.imag), value.real, value.imag,
+                       bound, used, minus.real, minus.imag, plus.real,
+                       plus.imag))
     return 0
 
 
@@ -102,20 +100,23 @@ def _cmd_grid(args) -> int:
     # Cells come row by row, and every row has the same nx real parts, so
     # each coordinate is formatted once.  Columns are keyed by index, not by
     # value: 0.0 == -0.0, but their reprs differ.
-    nx = args.nx
-    columns = ["%r," % z.real for z, _ in cells[:nx]]
+    nx, ok_row = args.nx, _EVAL_ROW + ",ok\n"
+    columns = [repr(z.real) for z, _ in cells[:nx]]
     lines = []
     for start in range(0, len(cells), nx):
         row = cells[start:start + nx]
-        y = "%r," % row[0][0].imag
-        for x, (_, outcome) in zip(columns, row):
-            if isinstance(outcome, EvalResult):
-                lines.append(x + y + _result_fields(outcome) + ",ok\n")
-            elif isinstance(outcome, PoleProximity):
+        y = repr(row[0][0].imag)
+        for x, (_, r) in zip(columns, row):
+            if isinstance(r, EvalResult):
+                value, minus, plus, bound, used = r
+                lines.append(ok_row % (
+                    x, y, value.real, value.imag, bound, used, minus.real,
+                    minus.imag, plus.real, plus.imag))
+            elif isinstance(r, PoleProximity):
                 # value/tail/terms/minus/plus columns left blank
-                lines.append(x + y + ",,,,,,,,pole\n")
+                lines.append(x + "," + y + ",,,,,,,,,pole\n")
             else:
-                lines.append(x + y + ",,,,,,,,diverged\n")
+                lines.append(x + "," + y + ",,,,,,,,,diverged\n")
     sys.stdout.write("".join(lines))
     return 0
 

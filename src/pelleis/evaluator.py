@@ -59,7 +59,7 @@ windows.  Write u = 2^-53.
   well, or from a distance <= 0: z real and inside hull J + 1, hence
   inside hull J.
 
-_Series.extend relies on this order: the windows whose bound meets a
+_sum_window relies on this order: the windows whose bound meets a
 tolerance form a suffix, so it searches for the first of them instead of
 checking every window in turn.  The search (_stopping_window) starts from
 a closed-form guess: the formula above with Q_J ~ (1 + sqrt(2))^J, and d+
@@ -69,20 +69,19 @@ b * 2^m * (1 - 2e-9) still above it is the first such window, by the 2^m
 fall proven above, so the window below it is not probed; most evaluations
 make one bound check.
 
-All summation goes through one resumable kernel, _Series.  Its extend
-returns the value alone and keeps the window reached, its bound and the
-sums on the series: eval_series builds one, extends it once and reads its
-one EvalResult from that state, and verify.residual keeps one per side,
+Every window sum finds its window J first and then adds exactly the
+terms up to J, in one function, _sum_window.  eval_series checks its
+weight and point once (_checked_start) and sums from j = 0, building no
+series object.  verify.residual keeps one resumable _Series per side,
 extends it to each refined tolerance and reads the bounds and windows off
 the series, so a refinement continues the window sum where the previous
-tolerance stopped it instead of restarting at j = 0, and builds no result.
-The kernel fetches the levels of its window (sequence.float_table: Q_j,
-Q_{j-1} and the guard radius of terms +j and -j) once and adds each side's
-terms in one pass of _add_terms, with no call per term: +1 .. +J to the
-j >= 1 sum, then 0, -1 .. -J to the j <= 0 sum, each with a branch-free
-complex TwoSum; past level LAST_LEVEL - 1 every term is an exact zero, and
-none is added.  term_value sums its one term through _add_terms, so the
-term arithmetic has one copy.
+tolerance stopped it, and builds no result.  _sum_window fetches the
+levels of its window (sequence.float_table: Q_j, Q_{j-1} and the guard
+radius of terms +j and -j) once and adds each side's terms in one pass of
+_add_terms: +1 .. +J to the j >= 1 sum, then 0, -1 .. -J to the j <= 0
+sum, each with a branch-free complex TwoSum; past level LAST_LEVEL - 1
+every term is an exact zero, and none is added.  term_value sums its one
+term through _add_terms, so the term arithmetic has one copy.
 """
 
 from __future__ import annotations
@@ -91,6 +90,7 @@ import math
 import sys
 from cmath import isfinite
 from collections import namedtuple
+from functools import lru_cache
 
 from .errors import (DidNotConverge, IndexCapExceeded, PoleProximity,
                      require_int, require_type, shown)
@@ -212,6 +212,30 @@ def _limit_distances(z: complex) -> tuple[float, float]:
         raise ValueError(f"point must be finite, got {z!r}") from None
 
 
+def _checked_start(z, m) -> tuple[complex, float, float]:
+    """The checked point and its distances to 1 -/+ sqrt(2), for a checked
+    weight; DidNotConverge within POLE_GUARD of either limit."""
+    _require_weight(m)
+    z = _require_point(z)
+    d_minus, d_plus = _limit_distances(z)
+    if d_minus <= POLE_GUARD or d_plus <= POLE_GUARD:
+        raise DidNotConverge(0, math.inf, point=z)
+    return z, d_minus, d_plus
+
+
+@lru_cache(maxsize=64)
+def _weight_constants(m: int) -> tuple[float, ...]:
+    """The factors that depend on m alone: tail_bound's geo and half, and
+    _stopping_window's m log 2, log1p(-2^-m), m log(1 + sqrt(2)), fall."""
+    p = 2.0 ** -m
+    # 2^-m underflows for m > 1074: tail_bound halves each base instead.
+    geo, half = (p / (1.0 - p), 1.0) if p else (1.0, 0.5)
+    # 2^m overflows from m = 1024, and a smaller fall only weakens the
+    # certificate.
+    return (geo, half, m * _LOG_TWO, math.log1p(-p), m * _LOG_SILVER,
+            2.0 ** min(m, 1023) * _FALL_SLACK)
+
+
 def term_value(j: int, z: complex, m: int) -> complex:
     """One term (Q_j z + Q_{j-1})^(-m) in double precision.
 
@@ -291,12 +315,17 @@ def tail_bound(half_width: int, z: complex, m: int) -> float:
     Any integer half_width >= 2 is taken: the hulls and 1/Q_J come from
     the float table, which reads no Q past its last level.
     """
-    _require_weight(m)
-    z = _require_point(z)
-    require_int("half_width", half_width)
-    if half_width < MIN_TAIL_HALF_WIDTH:
-        raise ValueError(
-            f"tail bound needs half_width >= {MIN_TAIL_HALF_WIDTH}")
+    # One type test passes the common case; the rest gets the full rules.
+    if not (m.__class__ is int and 2 <= m <= MAX_WEIGHT
+            and z.__class__ is complex and isfinite(z)
+            and half_width.__class__ is int
+            and half_width >= MIN_TAIL_HALF_WIDTH):
+        _require_weight(m)
+        z = _require_point(z)
+        require_int("half_width", half_width)
+        if half_width < MIN_TAIL_HALF_WIDTH:
+            raise ValueError(
+                f"tail bound needs half_width >= {MIN_TAIL_HALF_WIDTH}")
     lo_p, hi_p, lo_n, hi_n, q_inv = float_window(half_width)
     # Distances from z to the two hulls.
     x, y = z.real, z.imag
@@ -306,10 +335,7 @@ def tail_bound(half_width: int, z: complex, m: int) -> float:
     d_neg = math.hypot(dx, y) * _DIST_SHAVE
     if d_pos <= 0.0 or d_neg <= 0.0:
         return math.inf
-    geo = 2.0 ** (-m) / (1.0 - 2.0 ** (-m))
-    half = 1.0
-    if geo == 0.0:  # 2^-m underflows for m > 1074: halve each base instead
-        geo, half = 1.0, 0.5
+    geo, half, _, _, _, _ = _weight_constants(m)
     q_pow = q_inv ** m
     bound = None
     if q_pow >= _MIN_NORMAL:
@@ -354,14 +380,12 @@ def _stopping_window(z: complex, m: int, lo: int, target_tol: float,
     by bisection, each new passing probe certified alike.  Only windows
     in [lo, max_half_width] are probed, none twice.
     """
-    # The guess is taken in logs, where d^-m cannot overflow; 2^m overflows
-    # a float from m = 1024, and a smaller factor only weakens the
-    # certificate.
+    # The guess is taken in logs, where d^-m cannot overflow.
+    _, _, m_log_two, log_geo_den, m_log_silver, fall = _weight_constants(m)
     near, far = (d_minus, d_plus) if d_minus < d_plus else (d_plus, d_minus)
     log_bound = (math.log1p((near / far) ** m) - m * math.log(near)
-                 - m * _LOG_TWO - math.log1p(-(2.0 ** -m)))
-    guess = math.ceil((log_bound - math.log(target_tol)) / (m * _LOG_SILVER))
-    fall = 2.0 ** min(m, 1023) * _FALL_SLACK
+                 - m_log_two - log_geo_den)
+    guess = math.ceil((log_bound - math.log(target_tol)) / m_log_silver)
     bad = lo - 1    # the windows up to bad fail (or lie below the range)
     j = min(max(guess, lo), max_half_width)
     while True:
@@ -375,7 +399,7 @@ def _stopping_window(z: complex, m: int, lo: int, target_tol: float,
             j += j - lo + 1
         else:
             j += max(1, math.ceil((math.log(b) - math.log(target_tol))
-                                  / (m * _LOG_SILVER)))
+                                  / m_log_silver))
         j = min(j, max_half_width)
     good, good_b = j, b
     j = good - 1
@@ -390,8 +414,36 @@ def _stopping_window(z: complex, m: int, lo: int, target_tol: float,
     return good, good_b
 
 
+def _sum_window(z: complex, m: int, level: int, sums: tuple,
+                target_tol: float, max_half_width: int, d_minus: float,
+                d_plus: float) -> tuple[int, float, tuple]:
+    """(J, tail_bound(J), sums): the sums (s_m, c_m, s_p, c_p) carried from
+    window level (-1: none) to the first J >= max(level + 1, 2) whose bound
+    meets target_tol, found first by _stopping_window.  tail_bound neither
+    raises nor has side effects for a checked point and weight, so a
+    term's PoleProximity is raised at the same term as by a scan that
+    checks the bound after every window; a J that misses target_tol
+    raises DidNotConverge once its terms are added."""
+    stop, bound = _stopping_window(z, m, max(level + 1, MIN_TAIL_HALF_WIDTH),
+                                   target_tol, max_half_width, d_minus,
+                                   d_plus)
+    s_m, c_m, s_p, c_p = sums
+    # The sums never read each other, so one pass per side gives the bits
+    # of adding +level and -level in turn, and the same first error:
+    # near-pole failures of +j (Re z in [-1.5, -0.17]) and of -j and 0
+    # ([0.5, 3.5]) never meet.
+    levels = float_table(stop)
+    hi = min(stop, LAST_LEVEL - 1) + 1  # past it, exact zeros
+    # Level 0 holds term 0 alone, which the j <= 0 sum adds.
+    s_p, c_p = _add_terms(levels, 0, max(level + 1, 1), hi, z, m, s_p, c_p)
+    s_m, c_m = _add_terms(levels, 1, level + 1, hi, z, m, s_m, c_m)
+    if bound > target_tol:
+        raise DidNotConverge(stop, bound, point=z)
+    return stop, bound, (s_m, c_m, s_p, c_p)
+
+
 class _Series:
-    """Resumable adaptive summation of S_m(z): the one summation kernel.
+    """Resumable adaptive summation of S_m(z), for verify.residual.
 
     Terms are accumulated in two compensated sums in a fixed order, j >= 1
     as +1, +2, ... and j <= 0 as 0, -1, -2, ...  Each is a complex sum s
@@ -406,13 +458,12 @@ class _Series:
     a tie; c then turns NaN where Neumaier's stays finite, and the
     evaluation raises DidNotConverge.
 
-    extend() grows the window from the level reached so far, so asking
-    again with a tighter tolerance (and the same max_half_width) adds
-    exactly the terms, in the same order, and stops at the same window that
-    a restart from j = 0 would; the value, level, bound and sums are the
-    same to the bit.  extend returns the value; level (the half-width J
-    reached, -1 before the first extend), bound (its tail bound) and the
-    sums are read off the series.
+    extend() grows the window from the level reached so far by
+    _sum_window, so asking again with a tighter tolerance (and the same
+    max_half_width) adds exactly the terms, in order, that a restart from
+    j = 0 would, and gives its value, level, bound and sums to the bit.
+    extend returns the value; level (the half-width J reached, -1 before
+    the first extend), bound and the sums are read off the series.
     """
 
     # _sums: running sum and correction of the j <= 0 sum (suffix _m) and
@@ -422,14 +473,8 @@ class _Series:
     __slots__ = ("z", "m", "d_minus", "d_plus", "level", "bound", "_sums")
 
     def __init__(self, z: complex, m: int):
-        _require_weight(m)
-        z = _require_point(z)
-        d_minus, d_plus = _limit_distances(z)
-        if min(d_minus, d_plus) <= POLE_GUARD:
-            raise DidNotConverge(0, math.inf, point=z)
-        self.z = z
+        self.z, self.d_minus, self.d_plus = _checked_start(z, m)
         self.m = m
-        self.d_minus, self.d_plus = d_minus, d_plus
         self.level = -1    # no term added yet, not even term 0
         self.bound = math.inf
         self._sums = (0j, 0j, 0j, 0j)
@@ -439,45 +484,21 @@ class _Series:
         <= target_tol, summing on from the level already reached; J and its
         bound are left in level and bound, the sums in _sums.
 
-        J is found first, by _stopping_window, among the windows past the
-        level reached; then exactly the terms up to J are added, with no
-        bound check between them.  tail_bound neither raises nor has side
-        effects for the series' point and weight, so a term's
-        PoleProximity is raised at the same term as by a scan that checks
-        the bound after every window.  A tolerance that the
-        reached window's bound already meets returns that window's value
-        without adding terms.  Raises as eval_series; a window that misses
-        the tolerance leaves the series as it was.
+        A tolerance that the reached window's bound already meets returns
+        that window's value without adding terms.  Raises as eval_series;
+        a window that misses the tolerance leaves the series as it was.
         """
-        z, m = self.z, self.m
         level, bound = self.level, self.bound
-        s_m, c_m, s_p, c_p = self._sums
         if level < MIN_TAIL_HALF_WIDTH or bound > target_tol:
-            lo = max(level + 1, MIN_TAIL_HALF_WIDTH)
-            if lo > max_half_width:
-                raise DidNotConverge(level, bound, point=z)
-            stop, bound = _stopping_window(z, m, lo, target_tol,
-                                           max_half_width, self.d_minus,
-                                           self.d_plus)
-            # The sums never read each other, so one pass per side gives
-            # the bits of adding +level and -level in turn, and the same
-            # first error: near-pole failures of +j (Re z in [-1.5, -0.17])
-            # and of -j and 0 ([0.5, 3.5]) never meet.
-            levels = float_table(stop)
-            hi = min(stop, LAST_LEVEL - 1) + 1  # past it, exact zeros
-            # Level 0 holds term 0 alone, which the j <= 0 sum adds.
-            s_p, c_p = _add_terms(levels, 0, max(level + 1, 1), hi, z, m,
-                                  s_p, c_p)
-            s_m, c_m = _add_terms(levels, 1, level + 1, hi, z, m, s_m, c_m)
-            level = stop
-            if bound > target_tol:
-                raise DidNotConverge(level, bound, point=z)
-            self.level, self.bound = level, bound
-            self._sums = (s_m, c_m, s_p, c_p)
-
+            if max(level + 1, MIN_TAIL_HALF_WIDTH) > max_half_width:
+                raise DidNotConverge(level, bound, point=self.z)
+            self.level, self.bound, self._sums = _sum_window(
+                self.z, self.m, level, self._sums, target_tol,
+                max_half_width, self.d_minus, self.d_plus)
+        s_m, c_m, s_p, c_p = self._sums
         value = (s_m + c_m) + (s_p + c_p)
         if not isfinite(value):
-            raise DidNotConverge(level, math.inf, point=z)
+            raise DidNotConverge(self.level, math.inf, point=self.z)
         return value
 
 
@@ -489,8 +510,8 @@ def eval_series(z: complex, m: int,
     in a fixed order, so results are bit-reproducible.  The window is the
     first J >= 2 with tail_bound(J, z, m) <= target_tol.  The bound never
     grows with J and falls by at least 2^m per window, so J is searched for
-    before any term is summed, mostly with one bound check.  One _Series
-    is extended once, and the result is read from its state.
+    before any term is summed, mostly with one bound check.  One
+    _sum_window from j = 0 gives the result; no series object is built.
 
     Raises PoleProximity when a term denominator nearly vanishes or a term
     overflows, and DidNotConverge when the bound cannot reach the tolerance
@@ -501,11 +522,14 @@ def eval_series(z: complex, m: int,
     range, in a part or in modulus, gives the term's zero.
     """
     s = _require_settings(settings)
-    series = _Series(z, m)
-    value = series.extend(s.target_tol, s.max_half_width)
-    s_m, c_m, s_p, c_p = series._sums
-    return EvalResult(value, s_m + c_m, s_p + c_p, series.bound,
-                      series.level)
+    z, d_minus, d_plus = _checked_start(z, m)
+    level, bound, (s_m, c_m, s_p, c_p) = _sum_window(
+        z, m, -1, (0j,) * 4, s.target_tol, s.max_half_width, d_minus, d_plus)
+    minus, plus = s_m + c_m, s_p + c_p
+    value = minus + plus
+    if not isfinite(value):
+        raise DidNotConverge(level, math.inf, point=z)
+    return EvalResult(value, minus, plus, bound, level)
 
 
 def eval_grid(region: Rect, nx: int, ny: int, m: int,

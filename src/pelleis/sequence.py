@@ -127,7 +127,17 @@ def pell_lucas_range(lo: int, hi: int) -> list[int]:
 
 def pole_ratio(j: int) -> Fraction:
     """-Q_{j-1}/Q_j, the location of the real pole of term j, in lowest
-    terms (Fraction normalizes automatically).  fractions, which loads
-    decimal, is imported on the first call, not with the package."""
+    terms.  fractions, which loads decimal, is imported on the first call,
+    not with the package.
+
+    By the recurrence gcd(Q_{j-1}, Q_j) = gcd(Q_0, Q_1) = 2, so the halves
+    are coprime and the Fraction is built from them without the gcd that
+    Fraction() would take, which consecutive terms make Euclid's worst
+    case."""
     from fractions import Fraction
-    return Fraction(-pell_lucas(j - 1), pell_lucas(j))
+    num, den = -pell_lucas(j - 1) // 2, pell_lucas(j) // 2
+    if den < 0:
+        num, den = -num, -den
+    if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12 on
+        return Fraction._from_coprime_ints(num, den)
+    return Fraction(num, den, _normalize=False)  # Python 3.10 and 3.11

@@ -99,9 +99,11 @@ def test_poles_j_cap_limit_is_named_before_the_table_grows():
 
 
 def _scan_all_poles(region, j_cap):
-    """Every pole |j| <= j_cap tested on its exact location."""
-    found = [(pole_ratio(j), j) for j in range(-j_cap, j_cap + 1)
-             if region.contains(pole_ratio(j), 0)]
+    """Every pole |j| <= j_cap tested on its exact location, a Fraction
+    reduced by its gcd, and sorted by that Fraction."""
+    locations = ((F(-pell_lucas(j - 1), pell_lucas(j)), j)
+                 for j in range(-j_cap, j_cap + 1))
+    found = [(loc, j) for loc, j in locations if region.contains(loc, 0)]
     return [(j, loc) for loc, j in sorted(found,
                                           key=lambda t: (t[0], abs(t[1])))]
 
@@ -124,6 +126,17 @@ def test_poles_equal_full_scan_seeded():
             got = poles_in_rect(region, j_cap)
             assert [(p.index, p.location) for p in got] == \
                 _scan_all_poles(region, j_cap), (region, j_cap)
+
+
+def test_pole_order_by_index_equals_fraction_order():
+    # poles_in_rect sorts by index, without comparing Fractions; around
+    # both limits, with thousands of poles, the order is the Fraction sort.
+    for region, j_cap in ((Rect(-1, -1, 3, 1), 2000),
+                          (Rect(SILVER_CONJUGATE - 1e-3, -1, 1, 0), 500),
+                          (Rect(2.4, 0, 3, 1), 500)):
+        got = [(p.index, p.location) for p in poles_in_rect(region, j_cap)]
+        assert got == _scan_all_poles(region, j_cap), region
+        assert len(got) > j_cap // 2
 
 
 def test_poles_away_from_both_limits_stop_early():

@@ -3,10 +3,12 @@
 import copy
 import hashlib
 import io
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -603,8 +605,11 @@ def test_max_j_does_not_carry_over(capsys):
     code, out = run_cli(capsys, *point)
     assert code == 0
     z = complex(1, 1)
-    expected = "1.0,1.0," + cli._result_fields(eval_series(z, 2,
-                                                           EvalSettings()))
+    r = eval_series(z, 2, EvalSettings())
+    expected = ",".join(repr(v) for v in (
+        z.real, z.imag, r.value.real, r.value.imag, r.tail_bound,
+        r.terms_used, r.minus_part.real, r.minus_part.imag,
+        r.plus_part.real, r.plus_part.imag))
     assert out == f"{cli.EVAL_HEADER}\n{expected}\n"
     assert cli.parse_args(point).max_j == EvalSettings().max_half_width
 
@@ -773,3 +778,55 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == SEQ_0_4
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh python with this tree's package, timed out after 30 s: a
+    weight or lattice that is not refused at once runs for minutes to days,
+    and the time-out fails the test instead."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=30, env=env)
+
+
+def test_huge_weight_is_refused_by_the_module_at_once():
+    # Each term's power loop runs m - 1 times, so weight 10^10 would run
+    # for about 50 minutes; a weight above evaluator.MAX_WEIGHT is refused
+    # with exit 1 and a "# error:" line.
+    proc = _python("-m", "pelleis", "eval", "--re", "0.3", "--im", "1",
+                   "--weight", "10000000000")
+    assert proc.returncode == 1
+    assert any(line.startswith("# error:")
+               for line in proc.stdout.splitlines())
+
+
+@pytest.mark.parametrize("nx, ny", [("100000", "100000"),
+                                    ("1" + "0" * 400, "1")],
+                         ids=["100000x100000", "1e400x1"])
+@pytest.mark.parametrize("command", [("grid", "--weight", "2"),
+                                     ("verify", "--eq", "shift", "--k", "1")],
+                         ids=["grid", "verify"])
+def test_huge_lattice_is_refused_by_the_module_at_once(command, nx, ny):
+    # A lattice of more than geometry.MAX_CELLS cells is refused before any
+    # cell is built: 100000 x 100000 ran for days, and an nx of 10^400
+    # crashed with an OverflowError and a traceback.
+    proc = _python("-m", "pelleis", *command, "--rect", "0,1,1,2",
+                   "--nx", nx, "--ny", ny)
+    assert proc.returncode == 1
+    assert any(line.startswith("# error:")
+               for line in proc.stdout.splitlines())
+
+
+def test_term_rf_refuses_a_huge_weight_at_once():
+    # term_rf's polynomial power grows faster than m^2, so it takes m up to
+    # exact.WINDOW_WEIGHT_GUARD alone; 10^10 never returned.
+    proc = _python("-c", "from pelleis import term_rf\n"
+                         "try:\n"
+                         "    term_rf(1, 10**10)\n"
+                         "except ValueError as exc:\n"
+                         "    print(f'term_rf refused: {exc}')\n"
+                         "else:\n"
+                         "    raise SystemExit("
+                         "'term_rf(1, 10**10) returned')\n")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("term_rf refused: ")

@@ -990,11 +990,9 @@ def test_search_makes_few_tail_checks():
             assert calls["tail_bound"] / calls["eval_series"] <= 1.5, m
 
 
-def test_fold_matches_per_term_reference_on_lattices():
-    # The kernel adds each side's terms in one pass of _add_terms;
-    # scan_extend adds term_value's, level by level.  Seeded lattices shaped
-    # like the grid CLI's, some straddling the real axis, at each weight
-    # 2..8.
+def _seeded_lattice_points():
+    """(z, m) on seeded lattices shaped like the grid CLI's, some
+    straddling the real axis, at each weight 2..8."""
     rng = random.Random(20261019)
     for m in range(2, 9):
         for _ in range(2):
@@ -1004,22 +1002,86 @@ def test_fold_matches_per_term_reference_on_lattices():
                              rng.uniform(0.05, 3.5 - h)))
             region = Rect(x0, y0, x0 + w, y0 + h)
             for z in region.cell_centers(6, 6):
-                _search_matches_scan(z, m, [(1e-12, 200), (1e-15, 200)])
+                yield z, m
 
 
-def test_fold_matches_per_term_reference_near_poles():
-    # 1e-7 to 1e-3 from a pole p_j, at weights up to 64: the terms at the
-    # edge of the guard, and powers that overflow.
+def _seeded_near_pole_points():
+    """300 seeded (z, m), z 1e-7 to 1e-3 from a pole p_j, at weights up to
+    64: the terms at the edge of the guard, and powers that overflow."""
     rng = random.Random(20261020)
-    started = 0
     for _ in range(300):
         r = 10 ** rng.uniform(-7, -3)
         angle = rng.uniform(0, 2 * math.pi)
         z = float_pole(rng.randint(-8, 8)) + complex(r * math.cos(angle),
                                                    r * math.sin(angle))
-        m = rng.choice((2, 3, 4, 6, 8, 16, 32, 64, rng.randint(2, 64)))
-        started += _search_matches_scan(z, m, [(1e-12, 200), (1e-20, 200)])
+        yield z, rng.choice((2, 3, 4, 6, 8, 16, 32, 64, rng.randint(2, 64)))
+
+
+LATTICE_STEPS = [(1e-12, 200), (1e-15, 200)]
+NEAR_POLE_STEPS = [(1e-12, 200), (1e-20, 200)]
+
+
+def test_fold_matches_per_term_reference_on_lattices():
+    # The kernel adds each side's terms in one pass of _add_terms;
+    # scan_extend adds term_value's, level by level.
+    for z, m in _seeded_lattice_points():
+        _search_matches_scan(z, m, LATTICE_STEPS)
+
+
+def test_fold_matches_per_term_reference_near_poles():
+    started = 0
+    for z, m in _seeded_near_pole_points():
+        started += _search_matches_scan(z, m, NEAR_POLE_STEPS)
     assert started == 300
+
+
+def _scan_result(z, m, target_tol, max_half_width):
+    """scan_extend on a fresh series at z, as the EvalResult of
+    eval_series: the parts are the Neumaier sums of each side."""
+    ref = evaluator._Series(z, m)
+    ref._sums = neumaier_state(ref)
+    value = scan_extend(ref, target_tol, max_half_width)
+    sr_m, cr_m, si_m, ci_m, sr_p, cr_p, si_p, ci_p = ref._sums
+    return evaluator.EvalResult(value, complex(sr_m + cr_m, si_m + ci_m),
+                                complex(sr_p + cr_p, si_p + ci_p),
+                                ref.bound, ref.level)
+
+
+def test_eval_series_matches_scan_bit_for_bit():
+    # eval_series sums without a series object.  On the seeded lattices and
+    # near-pole points, each tolerance evaluated afresh gives what the
+    # window-by-window reference gives on a fresh series: value, parts,
+    # bound and window to the bit, or the same error at the same index.  A
+    # cap of 4 makes some windows miss the tolerance.
+    cases = [(z, m, LATTICE_STEPS) for z, m in _seeded_lattice_points()]
+    cases += [(z, m, NEAR_POLE_STEPS) for z, m in _seeded_near_pole_points()]
+    errors = set()
+    for z, m, steps in cases:
+        for tol, max_hw in (*steps, (1e-12, 4)):
+            chosen = EvalSettings(tol, max_hw)
+            got = _outcome(lambda: eval_series(z, m, chosen))
+            want = _outcome(lambda: _scan_result(z, m, tol, max_hw))
+            assert repr(got) == repr(want), (z, m, tol, max_hw)
+            if not isinstance(got, evaluator.EvalResult):
+                errors.add(got[0])
+    assert errors == {PoleProximity, DidNotConverge}
+
+
+def test_eval_series_builds_no_series(monkeypatch):
+    def refused(*args):
+        raise AssertionError("eval_series built a _Series")
+
+    points = ((1 + 1j, 2), (0.5 + 0.5j, 8), (5.0, 2),
+              (complex(SILVER_RATIO + 2e-3, 0), 2))
+    want = [_scan_result(z, m, 1e-12, 200) for z, m in points]
+    monkeypatch.setattr(evaluator, "_Series", refused)
+    assert [eval_series(z, m) for z, m in points] == want
+    # Regular cells and poles alike.
+    outcomes = {type(r) for _, r in eval_grid(Rect(-1.5, -0.5, 1.5, 0.5),
+                                               3, 1, 2)}
+    assert outcomes == {evaluator.EvalResult, PoleProximity}
+    with pytest.raises(DidNotConverge):
+        eval_series(SILVER_RATIO, 2)
 
 
 def test_fold_matches_per_term_reference_past_double_range(monkeypatch):
@@ -1111,6 +1173,66 @@ def test_kernel_adds_each_term_once(monkeypatch):
         passes.clear()
         series.extend(1e-6, 200)
         assert passes == []
+
+
+WEIGHTS = (*range(2, 65), 1023, 1024, 1074, 1075, MAX_WEIGHT)
+
+
+def test_weight_constants_equal_the_inline_expressions():
+    # The factors tail_bound and _stopping_window take from the cache are
+    # the bits of the expressions they computed on every call; 2^-m is the
+    # smallest subnormal at m = 1074 and zero from 1075 on, where
+    # tail_bound halves each base instead.
+    for m in WEIGHTS:
+        geo = 2.0 ** (-m) / (1.0 - 2.0 ** (-m))
+        half = 1.0
+        if geo == 0.0:
+            geo, half = 1.0, 0.5
+        inline = (geo, half, m * evaluator._LOG_TWO,
+                  math.log1p(-(2.0 ** -m)), m * evaluator._LOG_SILVER,
+                  2.0 ** min(m, 1023) * evaluator._FALL_SLACK)
+        assert repr(evaluator._weight_constants(m)) == repr(inline), m
+    assert evaluator._weight_constants(1074)[:2] == (5e-324, 1.0)
+    assert evaluator._weight_constants(1075)[:2] == (1.0, 0.5)
+
+
+# sha256 of the tail bounds, stopping windows and probed windows of
+# _weight_outcomes as computed with every weight factor inline, per call.
+_WEIGHT_OUTCOMES = (
+    "119118fb07ed8b7d6f20cdbc1dc23bf10d93bfa7e734b8ddad7a3d15b3c0dc22")
+
+
+def test_bounds_and_searches_are_pinned_at_every_weight(monkeypatch):
+    points = (3j, 1 + 1j, -2 + 0.5j, 0.3 - 4j, 5.0 + 0j, 0.5 + 1e-3j,
+              float_pole(3) + 1e-5j, float_pole(-4) + 1e-6,
+              SILVER_RATIO + 1e-4j, SILVER_CONJUGATE - 2e-4 + 1e-5j)
+    out, probes = [], []
+
+    def recording_tail_bound(j, z, m):
+        probes.append(j)
+        return tail_bound(j, z, m)
+
+    monkeypatch.setattr(evaluator, "tail_bound", recording_tail_bound)
+    for m in WEIGHTS:
+        for z in points:
+            d_minus, d_plus = evaluator._limit_distances(z)
+            for j in (2, 3, 5, 8, 13, 40, 200, 900):
+                out.append(repr(tail_bound(j, z, m)))
+            for tol in (1e-3, 1e-12, 1e-40, 2e-300):
+                for lo, max_hw in ((2, 200), (2, 12), (7, 60)):
+                    probes.clear()
+                    found = evaluator._stopping_window(
+                        z, m, lo, tol, max_hw, d_minus, d_plus)
+                    out.append(repr((found, probes)))
+    digest = hashlib.sha256("\n".join(out).encode()).hexdigest()
+    assert digest == _WEIGHT_OUTCOMES
+
+
+def test_weight_constants_cache_stays_bounded():
+    for m in range(2, 1002):
+        tail_bound(3, 1j, m)
+    info = evaluator._weight_constants.cache_info()
+    assert info.maxsize == 64 and info.currsize <= 64
 
 
 def _huge_points():
