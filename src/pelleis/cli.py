@@ -8,10 +8,11 @@ line written is a trailing "# error:" comment.  parse_args reads argv in
 one pass over COMMANDS, the table of each subcommand's options.
 
 Each subcommand loads only the modules it runs: verify_grid (verify),
-verify_identity_exact (the exact engine), poles_in_rect and DEFAULT_J_CAP
-(analysis) are bound here on first use by the module __getattr__.  Commands
-call them as attributes of this module, so a wrapper set on, say,
-pelleis.cli.verify_grid, before or after first use, is the one that runs.
+verify_identity_exact and coefficient_texts (the exact engine),
+poles_in_rect and DEFAULT_J_CAP (analysis) are bound here on first use by
+the module __getattr__.  Commands call them as attributes of this module,
+so a wrapper set on, say, pelleis.cli.verify_grid, before or after first
+use, is the one that runs.
 grid, eval, seq and prove load no analysis, verify no exact engine.
 """
 
@@ -38,7 +39,8 @@ DEFAULT_GRID_N = 12
 # The names bound here on first use, each with the submodule that defines
 # it; the package's __getattr__ imports the submodule.
 _DEFERRED = {"verify_grid": "verify", "verify_identity_exact": "exact",
-             "poles_in_rect": "analysis", "DEFAULT_J_CAP": "analysis"}
+             "coefficient_texts": "exact", "poles_in_rect": "analysis",
+             "DEFAULT_J_CAP": "analysis"}
 
 
 def __getattr__(name: str):
@@ -172,9 +174,9 @@ def _cmd_verify(args) -> int:
 
 def _coeff_lines(name: str, rf) -> list[str]:
     """The report lines of rf's coefficients; the zero polynomial is "0"."""
-    return [f"{name} {part} coefficients: "
-            + (" ".join(str(c) for c in poly.coeffs) or "0")
-            for part, poly in (("numerator", rf.num), ("denominator", rf.den))]
+    num, den = sys.modules[__name__].coefficient_texts(rf)
+    return [f"{name} numerator coefficients: {num}",
+            f"{name} denominator coefficients: {den}"]
 
 
 def _cmd_prove(args) -> int:

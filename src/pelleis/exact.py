@@ -4,9 +4,10 @@ Polynomials and rational functions carry Fraction coefficients, and
 equality means coefficient-by-coefficient equality of canonical forms:
 numerator and denominator coprime, denominator monic.  The canonical form
 is computed over the integers (fraction-free): both parts are cleared by
-one common integer, divided exactly by their primitive gcd, which by
-Gauss's lemma leaves integer quotients, and converted to Fractions once,
-when the denominator is made monic.  The gcd is found modulo the prime
+one common integer and divided exactly by their primitive gcd, which by
+Gauss's lemma leaves integer quotients.  They are kept as integers; the
+Fractions over the monic denominator are built when first read, and the
+prover and the CLI never read them.  The gcd is found modulo the prime
 2^61 - 1 and checked by exact division; only where that one prime does
 not decide it does the primitive remainder sequence run.  That gcd serves
 the general constructor alone: the prover's sums have denominators that
@@ -362,11 +363,13 @@ class RationalFunction:
 
     Canonical means numerator and denominator coprime and the denominator
     monic, so __eq__ is plain coefficient comparison.  num and den may be
-    Polynomials, ints or Fractions; the form is computed over Z and stored
-    with Fraction coefficients.  Arithmetic takes rational functions only.
+    Polynomials, ints or Fractions; the form is computed over Z and kept as
+    coprime integer parts (_store), which is_zero and coefficient_texts read;
+    num and den, with Fraction coefficients over the monic denominator, are
+    built on first read.  Arithmetic takes rational functions only.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_parts")
 
     def __init__(self, num, den=None):
         num, den = _cleared(num, 1 if den is None else den)
@@ -380,13 +383,21 @@ class RationalFunction:
         self._store(num, den)
 
     def _store(self, num: list[int], den: list[int]) -> None:
-        """Store coprime integer parts with the denominator made monic."""
-        if not any(num):
-            self.num, self.den = Polynomial(), Polynomial((1,))
-            return
+        """Keep coprime integer parts; the zero function is [] over [1]."""
+        while num and not num[-1]:
+            num.pop()
+        self._parts = (num, den) if num else ([], [1])
+
+    def __getattr__(self, name: str):
+        # Reached only while a slot is empty: num and den are built from
+        # the integer parts, over the denominator made monic, on first read.
+        if name not in ("num", "den"):
+            raise AttributeError(name)
+        num, den = self._parts
         lead = den[-1]
         self.num = Polynomial([Fraction(c, lead) for c in num])
         self.den = Polynomial([Fraction(c, lead) for c in den])
+        return getattr(self, name)
 
     @classmethod
     def zero(cls) -> "RationalFunction":
@@ -394,7 +405,7 @@ class RationalFunction:
 
     @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return not self._parts[0]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFunction):
@@ -444,6 +455,20 @@ class RationalFunction:
     def __repr__(self):
         return (f"RationalFunction({list(self.num.coeffs)!r}, "
                 f"{list(self.den.coeffs)!r})")
+
+
+def coefficient_texts(rf: RationalFunction) -> tuple[str, str]:
+    """rf's numerator and denominator coefficients, space separated, each
+    as str(Fraction(c, lead)) writes it (n/d in lowest terms, d > 0, or n
+    for d = 1), lead the leading coefficient of the integer denominator;
+    read off the integer parts, with no Fraction built.  Zero is "0"."""
+    num, den = rf._parts
+    lead = den[-1]
+
+    def text(c: int) -> str:
+        g = math.gcd(c, lead) if lead > 0 else -math.gcd(c, lead)
+        return str(c // g) if g == lead else f"{c // g}/{lead // g}"
+    return " ".join(map(text, num)) or "0", " ".join(map(text, den))
 
 
 def term_rf(j: int, m: int) -> RationalFunction:

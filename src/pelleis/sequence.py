@@ -113,7 +113,7 @@ def pell_lucas(n: int) -> int:
 def pell_lucas_range(lo: int, hi: int) -> list[int]:
     """[Q_lo, ..., Q_hi] inclusive; raises InvalidRange if lo > hi.
 
-    Both ends are checked against INDEX_CAP before the table grows."""
+    Both ends are checked against INDEX_CAP before the table grows, once."""
     require_int("index", lo)
     require_int("index", hi)
     if lo > hi:
@@ -122,7 +122,9 @@ def pell_lucas_range(lo: int, hi: int) -> list[int]:
     for n in (lo, hi):
         if abs(n) > INDEX_CAP:
             raise IndexCapExceeded(n, INDEX_CAP)
-    return [pell_lucas(n) for n in range(lo, hi + 1)]
+    pell_lucas(max(-lo, hi))   # grows the table to the larger |n|
+    return ([-_Q[-n] if n & 1 else _Q[-n] for n in range(lo, min(hi + 1, 0))]
+            + _Q[max(lo, 0):max(hi + 1, 0)])
 
 
 def pole_ratio(j: int) -> Fraction:

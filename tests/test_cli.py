@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from argparse_reference import reference_parse
 from pelleis import (EquationId, EvalSettings, GridSummary, InvalidRegion,
-                     Rect, ResidualReport, cli, eval_grid, eval_series,
+                     Rect, ResidualReport, cli, eval_grid, eval_series, exact,
                      verify_grid)
 from pelleis.geometry import MAX_CELLS
 
@@ -492,6 +492,39 @@ def test_prove_window_validation(capsys):
                         "--window", "1", "--k", "1")
     assert code == 1
     assert "# error:" in out
+
+
+_GUARDED_PROOFS = [("prove", "--eq", eq.value, "--window", str(J),
+                    "--k", str(k))
+                   for eq in EquationId for J in range(2, 9)
+                   for k in (1, 2, 3)]
+
+
+def test_prove_builds_no_fraction_and_no_polynomial(capsys, monkeypatch):
+    # The prover sums and prints integer parts alone: with Fraction and
+    # Polynomial refused inside the exact engine, every report of the
+    # guarded range prints the same bytes.
+    want = [run_cli(capsys, *argv) for argv in _GUARDED_PROOFS]
+    assert {code for code, _ in want} == {0}
+
+    def refused(*args, **kwargs):
+        raise AssertionError("prove built a Fraction or a Polynomial")
+
+    monkeypatch.setattr(exact, "Fraction", refused)
+    monkeypatch.setattr(exact, "Polynomial", refused)
+    assert [run_cli(capsys, *argv) for argv in _GUARDED_PROOFS] == want
+
+
+def test_largest_exact_proofs_are_pinned():
+    # J=8, k=3 takes milliseconds termwise and minutes by canonicalising the
+    # whole window sum, so a return to that path fails here, by the time-out
+    # of each run.  The four reports together must also stay byte-identical.
+    out = "".join(
+        _python("-m", "pelleis", "prove", "--eq", eq.value, "--window", "8",
+                "--k", "3").stdout for eq in EquationId)
+    digest = hashlib.sha256((out.rstrip("\n") + "\n").encode()).hexdigest()
+    assert digest == ("9318fa1fdd4f5a33d955123ce9d70122118eed7a"
+                      "22ce44b6e3eb4e76c2b0d573")
 
 
 # -------------------------------------------------------------------- generic

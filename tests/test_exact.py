@@ -789,3 +789,62 @@ def test_reports_equal_fraction_reference(monkeypatch, equation):
     monkeypatch.setattr(exact, "_tally_sum", reference.tally_sum)
     want = [verify_identity_exact(equation, J, k) for J, k in cases]
     assert [repr(r) for r in got] == [repr(r) for r in want]
+
+
+def test_report_parts_are_fractions_built_once():
+    # The prover keeps integer parts; num and den are built on first read,
+    # Fraction Polynomials over a monic denominator, and kept.
+    for equation in EquationId:
+        report = verify_identity_exact(equation, 4, 2)
+        for rf in (report.residual, *report.boundary_terms, report.defect):
+            assert rf.num is rf.num and rf.den is rf.den
+            assert all(type(c) is Fraction
+                       for c in rf.num.coeffs + rf.den.coeffs)
+            assert rf.den.leading == 1
+
+
+# ------------------------------------------------------ coefficient texts
+
+def _stored(num, den):
+    """The rational function with integer parts num over den, as the prover
+    stores them."""
+    rf = RationalFunction.__new__(RationalFunction)
+    rf._store(list(num), list(den))
+    return rf
+
+
+_TEXT_INTS = st.one_of(st.just(0), st.integers(-50, 50),
+                       st.integers(-2**300, 2**300))
+_LEADS = st.one_of(st.sampled_from((1, -1)), _TEXT_INTS).filter(bool)
+
+
+@given(st.lists(_TEXT_INTS, max_size=4), _LEADS,
+       st.lists(_TEXT_INTS, max_size=4), _LEADS)
+@example([], 1, [], -1)
+@example([0, 2**300], 3, [-(2**300), 0], -(2**300))
+@settings(max_examples=300)
+def test_coefficient_texts_equal_fraction_str(num, top, den, lead):
+    # Every coefficient c of either part reads as str(Fraction(c, lead)),
+    # lead the leading coefficient of the integer denominator: zero
+    # numerators, leads of +-1, negative leads and 300-bit values.
+    want = tuple(" ".join(str(Fraction(c, lead)) for c in part)
+                 for part in (num + [top], den + [lead]))
+    assert exact.coefficient_texts(_stored(num + [top], den + [lead])) == want
+
+
+def test_coefficient_texts_of_the_zero_function():
+    # "0" over "1", however the zero numerator came about.
+    for rf in (RationalFunction.zero(), _stored([], [5]),
+               _stored([0, 0], [3, -7]), RationalFunction(X - X, X + 2)):
+        assert exact.coefficient_texts(rf) == ("0", "1")
+
+
+@given(_planted_quotients())
+@settings(max_examples=100)
+def test_coefficient_texts_equal_the_fraction_parts(parts):
+    # The texts read off the integer parts are those of the Fraction parts
+    # built on first read.
+    got = RationalFunction(*parts)
+    assert exact.coefficient_texts(got) == tuple(
+        " ".join(str(c) for c in poly.coeffs) or "0"
+        for poly in (got.num, got.den))

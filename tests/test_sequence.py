@@ -1,9 +1,11 @@
 """Integer sequence: exact values, recurrences, symmetry, caps, concurrency."""
 
 import math
+import subprocess
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -73,6 +75,25 @@ def test_pole_ratio_defining_equation():
 def test_range_inclusive():
     assert pell_lucas_range(-3, 4) == [-14, 6, -2, 2, 2, 6, 14, 34]
     assert pell_lucas_range(5, 5) == [82]
+
+
+def test_range_grows_the_table_once_and_reads_it(monkeypatch):
+    # One checked read grows the table to the larger |n|, on either side of
+    # 0; the values then come off the table in one pass.
+    reads = []
+
+    def counted(n):
+        reads.append(n)
+        return pell_lucas(n)
+
+    monkeypatch.setattr(sequence, "pell_lucas", counted)
+    for lo, hi in ((-9, -4), (-4, -4), (-6, 0), (-3, 7), (0, 0), (2, 5)):
+        monkeypatch.setattr(sequence, "_Q", [2, 2])
+        reads.clear()
+        assert pell_lucas_range(lo, hi) == [q_int(n)
+                                            for n in range(lo, hi + 1)]
+        assert len(reads) == 1
+        assert len(sequence._Q) == max(abs(lo), abs(hi), 1) + 1
 
 
 def test_range_rejects_reversed_bounds():
@@ -319,3 +340,32 @@ def test_float_rows_concurrent_growth(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert mismatches == []
+
+
+def test_widest_tail_bound_stays_small_in_memory():
+    # The float layers read one bounded table, whose levels reach Q_n for
+    # |n| <= 806 alone; past it every hull and row is a constant.  The
+    # widest tail bound therefore reads no big integer and peaks near 16 MB
+    # in a fresh interpreter; a return to hulls built from Q at the index
+    # cap (837 MB for this call, 1665 MB storing both signs) fails here.
+    # The peak is the interpreter's own, VmHWM in KiB on Linux: ru_maxrss
+    # keeps the peak of the process that launched it, here the test runner,
+    # across exec.  Elsewhere ru_maxrss is read (bytes on macOS).
+    src = Path(sequence.__file__).resolve().parents[1]
+    code = f"""import os, resource, sys
+sys.path.insert(0, {str(src)!r})
+from pelleis import tail_bound
+tail_bound(99_997, 1j, 2)
+if os.path.exists("/proc/self/status"):
+    with open("/proc/self/status") as status:
+        kib = next(int(line.split()[1]) for line in status
+                   if line.startswith("VmHWM:"))
+else:
+    kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    kib /= 1024 if sys.platform == "darwin" else 1
+print(kib / 1024)
+"""
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    assert float(proc.stdout) < 100
