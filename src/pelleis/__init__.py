@@ -42,9 +42,10 @@ _DEFERRED = {
     "accumulation_points": "analysis", "classify": "analysis",
     "poles_in_rect": "analysis", "analysis": "analysis",
     "EquationId": "equations", "equations": "equations",
-    "ExactIdentityReport": "exact", "Polynomial": "exact",
-    "RationalFunction": "exact", "substitute": "exact", "term_rf": "exact",
-    "verify_identity_exact": "exact", "window_sum": "exact", "exact": "exact",
+    "ExactIdentityReport": "exact", "RationalFunction": "exact",
+    "verify_identity_exact": "exact", "exact": "exact",
+    "Polynomial": "exact_reference", "substitute": "exact_reference",
+    "term_rf": "exact_reference", "window_sum": "exact_reference",
     "GridSummary": "verify", "ResidualReport": "verify", "residual": "verify",
     "verify_grid": "verify", "verify": "verify",
 }

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numbers
 import sys
 from collections import namedtuple
 from collections.abc import Iterator
@@ -21,8 +20,10 @@ class Rect(namedtuple("Rect", "x0 y0 x1 y1")):
 
     def __new__(cls, x0, y0, x1, y1):
         corners = (x0, y0, x1, y1)
-        if not all(isinstance(c, numbers.Real) for c in corners):
-            raise InvalidRegion(f"non-real corner in {shown(corners)}")
+        if not all(type(c) is float or type(c) is int for c in corners):
+            import numbers  # only for a corner not a plain float or int
+            if not all(isinstance(c, numbers.Real) for c in corners):
+                raise InvalidRegion(f"non-real corner in {shown(corners)}")
         # Compared, not converted to float, so that an int beyond double
         # range is refused as well.
         if not all(-_MAX_FLOAT <= c <= _MAX_FLOAT for c in corners):

@@ -1,7 +1,8 @@
 """The public signatures carry no knob that only ever takes one value;
 importing the package loads neither dataclasses nor inspect, and loads the
-exact engine, verify, analysis and fractions only on first use; each CLI
-subcommand loads only the modules it runs."""
+exact engine, verify, analysis, fractions and numbers only on first use;
+each CLI subcommand loads only the modules it runs, and a proof loads no
+fractions."""
 
 import inspect
 import subprocess
@@ -17,6 +18,7 @@ from pelleis import (EvalSettings, classify, eval_grid, eval_series,
                      evaluator, pell_lucas, pell_lucas_range, pole_ratio,
                      residual, term_value, verify_grid, verify_identity_exact,
                      window_sum)
+from test_cli import _GUARDED_PROOFS
 
 FIXED = {"pole_guard", "k_cap", "pole_tol", "accum_tol", "j_cap",
          "degree_cap", "table", "trace", "index_cap"}
@@ -57,7 +59,7 @@ def test_import_loads_neither_dataclasses_nor_inspect():
 
 # Modules the numeric path never needs; importing them took about half of
 # a fresh `import pelleis`.
-DEFERRED = ("fractions", "decimal", "enum", "pelleis.analysis",
+DEFERRED = ("fractions", "decimal", "numbers", "enum", "pelleis.analysis",
             "pelleis.equations", "pelleis.exact", "pelleis.verify",
             "pelleis.cli")
 SUBMODULES = ("analysis", "equations", "exact", "verify")
@@ -104,6 +106,8 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         pelleis.no_such_name
     assert not hasattr(pelleis, "cli_main")
+    with pytest.raises(AttributeError, match="no attribute 'Fraction'"):
+        pelleis.exact.Fraction
     with pytest.raises(ImportError):
         exec("from pelleis import no_such_name", {})
 
@@ -137,8 +141,10 @@ def test_pole_ratio_matches_an_independent_recurrence():
 
 
 # What each CLI subcommand must not load: grid needs neither the exact
-# engine, verify nor analysis, verify no exact engine, prove neither verify
-# nor analysis, and none argparse (with the gettext and locale it loads).
+# engine, verify nor analysis, verify no exact engine, prove neither verify,
+# analysis nor fractions, and none argparse (with the gettext and locale it
+# loads) or numbers (Rect needs it only for a corner that is not a plain
+# float or int).
 CLI_ARGV = {
     "grid": ["grid", "--rect", "-1,0.5,1,1.5", "--nx", "4", "--ny", "4",
              "--weight", "2"],
@@ -149,9 +155,11 @@ CLI_ARGV = {
 _NO_ARGPARSE = ("argparse", "gettext", "locale")
 CLI_UNLOADED = {
     "grid": ("pelleis.exact", "pelleis.verify", "pelleis.analysis",
-             "fractions", "decimal", *_NO_ARGPARSE),
-    "verify": ("pelleis.exact", "fractions", "decimal", *_NO_ARGPARSE),
-    "prove": ("pelleis.verify", "pelleis.analysis", *_NO_ARGPARSE),
+             "fractions", "decimal", "numbers", *_NO_ARGPARSE),
+    "verify": ("pelleis.exact", "fractions", "decimal", "numbers",
+               *_NO_ARGPARSE),
+    "prove": ("pelleis.verify", "pelleis.analysis", "fractions", "decimal",
+              "numbers", *_NO_ARGPARSE),
 }
 
 
@@ -164,6 +172,20 @@ def test_cli_command_loads_only_what_it_runs(command):
                  "print(code, sorted("
                  f"set({CLI_UNLOADED[command]!r}) & set(sys.modules)))\n")
     assert out == "0 []\n"
+
+
+def test_guarded_proofs_load_no_fractions():
+    # Every proof the guards allow sums and prints integer parts alone, so
+    # none loads fractions, nor the reference algebra that imports it.
+    out = _fresh("import contextlib, io\n"
+                 "import pelleis.cli\n"
+                 f"argvs = {_GUARDED_PROOFS!r}\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "    codes = {pelleis.cli.run(list(a)) for a in argvs}\n"
+                 "print(len(argvs), codes, sorted("
+                 "{'fractions', 'pelleis.exact_reference'} "
+                 "& set(sys.modules)))\n")
+    assert out == "84 {0} []\n"
 
 
 def test_cli_calls_a_wrapper_set_before_first_use():

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from argparse_reference import reference_parse
 from pelleis import (EquationId, EvalSettings, GridSummary, InvalidRegion,
-                     Rect, ResidualReport, cli, eval_grid, eval_series, exact,
-                     verify_grid)
+                     Rect, ResidualReport, cli, eval_grid, eval_series,
+                     exact_reference, verify_grid)
 from pelleis.geometry import MAX_CELLS
 
 SEQ_0_4 = "n,Q_n\n0,2\n1,2\n2,6\n3,14\n4,34\n"
@@ -502,16 +502,17 @@ _GUARDED_PROOFS = [("prove", "--eq", eq.value, "--window", str(J),
 
 def test_prove_builds_no_fraction_and_no_polynomial(capsys, monkeypatch):
     # The prover sums and prints integer parts alone: with Fraction and
-    # Polynomial refused inside the exact engine, every report of the
-    # guarded range prints the same bytes.
+    # Polynomial refused where the exact engine looks them up, in
+    # exact_reference, every report of the guarded range prints the same
+    # bytes.
     want = [run_cli(capsys, *argv) for argv in _GUARDED_PROOFS]
     assert {code for code, _ in want} == {0}
 
     def refused(*args, **kwargs):
         raise AssertionError("prove built a Fraction or a Polynomial")
 
-    monkeypatch.setattr(exact, "Fraction", refused)
-    monkeypatch.setattr(exact, "Polynomial", refused)
+    monkeypatch.setattr(exact_reference, "Fraction", refused)
+    monkeypatch.setattr(exact_reference, "Polynomial", refused)
     assert [run_cli(capsys, *argv) for argv in _GUARDED_PROOFS] == want
 
 

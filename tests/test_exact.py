@@ -14,7 +14,7 @@ import fraction_reference as reference
 
 from pelleis import (EquationId, Polynomial, RationalFunction, pell_lucas,
                      substitute, term_rf, verify_identity_exact, window_sum)
-from pelleis import equations, exact
+from pelleis import equations, exact, exact_reference
 from pelleis.exact import ExactIdentityReport, poly_gcd
 
 X = Polynomial((0, 1))
@@ -505,12 +505,13 @@ def test_wrong_row_is_nonzero(monkeypatch, equation, field, wrong,
 
 def test_prover_finds_no_gcd(monkeypatch):
     # Every report of the guarded range, and every wrong row, is built
-    # with its canonical form read off the tally: no gcd runs.
+    # with its canonical form read off the tally: no gcd runs.  The gcds
+    # are refused where the engine looks them up, in exact_reference.
     def forbidden(*args):
         raise AssertionError("the prover ran a gcd")
 
-    monkeypatch.setattr(exact, "_gcd_mod_p", forbidden)
-    monkeypatch.setattr(exact, "_int_gcd", forbidden)
+    monkeypatch.setattr(exact_reference, "_gcd_mod_p", forbidden)
+    monkeypatch.setattr(exact_reference, "_int_gcd", forbidden)
     for equation in EquationId:
         for J in range(2, 9):
             for k in (1, 2, 3):
