@@ -52,11 +52,9 @@ from .sequence import pell_lucas_range
 WINDOW_HALF_WIDTH_GUARD = 8
 WINDOW_WEIGHT_GUARD = 6
 
-# The names exact_reference defines that resolve here on first use.
+# The public names of exact_reference, which resolve here on first use.
 _REFERENCE = frozenset((
-    "Polynomial", "poly_gcd", "term_rf", "window_sum", "substitute",
-    "_as_poly", "_cleared", "_primitive", "_int_rem", "_int_gcd", "_PRIME",
-    "_LIFT_BOUND", "_lift", "_gcd_mod_p"))
+    "Polynomial", "poly_gcd", "term_rf", "window_sum", "substitute"))
 
 
 def __getattr__(name: str):

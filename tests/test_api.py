@@ -106,8 +106,9 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         pelleis.no_such_name
     assert not hasattr(pelleis, "cli_main")
-    with pytest.raises(AttributeError, match="no attribute 'Fraction'"):
-        pelleis.exact.Fraction
+    for name in ("Fraction", "_gcd_mod_p"):
+        with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
+            getattr(pelleis.exact, name)
     with pytest.raises(ImportError):
         exec("from pelleis import no_such_name", {})
 

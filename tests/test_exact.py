@@ -16,6 +16,7 @@ from pelleis import (EquationId, Polynomial, RationalFunction, pell_lucas,
                      substitute, term_rf, verify_identity_exact, window_sum)
 from pelleis import equations, exact, exact_reference
 from pelleis.exact import ExactIdentityReport, poly_gcd
+from pelleis.exact_reference import _PRIME as _P, _gcd_mod_p, _int_gcd
 
 X = Polynomial((0, 1))
 F = Fraction
@@ -652,7 +653,6 @@ def test_canonical_form_constant_and_negative_denominators():
             bad()
 
 
-_P = exact._PRIME
 _BIG_INTS = st.one_of(_INTS, st.integers(-2**80, 2**80),
                       st.sampled_from((_P, -_P, 2 * _P, _P + 1, _P - 1)))
 
@@ -681,8 +681,8 @@ def _int_poly_pairs(draw):
 def test_gcd_mod_p_agrees_with_int_gcd(pair):
     # The modular gcd is the remainder sequence's, or declines.
     a, b = pair
-    got = exact._gcd_mod_p(a, b)
-    assert got in (None, exact._int_gcd(a, b))
+    got = _gcd_mod_p(a, b)
+    assert got in (None, _int_gcd(a, b))
     if a[-1] % _P == 0 or b[-1] % _P == 0:
         assert got is None
 
@@ -693,16 +693,16 @@ def test_gcd_mod_p_finds_small_gcds_and_declines_the_rest():
     for g in ([1], z2m1, lin, exact._int_mul(z2m1, lin)):
         a = exact._int_mul(g, [7, -2, 5])
         b = exact._int_mul(g, [-4, 0, 0, 9])
-        assert exact._gcd_mod_p(a, b) == exact._int_gcd(a, b) == g
+        assert _gcd_mod_p(a, b) == _int_gcd(a, b) == g
     # z + p and z are coprime over Z, but both are z modulo p; z + 2^70
     # and its square lift to no small fraction; a leading coefficient
     # divisible by p leaves the degree unknown.  The remainder sequence
     # decides each.
-    assert exact._gcd_mod_p([_P, 1], [0, 1]) is None
-    assert exact._int_gcd([_P, 1], [0, 1]) == [1]
+    assert _gcd_mod_p([_P, 1], [0, 1]) is None
+    assert _int_gcd([_P, 1], [0, 1]) == [1]
     big = [2 ** 70, 1]
-    assert exact._gcd_mod_p(big, exact._int_mul(big, big)) is None
-    assert exact._gcd_mod_p([1, 2 * _P], [1, 1]) is None
+    assert _gcd_mod_p(big, exact._int_mul(big, big)) is None
+    assert _gcd_mod_p([1, 2 * _P], [1, 1]) is None
     assert RationalFunction(Polynomial((_P, 1)), X).den == X
 
 

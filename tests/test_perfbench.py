@@ -1,12 +1,14 @@
 """The package as the benchmark harness in perfbench/ sees it: the tracer's
-call sites, and the byte-identical output of the four workloads.
+call sites, the byte-identical output of the four workloads and their
+traced call counts.
 
 perfbench/tests checks the harness itself; these check the package against
 what the harness reads of it, so a change to the package that breaks the
-traced runs or moves one printed digit fails here.
+traced runs, moves one printed digit or a pinned count fails here.
 """
 
 import hashlib
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -79,3 +81,63 @@ def test_workload_output_is_byte_identical(harness, name):
         workload.execute(pelleis, request))).digest()
         for request in workload.requests(1)]
     assert harness.checksum(outputs) == CHECKSUMS[name]
+
+
+def test_traced_counts_of_block_0():
+    # What `perfbench/run.py --trace 1` traces (each workload's warm-up
+    # requests, then seed 1's block 0), in a fresh interpreter so that no
+    # other test's patch or cache shows.  Every count is deterministic.
+    code = ("import json, sys\n"
+            f"sys.path[:0] = [{str(SRC)!r}, {str(BENCH)!r}]\n"
+            "import pelleis, pelleis.cli, tracing, workloads\n"
+            "traced = {}\n"
+            "for name, workload in workloads.WORKLOADS.items():\n"
+            "    for request in workload.warmup:\n"
+            "        workload.execute(pelleis, request)\n"
+            "    tracer = tracing.Tracer()\n"
+            "    execute = tracer.wrap(tracing.ROOT, workload.execute)\n"
+            "    with tracing.instrument(tracer):\n"
+            "        for request in workload.block(1, 0):\n"
+            "            execute(pelleis, request)\n"
+            "    traced[name] = tracing.layer_metrics(tracer,\n"
+            "        tracing.summarize(tracer), workloads.Tally(), 0.0, 0.0)\n"
+            "print(json.dumps(traced))\n")
+    traced = json.loads(subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True,
+        text=True, timeout=120, check=True).stdout)
+    grid, points, verify, prove = (traced[name] for name in (
+        "grid-sweep", "points", "verify-sweep", "prove-windows"))
+
+    # The evaluator searches for its stopping window instead of checking
+    # the tail bound after every window (6.60 checks per evaluation on
+    # grid-sweep), starts the search from a closed-form guess and
+    # certifies a passing window by the proven 2^m fall of the bound
+    # instead of probing the window below it.  A return to the plain
+    # search (2.82 on grid-sweep, 4.12 on points) fails here; they read
+    # 1.272 and 1.209.
+    for metrics in (grid, points):
+        assert metrics["evaluator.tail_checks_per_eval"] <= 1.5
+    # verify-sweep evaluates through the residual path, which makes no
+    # eval_series call, so its tail checks are pinned as a total: 13,009
+    # without the guess and certificate, 4,808 with them, refining each
+    # side on its own series state.
+    assert verify["evaluator.tail_bound.calls"] <= 5000
+    # The summation kernel adds each side's terms in one pass over the
+    # float table (evaluator._add_terms), not one term_value call per
+    # term; the grid-sweep checksum pins the terms summed (terms_used).
+    for metrics in (grid, points, verify):
+        assert metrics["evaluator.term_value.calls"] == 0
+    # classify is counted where verify_grid calls it, once per side of
+    # each point it maps: a grid path that classifies a side twice fails.
+    assert [metrics["analysis.classify.calls"]
+            for metrics in (grid, points, verify)] == [0, 0, 3238]
+    # The prover writes its boundary terms from their closed-form pairs
+    # into the termwise tally, sums it over one integer denominator and
+    # reads the canonical form off its known roots, with no gcd-running
+    # constructor: chained Fraction additions (584 polynomial products),
+    # gcd canonicalisation (112 constructor builds) or substituted
+    # boundary terms fail here.  The substitute count is blind (the tracer
+    # wraps pelleis.exact's name, exact_reference calls its own global),
+    # so substituted terms fail by the products and builds they make.
+    for site in ("substitute", "poly_mul", "rf_new"):
+        assert prove[f"exact.{site}.calls"] == 0
