@@ -75,9 +75,7 @@ def poles_in_rect(region: Rect, j_cap: int = DEFAULT_J_CAP) -> list[Pole]:
     that holds one has about j_cap poles inside it and lists them all.
     """
     require_type("region", region, Rect)
-    require_int("j_cap", j_cap)
-    if j_cap < 0:
-        raise ValueError("j_cap must be nonnegative")
+    require_int("j_cap", j_cap, 0)
     if j_cap > INDEX_CAP - 1:
         raise IndexCapExceeded(j_cap, INDEX_CAP - 1, "j_cap")
     if not region.y0 <= 0 <= region.y1:

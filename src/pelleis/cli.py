@@ -143,20 +143,12 @@ def _cmd_verify(args) -> int:
     equation = EquationId(args.eq)
     summary = sys.modules[__name__].verify_grid(
         equation, rect, args.nx, args.ny, args.k, EvalSettings(args.tol))
-    reprs = {}  # coordinates repeat along grid rows and columns
-
-    def coordinate(v: float) -> str:
-        # A zero is formatted anew: 0.0 == -0.0, but their reprs differ.
-        if not (v and v in reprs):
-            reprs[v] = repr(v)
-        return reprs[v]
-
     lines = [VERIFY_HEADER + "\n"]
     for r in summary.reports:
-        lines.append("%s,%s,%r,%r,%r,%r,%r,%r,%r,%r\n" % (
-            coordinate(r.point.real), coordinate(r.point.imag), r.lhs.real,
-            r.lhs.imag, r.rhs.real, r.rhs.imag, r.abs_residual,
-            r.rel_residual, r.lhs_tail, r.rhs_tail))
+        lines.append("%r,%r,%r,%r,%r,%r,%r,%r,%r,%r\n" % (
+            r.point.real, r.point.imag, r.lhs.real, r.lhs.imag, r.rhs.real,
+            r.rhs.imag, r.abs_residual, r.rel_residual, r.lhs_tail,
+            r.rhs_tail))
     for z, exc in summary.failures:
         lines.append(f"# failed: re={z.real!r} im={z.imag!r} {exc}\n")
     worst = summary.worst_point

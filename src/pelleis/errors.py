@@ -21,12 +21,19 @@ def shown(value, show=repr) -> str:
         return f"<{type(value).__name__} too long to show>"
 
 
-def require_int(name: str, value) -> None:
-    """Refuse anything but an int (a bool is no integer) with a ValueError
-    that names the argument."""
+def require_int(name: str, value, low: int | None = None,
+                high: int | None = None) -> None:
+    """Refuse anything but an int (a bool is no integer), and an int below
+    low or above high where they are given, with a ValueError that names
+    the argument."""
     if value.__class__ is not int and (isinstance(value, bool)
                                        or not isinstance(value, int)):
         raise ValueError(f"{name} must be an integer, got {shown(value)}")
+    if low is not None and value < low:
+        raise ValueError(
+            f"{name} must be an integer >= {low}, got {shown(value)}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be at most {high}, got {shown(value)}")
 
 
 def require_type(name: str, value, cls: type) -> None:

@@ -131,9 +131,7 @@ class EvalSettings(namedtuple("EvalSettings", "target_tol max_half_width")):
         if target_tol < _BOUND_FLOOR:
             raise ValueError(f"target_tol must be at least {_BOUND_FLOOR!r}, "
                              "the floor of tail_bound")
-        # A bool is an int below 4, so it is refused as well.
-        if not isinstance(max_half_width, int) or max_half_width < 4:
-            raise ValueError("max_half_width must be an integer >= 4")
+        require_int("max_half_width", max_half_width, 4)
         return super().__new__(cls, target_tol, max_half_width)
 
     @classmethod
@@ -166,13 +164,8 @@ class EvalResult(namedtuple("EvalResult", "value minus_part plus_part "
 
 
 def _require_weight(m) -> None:
-    if m.__class__ is int and 2 <= m <= MAX_WEIGHT:
-        return
-    if not isinstance(m, int) or isinstance(m, bool) or m < 2:
-        raise ValueError(f"weight must be an integer >= 2, got {shown(m)}")
-    if m > MAX_WEIGHT:
-        raise ValueError(
-            f"weight must be at most {MAX_WEIGHT}, got {shown(m)}")
+    if not (m.__class__ is int and 2 <= m <= MAX_WEIGHT):
+        require_int("weight", m, 2, MAX_WEIGHT)
 
 
 def _modulus(w: complex) -> float:
@@ -322,10 +315,7 @@ def tail_bound(half_width: int, z: complex, m: int) -> float:
             and half_width >= MIN_TAIL_HALF_WIDTH):
         _require_weight(m)
         z = _require_point(z)
-        require_int("half_width", half_width)
-        if half_width < MIN_TAIL_HALF_WIDTH:
-            raise ValueError(
-                f"tail bound needs half_width >= {MIN_TAIL_HALF_WIDTH}")
+        require_int("half_width", half_width, MIN_TAIL_HALF_WIDTH)
     lo_p, hi_p, lo_n, hi_n, q_inv = float_window(half_width)
     # Distances from z to the two hulls.
     x, y = z.real, z.imag

@@ -206,16 +206,6 @@ def coefficient_texts(rf: RationalFunction) -> tuple[str, str]:
     return " ".join(map(text, num)) or "0", " ".join(map(text, den))
 
 
-def _check_window_guard(half_width: int, name: str, weight: int,
-                        cap: int) -> None:
-    """Refuse a window past the guard; name is the caller's weight
-    parameter, weight its value and cap its largest allowed value."""
-    if half_width > WINDOW_HALF_WIDTH_GUARD or weight > cap:
-        raise ValueError(
-            f"window guard: half_width <= {WINDOW_HALF_WIDTH_GUARD} "
-            f"and {name} <= {cap}")
-
-
 class ExactIdentityReport(namedtuple("ExactIdentityReport",
                                      "equation half_width weight residual "
                                      "boundary_terms defect")):
@@ -326,13 +316,8 @@ def verify_identity_exact(equation: EquationId, half_width: int,
     so it equals residual - sum(boundary) coefficient by coefficient.
     """
     require_type("equation", equation, EquationId)
-    require_int("half_width", half_width)
-    require_int("k", k)
-    if half_width < 2:
-        raise ValueError("identity check needs half_width >= 2")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    _check_window_guard(half_width, "k", k, WINDOW_WEIGHT_GUARD // 2)
+    require_int("half_width", half_width, 2, WINDOW_HALF_WIDTH_GUARD)
+    require_int("k", k, 1, WINDOW_WEIGHT_GUARD // 2)
     m = 2 * k
 
     # Right-side term j is z^(s m) (c z + d)^m / (alpha z + beta)^m under

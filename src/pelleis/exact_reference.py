@@ -19,8 +19,8 @@ import math
 from fractions import Fraction
 
 from .errors import require_int
-from .exact import (WINDOW_WEIGHT_GUARD, RationalFunction,
-                    _check_window_guard, _int_exact_div)
+from .exact import (WINDOW_HALF_WIDTH_GUARD, WINDOW_WEIGHT_GUARD,
+                    RationalFunction, _int_exact_div)
 from .sequence import pell_lucas
 
 _ZERO = Fraction(0)
@@ -288,12 +288,14 @@ def _gcd_mod_p(a: list[int], b: list[int]) -> list[int] | None:
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd via a primitive remainder sequence over the integers."""
+    """Monic gcd, from the primitive gcd RationalFunction finds: modulo
+    _PRIME, or by the primitive remainder sequence where that is undecided."""
     if a.is_zero:
         return b.monic()
     if b.is_zero:
         return a.monic()
-    g = _int_gcd(*_cleared(a, b))
+    a, b = _cleared(a, b)
+    g = _gcd_mod_p(a, b) or _int_gcd(a, b)
     return Polynomial([Fraction(c, g[-1]) for c in g])
 
 
@@ -301,11 +303,7 @@ def term_rf(j: int, m: int) -> RationalFunction:
     """The exact term 1/(Q_j z + Q_{j-1})^m as a canonical rational function,
     for 1 <= m <= WINDOW_WEIGHT_GUARD (the power's cost grows faster than
     m^2)."""
-    require_int("m", m)
-    if m < 1:
-        raise ValueError("term power must be at least 1")
-    if m > WINDOW_WEIGHT_GUARD:
-        raise ValueError(f"term power must be at most {WINDOW_WEIGHT_GUARD}")
+    require_int("m", m, 1, WINDOW_WEIGHT_GUARD)
     lin = Polynomial((pell_lucas(j - 1), pell_lucas(j)))
     return RationalFunction(1, lin ** m)
 
@@ -317,11 +315,8 @@ def window_sum(half_width: int, m: int) -> RationalFunction:
     term denominators are pairwise coprime; the window guard keeps that
     degree at most 17 * 6 = 102.
     """
-    require_int("half_width", half_width)
-    require_int("m", m)
-    if half_width < 1 or m < 1:
-        raise ValueError("window needs half_width >= 1 and m >= 1")
-    _check_window_guard(half_width, "m", m, WINDOW_WEIGHT_GUARD)
+    require_int("half_width", half_width, 1, WINDOW_HALF_WIDTH_GUARD)
+    require_int("m", m, 1, WINDOW_WEIGHT_GUARD)
     total = RationalFunction.zero()
     for j in range(-half_width, half_width + 1):
         total = total + term_rf(j, m)

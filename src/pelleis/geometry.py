@@ -48,10 +48,8 @@ class Rect(namedtuple("Rect", "x0 y0 x1 y1")):
     def cell_centers(self, nx: int, ny: int) -> Iterator[complex]:
         """Centers of an nx-by-ny lattice of equal cells, row-major (y outer,
         both coordinates ascending), at most MAX_CELLS of them."""
-        require_int("nx", nx)
-        require_int("ny", ny)
-        if nx < 1 or ny < 1:
-            raise ValueError("grid must have at least one cell per axis")
+        require_int("nx", nx, 1)
+        require_int("ny", ny, 1)
         # Checked before the sides are divided, which overflows for an nx
         # or ny beyond double range.
         if nx * ny > MAX_CELLS:

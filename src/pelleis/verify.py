@@ -9,7 +9,7 @@ from collections import namedtuple
 from .analysis import classify
 from .equations import EquationId
 from .errors import (DidNotConverge, EmptyGrid, PelleisError, ZeroArgument,
-                     require_type, shown)
+                     require_int, require_type)
 from .evaluator import (EvalSettings, _limit_distances, _modulus,
                         _require_point, _require_settings, _Series)
 from .evaluator import eval_series  # unused; perfbench wraps it
@@ -48,13 +48,6 @@ class GridSummary(namedtuple("GridSummary", "equation k reports failures "
         """The first point with the largest relative residual above 0."""
         worst = max(self.reports, key=lambda r: r.rel_residual, default=None)
         return worst.point if worst and worst.rel_residual > 0 else None
-
-
-def _require_k(k) -> None:
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"k must be an integer >= 1, got {shown(k)}")
-    if k > K_CAP:
-        raise ValueError(f"k={shown(k, format)} above cap {K_CAP}")
 
 
 def _pow_int(base: complex, n: int) -> complex:
@@ -103,7 +96,7 @@ def residual(equation: EquationId, z: complex, k: int,
     re-guarded during summation.  verify_grid calls its core, _residual.
     """
     require_type("equation", equation, EquationId)
-    _require_k(k)
+    require_int("k", k, 1, K_CAP)
     z = _require_point(z)
     _limit_distances(z)  # refuses a modulus beyond double range
     settings = _require_settings(settings)
@@ -167,7 +160,7 @@ def verify_grid(equation: EquationId, region: Rect, nx: int, ny: int, k: int,
     """
     require_type("equation", equation, EquationId)
     require_type("region", region, Rect)
-    _require_k(k)
+    require_int("k", k, 1, K_CAP)
     settings = _require_settings(settings)
     sign = equation.row[2]
     reports: list[ResidualReport] = []

@@ -2,7 +2,7 @@
 importing the package loads neither dataclasses nor inspect, and loads the
 exact engine, verify, analysis, fractions and numbers only on first use;
 each CLI subcommand loads only the modules it runs, and a proof loads no
-fractions."""
+fractions; every bounded integer argument is refused in one form."""
 
 import inspect
 import subprocess
@@ -14,9 +14,10 @@ import pytest
 
 import exact_referee
 import pelleis
-from pelleis import (EvalSettings, classify, eval_grid, eval_series,
-                     evaluator, pell_lucas, pell_lucas_range, pole_ratio,
-                     residual, term_value, verify_grid, verify_identity_exact,
+from pelleis import (EquationId, EvalSettings, Rect, classify, eval_grid,
+                     eval_series, evaluator, pell_lucas, pell_lucas_range,
+                     pole_ratio, poles_in_rect, residual, tail_bound,
+                     term_rf, term_value, verify_grid, verify_identity_exact,
                      window_sum)
 from test_cli import _GUARDED_PROOFS
 
@@ -100,6 +101,11 @@ def test_deferred_names_resolve_in_a_fresh_interpreter():
                  "same = pelleis.exact.window_sum is pelleis.window_sum\n"
                  "print(listed, mods, bound, same)\n")
     assert out == "True True True True\n"
+
+
+def test_dir_lists_every_public_name():
+    listed = dir(pelleis)
+    assert set(pelleis.__all__) <= set(listed) and listed == sorted(listed)
 
 
 def test_unknown_name_raises_attribute_error():
@@ -221,3 +227,43 @@ def test_cli_deferred_names_are_their_modules_objects():
     from pelleis import cli
     with pytest.raises(AttributeError, match="no attribute 'classify'"):
         cli.classify
+
+
+_SHIFT, _SQUARE = EquationId.SHIFT, Rect(-1, -1, 1, 1)
+
+# Every bounded integer argument, refused below its lower bound, above its
+# upper bound where it has one, and as a float, in the one form of
+# errors.require_int.
+_INT_REFUSALS = {
+    "weight": (lambda v: eval_series(1j, v), 2, 65536),
+    "tail_bound half_width": (lambda v: tail_bound(v, 1j, 2), 2, None),
+    "max_half_width": (lambda v: EvalSettings(1e-12, v), 4, None),
+    "residual k": (lambda v: residual(_SHIFT, 1j, v), 1, 8),
+    "verify_grid k": (lambda v: verify_grid(_SHIFT, _SQUARE, 2, 2, v), 1, 8),
+    "identity half_width": (
+        lambda v: verify_identity_exact(_SHIFT, v, 1), 2, 8),
+    "identity k": (lambda v: verify_identity_exact(_SHIFT, 2, v), 1, 3),
+    "term_rf m": (lambda v: term_rf(1, v), 1, 6),
+    "window_sum half_width": (lambda v: window_sum(v, 2), 1, 8),
+    "window_sum m": (lambda v: window_sum(1, v), 1, 6),
+    "nx": (lambda v: list(_SQUARE.cell_centers(v, 1)), 1, None),
+    "ny": (lambda v: list(_SQUARE.cell_centers(1, v)), 1, None),
+    "j_cap": (lambda v: poles_in_rect(_SQUARE, v), 0, None),
+}
+
+
+@pytest.mark.parametrize("site, kind", [
+    (site, kind) for site, (_, low, high) in _INT_REFUSALS.items()
+    for kind in ("low", "high", "type") if kind != "high" or high is not None])
+def test_integer_refusals_share_one_form(site, kind):
+    call, low, high = _INT_REFUSALS[site]
+    name = site.split()[-1]
+    if kind == "low":
+        value, message = low - 1, f"{name} must be an integer >= {low}"
+    elif kind == "high":
+        value, message = high + 1, f"{name} must be at most {high}"
+    else:
+        value, message = float(low), f"{name} must be an integer"
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert str(info.value) == f"{message}, got {value!r}"

@@ -599,10 +599,12 @@ def test_eval_nonfinite_sum_is_refused(monkeypatch):
     assert term_value(5, 3j, 2) != 1e308
     _patch_rows(monkeypatch, lambda i: row)
     assert term_value(5, 3j, 2) == term_value(-5, 3j, 2) == 1e308
-    with pytest.raises(DidNotConverge) as info:
-        eval_series(3j, 2)
-    assert info.value.point == 3j
-    assert info.value.tail_bound == math.inf
+    for evaluate in (lambda: eval_series(3j, 2),
+                     lambda: evaluator._Series(3j, 2).extend(1e-12, 100)):
+        with pytest.raises(DidNotConverge) as info:
+            evaluate()
+        assert info.value.point == 3j
+        assert info.value.tail_bound == math.inf
 
 
 def _outcome(fn):

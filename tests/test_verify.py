@@ -87,7 +87,8 @@ def test_k_validation():
     with pytest.raises(ValueError):
         residual(EquationId.REFLECTION, 1j, True)
     # A k too long to print is shown by its size.
-    with pytest.raises(ValueError, match=r"^k=<int of \d+ bits> above cap 8$"):
+    with pytest.raises(ValueError,
+                       match=r"^k must be at most 8, got <int of \d+ bits>$"):
         residual(EquationId.SHIFT, 1j, 10 ** 5000)
     with pytest.raises(ValueError):
         verify_grid(EquationId.REFLECTION, Rect(0, 0, 1, 1), 2, 2, 0)
