@@ -8,9 +8,9 @@ Importing the package loads only the numeric core: errors, evaluator,
 geometry and sequence, which is all that eval_series, eval_grid,
 tail_bound, term_value, Rect, the pell_lucas functions and the error types
 need.  The other public names, and the submodules analysis, equations,
-exact and verify, are imported on first access through the module
-__getattr__ (PEP 562) and then bound here, so each is its defining
-module's own object and later lookups cost nothing.
+exact and verify, are imported on first access and then bound here, so
+each is its defining module's own object.  _first_use builds that module
+__getattr__; the CLI and the exact engine defer their names through it too.
 """
 
 from .errors import (DidNotConverge, EmptyGrid, IndexCapExceeded,
@@ -51,18 +51,29 @@ _DEFERRED = {
 }
 
 
-def __getattr__(name: str):
-    try:
-        module = _DEFERRED[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}") from None
-    from importlib import import_module
-    value = import_module(f"{__name__}.{module}")
-    if name != module:
-        value = getattr(value, name)
-    globals()[name] = value
-    return value
+def _first_use(module_name: str, homes: dict[str, str]):
+    """The module __getattr__ (PEP 562) of module_name for the names of
+    homes: the first access imports the name's home submodule and binds
+    the named object (or, for its own name, the submodule) in the module."""
+    import sys
+    module = sys.modules[module_name]
+
+    def __getattr__(name: str):
+        try:
+            home = homes[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {module_name!r} has no attribute {name!r}") from None
+        from importlib import import_module
+        value = import_module(f"{__name__}.{home}")
+        if name != home:
+            value = getattr(value, name)
+        setattr(module, name, value)
+        return value
+    return __getattr__
+
+
+__getattr__ = _first_use(__name__, _DEFERRED)
 
 
 def __dir__() -> list[str]:

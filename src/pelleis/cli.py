@@ -9,10 +9,10 @@ one pass over COMMANDS, the table of each subcommand's options.
 
 Each subcommand loads only the modules it runs: verify_grid (verify),
 verify_identity_exact and coefficient_texts (the exact engine),
-poles_in_rect and DEFAULT_J_CAP (analysis) are bound here on first use by
-the module __getattr__.  Commands call them as attributes of this module,
-so a wrapper set on, say, pelleis.cli.verify_grid, before or after first
-use, is the one that runs.
+poles_in_rect and DEFAULT_J_CAP (analysis) are bound here on first use,
+through the package's _first_use.  Commands call them as attributes of
+this module, so a wrapper set on, say, pelleis.cli.verify_grid, before or
+after first use, is the one that runs.
 grid, eval, seq and prove load no analysis, verify no exact engine.
 """
 
@@ -21,6 +21,7 @@ from __future__ import annotations
 import sys
 from types import SimpleNamespace
 
+from . import _first_use
 from .equations import EquationId
 from .errors import PelleisError, PoleProximity
 from .evaluator import (DEFAULT_MAX_HALF_WIDTH, DEFAULT_TARGET_TOL,
@@ -36,20 +37,10 @@ VERIFY_HEADER = ("re,im,lhs_re,lhs_im,rhs_re,rhs_im,"
 DEFAULT_RECT = "-3,0.5,3,3.5"
 DEFAULT_GRID_N = 12
 
-# The names bound here on first use, each with the submodule that defines
-# it; the package's __getattr__ imports the submodule.
-_DEFERRED = {"verify_grid": "verify", "verify_identity_exact": "exact",
-             "coefficient_texts": "exact", "poles_in_rect": "analysis",
-             "DEFAULT_J_CAP": "analysis"}
-
-
-def __getattr__(name: str):
-    if name not in _DEFERRED:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(getattr(sys.modules[__package__], _DEFERRED[name]), name)
-    globals()[name] = value
-    return value
+__getattr__ = _first_use(__name__, {
+    "verify_grid": "verify", "verify_identity_exact": "exact",
+    "coefficient_texts": "exact", "poles_in_rect": "analysis",
+    "DEFAULT_J_CAP": "analysis"})
 
 
 # A row of eval and grid, re and im as text; %r of a float is its repr.

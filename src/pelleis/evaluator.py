@@ -72,7 +72,7 @@ make one bound check.
 Every window sum finds its window J first and then adds exactly the
 terms up to J, in one function, _sum_window.  eval_series checks its
 weight and point once (_checked_start) and sums from j = 0, building no
-series object.  verify.residual keeps one resumable _Series per side,
+series object.  verify._residual keeps one resumable _Series per side,
 extends it to each refined tolerance and reads the bounds and windows off
 the series, so a refinement continues the window sum where the previous
 tolerance stopped it, and builds no result.  _sum_window fetches the
@@ -433,7 +433,7 @@ def _sum_window(z: complex, m: int, level: int, sums: tuple,
 
 
 class _Series:
-    """Resumable adaptive summation of S_m(z), for verify.residual.
+    """Resumable adaptive summation of S_m(z), for verify._residual.
 
     Terms are accumulated in two compensated sums in a fixed order, j >= 1
     as +1, +2, ... and j <= 0 as 0, -1, -2, ...  Each is a complex sum s

@@ -34,8 +34,9 @@ function exactly when the identity holds.
 
 Polynomial, poly_gcd and the reference path (window_sum, term_rf,
 substitute) live in exact_reference, the one module that imports fractions.
-They resolve here too, through the module __getattr__ (PEP 562), which
-loads exact_reference on first use, so a proof loads no fractions.
+They resolve here too, bound on first use through the package's
+_first_use, which loads exact_reference then, so a proof loads no
+fractions.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ import math
 from collections import Counter, namedtuple
 from itertools import zip_longest
 
+from . import _first_use
 from .equations import EquationId
 from .errors import require_int, require_type
 from .sequence import pell_lucas  # unused; perfbench wraps it
@@ -52,17 +54,9 @@ from .sequence import pell_lucas_range
 WINDOW_HALF_WIDTH_GUARD = 8
 WINDOW_WEIGHT_GUARD = 6
 
-# The public names of exact_reference, which resolve here on first use.
-_REFERENCE = frozenset((
-    "Polynomial", "poly_gcd", "term_rf", "window_sum", "substitute"))
-
-
-def __getattr__(name: str):
-    if name not in _REFERENCE:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}")
-    from . import exact_reference
-    return getattr(exact_reference, name)
+__getattr__ = _first_use(__name__, dict.fromkeys((
+    "Polynomial", "poly_gcd", "term_rf", "window_sum", "substitute"),
+    "exact_reference"))
 
 
 def _int_exact_div(a: list[int], b: list[int]) -> list[int]:

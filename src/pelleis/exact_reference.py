@@ -102,6 +102,8 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Polynomial":
+        if n.__class__ is not int:
+            return NotImplemented
         if n < 0:
             raise ValueError("negative polynomial power")
         result = Polynomial((1,))
@@ -305,7 +307,7 @@ def term_rf(j: int, m: int) -> RationalFunction:
     m^2)."""
     require_int("m", m, 1, WINDOW_WEIGHT_GUARD)
     lin = Polynomial((pell_lucas(j - 1), pell_lucas(j)))
-    return RationalFunction(1, lin ** m)
+    return RationalFunction(1, lin ** int(m))
 
 
 def window_sum(half_width: int, m: int) -> RationalFunction:

@@ -5,14 +5,13 @@ each CLI subcommand loads only the modules it runs, and a proof loads no
 fractions; every bounded integer argument is refused in one form."""
 
 import inspect
-import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 import exact_referee
+import fresh
 import pelleis
 from pelleis import (EquationId, EvalSettings, Rect, classify, eval_grid,
                      eval_series, evaluator, pell_lucas, pell_lucas_range,
@@ -38,23 +37,13 @@ def test_no_fixed_knob_in_signatures():
         assert not params & FIXED, (fn.__name__, params & FIXED)
 
 
-def _fresh(code: str) -> str:
-    """stdout of code run in a fresh interpreter without site, importing
-    pelleis from this tree."""
-    src = Path(pelleis.__file__).resolve().parents[1]
-    code = f"import sys\nsys.path.insert(0, {str(src)!r})\n{code}"
-    return subprocess.run([sys.executable, "-I", "-S", "-c", code],
-                          capture_output=True, text=True, timeout=60,
-                          check=True).stdout
-
-
 def test_import_loads_neither_dataclasses_nor_inspect():
     # Each CLI run pays for the import, and dataclasses with the inspect it
     # pulls in cost about 16 ms of it.  Which modules load is checked, not
     # how long the import takes, in a fresh interpreter without site.
-    out = _fresh("import pelleis.cli\n"
-                 "print(sorted({'dataclasses', 'inspect'} & "
-                 "set(sys.modules)))\n")
+    out = fresh.run("import pelleis.cli\n"
+                    "print(sorted({'dataclasses', 'inspect'} & "
+                    "set(sys.modules)))\n")
     assert out == "[]\n"
 
 
@@ -67,13 +56,13 @@ SUBMODULES = ("analysis", "equations", "exact", "verify")
 
 
 def test_numeric_path_loads_no_deferred_module():
-    out = _fresh("import pelleis\n"
-                 "pelleis.eval_series(1 + 1j, 2)\n"
-                 "rect = pelleis.Rect.parse('-2,-1,2,1')\n"
-                 "pelleis.eval_grid(rect, 6, 6, 4)\n"
-                 "pelleis.tail_bound(5, 0.5j, 3)\n"
-                 "pelleis.pell_lucas_range(-3, 3)\n"
-                 f"print(sorted(set({DEFERRED!r}) & set(sys.modules)))\n")
+    out = fresh.run("import pelleis\n"
+                    "pelleis.eval_series(1 + 1j, 2)\n"
+                    "rect = pelleis.Rect.parse('-2,-1,2,1')\n"
+                    "pelleis.eval_grid(rect, 6, 6, 4)\n"
+                    "pelleis.tail_bound(5, 0.5j, 3)\n"
+                    "pelleis.pell_lucas_range(-3, 3)\n"
+                    f"print(sorted(set({DEFERRED!r}) & set(sys.modules)))\n")
     assert out == "[]\n"
 
 
@@ -90,16 +79,17 @@ def test_every_public_name_is_its_defining_modules_object():
 def test_deferred_names_resolve_in_a_fresh_interpreter():
     # Star import, dir and the submodule attributes, each before anything
     # has resolved a deferred name.
-    out = _fresh("import pelleis\n"
-                 "listed = set(pelleis.__all__) <= set(dir(pelleis))\n"
-                 "mods = all(getattr(pelleis, n).__name__ == 'pelleis.' + n\n"
-                 f"           for n in {SUBMODULES!r})\n"
-                 "names = {}\n"
-                 "exec('from pelleis import *', names)\n"
-                 "bound = all(names[n] is getattr(pelleis, n)\n"
-                 "            for n in pelleis.__all__)\n"
-                 "same = pelleis.exact.window_sum is pelleis.window_sum\n"
-                 "print(listed, mods, bound, same)\n")
+    out = fresh.run("import pelleis\n"
+                    "listed = set(pelleis.__all__) <= set(dir(pelleis))\n"
+                    "mods = all(getattr(pelleis, n).__name__\n"
+                    "           == 'pelleis.' + n\n"
+                    f"           for n in {SUBMODULES!r})\n"
+                    "names = {}\n"
+                    "exec('from pelleis import *', names)\n"
+                    "bound = all(names[n] is getattr(pelleis, n)\n"
+                    "            for n in pelleis.__all__)\n"
+                    "same = pelleis.exact.window_sum is pelleis.window_sum\n"
+                    "print(listed, mods, bound, same)\n")
     assert out == "True True True True\n"
 
 
@@ -119,23 +109,75 @@ def test_unknown_name_raises_attribute_error():
         exec("from pelleis import no_such_name", {})
 
 
+# Every name that each first-use hook serves, with its home submodule.
+_HOMES = {
+    "pelleis": {
+        "analysis": ("DomainClass", "DomainTag", "Pole", "accumulation_points",
+                     "classify", "poles_in_rect", "analysis"),
+        "equations": ("EquationId", "equations"),
+        "exact": ("ExactIdentityReport", "RationalFunction",
+                  "verify_identity_exact", "exact"),
+        "exact_reference": ("Polynomial", "substitute", "term_rf",
+                            "window_sum"),
+        "verify": ("GridSummary", "ResidualReport", "residual", "verify_grid",
+                   "verify"),
+    },
+    "pelleis.cli": {
+        "verify": ("verify_grid",),
+        "exact": ("verify_identity_exact", "coefficient_texts"),
+        "analysis": ("poles_in_rect", "DEFAULT_J_CAP"),
+    },
+    "pelleis.exact": {
+        "exact_reference": ("Polynomial", "poly_gcd", "term_rf", "window_sum",
+                            "substitute"),
+    },
+}
+
+
+@pytest.mark.parametrize("module, name, home", [
+    (module, name, home) for module, homes in _HOMES.items()
+    for home, names in homes.items() for name in names])
+def test_first_use_binds_the_home_modules_own_object(module, name, home):
+    # In a fresh interpreter, as the first deferred name resolved: the name
+    # is its home's own object (the home itself for a submodule's name), is
+    # bound in the module afterwards, and an unknown name is refused in the
+    # module's own name.
+    out = fresh.run("import importlib\n"
+                    f"module = importlib.import_module({module!r})\n"
+                    f"value = getattr(module, {name!r})\n"
+                    f"home = importlib.import_module('pelleis.{home}')\n"
+                    f"own = home if {name!r} == {home!r} else "
+                    f"vars(home)[{name!r}]\n"
+                    f"bound = vars(module).get({name!r}) is value\n"
+                    "print(value is own, bound)\n"
+                    "try:\n"
+                    "    module.no_such_name\n"
+                    "except AttributeError as error:\n"
+                    "    print(error)\n")
+    assert out == (f"True True\n"
+                   f"module {module!r} has no attribute 'no_such_name'\n")
+
+
 def test_concurrent_first_access_gets_one_object():
     # A short switch interval lets the threads interleave inside the import.
-    out = _fresh("import threading\n"
-                 "import pelleis\n"
-                 "sys.setswitchinterval(1e-6)\n"
-                 "barrier = threading.Barrier(8, timeout=30)\n"
-                 "seen = []\n"
-                 "def resolve():\n"
-                 "    barrier.wait()\n"
-                 "    seen.append(pelleis.verify_identity_exact)\n"
-                 "threads = [threading.Thread(target=resolve)"
-                 " for _ in range(8)]\n"
-                 "for t in threads: t.start()\n"
-                 "for t in threads: t.join(30)\n"
-                 "from pelleis.exact import verify_identity_exact as home\n"
-                 "print(any(t.is_alive() for t in threads), len(seen),\n"
-                 "      all(f is home for f in seen))\n")
+    out = fresh.run("import threading\n"
+                    "import pelleis, pelleis.cli\n"
+                    "sys.setswitchinterval(1e-6)\n"
+                    "barrier = threading.Barrier(8, timeout=30)\n"
+                    "seen = []\n"
+                    "def resolve():\n"
+                    "    barrier.wait()\n"
+                    "    seen.append((pelleis.verify_identity_exact,\n"
+                    "                 pelleis.cli.verify_grid))\n"
+                    "threads = [threading.Thread(target=resolve)"
+                    " for _ in range(8)]\n"
+                    "for t in threads: t.start()\n"
+                    "for t in threads: t.join(30)\n"
+                    "from pelleis.exact import verify_identity_exact as home\n"
+                    "from pelleis.verify import verify_grid as grid_home\n"
+                    "print(any(t.is_alive() for t in threads), len(seen),\n"
+                    "      all(f is home and g is grid_home\n"
+                    "          for f, g in seen))\n")
     assert out == "False 8 True\n"
 
 
@@ -172,57 +214,57 @@ CLI_UNLOADED = {
 
 @pytest.mark.parametrize("command", CLI_ARGV)
 def test_cli_command_loads_only_what_it_runs(command):
-    out = _fresh("import contextlib, io\n"
-                 "import pelleis.cli\n"
-                 "with contextlib.redirect_stdout(io.StringIO()):\n"
-                 f"    code = pelleis.cli.run({CLI_ARGV[command]!r})\n"
-                 "print(code, sorted("
-                 f"set({CLI_UNLOADED[command]!r}) & set(sys.modules)))\n")
+    out = fresh.run("import contextlib, io\n"
+                    "import pelleis.cli\n"
+                    "with contextlib.redirect_stdout(io.StringIO()):\n"
+                    f"    code = pelleis.cli.run({CLI_ARGV[command]!r})\n"
+                    "print(code, sorted("
+                    f"set({CLI_UNLOADED[command]!r}) & set(sys.modules)))\n")
     assert out == "0 []\n"
 
 
 def test_guarded_proofs_load_no_fractions():
     # Every proof the guards allow sums and prints integer parts alone, so
     # none loads fractions, nor the reference algebra that imports it.
-    out = _fresh("import contextlib, io\n"
-                 "import pelleis.cli\n"
-                 f"argvs = {_GUARDED_PROOFS!r}\n"
-                 "with contextlib.redirect_stdout(io.StringIO()):\n"
-                 "    codes = {pelleis.cli.run(list(a)) for a in argvs}\n"
-                 "print(len(argvs), codes, sorted("
-                 "{'fractions', 'pelleis.exact_reference'} "
-                 "& set(sys.modules)))\n")
+    out = fresh.run("import contextlib, io\n"
+                    "import pelleis.cli\n"
+                    f"argvs = {_GUARDED_PROOFS!r}\n"
+                    "with contextlib.redirect_stdout(io.StringIO()):\n"
+                    "    codes = {pelleis.cli.run(list(a)) for a in argvs}\n"
+                    "print(len(argvs), codes, sorted("
+                    "{'fractions', 'pelleis.exact_reference'} "
+                    "& set(sys.modules)))\n")
     assert out == "84 {0} []\n"
 
 
 def test_cli_calls_a_wrapper_set_before_first_use():
     # The benchmark's tracer and monkeypatch set pelleis.cli.verify_grid
     # before any command has resolved it; verify must call that wrapper.
-    out = _fresh("import contextlib, io\n"
-                 "import pelleis, pelleis.cli\n"
-                 "calls = []\n"
-                 "def wrapper(*args):\n"
-                 "    calls.append(args[0])\n"
-                 "    return pelleis.verify_grid(*args)\n"
-                 "pelleis.cli.verify_grid = wrapper\n"
-                 "with contextlib.redirect_stdout(io.StringIO()):\n"
-                 f"    code = pelleis.cli.run({CLI_ARGV['verify']!r})\n"
-                 "print(code, [e.value for e in calls],\n"
-                 "      pelleis.cli.verify_grid is wrapper)\n")
+    out = fresh.run("import contextlib, io\n"
+                    "import pelleis, pelleis.cli\n"
+                    "calls = []\n"
+                    "def wrapper(*args):\n"
+                    "    calls.append(args[0])\n"
+                    "    return pelleis.verify_grid(*args)\n"
+                    "pelleis.cli.verify_grid = wrapper\n"
+                    "with contextlib.redirect_stdout(io.StringIO()):\n"
+                    f"    code = pelleis.cli.run({CLI_ARGV['verify']!r})\n"
+                    "print(code, [e.value for e in calls],\n"
+                    "      pelleis.cli.verify_grid is wrapper)\n")
     assert out == "0 ['shift'] True\n"
 
 
 def test_cli_deferred_names_are_their_modules_objects():
-    out = _fresh("import pelleis.cli\n"
-                 "from pelleis.cli import verify_grid\n"
-                 "exact = pelleis.cli.verify_identity_exact\n"
-                 "from pelleis import exact as home, verify\n"
-                 "print(exact is home.verify_identity_exact,\n"
-                 "      verify_grid is verify.verify_grid,\n"
-                 "      'verify_identity_exact' in vars(pelleis.cli))\n"
-                 "from pelleis import analysis as a\n"
-                 "print(pelleis.cli.poles_in_rect is a.poles_in_rect,\n"
-                 "      pelleis.cli.DEFAULT_J_CAP == a.DEFAULT_J_CAP)\n")
+    out = fresh.run("import pelleis.cli\n"
+                    "from pelleis.cli import verify_grid\n"
+                    "exact = pelleis.cli.verify_identity_exact\n"
+                    "from pelleis import exact as home, verify\n"
+                    "print(exact is home.verify_identity_exact,\n"
+                    "      verify_grid is verify.verify_grid,\n"
+                    "      'verify_identity_exact' in vars(pelleis.cli))\n"
+                    "from pelleis import analysis as a\n"
+                    "print(pelleis.cli.poles_in_rect is a.poles_in_rect,\n"
+                    "      pelleis.cli.DEFAULT_J_CAP == a.DEFAULT_J_CAP)\n")
     assert out == "True True True\nTrue True\n"
     from pelleis import cli
     with pytest.raises(AttributeError, match="no attribute 'classify'"):

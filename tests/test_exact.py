@@ -46,6 +46,18 @@ def test_polynomial_power_binomial():
                              for i in range(6))
 
 
+def test_polynomial_power_refuses_what_is_not_an_int():
+    # A float power crashed on n & 1, and True was taken as power 1; both
+    # raise the standard operator TypeError, as a non-int operand should.
+    for n in (2.0, True):
+        with pytest.raises(TypeError, match=(
+                r"^unsupported operand type\(s\) for \*\* or pow\(\): "
+                f"'Polynomial' and '{type(n).__name__}'$")):
+            X ** n
+    with pytest.raises(ValueError, match="^negative polynomial power$"):
+        X ** -1
+
+
 def test_polynomial_divmod_roundtrip():
     a = X ** 3 + 2 * X - 7
     b = X + 1

@@ -9,25 +9,23 @@ traced runs, moves one printed digit or a pinned count fails here.
 
 import hashlib
 import json
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
+import fresh
 import pelleis
 import pelleis.cli  # noqa: F401  (the CLI workloads call pelleis.cli.run)
 
-SRC = Path(pelleis.__file__).resolve().parents[1]
-BENCH = SRC.parent / "perfbench"
+BENCH = fresh.SRC.parent / "perfbench"
 
 
 def test_every_tracer_site_resolves_and_is_restored():
     # In a fresh interpreter, as a traced run starts: every site of
     # tracing.SITES resolves, is wrapped inside instrument and holds the
     # same object again afterwards.
-    code = ("import importlib, sys\n"
-            f"sys.path[:0] = [{str(SRC)!r}, {str(BENCH)!r}]\n"
+    code = ("import importlib\n"
+            f"sys.path.insert(1, {str(BENCH)!r})\n"
             "from tracing import SITES, Tracer, instrument\n"
             "def site(module, cls, attr):\n"
             "    owner = importlib.import_module(module)\n"
@@ -41,10 +39,7 @@ def test_every_tracer_site_resolves_and_is_restored():
             "print(bool(keys),\n"
             "      all(map(lambda a, b: a is b, inside, before)),\n"
             "      all(map(lambda a, b: a is b, after, before)))\n")
-    out = subprocess.run([sys.executable, "-I", "-S", "-c", code],
-                         capture_output=True, text=True, timeout=60,
-                         check=True).stdout
-    assert out == "True True True\n"
+    assert fresh.run(code) == "True True True\n"
 
 
 # The seed-1 checksums of all four workload request mixes, as
@@ -87,8 +82,8 @@ def test_traced_counts_of_block_0():
     # What `perfbench/run.py --trace 1` traces (each workload's warm-up
     # requests, then seed 1's block 0), in a fresh interpreter so that no
     # other test's patch or cache shows.  Every count is deterministic.
-    code = ("import json, sys\n"
-            f"sys.path[:0] = [{str(SRC)!r}, {str(BENCH)!r}]\n"
+    code = ("import json\n"
+            f"sys.path.insert(1, {str(BENCH)!r})\n"
             "import pelleis, pelleis.cli, tracing, workloads\n"
             "traced = {}\n"
             "for name, workload in workloads.WORKLOADS.items():\n"
@@ -102,9 +97,7 @@ def test_traced_counts_of_block_0():
             "    traced[name] = tracing.layer_metrics(tracer,\n"
             "        tracing.summarize(tracer), workloads.Tally(), 0.0, 0.0)\n"
             "print(json.dumps(traced))\n")
-    traced = json.loads(subprocess.run(
-        [sys.executable, "-I", "-S", "-c", code], capture_output=True,
-        text=True, timeout=120, check=True).stdout)
+    traced = json.loads(fresh.run(code, timeout=120))
     grid, points, verify, prove = (traced[name] for name in (
         "grid-sweep", "points", "verify-sweep", "prove-windows"))
 

@@ -1,16 +1,15 @@
 """Integer sequence: exact values, recurrences, symmetry, caps, concurrency."""
 
 import math
-import subprocess
 import sys
 import threading
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fresh
 from oracle import q_int
 from pelleis import (IndexCapExceeded, InvalidRange, pell_lucas,
                      pell_lucas_range, pole_ratio, sequence, tail_bound,
@@ -351,9 +350,7 @@ def test_widest_tail_bound_stays_small_in_memory():
     # The peak is the interpreter's own, VmHWM in KiB on Linux: ru_maxrss
     # keeps the peak of the process that launched it, here the test runner,
     # across exec.  Elsewhere ru_maxrss is read (bytes on macOS).
-    src = Path(sequence.__file__).resolve().parents[1]
-    code = f"""import os, resource, sys
-sys.path.insert(0, {str(src)!r})
+    code = """import os, resource
 from pelleis import tail_bound
 tail_bound(99_997, 1j, 2)
 if os.path.exists("/proc/self/status"):
@@ -365,7 +362,4 @@ else:
     kib /= 1024 if sys.platform == "darwin" else 1
 print(kib / 1024)
 """
-    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code],
-                          capture_output=True, text=True, timeout=120,
-                          check=True)
-    assert float(proc.stdout) < 100
+    assert float(fresh.run(code, timeout=120)) < 100
