@@ -28,11 +28,11 @@ __all__ = [
     "EmptyGrid", "EquationId", "EvalResult", "EvalSettings",
     "ExactIdentityReport", "GridSummary", "IndexCapExceeded", "InvalidRange",
     "InvalidRegion", "PelleisError", "Pole", "PoleProximity",
-    "Polynomial", "RationalFunction", "Rect", "ResidualReport",
-    "ZeroArgument", "accumulation_points", "classify", "eval_grid",
-    "eval_series", "pell_lucas", "pell_lucas_range", "pole_ratio",
-    "poles_in_rect", "residual", "substitute", "tail_bound", "term_rf",
-    "term_value", "verify_grid", "verify_identity_exact", "window_sum",
+    "RationalFunction", "Rect", "ResidualReport", "ZeroArgument",
+    "accumulation_points", "classify", "eval_grid", "eval_series",
+    "pell_lucas", "pell_lucas_range", "pole_ratio", "poles_in_rect",
+    "residual", "tail_bound", "term_value", "verify_grid",
+    "verify_identity_exact",
 ]
 
 # The submodule that defines each public name not imported above; a
@@ -44,8 +44,6 @@ _DEFERRED = {
     "EquationId": "equations", "equations": "equations",
     "ExactIdentityReport": "exact", "RationalFunction": "exact",
     "verify_identity_exact": "exact", "exact": "exact",
-    "Polynomial": "exact_reference", "substitute": "exact_reference",
-    "term_rf": "exact_reference", "window_sum": "exact_reference",
     "GridSummary": "verify", "ResidualReport": "verify", "residual": "verify",
     "verify_grid": "verify", "verify": "verify",
 }

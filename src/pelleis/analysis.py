@@ -15,7 +15,7 @@ from enum import Enum
 from functools import cache
 
 from .errors import IndexCapExceeded, require_int, require_type
-from .evaluator import MIN_TAIL_HALF_WIDTH, _limit_distances, _require_point
+from .evaluator import MIN_TAIL_HALF_WIDTH, _limit_distances
 from .geometry import Rect
 from .sequence import (INDEX_CAP, SILVER_CONJUGATE, SILVER_RATIO, float_pole,
                        float_window, pole_ratio)
@@ -139,9 +139,8 @@ def classify(z: complex) -> DomainClass:
     point at least POLE_TOL off the axis and ACCUM_TOL from both limits is
     REGULAR at once, as every pole is at least |y| away.
     """
-    z = _require_point(z)
+    z, d_minus, d_plus = _limit_distances(z)
     x, y = z.real, z.imag
-    d_minus, d_plus = _limit_distances(z)
     if abs(y) >= POLE_TOL and min(d_minus, d_plus) >= ACCUM_TOL:
         return _REGULAR
 

@@ -196,11 +196,13 @@ def _require_point(z) -> complex:
     return z
 
 
-def _limit_distances(z: complex) -> tuple[float, float]:
-    """The distances from a finite z to 1 - sqrt(2) and 1 + sqrt(2); a
-    distance beyond double range raises the ValueError of _require_point."""
+def _limit_distances(z) -> tuple[complex, float, float]:
+    """z checked by _require_point, and its distances to 1 - sqrt(2) and
+    1 + sqrt(2); a distance beyond double range raises the ValueError of
+    _require_point."""
+    z = _require_point(z)
     try:
-        return abs(z - SILVER_CONJUGATE), abs(z - SILVER_RATIO)
+        return z, abs(z - SILVER_CONJUGATE), abs(z - SILVER_RATIO)
     except OverflowError:  # |z| leaves double range
         raise ValueError(f"point must be finite, got {z!r}") from None
 
@@ -209,8 +211,7 @@ def _checked_start(z, m) -> tuple[complex, float, float]:
     """The checked point and its distances to 1 -/+ sqrt(2), for a checked
     weight; DidNotConverge within POLE_GUARD of either limit."""
     _require_weight(m)
-    z = _require_point(z)
-    d_minus, d_plus = _limit_distances(z)
+    z, d_minus, d_plus = _limit_distances(z)
     if d_minus <= POLE_GUARD or d_plus <= POLE_GUARD:
         raise DidNotConverge(0, math.inf, point=z)
     return z, d_minus, d_plus
@@ -257,9 +258,21 @@ def term_value(j: int, z: complex, m: int) -> complex:
 def _add_terms(levels, side: int, lo: int, hi: int, z: complex, m: int,
                s: complex, c: complex) -> tuple[complex, complex]:
     """s, c with the terms of levels lo .. hi - 1 of one side added in
-    order by the TwoSum of _Series: +level from row levels[level][0], or
-    -level from levels[level][1] (level 0's is term 0); term_value sums
-    one term through here.
+    order: +level from row levels[level][0], or -level from
+    levels[level][1] (level 0's is term 0); eval_series, _Series and
+    term_value (one term) all sum through here.
+
+    s and c are a complex running sum and correction, and a term v is
+    added by Knuth's branch-free TwoSum: t = s + v; e = t - s;
+    c += (s - (t - e)) + (v - e); s = t.  Complex + and - act on each part
+    alone, and while t is finite the added correction is exactly the
+    rounding error s + v - t, the number Neumaier's branch on |s| >= |v|
+    computes, so s and c hold the bits of a Neumaier sum of each part
+    (Knuth, TAOCP vol. 2, 4.2.2).  The one exception is a spurious
+    overflow (Boldo, Graillat and Muller 2017): e overflows only when a
+    part of v is the largest double and t rounds at a tie; c then turns
+    NaN where Neumaier's stays finite, and the evaluation raises
+    DidNotConverge.
 
     A term is (Q_j z + Q_{j-1})^(-m), the reciprocal powered by repeated
     multiplication, so huge |Q_j| underflows gracefully to 0 instead of
@@ -436,17 +449,8 @@ class _Series:
     """Resumable adaptive summation of S_m(z), for verify._residual.
 
     Terms are accumulated in two compensated sums in a fixed order, j >= 1
-    as +1, +2, ... and j <= 0 as 0, -1, -2, ...  Each is a complex sum s
-    and correction c, and a term v is added by Knuth's
-    branch-free TwoSum: t = s + v; e = t - s; c += (s - (t - e)) + (v - e);
-    s = t.  Complex + and - act on each part alone, and while t is finite
-    the added correction is exactly the rounding error s + v - t, the
-    number Neumaier's branch on |s| >= |v| computes, so s and c hold the bits
-    of a Neumaier sum of each part (Knuth, TAOCP vol. 2, 4.2.2).  The one
-    exception is a spurious overflow (Boldo, Graillat and Muller 2017): e
-    overflows only when a part of v is the largest double and t rounds at
-    a tie; c then turns NaN where Neumaier's stays finite, and the
-    evaluation raises DidNotConverge.
+    as +1, +2, ... and j <= 0 as 0, -1, -2, ..., each by the TwoSum of
+    _add_terms.
 
     extend() grows the window from the level reached so far by
     _sum_window, so asking again with a tighter tolerance (and the same

@@ -33,10 +33,8 @@ the terms whose tally is still not zero, and is the zero rational
 function exactly when the identity holds.
 
 Polynomial, poly_gcd and the reference path (window_sum, term_rf,
-substitute) live in exact_reference, the one module that imports fractions.
-They resolve here too, bound on first use through the package's
-_first_use, which loads exact_reference then, so a proof loads no
-fractions.
+substitute) live in exact_reference, the one module that imports fractions,
+and are public there alone.
 """
 
 from __future__ import annotations
@@ -54,9 +52,9 @@ from .sequence import pell_lucas_range
 WINDOW_HALF_WIDTH_GUARD = 8
 WINDOW_WEIGHT_GUARD = 6
 
+# unused; perfbench wraps these (first use loads exact_reference)
 __getattr__ = _first_use(__name__, dict.fromkeys((
-    "Polynomial", "poly_gcd", "term_rf", "window_sum", "substitute"),
-    "exact_reference"))
+    "Polynomial", "poly_gcd", "window_sum", "substitute"), "exact_reference"))
 
 
 def _int_exact_div(a: list[int], b: list[int]) -> list[int]:

@@ -11,7 +11,7 @@ from .equations import EquationId
 from .errors import (DidNotConverge, EmptyGrid, PelleisError, ZeroArgument,
                      require_int, require_type)
 from .evaluator import (EvalSettings, _limit_distances, _modulus,
-                        _require_point, _require_settings, _Series)
+                        _require_settings, _Series)
 from .evaluator import eval_series  # unused; perfbench wraps it
 from .geometry import Rect
 
@@ -97,8 +97,7 @@ def residual(equation: EquationId, z: complex, k: int,
     """
     require_type("equation", equation, EquationId)
     require_int("k", k, 1, K_CAP)
-    z = _require_point(z)
-    _limit_distances(z)  # refuses a modulus beyond double range
+    z, _, _ = _limit_distances(z)  # refuses a modulus beyond double range
     settings = _require_settings(settings)
     lhs_z, rhs_z = _arguments(equation, z)
     return _residual(equation.row[2], z, k, lhs_z, rhs_z, settings)

@@ -12,7 +12,8 @@ used, so these serve as the reference for the fraction-free engine.
 
 from __future__ import annotations
 
-from pelleis.exact import Polynomial, RationalFunction
+from pelleis.exact import RationalFunction
+from pelleis.exact_reference import Polynomial
 
 
 def fraction_gcd(a: Polynomial, b: Polynomial) -> Polynomial:

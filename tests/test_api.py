@@ -16,8 +16,8 @@ import pelleis
 from pelleis import (EquationId, EvalSettings, Rect, classify, eval_grid,
                      eval_series, evaluator, pell_lucas, pell_lucas_range,
                      pole_ratio, poles_in_rect, residual, tail_bound,
-                     term_rf, term_value, verify_grid, verify_identity_exact,
-                     window_sum)
+                     term_value, verify_grid, verify_identity_exact)
+from pelleis.exact_reference import term_rf, window_sum
 from test_cli import _GUARDED_PROOFS
 
 FIXED = {"pole_guard", "k_cap", "pole_tol", "accum_tol", "j_cap",
@@ -88,7 +88,9 @@ def test_deferred_names_resolve_in_a_fresh_interpreter():
                     "exec('from pelleis import *', names)\n"
                     "bound = all(names[n] is getattr(pelleis, n)\n"
                     "            for n in pelleis.__all__)\n"
-                    "same = pelleis.exact.window_sum is pelleis.window_sum\n"
+                    "alias = pelleis.exact.window_sum\n"
+                    "from pelleis.exact_reference import window_sum\n"
+                    "same = alias is window_sum\n"
                     "print(listed, mods, bound, same)\n")
     assert out == "True True True True\n"
 
@@ -109,6 +111,25 @@ def test_unknown_name_raises_attribute_error():
         exec("from pelleis import no_such_name", {})
 
 
+# The reference algebra the tests hold the prover to; public in
+# pelleis.exact_reference alone.
+_REFERENCE = ("Polynomial", "substitute", "term_rf", "window_sum")
+
+
+def test_reference_algebra_is_public_in_its_home_alone():
+    assert len(pelleis.__all__) == 32
+    assert not set(_REFERENCE) & {*pelleis.__all__, *dir(pelleis)}
+    for name in _REFERENCE:
+        with pytest.raises(AttributeError, match=(
+                f"^module 'pelleis' has no attribute '{name}'$")):
+            getattr(pelleis, name)
+        with pytest.raises(ImportError):
+            exec(f"from pelleis import {name}", {})
+    with pytest.raises(AttributeError, match=(
+            "^module 'pelleis.exact' has no attribute 'term_rf'$")):
+        pelleis.exact.term_rf
+
+
 # Every name that each first-use hook serves, with its home submodule.
 _HOMES = {
     "pelleis": {
@@ -117,8 +138,6 @@ _HOMES = {
         "equations": ("EquationId", "equations"),
         "exact": ("ExactIdentityReport", "RationalFunction",
                   "verify_identity_exact", "exact"),
-        "exact_reference": ("Polynomial", "substitute", "term_rf",
-                            "window_sum"),
         "verify": ("GridSummary", "ResidualReport", "residual", "verify_grid",
                    "verify"),
     },
@@ -128,7 +147,7 @@ _HOMES = {
         "analysis": ("poles_in_rect", "DEFAULT_J_CAP"),
     },
     "pelleis.exact": {
-        "exact_reference": ("Polynomial", "poly_gcd", "term_rf", "window_sum",
+        "exact_reference": ("Polynomial", "poly_gcd", "window_sum",
                             "substitute"),
     },
 }

@@ -854,7 +854,7 @@ def test_huge_lattice_is_refused_by_the_module_at_once(command, nx, ny):
 def test_term_rf_refuses_a_huge_weight_at_once():
     # term_rf's polynomial power grows faster than m^2, so it takes m up to
     # exact.WINDOW_WEIGHT_GUARD alone; 10^10 never returned.
-    proc = _python("-c", "from pelleis import term_rf\n"
+    proc = _python("-c", "from pelleis.exact_reference import term_rf\n"
                          "try:\n"
                          "    term_rf(1, 10**10)\n"
                          "except ValueError as exc:\n"

@@ -1217,7 +1217,7 @@ def test_bounds_and_searches_are_pinned_at_every_weight(monkeypatch):
     monkeypatch.setattr(evaluator, "tail_bound", recording_tail_bound)
     for m in WEIGHTS:
         for z in points:
-            d_minus, d_plus = evaluator._limit_distances(z)
+            _, d_minus, d_plus = evaluator._limit_distances(z)
             for j in (2, 3, 5, 8, 13, 40, 200, 900):
                 out.append(repr(tail_bound(j, z, m)))
             for tol in (1e-3, 1e-12, 1e-40, 2e-300):

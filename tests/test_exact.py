@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 
 import fraction_reference as reference
 
-from pelleis import (EquationId, Polynomial, RationalFunction, pell_lucas,
-                     substitute, term_rf, verify_identity_exact, window_sum)
+from pelleis import (EquationId, RationalFunction, pell_lucas,
+                     verify_identity_exact)
 from pelleis import equations, exact, exact_reference
-from pelleis.exact import ExactIdentityReport, poly_gcd
-from pelleis.exact_reference import _PRIME as _P, _gcd_mod_p, _int_gcd
+from pelleis.exact import ExactIdentityReport
+from pelleis.exact_reference import (_PRIME as _P, Polynomial, _gcd_mod_p,
+                                     _int_gcd, poly_gcd, substitute, term_rf,
+                                     window_sum)
 
 X = Polynomial((0, 1))
 F = Fraction

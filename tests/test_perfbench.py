@@ -42,6 +42,28 @@ def test_every_tracer_site_resolves_and_is_restored():
     assert fresh.run(code) == "True True True\n"
 
 
+def test_exact_serves_only_the_names_the_tracer_reads():
+    # pelleis.exact binds names of exact_reference on first use only for
+    # the tracer: the names its hook serves (those of exact_reference that
+    # a fresh pelleis.exact resolves but has not bound) are the names
+    # tracing.SITES reads through pelleis.exact that it has not bound.
+    # When the tracer stops reading them, this names the aliases to delete.
+    code = ("import pelleis.exact as exact\n"
+            "bound = set(vars(exact))\n"
+            f"sys.path.insert(1, {str(BENCH)!r})\n"
+            "from tracing import SITES\n"
+            "import pelleis.exact_reference as home\n"
+            "served = {n for n in vars(home)\n"
+            "          if n not in bound and hasattr(exact, n)}\n"
+            "read = {attr if cls is None else cls\n"
+            "        for module, cls, attr, _, _ in SITES\n"
+            "        if module == 'pelleis.exact'}\n"
+            "print(sorted(served))\n"
+            "print(sorted(read - bound))\n")
+    served, read = fresh.run(code).splitlines()
+    assert served == read
+
+
 # The seed-1 checksums of all four workload request mixes, as
 # `perfbench/run.py --workload <name> --seed 1` prints them: a change to
 # evaluation, tail bounds, summation, refinement, classify or the exact
@@ -113,8 +135,9 @@ def test_traced_counts_of_block_0():
     # verify-sweep evaluates through the residual path, which makes no
     # eval_series call, so its tail checks are pinned as a total: 13,009
     # without the guess and certificate, 4,808 with them, refining each
-    # side on its own series state.
-    assert verify["evaluator.tail_bound.calls"] <= 5000
+    # side on its own series state (4,890 when a refinement restarts each
+    # side from window 2).
+    assert verify["evaluator.tail_bound.calls"] == 4808
     # The summation kernel adds each side's terms in one pass over the
     # float table (evaluator._add_terms), not one term_value call per
     # term; the grid-sweep checksum pins the terms summed (terms_used).
