@@ -9,7 +9,8 @@ takes Polynomials, ints and Fractions as parts and canonicalises through
 the gcd of exact_reference; rational-function arithmetic takes rational
 functions alone: a scalar operand raises TypeError.  The prover's sums
 need no gcd: their denominators are products of powers of known linear
-factors, and their canonical form is read off those roots (_tally_sum).
+factors, and their canonical form is read off those roots: a factor is
+stripped when an exact integer root test shows that it divides (_tally_sum).
 
 The identity checks are termwise.  Under a map T(z) = (a z + b)/(c z + d)
 the term 1/(Q_j z + Q_{j-1})^m becomes (c z + d)^m / (alpha z + beta)^m
@@ -40,7 +41,7 @@ and are public there alone.
 from __future__ import annotations
 
 import math
-from collections import Counter, namedtuple
+from collections import namedtuple
 from itertools import zip_longest
 
 from . import _first_use
@@ -237,11 +238,23 @@ def _pair(coeffs: tuple[int, int, int, int], q_j: int,
 def _linear_power(p: int, q: int, m: int) -> list[int]:
     """Integer coefficients of (p z + q)^m, ascending, by the binomial
     theorem."""
+    if not q:
+        return [0] * m + [p ** m]
     return [math.comb(m, i) * q ** (m - i) * p ** i
             for i in range(m + 1 if p else 1)]
 
 
-def _tally_sum(tally: Counter, m: int) -> RationalFunction:
+def _root_divides(acc: list[int], a: int, b: int) -> bool:
+    """Whether a z + b (a != 0) divides acc: a^deg acc(-b/a) == 0 (factor
+    theorem); over Z too when (a, b) is primitive (Gauss's lemma)."""
+    v, ap = 0, 1
+    for c in reversed(acc):
+        v = v * -b + c * ap
+        ap *= a
+    return not v
+
+
+def _tally_sum(tally: dict, m: int) -> RationalFunction:
     """Exact sum of count * (p z + q)^m / (alpha z + beta)^m over the tally,
     in canonical form, found with no gcd.
 
@@ -249,12 +262,13 @@ def _tally_sum(tally: Counter, m: int) -> RationalFunction:
     Entries are grouped by the primitive pair (a, b) = (alpha, beta) / g,
     g the content; a group's numerators are summed over one integer scale,
     the lcm of g^m over its entries.  Each group's numerator is then divided
-    by a z + b while that divides exactly, at most m times, and the groups
-    are summed over the product of the powers that remain.  The result is
-    coprime over Q: distinct primitive pairs have distinct roots -b/a; at
-    the root of a remaining factor its own group's numerator does not
-    vanish, since the division there was inexact, and no other group's
-    factor vanishes there either, so neither does the numerator of the sum.
+    by a z + b, at most m times, each time the root test (_root_divides)
+    shows that it divides, and the groups are summed over the product of
+    the powers that remain, starting from the first.  The result is coprime
+    over Q: distinct primitive pairs have distinct roots -b/a; at the root
+    of a remaining factor its own group's numerator does not vanish, as the
+    root test showed, and no other group's factor vanishes there either, so
+    neither does the numerator of the sum.
     """
     groups = {}
     for (num, (alpha, beta)), count in tally.items():
@@ -275,16 +289,16 @@ def _tally_sum(tally: Counter, m: int) -> RationalFunction:
         if not acc:
             continue
         power = m
-        try:
-            while power and a:  # (0, 1) is the constant 1: nothing to strip
-                acc = _int_exact_div(acc, [b, a])
-                power -= 1
-        except ArithmeticError:
-            pass
+        while power and a and _root_divides(acc, a, b):  # (0, 1) is 1 itself
+            acc = _int_exact_div(acc, [b, a])
+            power -= 1
         d = [scale * c for c in _linear_power(a, b, power)]
-        num = [x + y for x, y in zip_longest(_int_mul(num, d),
-                                            _int_mul(acc, den), fillvalue=0)]
-        den = _int_mul(den, d)
+        if num:
+            num = [x + y for x, y in zip_longest(
+                _int_mul(num, d), _int_mul(acc, den), fillvalue=0)]
+            den = _int_mul(den, d)
+        else:
+            num, den = acc, d
     rf = RationalFunction.__new__(RationalFunction)
     rf._store(num, den)
     return rf
@@ -319,11 +333,13 @@ def verify_identity_exact(equation: EquationId, half_width: int,
     rhs_num = (1, 0) if s == 1 else (0, 1)
     J = half_width
     qs = pell_lucas_range(-J - 1, J + 1)   # Q_n is qs[n + J + 1]
-    tally = Counter()
+    tally = {}
     for j in range(-J, J + 1):
         q_j, q_prev = qs[j + J + 1], qs[j + J]
-        tally[lhs_num, _pair(left, q_j, q_prev)] += 1
-        tally[rhs_num, _pair(right, q_j, q_prev)] -= 1
+        key = lhs_num, _pair(left, q_j, q_prev)
+        tally[key] = tally.get(key, 0) + 1
+        key = rhs_num, _pair(right, q_j, q_prev)
+        tally[key] = tally.get(key, 0) - 1
     residual = _tally_sum(tally, m)
 
     # With offset 1 the left window meets right-side terms -J+1 .. J+1, so
@@ -331,9 +347,9 @@ def verify_identity_exact(equation: EquationId, half_width: int,
     edges = [(1, J + 1), (-1, -J)] if offset else []
     boundary = []
     for sign, j in edges:
-        den = _pair(right, qs[j + J + 1], qs[j + J])
-        boundary.append(_tally_sum(Counter({(rhs_num, den): sign}), m))
-        tally[rhs_num, den] -= sign
+        key = rhs_num, _pair(right, qs[j + J + 1], qs[j + J])
+        boundary.append(_tally_sum({key: sign}, m))
+        tally[key] = tally.get(key, 0) - sign
     defect = _tally_sum(tally, m)
     return ExactIdentityReport(equation, half_width, m, residual,
                                boundary, defect)

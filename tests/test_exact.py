@@ -564,6 +564,28 @@ def test_prover_finds_no_gcd(monkeypatch):
             assert report.verdict == "NONZERO"
 
 
+def test_prover_divides_only_where_the_root_test_shows_a_factor(monkeypatch):
+    # A linear factor is stripped only where the exact root test shows that
+    # it divides, so over every allowed proof _int_exact_div, wrapped, never
+    # meets an inexact division; trial division, caught when it fails,
+    # would meet 252 here.
+    divide, inexact = exact._int_exact_div, []
+
+    def watched(a, b):
+        try:
+            return divide(a, b)
+        except ArithmeticError:
+            inexact.append((a, b))
+            raise
+
+    monkeypatch.setattr(exact, "_int_exact_div", watched)
+    for equation in EquationId:
+        for J in range(2, 9):
+            for k in (1, 2, 3):
+                assert verify_identity_exact(equation, J, k).holds
+    assert inexact == []
+
+
 def test_rows_give_the_statements():
     # The one table against the referee's statements; the window offset is
     # 0 for the reflection (term j meets term -j) and 1 for the rest.
@@ -755,6 +777,42 @@ def test_exact_division_raises_on_a_remainder():
         exact._int_exact_div([1, 1], [1, 2])         # 2z + 1 over Q only
 
 
+_NUMERATORS = st.lists(st.integers(-10**6, 10**6), max_size=6)
+_LINEAR = st.tuples(st.integers(-9, 9).filter(bool),
+                    st.integers(-9, 9)).filter(lambda ab: math.gcd(*ab) == 1)
+
+
+@st.composite
+def _root_test_cases(draw):
+    """(acc, a, b): a random numerator, or (a z + b)^k r for a k from 0 to
+    6, the largest weight m, and r random, against a primitive pair (a, b)
+    with a != 0."""
+    a, b = draw(_LINEAR)
+    acc = draw(_NUMERATORS)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 6))
+        acc = exact._int_mul(exact._linear_power(a, b, k), acc or [1])
+    return acc, a, b
+
+
+@given(_root_test_cases())
+@example(([2, 1, 1], 1, 1))          # value 2 at the root -1
+@example(([1, 1], 2, 1))             # 2z + 1 divides z + 1/2 over Q only
+@example(([-1, 0, 4], 2, 1))         # (2z + 1)(2z - 1)
+@example(([0, 0, 0, 8], 1, 0))       # z divides 8 z^3
+@settings(max_examples=300)
+def test_root_test_agrees_with_exact_division(case):
+    # The root test holds exactly when a z + b divides over Z: Gauss's lemma
+    # makes a factor over Q of a primitive pair one over Z.
+    acc, a, b = case
+    try:
+        exact._int_exact_div(acc, [b, a])
+        divides = True
+    except ArithmeticError:
+        divides = False
+    assert exact._root_divides(acc, a, b) == divides
+
+
 _PAIRS = st.tuples(st.integers(-40, 40), st.integers(-40, 40)).filter(
     lambda pq: pq != (0, 0)).map(lambda pq: exact._sign_normal(*pq))
 
@@ -762,15 +820,23 @@ _PAIRS = st.tuples(st.integers(-40, 40), st.integers(-40, 40)).filter(
 @given(st.lists(st.tuples(_PAIRS, st.sampled_from(
     [(1, 2), (2, 1), (3, -5), (1, 0), (0, 1)]), st.integers(-3, 3)),
     max_size=8), st.sampled_from([2, 4]))
+# z^2 / z^2 - 1 / 1 cancels across two groups; the other pair's counts
+# cancel to a zero-count entry.
+@example([((1, 0), (1, 0), 1), ((0, 1), (0, 1), -1), ((1, 2), (3, -5), 2),
+          ((1, 2), (3, -5), -2)], 2)
 @settings(max_examples=100)
 def test_tally_sum_equals_chained_fraction_sum(entries, m):
     # Few denominator pairs, so entries with different numerators share a
-    # denominator and are grouped before the one canonicalisation.
-    tally = Counter()
+    # denominator and are grouped before the one canonicalisation.  The
+    # tally is a plain dict, as the prover's is, and keeps zero counts.
+    tally = {}
     for num, den, count in entries:
-        tally[num, den] += count
+        tally[num, den] = tally.get((num, den), 0) + count
     got = exact._tally_sum(tally, m)
-    assert repr(got) == repr(reference.tally_sum(tally, m))
+    want = reference.tally_sum(tally, m)
+    assert repr(got) == repr(want)
+    if want.num.is_zero:
+        assert got._parts == ([], [1])
 
 
 # Primitive, sign-normalised pairs with roots 0, +-1, +-2, +-1/2 and none.
@@ -808,6 +874,9 @@ def _tallies(draw):
 @given(_tallies())
 # A group whose numerators cancel: z^2 / (2 z + 2)^2 = (2 z)^2 / (4 z + 4)^2.
 @example((Counter({((1, 0), (2, 2)): 1, ((2, 0), (4, 4)): -1}), 2))
+# The same as a plain dict, as the prover tallies, with zero-count entries.
+@example(({((1, 0), (2, 2)): 1, ((2, 0), (4, 4)): -1, ((1, 1), (1, 0)): 0,
+           ((0, 1), (1, -1)): 0}, 2))
 @settings(max_examples=400)
 def test_tally_sum_equals_rational_function_sum(drawn):
     # The canonical form read off the tally is the one the general
@@ -820,6 +889,8 @@ def test_tally_sum_equals_rational_function_sum(drawn):
     got = exact._tally_sum(tally, m)
     assert got == want
     assert repr(got) == repr(want)
+    if want.is_zero:
+        assert got._parts == ([], [1])
 
 
 @pytest.mark.parametrize("equation", list(EquationId))
