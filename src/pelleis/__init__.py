@@ -4,22 +4,18 @@ Exact integer sequence work, certified numerical evaluation of the
 bilateral series sum_j (Q_j z + Q_{j-1})^(-m), pole-structure maps, and
 numeric plus exact checks of the four functional equations.
 
-Importing the package loads only the numeric core: errors, evaluator,
-geometry and sequence, which is all that eval_series, eval_grid,
-tail_bound, term_value, Rect, the pell_lucas functions and the error types
-need.  The other public names, and the submodules analysis, equations,
-exact and verify, are imported on first access and then bound here, so
-each is its defining module's own object.  _first_use builds that module
-__getattr__; the CLI and the exact engine defer their names through it too.
+Importing the package loads only errors.  Every other public name, and
+the submodules analysis, equations, evaluator, exact, geometry, sequence
+and verify, are imported on first access and then bound here, so each is
+its defining module's own object: `pelleis prove` and `pelleis seq` never
+load the numeric core (evaluator, geometry and cmath).  _first_use builds
+that module __getattr__; the CLI and the exact engine defer their names
+through it too.
 """
 
 from .errors import (DidNotConverge, EmptyGrid, IndexCapExceeded,
                      InvalidRange, InvalidRegion, PelleisError, PoleProximity,
                      ZeroArgument)
-from .evaluator import (EvalResult, EvalSettings, eval_grid, eval_series,
-                        tail_bound, term_value)
-from .geometry import Rect
-from .sequence import pell_lucas, pell_lucas_range, pole_ratio
 
 __version__ = "0.1.0"
 
@@ -42,8 +38,15 @@ _DEFERRED = {
     "accumulation_points": "analysis", "classify": "analysis",
     "poles_in_rect": "analysis", "analysis": "analysis",
     "EquationId": "equations", "equations": "equations",
+    "EvalResult": "evaluator", "EvalSettings": "evaluator",
+    "eval_grid": "evaluator", "eval_series": "evaluator",
+    "tail_bound": "evaluator", "term_value": "evaluator",
+    "evaluator": "evaluator",
     "ExactIdentityReport": "exact", "RationalFunction": "exact",
     "verify_identity_exact": "exact", "exact": "exact",
+    "Rect": "geometry", "geometry": "geometry",
+    "pell_lucas": "sequence", "pell_lucas_range": "sequence",
+    "pole_ratio": "sequence", "sequence": "sequence",
     "GridSummary": "verify", "ResidualReport": "verify", "residual": "verify",
     "verify_grid": "verify", "verify": "verify",
 }
@@ -62,8 +65,9 @@ def _first_use(module_name: str, homes: dict[str, str]):
         except KeyError:
             raise AttributeError(
                 f"module {module_name!r} has no attribute {name!r}") from None
-        from importlib import import_module
-        value = import_module(f"{__name__}.{home}")
+        # __import__, not importlib, which a bare interpreter has not loaded.
+        __import__(f"{__name__}.{home}")
+        value = sys.modules[f"{__name__}.{home}"]
         if name != home:
             value = getattr(value, name)
         setattr(module, name, value)

@@ -7,27 +7,26 @@ errors, 2 usage errors.  If a domain error interrupts CSV output, the last
 line written is a trailing "# error:" comment.  parse_args reads argv in
 one pass over COMMANDS, the table of each subcommand's options.
 
-Each subcommand loads only the modules it runs: verify_grid (verify),
-verify_identity_exact and coefficient_texts (the exact engine),
-poles_in_rect and DEFAULT_J_CAP (analysis) are bound here on first use,
-through the package's _first_use.  Commands call them as attributes of
-this module, so a wrapper set on, say, pelleis.cli.verify_grid, before or
-after first use, is the one that runs.
-grid, eval, seq and prove load no analysis, verify no exact engine.
+Each subcommand loads only the modules it runs: the numeric core's names
+(evaluator, geometry), verify_grid (verify), verify_identity_exact and
+coefficient_texts (the exact engine), poles_in_rect and DEFAULT_J_CAP
+(analysis) are bound here on first use, through the package's _first_use.
+Commands read them as attributes of this module (_CLI), so a wrapper set
+on, say, pelleis.cli.verify_grid, before or after first use, is the one
+that runs.  seq and prove load no evaluator, geometry or cmath; grid, eval,
+seq and prove load no analysis; verify loads no exact engine.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from types import SimpleNamespace
 
 from . import _first_use
 from .equations import EquationId
 from .errors import PelleisError, PoleProximity
-from .evaluator import (DEFAULT_MAX_HALF_WIDTH, DEFAULT_TARGET_TOL,
-                        EvalResult, EvalSettings, eval_grid, eval_series)
-from .geometry import Rect
-from .sequence import pell_lucas_range
+from .sequence import INDEX_CAP, SILVER_RATIO, pell_lucas, pell_lucas_range
 
 EVAL_HEADER = ("re,im,value_re,value_im,tail_bound,terms_used,"
                "minus_re,minus_im,plus_re,plus_im")
@@ -38,9 +37,13 @@ DEFAULT_RECT = "-3,0.5,3,3.5"
 DEFAULT_GRID_N = 12
 
 __getattr__ = _first_use(__name__, {
-    "verify_grid": "verify", "verify_identity_exact": "exact",
-    "coefficient_texts": "exact", "poles_in_rect": "analysis",
-    "DEFAULT_J_CAP": "analysis"})
+    **dict.fromkeys(("EvalSettings", "EvalResult", "eval_series", "eval_grid",
+                     "DEFAULT_TARGET_TOL", "DEFAULT_MAX_HALF_WIDTH"),
+                    "evaluator"),
+    "Rect": "geometry", "verify_grid": "verify",
+    "verify_identity_exact": "exact", "coefficient_texts": "exact",
+    "poles_in_rect": "analysis", "DEFAULT_J_CAP": "analysis"})
+_CLI = sys.modules[__name__]
 
 
 # A row of eval and grid, re and im as text; %r of a float is its repr.
@@ -59,25 +62,43 @@ def _unprintable(name: str) -> ValueError:
                       "digits, Python's int-to-string limit")
 
 
+def _first_unprintable(lo: int, hi: int) -> int | None:
+    """The first n of lo .. hi whose Q_n has more digits than Python's
+    int-to-string limit, or None; Q_i is computed for no |i| past it.
+    A range that pell_lucas_range refuses gets None, so the refusal wins.
+
+    |Q_n| = Q_|n| grows with |n| from |n| = 1, so the rows past the limit
+    are those with |n| >= first, the least index with Q_first >= 10^limit.
+    Q_n is within 1 of (1 + sqrt(2))^n, so the search starts two below the
+    index that the logarithm gives, which is below first."""
+    limit, top = sys.get_int_max_str_digits(), max(-lo, hi)
+    if not limit or lo > hi or top > INDEX_CAP:
+        return None
+    first = max(1, int(limit / math.log10(SILVER_RATIO)) - 2)
+    while first <= top and pell_lucas(first) < 10 ** limit:
+        first += 1
+    if first > top:
+        return None
+    return lo if lo <= -first else max(lo, first)
+
+
 def _cmd_seq(args) -> int:
+    # A Q_n past Python's int-to-string limit leaves one error line and no
+    # part of the table, and is found before the table is computed past it.
+    bad = _first_unprintable(args.lo, args.hi)
+    if bad is not None:
+        raise _unprintable(f"Q_{bad}")
     values = pell_lucas_range(args.lo, args.hi)
-    # Every row is formatted before any is written, so a Q_n past Python's
-    # int-to-string limit leaves one error line and no part of the table.
-    lines = ["n,Q_n\n"]
-    for n, q in zip(range(args.lo, args.hi + 1), values):
-        try:
-            lines.append(f"{n},{q}\n")
-        except ValueError:
-            raise _unprintable(f"Q_{n}") from None
-    sys.stdout.write("".join(lines))
+    sys.stdout.write("n,Q_n\n" + "".join(
+        f"{n},{q}\n" for n, q in zip(range(args.lo, args.hi + 1), values)))
     return 0
 
 
 def _cmd_eval(args) -> int:
     print(EVAL_HEADER)
     z = complex(args.re, args.im)
-    value, minus, plus, bound, used = eval_series(
-        z, args.weight, EvalSettings(args.tol, args.max_j))
+    value, minus, plus, bound, used = _CLI.eval_series(
+        z, args.weight, _CLI.EvalSettings(args.tol, args.max_j))
     print(_EVAL_ROW % (repr(z.real), repr(z.imag), value.real, value.imag,
                        bound, used, minus.real, minus.imag, plus.real,
                        plus.imag))
@@ -85,22 +106,22 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_grid(args) -> int:
-    rect = Rect.parse(args.rect)
+    rect = _CLI.Rect.parse(args.rect)
     # The header goes out first, so that an error is reported after it.
     sys.stdout.write(EVAL_HEADER + ",status\n")
-    cells = eval_grid(rect, args.nx, args.ny, args.weight,
-                      EvalSettings(args.tol))
+    cells = _CLI.eval_grid(rect, args.nx, args.ny, args.weight,
+                           _CLI.EvalSettings(args.tol))
     # Cells come row by row, and every row has the same nx real parts, so
     # each coordinate is formatted once.  Columns are keyed by index, not by
     # value: 0.0 == -0.0, but their reprs differ.
-    nx, ok_row = args.nx, _EVAL_ROW + ",ok\n"
+    nx, ok_row, ok = args.nx, _EVAL_ROW + ",ok\n", _CLI.EvalResult
     columns = [repr(z.real) for z, _ in cells[:nx]]
     lines = []
     for start in range(0, len(cells), nx):
         row = cells[start:start + nx]
         y = repr(row[0][0].imag)
         for x, (_, r) in zip(columns, row):
-            if isinstance(r, EvalResult):
+            if isinstance(r, ok):
                 value, minus, plus, bound, used = r
                 lines.append(ok_row % (
                     x, y, value.real, value.imag, bound, used, minus.real,
@@ -115,10 +136,10 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_poles(args) -> int:
-    rect = Rect.parse(args.rect)
+    rect = _CLI.Rect.parse(args.rect)
     print("j,location_num,location_den,location_float")
-    lines = []  # all formatted first, as in seq
-    for pole in sys.modules[__name__].poles_in_rect(rect, args.jcap):
+    lines = []  # all formatted before any is written
+    for pole in _CLI.poles_in_rect(rect, args.jcap):
         try:
             lines.append(f"{pole.index},{pole.location.numerator},"
                          f"{pole.location.denominator},"
@@ -130,10 +151,10 @@ def _cmd_poles(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    rect = Rect.parse(args.rect)
+    rect = _CLI.Rect.parse(args.rect)
     equation = EquationId(args.eq)
-    summary = sys.modules[__name__].verify_grid(
-        equation, rect, args.nx, args.ny, args.k, EvalSettings(args.tol))
+    summary = _CLI.verify_grid(
+        equation, rect, args.nx, args.ny, args.k, _CLI.EvalSettings(args.tol))
     lines = [VERIFY_HEADER + "\n"]
     for r in summary.reports:
         lines.append("%r,%r,%r,%r,%r,%r,%r,%r,%r,%r\n" % (
@@ -157,15 +178,14 @@ def _cmd_verify(args) -> int:
 
 def _coeff_lines(name: str, rf) -> list[str]:
     """The report lines of rf's coefficients; the zero polynomial is "0"."""
-    num, den = sys.modules[__name__].coefficient_texts(rf)
+    num, den = _CLI.coefficient_texts(rf)
     return [f"{name} numerator coefficients: {num}",
             f"{name} denominator coefficients: {den}"]
 
 
 def _cmd_prove(args) -> int:
     equation = EquationId(args.eq)
-    report = sys.modules[__name__].verify_identity_exact(
-        equation, args.window, args.k)
+    report = _CLI.verify_identity_exact(equation, args.window, args.k)
     lines = [f"equation: {equation.value}",
              f"window half-width: {report.half_width}",
              f"weight: {report.weight}",
@@ -286,7 +306,7 @@ def parse_args(argv):
     if missing or stray:
         _exit(command, f"missing {', '.join(missing)}" if missing
               else f"unrecognized arguments: {' '.join(stray)}")
-    defaults = {dest: getattr(sys.modules[__name__], default)
+    defaults = {dest: getattr(_CLI, default)
                 for dest, _, default in options.values() if dest not in values}
     return SimpleNamespace(command=command, func=COMMANDS[command][1],
                            **values, **defaults)

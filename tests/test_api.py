@@ -1,8 +1,9 @@
 """The public signatures carry no knob that only ever takes one value;
-importing the package loads neither dataclasses nor inspect, and loads the
-exact engine, verify, analysis, fractions and numbers only on first use;
-each CLI subcommand loads only the modules it runs, and a proof loads no
-fractions; every bounded integer argument is refused in one form."""
+importing the package loads neither dataclasses nor inspect, and loads
+every submodule but errors, and fractions and numbers, only on first use;
+each CLI subcommand loads only the modules it runs, a proof loads no
+fractions, and none loads importlib; every bounded integer argument is
+refused in one form."""
 
 import inspect
 import sys
@@ -52,7 +53,8 @@ def test_import_loads_neither_dataclasses_nor_inspect():
 DEFERRED = ("fractions", "decimal", "numbers", "enum", "pelleis.analysis",
             "pelleis.equations", "pelleis.exact", "pelleis.verify",
             "pelleis.cli")
-SUBMODULES = ("analysis", "equations", "exact", "verify")
+SUBMODULES = ("analysis", "equations", "evaluator", "exact", "geometry",
+              "sequence", "verify")
 
 
 def test_numeric_path_loads_no_deferred_module():
@@ -64,6 +66,16 @@ def test_numeric_path_loads_no_deferred_module():
                     "pelleis.pell_lucas_range(-3, 3)\n"
                     f"print(sorted(set({DEFERRED!r}) & set(sys.modules)))\n")
     assert out == "[]\n"
+
+
+def test_bare_import_loads_errors_alone():
+    # Neither the numeric core (evaluator, geometry, cmath) nor sequence
+    # loads until a name of theirs is first used.
+    out = fresh.run("import pelleis\n"
+                    "print(sorted(m for m in sys.modules\n"
+                    "             if m.startswith('pelleis.')),\n"
+                    "      'cmath' in sys.modules)\n")
+    assert out == "['pelleis.errors'] False\n"
 
 
 def test_every_public_name_is_its_defining_modules_object():
@@ -136,12 +148,21 @@ _HOMES = {
         "analysis": ("DomainClass", "DomainTag", "Pole", "accumulation_points",
                      "classify", "poles_in_rect", "analysis"),
         "equations": ("EquationId", "equations"),
+        "evaluator": ("EvalResult", "EvalSettings", "eval_grid",
+                      "eval_series", "tail_bound", "term_value", "evaluator"),
         "exact": ("ExactIdentityReport", "RationalFunction",
                   "verify_identity_exact", "exact"),
+        "geometry": ("Rect", "geometry"),
+        "sequence": ("pell_lucas", "pell_lucas_range", "pole_ratio",
+                     "sequence"),
         "verify": ("GridSummary", "ResidualReport", "residual", "verify_grid",
                    "verify"),
     },
     "pelleis.cli": {
+        "evaluator": ("EvalSettings", "EvalResult", "eval_series",
+                      "eval_grid", "DEFAULT_TARGET_TOL",
+                      "DEFAULT_MAX_HALF_WIDTH"),
+        "geometry": ("Rect",),
         "verify": ("verify_grid",),
         "exact": ("verify_identity_exact", "coefficient_texts"),
         "analysis": ("poles_in_rect", "DEFAULT_J_CAP"),
@@ -208,26 +229,36 @@ def test_pole_ratio_matches_an_independent_recurrence():
         assert ratio == Fraction(-q(j - 1), q(j)), j
 
 
-# What each CLI subcommand must not load: grid needs neither the exact
-# engine, verify nor analysis, verify no exact engine, prove neither verify,
-# analysis nor fractions, and none argparse (with the gettext and locale it
-# loads) or numbers (Rect needs it only for a corner that is not a plain
-# float or int).
+# What each CLI subcommand must not load.  seq and prove need no numeric
+# core (evaluator, geometry, cmath); seq, eval and grid need neither the
+# exact engine, verify nor analysis; poles and verify need no exact engine;
+# prove needs neither verify, analysis nor fractions.  No command loads
+# argparse (with the gettext and locale it loads) or importlib (the
+# first-use rule imports with __import__), and none but poles, whose
+# fractions imports it, loads numbers.
 CLI_ARGV = {
+    "seq": ["seq", "--from", "-3", "--to", "3"],
+    "eval": ["eval", "--re", "0.3", "--im", "1", "--weight", "2"],
     "grid": ["grid", "--rect", "-1,0.5,1,1.5", "--nx", "4", "--ny", "4",
              "--weight", "2"],
     "verify": ["verify", "--eq", "shift", "--k", "1", "--nx", "3",
                "--ny", "3"],
+    "poles": ["poles", "--rect", "-1,-1,1,1"],
     "prove": ["prove", "--eq", "shift", "--window", "2", "--k", "1"],
 }
-_NO_ARGPARSE = ("argparse", "gettext", "locale")
+_NO_COMMAND = ("argparse", "gettext", "locale", "importlib")
+_NO_NUMERIC_CORE = ("pelleis.evaluator", "pelleis.geometry", "cmath")
+_NUMERIC_ONLY = ("pelleis.exact", "pelleis.verify", "pelleis.analysis",
+                 "fractions", "decimal", "numbers", *_NO_COMMAND)
 CLI_UNLOADED = {
-    "grid": ("pelleis.exact", "pelleis.verify", "pelleis.analysis",
-             "fractions", "decimal", "numbers", *_NO_ARGPARSE),
+    "seq": (*_NUMERIC_ONLY, *_NO_NUMERIC_CORE),
+    "eval": _NUMERIC_ONLY,
+    "grid": _NUMERIC_ONLY,
+    "poles": ("pelleis.exact", "pelleis.verify", *_NO_COMMAND),
     "verify": ("pelleis.exact", "fractions", "decimal", "numbers",
-               *_NO_ARGPARSE),
+               *_NO_COMMAND),
     "prove": ("pelleis.verify", "pelleis.analysis", "fractions", "decimal",
-              "numbers", *_NO_ARGPARSE),
+              "numbers", *_NO_COMMAND, *_NO_NUMERIC_CORE),
 }
 
 
@@ -258,19 +289,27 @@ def test_guarded_proofs_load_no_fractions():
 
 def test_cli_calls_a_wrapper_set_before_first_use():
     # The benchmark's tracer and monkeypatch set pelleis.cli.verify_grid
-    # before any command has resolved it; verify must call that wrapper.
+    # and pelleis.cli.eval_grid before any command has resolved them; verify
+    # and grid must call those wrappers.  Both take the lattice's nx and ny
+    # just before k or the weight, and the settings.
     out = fresh.run("import contextlib, io\n"
                     "import pelleis, pelleis.cli\n"
                     "calls = []\n"
-                    "def wrapper(*args):\n"
-                    "    calls.append(args[0])\n"
-                    "    return pelleis.verify_grid(*args)\n"
-                    "pelleis.cli.verify_grid = wrapper\n"
+                    "def wrap(name):\n"
+                    "    def wrapper(*args):\n"
+                    "        calls.append((name, *args[-4:-2]))\n"
+                    "        return getattr(pelleis, name)(*args)\n"
+                    "    setattr(pelleis.cli, name, wrapper)\n"
+                    "    return wrapper\n"
+                    "names = ['verify_grid', 'eval_grid']\n"
+                    "wrappers = [wrap(name) for name in names]\n"
                     "with contextlib.redirect_stdout(io.StringIO()):\n"
-                    f"    code = pelleis.cli.run({CLI_ARGV['verify']!r})\n"
-                    "print(code, [e.value for e in calls],\n"
-                    "      pelleis.cli.verify_grid is wrapper)\n")
-    assert out == "0 ['shift'] True\n"
+                    f"    codes = [pelleis.cli.run({CLI_ARGV['verify']!r}),\n"
+                    f"             pelleis.cli.run({CLI_ARGV['grid']!r})]\n"
+                    "bound = [getattr(pelleis.cli, n) for n in names]\n"
+                    "print(codes, calls, bound == wrappers)\n")
+    assert out == ("[0, 0] [('verify_grid', 3, 3), ('eval_grid', 4, 4)] "
+                   "True\n")
 
 
 def test_cli_deferred_names_are_their_modules_objects():

@@ -15,10 +15,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fresh
 from argparse_reference import reference_parse
 from pelleis import (EquationId, EvalSettings, GridSummary, InvalidRegion,
                      Rect, ResidualReport, cli, eval_grid, eval_series,
-                     exact_reference, verify_grid)
+                     exact_reference, pell_lucas, verify_grid)
 from pelleis.geometry import MAX_CELLS
 
 SEQ_0_4 = "n,Q_n\n0,2\n1,2\n2,6\n3,14\n4,34\n"
@@ -329,6 +330,46 @@ def test_unprintable_rows_are_refused_whole(capsys, int_str_digits_640,
     code, out = run_cli(capsys, "seq", "--from", "1671", "--to", "1671")
     assert code == 0
     assert len(out.splitlines()[1]) == len("1671,") + 640
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (0, 1671), (-1671, 1671), (0, 1672), (1672, 1672), (-1672, -1672),
+    (-1672, 0), (-1700, 1680), (-1671, 1680), (1700, 1800), (-2000, -1700),
+    (-3, 3), (1, 1), (5, 3), (0, 100_001), (-100_001, 0)])
+def test_first_unprintable_row_is_the_first_that_fails_to_format(
+        int_str_digits_640, lo, hi):
+    # The row the refusal names is the first, in output order, that Python
+    # will not convert to text; a range seq refuses otherwise gets None.
+    def formats(n):
+        try:
+            return bool(f"{pell_lucas(n)}")
+        except ValueError:
+            return False
+    expected = None if max(-lo, hi) > 100_000 else next(
+        (n for n in range(lo, hi + 1) if not formats(n)), None)
+    assert cli._first_unprintable(lo, hi) == expected
+
+
+@pytest.mark.parametrize("lo, hi, name", [("0", "99999", "Q_11234"),
+                                          ("-99999", "0", "Q_-99999")])
+def test_unprintable_row_is_found_before_the_table_grows(lo, hi, name):
+    # Built whole, either range took 852 MB and about 3 s to print this one
+    # line.  The table now grows to the first unprintable index, 11,234.
+    # Memory is the peak that tracemalloc sees: ru_maxrss of a child keeps
+    # the peak of the test process that started it (Linux).
+    out = fresh.run(
+        "import contextlib, io, tracemalloc\n"
+        "import pelleis.cli, pelleis.sequence\n"
+        "tracemalloc.start()\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out, \\\n"
+        "        contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    code = pelleis.cli.run(['seq', '--from', {lo!r},\n"
+        f"                            '--to', {hi!r}])\n"
+        "mb = tracemalloc.get_traced_memory()[1] / 2**20\n"
+        "print(code, len(pelleis.sequence._Q), mb < 60, out.getvalue(),\n"
+        "      end='')\n")
+    assert out == (f"1 11235 True # error: {name} has more than 4300 digits, "
+                   "Python's int-to-string limit\n")
 
 
 # --------------------------------------------------------------------- verify
