@@ -8,9 +8,9 @@ Importing the package loads only errors.  Every other public name, and
 the submodules analysis, equations, evaluator, exact, geometry, sequence
 and verify, are imported on first access and then bound here, so each is
 its defining module's own object: `pelleis prove` and `pelleis seq` never
-load the numeric core (evaluator, geometry and cmath).  _first_use builds
-that module __getattr__; the CLI and the exact engine defer their names
-through it too.
+load the numeric core (evaluator, geometry and cmath), and a one-shot
+eval_series loads no geometry.  _first_use builds that module __getattr__;
+the CLI and the exact engine defer their names through it too.
 """
 
 from .errors import (DidNotConverge, EmptyGrid, IndexCapExceeded,

@@ -6,8 +6,6 @@ alternating around the limit with strictly shrinking distance, so the two
 limits are the only accumulation points of the pole set.
 """
 
-from __future__ import annotations
-
 import math
 from bisect import bisect_left
 from collections import namedtuple

@@ -13,11 +13,10 @@ coefficient_texts (the exact engine), poles_in_rect and DEFAULT_J_CAP
 (analysis) are bound here on first use, through the package's _first_use.
 Commands read them as attributes of this module (_CLI), so a wrapper set
 on, say, pelleis.cli.verify_grid, before or after first use, is the one
-that runs.  seq and prove load no evaluator, geometry or cmath; grid, eval,
-seq and prove load no analysis; verify loads no exact engine.
+that runs.  seq and prove load no evaluator, geometry or cmath; eval loads
+no geometry; grid, eval, seq and prove load no analysis; verify loads no
+exact engine.
 """
-
-from __future__ import annotations
 
 import math
 import sys

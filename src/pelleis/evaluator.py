@@ -84,8 +84,6 @@ every term is an exact zero, and none is added.  term_value sums its one
 term through _add_terms, so the term arithmetic has one copy.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from cmath import isfinite
@@ -94,7 +92,6 @@ from functools import lru_cache
 
 from .errors import (DidNotConverge, IndexCapExceeded, PoleProximity,
                      require_int, require_type, shown)
-from .geometry import Rect
 from .sequence import (INDEX_CAP, LAST_LEVEL, POLE_GUARD, SILVER_CONJUGATE,
                        SILVER_RATIO, float_pole, float_row, float_table,
                        float_window)
@@ -526,13 +523,14 @@ def eval_series(z: complex, m: int,
     return EvalResult(value, minus, plus, bound, level)
 
 
-def eval_grid(region: Rect, nx: int, ny: int, m: int,
+def eval_grid(region: "Rect", nx: int, ny: int, m: int,
               settings: EvalSettings | None = None):
     """Evaluate at every cell center of an nx-by-ny lattice over region.
 
     Returns a row-major list of (point, EvalResult-or-error); per-point
     PoleProximity/DidNotConverge are recorded, not raised.
     """
+    from .geometry import Rect  # only a grid needs it, not eval_series
     require_type("region", region, Rect)
     settings = _require_settings(settings)
     out = []

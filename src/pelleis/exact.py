@@ -38,8 +38,6 @@ substitute) live in exact_reference, the one module that imports fractions,
 and are public there alone.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from itertools import zip_longest

@@ -13,8 +13,6 @@ check the termwise prover against them.  substitute takes a map as the
 integer tuple (a, b, c, d) of an equation row.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 

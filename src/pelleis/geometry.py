@@ -1,7 +1,5 @@
 """Axis-aligned rectangles in the complex plane."""
 
-from __future__ import annotations
-
 import sys
 from collections import namedtuple
 from collections.abc import Iterator

@@ -6,8 +6,6 @@ backward, Q_{n-2} = Q_n - 2 Q_{n-1} gives
 one table of Q_n for n >= 0 serves every signed index.
 """
 
-from __future__ import annotations
-
 import threading
 from math import inf, nextafter
 
@@ -127,7 +125,7 @@ def pell_lucas_range(lo: int, hi: int) -> list[int]:
             + _Q[max(lo, 0):max(hi + 1, 0)])
 
 
-def pole_ratio(j: int) -> Fraction:
+def pole_ratio(j: int) -> "Fraction":
     """-Q_{j-1}/Q_j, the location of the real pole of term j, in lowest
     terms.  fractions, which loads decimal, is imported on the first call,
     not with the package.

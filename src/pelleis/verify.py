@@ -1,8 +1,6 @@
 """Numeric residuals of the functional equations on points and grids; a
 grid checks its arguments once and maps each point once."""
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 

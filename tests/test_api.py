@@ -1,9 +1,9 @@
 """The public signatures carry no knob that only ever takes one value;
 importing the package loads neither dataclasses nor inspect, and loads
 every submodule but errors, and fractions and numbers, only on first use;
-each CLI subcommand loads only the modules it runs, a proof loads no
-fractions, and none loads importlib; every bounded integer argument is
-refused in one form."""
+a one-shot eval_series loads no geometry; each CLI subcommand loads only
+the modules it runs, a proof loads no fractions, and none loads importlib
+or __future__; every bounded integer argument is refused in one form."""
 
 import inspect
 import sys
@@ -66,6 +66,31 @@ def test_numeric_path_loads_no_deferred_module():
                     "pelleis.pell_lucas_range(-3, 3)\n"
                     f"print(sorted(set({DEFERRED!r}) & set(sys.modules)))\n")
     assert out == "[]\n"
+
+
+def test_one_shot_eval_series_loads_neither_geometry_nor_future():
+    # Only eval_grid needs Rect, and no module imports __future__.
+    out = fresh.run("import pelleis\n"
+                    "pelleis.eval_series(1 + 1j, 2)\n"
+                    "print(sorted({'pelleis.geometry', '__future__'}\n"
+                    "             & set(sys.modules)))\n")
+    assert out == "[]\n"
+
+
+def test_eval_grid_refuses_a_non_rect_before_and_after_geometry_loads():
+    # eval_grid imports Rect when it is called, not with evaluator; the
+    # first call, before anything has loaded geometry, refuses as a later
+    # one does.
+    out = fresh.run("import pelleis\n"
+                    "eval_grid = pelleis.eval_grid\n"
+                    "for _ in range(2):\n"
+                    "    loaded = 'pelleis.geometry' in sys.modules\n"
+                    "    try:\n"
+                    "        eval_grid((-1, -1, 1, 1), 2, 2, 2)\n"
+                    "    except ValueError as exc:\n"
+                    "        print(loaded, exc)\n")
+    refusal = "region must be of type Rect, got (-1, -1, 1, 1)"
+    assert out == f"False {refusal}\nTrue {refusal}\n"
 
 
 def test_bare_import_loads_errors_alone():
@@ -233,9 +258,9 @@ def test_pole_ratio_matches_an_independent_recurrence():
 # core (evaluator, geometry, cmath); seq, eval and grid need neither the
 # exact engine, verify nor analysis; poles and verify need no exact engine;
 # prove needs neither verify, analysis nor fractions.  No command loads
-# argparse (with the gettext and locale it loads) or importlib (the
-# first-use rule imports with __import__), and none but poles, whose
-# fractions imports it, loads numbers.
+# argparse (with the gettext and locale it loads), importlib (the
+# first-use rule imports with __import__) or __future__, and none but
+# poles, whose fractions imports it, loads numbers; eval loads no geometry.
 CLI_ARGV = {
     "seq": ["seq", "--from", "-3", "--to", "3"],
     "eval": ["eval", "--re", "0.3", "--im", "1", "--weight", "2"],
@@ -246,13 +271,13 @@ CLI_ARGV = {
     "poles": ["poles", "--rect", "-1,-1,1,1"],
     "prove": ["prove", "--eq", "shift", "--window", "2", "--k", "1"],
 }
-_NO_COMMAND = ("argparse", "gettext", "locale", "importlib")
+_NO_COMMAND = ("argparse", "gettext", "locale", "importlib", "__future__")
 _NO_NUMERIC_CORE = ("pelleis.evaluator", "pelleis.geometry", "cmath")
 _NUMERIC_ONLY = ("pelleis.exact", "pelleis.verify", "pelleis.analysis",
                  "fractions", "decimal", "numbers", *_NO_COMMAND)
 CLI_UNLOADED = {
     "seq": (*_NUMERIC_ONLY, *_NO_NUMERIC_CORE),
-    "eval": _NUMERIC_ONLY,
+    "eval": (*_NUMERIC_ONLY, "pelleis.geometry"),
     "grid": _NUMERIC_ONLY,
     "poles": ("pelleis.exact", "pelleis.verify", *_NO_COMMAND),
     "verify": ("pelleis.exact", "fractions", "decimal", "numbers",

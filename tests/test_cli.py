@@ -758,11 +758,25 @@ def _read(argv):
     return "ok", vars(args), out.getvalue(), err.getvalue()
 
 
+def _ambiguous_value(argv, reason):
+    """Whether argparse refused argv for an ambiguous option that directly
+    follows an option taking a value: argparse sorted every token into
+    options and values before it read any value, while the parser takes
+    the token as that option's value."""
+    token = reason.partition("ambiguous option: ")[2].partition(" ")[0]
+    if not token or token not in argv[1:]:
+        return False
+    before = argv[argv.index(token, 1) - 1]
+    return (before[:2] == "--" and before != "--" and "=" not in before
+            and any(o.startswith(before) for o in _OPTIONS if o != "--help"))
+
+
 def _unlike_argparse(argv, expected, got):
     """The README's name for the class of argv that the parser reads
     unlike argparse did, if argv is in one; None otherwise."""
     status, reason, read = expected[0], expected[3], got[0]
-    if status == "usage" and "expected one argument" in reason:
+    if status == "usage" and ("expected one argument" in reason
+                              or _ambiguous_value(argv, reason)):
         return "a value that starts with '-'"
     if status == "usage" and "invalid choice: '--'" in reason:
         return "'--' before the command"
@@ -790,6 +804,7 @@ def _unlike_argparse(argv, expected, got):
 @example(["--eq", "prove", "-h"])  # help after an unknown option
 @example(["prove", "x", "-h"])
 @example(["verify", "--eq", "shift", "--k", "1", "--n", "3"])
+@example(["grid", "--w", "2", "--r", "--n", "--ny", "3", "--nx", "2"])
 @example(["grid", "--rec=-1,0,1,1", "--nx", "2", "--ny", "3", "--wei=2",
           "--w", "4"])
 def test_parser_reads_argv_as_argparse_did(argv):
