@@ -5,7 +5,8 @@ deterministic, bit-stable formatting: floats via repr (shortest round trip),
 integers and rationals in full decimal.  Exit codes: 0 success, 1 domain
 errors, 2 usage errors.  If a domain error interrupts CSV output, the last
 line written is a trailing "# error:" comment.  parse_args reads argv in
-one pass over COMMANDS, the table of each subcommand's options.
+one pass over COMMANDS, the table of each subcommand's options; none takes
+a window cap, as every --tol is met (pelleis.evaluator).
 
 Each subcommand loads only the modules it runs: the numeric core's names
 (evaluator, geometry), verify_grid (verify), verify_identity_exact and
@@ -37,8 +38,7 @@ DEFAULT_GRID_N = 12
 
 __getattr__ = _first_use(__name__, {
     **dict.fromkeys(("EvalSettings", "EvalResult", "eval_series", "eval_grid",
-                     "DEFAULT_TARGET_TOL", "DEFAULT_MAX_HALF_WIDTH"),
-                    "evaluator"),
+                     "DEFAULT_TARGET_TOL"), "evaluator"),
     "Rect": "geometry", "verify_grid": "verify",
     "verify_identity_exact": "exact", "coefficient_texts": "exact",
     "poles_in_rect": "analysis", "DEFAULT_J_CAP": "analysis"})
@@ -97,7 +97,7 @@ def _cmd_eval(args) -> int:
     print(EVAL_HEADER)
     z = complex(args.re, args.im)
     value, minus, plus, bound, used = _CLI.eval_series(
-        z, args.weight, _CLI.EvalSettings(args.tol, args.max_j))
+        z, args.weight, _CLI.EvalSettings(args.tol))
     print(_EVAL_ROW % (repr(z.real), repr(z.imag), value.real, value.imag,
                        bound, used, minus.real, minus.imag, plus.real,
                        plus.imag))
@@ -211,8 +211,7 @@ COMMANDS = {
         "--from": ("lo", int, None), "--to": ("hi", int, None)}),
     "eval": ("evaluate the series at one point", _cmd_eval, {
         "--re": ("re", float, None), "--im": ("im", float, None),
-        "--weight": ("weight", int, None), "--tol": _TOL,
-        "--max-j": ("max_j", int, "DEFAULT_MAX_HALF_WIDTH")}),
+        "--weight": ("weight", int, None), "--tol": _TOL}),
     "grid": ("evaluate over a rectangular lattice", _cmd_grid, {
         "--rect": ("rect", str, None), "--nx": ("nx", grid_size, None),
         "--ny": ("ny", grid_size, None), "--weight": ("weight", int, None),

@@ -89,7 +89,8 @@ class PoleProximity(PelleisError):
 
 
 class DidNotConverge(PelleisError):
-    """Tail bound stayed above the target tolerance at the maximum window."""
+    """No tail bound certifies the point: it is within POLE_GUARD of
+    1 +/- sqrt(2), or a sum or verify's prefactor left double range."""
 
     def __init__(self, half_width: int, tail_bound: float,
                  point: complex | None = None, side: str | None = None):

@@ -67,7 +67,11 @@ and d- replaced by the distances from z to 1 -/+ sqrt(2), which every hull
 contains.  A window J whose bound b meets the tolerance with
 b * 2^m * (1 - 2e-9) still above it is the first such window, by the 2^m
 fall proven above, so the window below it is not probed; most evaluations
-make one bound check.
+make one bound check.  The search needs no cap: past the table's last
+level the hulls lie one ulp either side of 1 -/+ sqrt(2) and 1/Q = 0, so
+the bound of window _LAST_WINDOW = LAST_LEVEL + 1 is the 2e-300 floor at
+every point _checked_start admits (more than POLE_GUARD from both limits),
+and no tolerance is below it (EvalSettings, verify's 1e-250 floor).
 
 Every window sum finds its window J first and then adds exactly the
 terms up to J, in one function, _sum_window.  eval_series checks its
@@ -98,10 +102,10 @@ from .sequence import (INDEX_CAP, LAST_LEVEL, POLE_GUARD, SILVER_CONJUGATE,
 from .sequence import pell_lucas, pole_ratio  # unused; perfbench wraps them
 
 DEFAULT_TARGET_TOL = 1e-12
-DEFAULT_MAX_HALF_WIDTH = 200
 MAX_WEIGHT = 1 << 16   # a term takes m - 1 multiplications
 
 MIN_TAIL_HALF_WIDTH = 2   # containment interval needs poles J+1, J+2
+_LAST_WINDOW = LAST_LEVEL + 1  # 1/Q = 0: every search ends here
 _DIST_SHAVE = 1.0 - 1e-12      # deflate distances against rounding
 _BOUND_SLACK = 1.0 + 1e-9      # inflate the bound against rounding
 _BOUND_FLOOR = 2e-300          # stay clear of subnormal arithmetic
@@ -111,13 +115,12 @@ _LOG_TWO = math.log(2.0)
 _FALL_SLACK = 1.0 - 2e-9       # below the proven 1 - 1e-9 of the 2^m fall
 
 
-class EvalSettings(namedtuple("EvalSettings", "target_tol max_half_width")):
-    """Tolerance and window cap of adaptive summation."""
+class EvalSettings(namedtuple("EvalSettings", "target_tol")):
+    """Tolerance of adaptive summation, at least tail_bound's 2e-300 floor."""
 
     __slots__ = ()
 
-    def __new__(cls, target_tol=DEFAULT_TARGET_TOL,
-                max_half_width=DEFAULT_MAX_HALF_WIDTH):
+    def __new__(cls, target_tol=DEFAULT_TARGET_TOL):
         # The type is tested first: a str or None cannot be compared with 0.
         # The range is compared, not converted to float, so that an int
         # beyond double range is refused as well.
@@ -128,8 +131,7 @@ class EvalSettings(namedtuple("EvalSettings", "target_tol max_half_width")):
         if target_tol < _BOUND_FLOOR:
             raise ValueError(f"target_tol must be at least {_BOUND_FLOOR!r}, "
                              "the floor of tail_bound")
-        require_int("max_half_width", max_half_width, 4)
-        return super().__new__(cls, target_tol, max_half_width)
+        return super().__new__(cls, target_tol)
 
     @classmethod
     def _make(cls, iterable):
@@ -355,11 +357,10 @@ def tail_bound(half_width: int, z: complex, m: int) -> float:
 
 
 def _stopping_window(z: complex, m: int, lo: int, target_tol: float,
-                     max_half_width: int, d_minus: float,
-                     d_plus: float) -> tuple[int, float]:
-    """(J, tail_bound(J)) for the first J in [lo, max_half_width] with
-    tail_bound(J) <= target_tol, or for J = max_half_width if none is;
-    target_tol is positive and finite, as EvalSettings requires.
+                     d_minus: float, d_plus: float) -> tuple[int, float]:
+    """(J, tail_bound(J)) for the first J in [lo, _LAST_WINDOW] with
+    tail_bound(J) <= target_tol, else for J = _LAST_WINDOW; at an admitted
+    point the bound of _LAST_WINDOW is 2e-300, which meets every tolerance.
 
     tail_bound is non-increasing in J (module docstring), so the windows
     that meet the tolerance form a suffix of the range, and its first
@@ -378,7 +379,7 @@ def _stopping_window(z: complex, m: int, lo: int, target_tol: float,
     above its floor (module docstring), so window J - 1 fails unprobed.
     Any other passing probe is checked against its lower neighbour, then
     by bisection, each new passing probe certified alike.  Only windows
-    in [lo, max_half_width] are probed, none twice.
+    in [lo, _LAST_WINDOW] are probed, none twice.
     """
     # The guess is taken in logs, where d^-m cannot overflow.
     _, _, m_log_two, log_geo_den, m_log_silver, fall = _weight_constants(m)
@@ -387,21 +388,19 @@ def _stopping_window(z: complex, m: int, lo: int, target_tol: float,
                  - m_log_two - log_geo_den)
     guess = math.ceil((log_bound - math.log(target_tol)) / m_log_silver)
     bad = lo - 1    # the windows up to bad fail (or lie below the range)
-    j = min(max(guess, lo), max_half_width)
+    j = min(max(guess, lo), _LAST_WINDOW)
     while True:
         b = tail_bound(j, z, m)
-        if b <= target_tol:
+        if b <= target_tol or j >= _LAST_WINDOW:
             break
-        if j >= max_half_width:
-            return j, b
         bad = j
         if b == math.inf:
             j += j - lo + 1
         else:
             j += max(1, math.ceil((math.log(b) - math.log(target_tol))
                                   / m_log_silver))
-        j = min(j, max_half_width)
-    good, good_b = j, b
+        j = min(j, _LAST_WINDOW)
+    good, good_b = j, b    # a good_b above target_tol passes the certificate
     j = good - 1
     while j > bad and not (_BOUND_FLOOR < good_b
                            and good_b * fall > target_tol):
@@ -415,7 +414,7 @@ def _stopping_window(z: complex, m: int, lo: int, target_tol: float,
 
 
 def _sum_window(z: complex, m: int, level: int, sums: tuple,
-                target_tol: float, max_half_width: int, d_minus: float,
+                target_tol: float, d_minus: float,
                 d_plus: float) -> tuple[int, float, tuple]:
     """(J, tail_bound(J), sums): the sums (s_m, c_m, s_p, c_p) carried from
     window level (-1: none) to the first J >= max(level + 1, 2) whose bound
@@ -425,8 +424,7 @@ def _sum_window(z: complex, m: int, level: int, sums: tuple,
     checks the bound after every window; a J that misses target_tol
     raises DidNotConverge once its terms are added."""
     stop, bound = _stopping_window(z, m, max(level + 1, MIN_TAIL_HALF_WIDTH),
-                                   target_tol, max_half_width, d_minus,
-                                   d_plus)
+                                   target_tol, d_minus, d_plus)
     s_m, c_m, s_p, c_p = sums
     # The sums never read each other, so one pass per side gives the bits
     # of adding +level and -level in turn, and the same first error:
@@ -450,9 +448,9 @@ class _Series:
     _add_terms.
 
     extend() grows the window from the level reached so far by
-    _sum_window, so asking again with a tighter tolerance (and the same
-    max_half_width) adds exactly the terms, in order, that a restart from
-    j = 0 would, and gives its value, level, bound and sums to the bit.
+    _sum_window, so asking again with a tighter tolerance adds exactly the
+    terms, in order, that a restart from j = 0 would, and gives its value,
+    level, bound and sums to the bit.
     extend returns the value; level (the half-width J reached, -1 before
     the first extend), bound and the sums are read off the series.
     """
@@ -470,7 +468,7 @@ class _Series:
         self.bound = math.inf
         self._sums = (0j, 0j, 0j, 0j)
 
-    def extend(self, target_tol: float, max_half_width: int) -> complex:
+    def extend(self, target_tol: float) -> complex:
         """The value at the first window J >= 2 whose tail bound is
         <= target_tol, summing on from the level already reached; J and its
         bound are left in level and bound, the sums in _sums.
@@ -481,11 +479,9 @@ class _Series:
         """
         level, bound = self.level, self.bound
         if level < MIN_TAIL_HALF_WIDTH or bound > target_tol:
-            if max(level + 1, MIN_TAIL_HALF_WIDTH) > max_half_width:
-                raise DidNotConverge(level, bound, point=self.z)
             self.level, self.bound, self._sums = _sum_window(
-                self.z, self.m, level, self._sums, target_tol,
-                max_half_width, self.d_minus, self.d_plus)
+                self.z, self.m, level, self._sums, target_tol, self.d_minus,
+                self.d_plus)
         s_m, c_m, s_p, c_p = self._sums
         value = (s_m + c_m) + (s_p + c_p)
         if not isfinite(value):
@@ -505,17 +501,16 @@ def eval_series(z: complex, m: int,
     _sum_window from j = 0 gives the result; no series object is built.
 
     Raises PoleProximity when a term denominator nearly vanishes or a term
-    overflows, and DidNotConverge when the bound cannot reach the tolerance
-    (immediately so within POLE_GUARD of the accumulation points
-    1 +/- sqrt(2), where poles cluster and the bound stays at the sentinel
-    forever) or when the sums leave double range (half_width is then the
-    level reached, tail_bound inf).  A term denominator beyond double
-    range, in a part or in modulus, gives the term's zero.
+    overflows, and DidNotConverge (tail_bound inf) only within POLE_GUARD
+    of the accumulation points 1 +/- sqrt(2), where poles cluster (at
+    once, half_width 0), or when the sums leave double range (half_width
+    is then the level reached).  A term denominator beyond double range,
+    in a part or in modulus, gives the term's zero.
     """
     s = _require_settings(settings)
     z, d_minus, d_plus = _checked_start(z, m)
     level, bound, (s_m, c_m, s_p, c_p) = _sum_window(
-        z, m, -1, (0j,) * 4, s.target_tol, s.max_half_width, d_minus, d_plus)
+        z, m, -1, (0j,) * 4, s.target_tol, d_minus, d_plus)
     minus, plus = s_m + c_m, s_p + c_p
     value = minus + plus
     if not isfinite(value):

@@ -113,15 +113,14 @@ def _residual(sign: int, z: complex, k: int, lhs_z: complex, rhs_z: complex,
 
     lhs_series = rhs_series = None
     lhs_tol = rhs_tol = target_tol = settings.target_tol
-    max_half_width = settings.max_half_width
     for _ in range(_REFINE_ROUNDS + 1):
         side = "lhs"
         try:
             lhs_series = lhs_series or _Series(lhs_z, m)
-            lhs = lhs_series.extend(lhs_tol, max_half_width)
+            lhs = lhs_series.extend(lhs_tol)
             side = "rhs"
             rhs_series = rhs_series or _Series(rhs_z, m)
-            rhs = prefactor * rhs_series.extend(rhs_tol, max_half_width)
+            rhs = prefactor * rhs_series.extend(rhs_tol)
         except PelleisError as exc:
             exc.side = side
             raise

@@ -1,8 +1,9 @@
 """The CLI's former argparse parser, kept as the referee of pelleis.cli.
 
 build_parser and _glue_rect_values are copied verbatim from the CLI as it
-was when argparse parsed its arguments; grid_size, the defaults and the
-_cmd_* functions are read from pelleis.cli.  The differential test in
+was when argparse parsed its arguments, less the eval option --max-j that
+the CLI no longer takes; grid_size, the defaults and the _cmd_* functions
+are read from pelleis.cli.  The differential test in
 tests/test_cli.py compares pelleis.cli.parse_args with reference_parse.
 """
 
@@ -18,7 +19,7 @@ from pelleis.cli import (DEFAULT_GRID_N, DEFAULT_RECT, _cmd_eval, _cmd_grid,
                          _cmd_poles, _cmd_prove, _cmd_seq, _cmd_verify,
                          grid_size)
 from pelleis.equations import EquationId
-from pelleis.evaluator import DEFAULT_MAX_HALF_WIDTH, DEFAULT_TARGET_TOL
+from pelleis.evaluator import DEFAULT_TARGET_TOL
 
 
 @cache
@@ -40,8 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--im", type=float, required=True)
     p.add_argument("--weight", type=int, required=True)
     p.add_argument("--tol", type=float, default=DEFAULT_TARGET_TOL)
-    p.add_argument("--max-j", dest="max_j", type=int,
-                   default=DEFAULT_MAX_HALF_WIDTH)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("grid", help="evaluate over a rectangular lattice")

@@ -26,7 +26,7 @@ FIXED = {"pole_guard", "k_cap", "pole_tol", "accum_tol", "j_cap",
 
 
 def test_eval_settings_fields():
-    assert EvalSettings._fields == ("target_tol", "max_half_width")
+    assert EvalSettings._fields == ("target_tol",)
 
 
 def test_no_fixed_knob_in_signatures():
@@ -185,8 +185,7 @@ _HOMES = {
     },
     "pelleis.cli": {
         "evaluator": ("EvalSettings", "EvalResult", "eval_series",
-                      "eval_grid", "DEFAULT_TARGET_TOL",
-                      "DEFAULT_MAX_HALF_WIDTH"),
+                      "eval_grid", "DEFAULT_TARGET_TOL"),
         "geometry": ("Rect",),
         "verify": ("verify_grid",),
         "exact": ("verify_identity_exact", "coefficient_texts"),
@@ -362,7 +361,6 @@ _SHIFT, _SQUARE = EquationId.SHIFT, Rect(-1, -1, 1, 1)
 _INT_REFUSALS = {
     "weight": (lambda v: eval_series(1j, v), 2, 65536),
     "tail_bound half_width": (lambda v: tail_bound(v, 1j, 2), 2, None),
-    "max_half_width": (lambda v: EvalSettings(1e-12, v), 4, None),
     "residual k": (lambda v: residual(_SHIFT, 1j, v), 1, 8),
     "verify_grid k": (lambda v: verify_grid(_SHIFT, _SQUARE, 2, 2, v), 1, 8),
     "identity half_width": (

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 import fresh
 from argparse_reference import reference_parse
 from pelleis import (EquationId, EvalSettings, GridSummary, InvalidRegion,
-                     Rect, ResidualReport, cli, eval_grid, eval_series,
-                     exact_reference, pell_lucas, verify_grid)
+                     Rect, ResidualReport, cli, eval_grid, exact_reference,
+                     pell_lucas, verify_grid)
 from pelleis.geometry import MAX_CELLS
 
 SEQ_0_4 = "n,Q_n\n0,2\n1,2\n2,6\n3,14\n4,34\n"
@@ -95,6 +95,12 @@ def test_eval_tol_validation(capsys):
     assert code == 1
     assert out.endswith("# error: target_tol must be at least 2e-300, "
                         "the floor of tail_bound\n")
+    # The floor itself is met, 391 windows out at weight 2.
+    code, out = run_cli(capsys, "eval", "--re", "1", "--im", "1",
+                        "--weight", "2", "--tol", "2e-300")
+    assert code == 0
+    row = out.splitlines()[1].split(",")
+    assert (row[4], row[5]) == ("2e-300", "391")
 
 
 def test_eval_huge_weight_is_refused(capsys):
@@ -105,13 +111,6 @@ def test_eval_huge_weight_is_refused(capsys):
     assert code == 1
     assert out == (f"{cli.EVAL_HEADER}\n"
                    "# error: weight must be at most 65536, got 10000000000\n")
-
-
-def test_eval_max_j_cap(capsys):
-    code, out = run_cli(capsys, "eval", "--re", "0.5", "--im", "0.5",
-                        "--weight", "2", "--max-j", "8")
-    assert code == 1
-    assert "# error:" in out
 
 
 # ----------------------------------------------------------------------- grid
@@ -443,31 +442,29 @@ def test_verify_bad_k(capsys):
 
 
 def test_verify_failed_row_names_side(capsys):
-    # At tol 1e-150 the point next to 1 + sqrt(2) cannot certify its left
-    # side (reflected to about -0.41) within the default window budget,
-    # while the far point can.
-    code, out = run_cli(capsys, "verify", "--eq", "reflection", "--k", "1",
-                        "--rect", "1.412,0,5.412,0.004", "--nx", "2",
-                        "--ny", "1", "--tol", "1e-150")
+    # At z = 1e-160 the shift's prefactor z^-2 leaves double range, so its
+    # right side fails, while the point 1e-160 + 2i is tested.
+    code, out = run_cli(capsys, "verify", "--eq", "shift", "--k", "1",
+                        "--rect=0,-1,2e-160,3", "--nx", "1", "--ny", "2")
     assert code == 1
     failed = [l for l in out.split("\n") if l.startswith("# failed:")]
     assert len(failed) == 1
-    assert failed[0].startswith("# failed: re=2.412 im=0.002 tail bound ")
-    assert failed[0].endswith(" [lhs]")
+    assert failed[0].startswith("# failed: re=1e-160 im=0.0 tail bound ")
+    assert failed[0].endswith(" [rhs]")
     assert "points_tested=1" in out and "points_failed=1" in out
 
 
 def test_verify_all_points_failed_prints_failures(capsys):
-    # The one regular point fails to converge: a failed row and the
-    # summary, not "no testable points".
-    code, out = run_cli(capsys, "verify", "--eq", "reflection", "--k", "1",
-                        "--nx", "1", "--ny", "1", "--tol", "3e-300")
+    # The one regular point fails, as the prefactor overflows: a failed row
+    # and the summary, not "no testable points".
+    code, out = run_cli(capsys, "verify", "--eq", "shift", "--k", "1",
+                        "--rect=0,0,2e-160,2e-160", "--nx", "1", "--ny", "1")
     assert code == 1
     lines = out.strip().split("\n")
     assert lines[0] == cli.VERIFY_HEADER
-    assert lines[1].startswith("# failed: re=0.0 im=2.0 tail bound ")
-    assert lines[1].endswith(" [lhs]")
-    assert lines[2].startswith("# summary eq=reflection k=1 points_tested=0 "
+    assert lines[1].startswith("# failed: re=1e-160 im=1e-160 tail bound ")
+    assert lines[1].endswith(" [rhs]")
+    assert lines[2].startswith("# summary eq=shift k=1 points_tested=0 "
                                "points_skipped=0 points_failed=1 ")
     assert len(lines) == 3
 
@@ -671,24 +668,6 @@ def test_usage_error_leaves_parser_clean(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_max_j_does_not_carry_over(capsys):
-    point = ("eval", "--re", "1", "--im", "1", "--weight", "2")
-    code, out = run_cli(capsys, *point, "--max-j", "5")
-    assert code == 1
-    assert "at half-width 5 " in out
-    # Without --max-j the next request gets the default window again.
-    code, out = run_cli(capsys, *point)
-    assert code == 0
-    z = complex(1, 1)
-    r = eval_series(z, 2, EvalSettings())
-    expected = ",".join(repr(v) for v in (
-        z.real, z.imag, r.value.real, r.value.imag, r.tail_bound,
-        r.terms_used, r.minus_part.real, r.minus_part.imag,
-        r.plus_part.real, r.plus_part.imag))
-    assert out == f"{cli.EVAL_HEADER}\n{expected}\n"
-    assert cli.parse_args(point).max_j == EvalSettings().max_half_width
-
-
 def test_help_twice_is_identical(capsys):
     first = run_cli(capsys, "--help")
     assert first == run_cli(capsys, "--help")
@@ -700,9 +679,8 @@ def test_help_twice_is_identical(capsys):
 
 # ------------------------------------------------- parser against argparse
 
-_OPTIONS = ("--from", "--to", "--re", "--im", "--weight", "--tol", "--max-j",
-            "--rect", "--nx", "--ny", "--jcap", "--eq", "--k", "--window",
-            "--help")
+_OPTIONS = ("--from", "--to", "--re", "--im", "--weight", "--tol", "--rect",
+            "--nx", "--ny", "--jcap", "--eq", "--k", "--window", "--help")
 _PREFIXES = sorted({o[:n] for o in _OPTIONS for n in range(3, len(o) + 1)})
 _VALUES = ("0", "1", "2", "12", "0.5", "1e-5", "-1e-5", "nan", "-1",
            "-1,0,1,1", "0,0,1,1", "x", "rotation", "shift")
@@ -859,6 +837,14 @@ def test_refusal_names_the_usage_and_the_reason(capsys):
         "usage: pelleis prove [-h] --eq {inversion,reflection,shift,negation}"
         " --window WINDOW --k K",
         "pelleis: error: argument --eq: 'rotation' is not a valid EquationId"]
+    # eval takes no window cap.
+    code = cli.run(["eval", "--re", "1", "--im", "1", "--weight", "2",
+                    "--max-j", "8"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "usage: pelleis eval [-h] --re RE --im IM --weight WEIGHT [--tol TOL]",
+        "pelleis: error: unrecognized arguments: --max-j 8"]
 
 
 def test_module_entry_point():

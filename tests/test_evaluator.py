@@ -9,7 +9,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -397,6 +397,39 @@ def test_tail_bound_shrinks_geometrically():
                     assert fall >= m * math.log(2) - 1e-9, (z, m)
 
 
+_ADMITTED_POINTS = st.one_of(
+    # 1.0000001e-8 from 1 -+ sqrt(2), just outside the pole guard
+    st.builds(lambda limit, angle: limit + cmath.rect(1.0000001e-8, angle),
+              st.sampled_from((SILVER_CONJUGATE, SILVER_RATIO)),
+              st.floats(-math.pi, math.pi)),
+    # on the real axis
+    st.builds(complex, st.floats(-1e308, 1e308)),
+    # anywhere, |z| up to 1e308
+    st.builds(cmath.rect, st.floats(0.0, 1e308), st.floats(-math.pi, math.pi)))
+
+
+@settings(max_examples=400)
+@given(z=_ADMITTED_POINTS, m=st.integers(2, MAX_WEIGHT))
+@example(z=complex(SILVER_RATIO + 1.0000001e-8, 0.0), m=2)
+@example(z=complex(SILVER_CONJUGATE - 1.0000001e-8, 0.0), m=2)
+@example(z=complex(SILVER_CONJUGATE, 1.0000001e-8), m=MAX_WEIGHT)
+@example(z=complex(-1e308, 0.0), m=2)
+@example(z=complex(7e307, -7e307), m=3)
+@example(z=complex(0.0, 1e308), m=MAX_WEIGHT)
+def test_search_ends_at_the_floor_of_the_last_window(z, m):
+    # Past the float table's last level 1/Q is 0, so the bound of window
+    # LAST_LEVEL + 1 is the 2e-300 floor at every point eval_series admits:
+    # one more than POLE_GUARD from 1 -+ sqrt(2), whose hulls are a few
+    # ulps wide there.  Every accepted tolerance is at least that floor, so
+    # every window search ends by that window.
+    try:
+        evaluator._checked_start(z, m)
+    except DidNotConverge:    # within POLE_GUARD of 1 -+ sqrt(2)
+        assume(False)
+    assert evaluator._LAST_WINDOW == LAST_LEVEL + 1
+    assert tail_bound(LAST_LEVEL + 1, z, m) == 2e-300
+
+
 def test_out_of_window_poles_inside_hull():
     # Every pole past the window edge lies between the next two poles on
     # its side; this containment is what the tail bound rests on.
@@ -425,8 +458,8 @@ def test_eval_settings_validation():
         EvalSettings(target_tol=0.0)
     with pytest.raises(ValueError):
         EvalSettings(target_tol=math.nan)
-    # A bool is no tolerance, as it is no window cap; a str or None is
-    # refused by type before any comparison with 0.
+    # A bool is no tolerance; a str or None is refused by type before any
+    # comparison with 0.
     for tol in (True, False, "1e-3", None):
         with pytest.raises(ValueError, match="^target_tol must be"):
             EvalSettings(target_tol=tol)
@@ -438,13 +471,6 @@ def test_eval_settings_validation():
     with pytest.raises(ValueError,
                        match="^target_tol must be a positive finite float"):
         EvalSettings()._replace(target_tol=0.0)
-    with pytest.raises(ValueError, match="integer"):
-        EvalSettings()._replace(max_half_width=3)
-    with pytest.raises(ValueError):
-        EvalSettings(max_half_width=3)
-    for width in (10.5, 10.0, True, "10"):
-        with pytest.raises(ValueError, match="integer"):
-            EvalSettings(max_half_width=width)
     # tail_bound never returns less than 2e-300, so no window could meet a
     # smaller tolerance.
     with pytest.raises(ValueError, match="at least 2e-300"):
@@ -559,17 +585,6 @@ def test_eval_accumulation_points_raise_immediately():
         eval_series(complex(SILVER_RATIO, 5e-9), 2)
 
 
-def test_eval_did_not_converge_when_window_capped():
-    settings = EvalSettings(target_tol=1e-12, max_half_width=8)
-    with pytest.raises(DidNotConverge) as info:
-        eval_series(0.5 + 0.5j, 2, settings)
-    exc = info.value
-    assert exc.half_width == 8
-    assert math.isfinite(exc.tail_bound)
-    assert exc.tail_bound > 1e-12
-    assert exc.point == 0.5 + 0.5j
-
-
 def test_eval_nonfinite_term_is_pole_proximity():
     # 1.5e-8 from p_0 = 1 passes the pole guard, but the 60th power of
     # 1/(2z - 2) overflows.
@@ -600,7 +615,7 @@ def test_eval_nonfinite_sum_is_refused(monkeypatch):
     _patch_rows(monkeypatch, lambda i: row)
     assert term_value(5, 3j, 2) == term_value(-5, 3j, 2) == 1e308
     for evaluate in (lambda: eval_series(3j, 2),
-                     lambda: evaluator._Series(3j, 2).extend(1e-12, 100)):
+                     lambda: evaluator._Series(3j, 2).extend(1e-12)):
         with pytest.raises(DidNotConverge) as info:
             evaluate()
         assert info.value.point == 3j
@@ -614,10 +629,10 @@ def _outcome(fn):
         return type(exc), exc.args
 
 
-def _extended(series, target_tol, max_half_width):
+def _extended(series, target_tol):
     """The value series.extend returns, with the window, bound and sums it
     leaves on the series, as the EvalResult of eval_series."""
-    value = series.extend(target_tol, max_half_width)
+    value = series.extend(target_tol)
     s_m, c_m, s_p, c_p = series._sums
     return evaluator.EvalResult(value, s_m + c_m, s_p + c_p, series.bound,
                                 series.level)
@@ -631,17 +646,16 @@ def test_series_extend_matches_fresh_eval(z, m):
     # Resuming at a tighter tolerance gives what a fresh eval_series at that
     # tolerance gives, to the bit, errors included; so does asking again at
     # a tighter tolerance that the window reached already meets.
-    for max_hw in (200, 12):
-        series = evaluator._Series(z, m)
-        tols = [1e-3, 1e-3, 1e-8, 1e-12, 1e-30, 1e-60, 1e-100]
-        while tols:
-            tol = tols.pop(0)
-            want = _outcome(lambda: eval_series(
-                z, m, EvalSettings(target_tol=tol, max_half_width=max_hw)))
-            got = _outcome(lambda: _extended(series, tol, max_hw))
-            assert got == want, (tol, max_hw)
-            if isinstance(got, evaluator.EvalResult) and got.tail_bound < tol:
-                tols.insert(0, got.tail_bound)
+    series = evaluator._Series(z, m)
+    tols = [1e-3, 1e-3, 1e-8, 1e-12, 1e-30, 1e-60, 1e-100, 2e-300]
+    while tols:
+        tol = tols.pop(0)
+        want = _outcome(lambda: eval_series(
+            z, m, EvalSettings(target_tol=tol)))
+        got = _outcome(lambda: _extended(series, tol))
+        assert got == want, tol
+        if isinstance(got, evaluator.EvalResult) and got.tail_bound < tol:
+            tols.insert(0, got.tail_bound)
 
 
 def _record_levels(monkeypatch):
@@ -661,10 +675,10 @@ def _record_levels(monkeypatch):
 
 def test_series_extend_adds_no_terms_when_bound_met(monkeypatch):
     series = evaluator._Series(1 + 1j, 2)
-    first = _extended(series, 1e-6, 200)
-    assert _extended(series, 1e-12, 200).terms_used > first.terms_used
-    tighter = _extended(series, 1e-12, 200)
-    met = _extended(series, tighter.tail_bound, 200)
+    first = _extended(series, 1e-6)
+    assert _extended(series, 1e-12).terms_used > first.terms_used
+    tighter = _extended(series, 1e-12)
+    met = _extended(series, tighter.tail_bound)
     probes = []
 
     def recording_tail_bound(j, z, m):
@@ -673,11 +687,11 @@ def test_series_extend_adds_no_terms_when_bound_met(monkeypatch):
 
     reads = _record_levels(monkeypatch)
     monkeypatch.setattr(evaluator, "tail_bound", recording_tail_bound)
-    assert _extended(series, 1e-9, 200) == met == tighter
+    assert _extended(series, 1e-9) == met == tighter
     assert reads == probes == []
     # The recording sees the windows of the probed bounds, then the levels
     # of the terms that are added, once for the + pass and once for the -.
-    assert _extended(series, 1e-14, 200).terms_used > tighter.terms_used
+    assert _extended(series, 1e-14).terms_used > tighter.terms_used
     assert probes
     added = list(range(tighter.terms_used + 1, series.level + 1))
     assert reads == probes + added + added
@@ -771,19 +785,20 @@ def neumaier_state(series):
             s_p.real, c_p.real, s_p.imag, c_p.imag)
 
 
-def scan_extend(series, target_tol, max_half_width):
+def scan_extend(series, target_tol):
     """Reference for _Series.extend: add the terms one window at a time,
     +J then -J, with a branching Neumaier sum of each real part and check
     the tail bound after each window J >= 2, stopping at the first whose
-    bound meets the tolerance.  The empty series is at level -1, and term
-    0 is added once, at level 0.  series._sums holds the eight floats of
+    bound meets the tolerance, or at window LAST_LEVEL + 1, whose bound is
+    the 2e-300 floor.  The empty series is at level -1, and term 0 is
+    added once, at level 0.  series._sums holds the eight floats of
     neumaier_state.  Returns the value, and leaves the window and its bound
     in series.level and series.bound, as extend does."""
     z, m = series.z, series.m
     level, bound = series.level, series.bound
     sr_m, cr_m, si_m, ci_m, sr_p, cr_p, si_p, ci_p = series._sums
     if level < MIN_TAIL_HALF_WIDTH or bound > target_tol:
-        for level in range(level + 1, max_half_width + 1):
+        for level in range(level + 1, LAST_LEVEL + 2):
             if level:
                 v = term_value(level, z, m)
                 sr_p, cr_p = _neumaier(sr_p, cr_p, v.real)
@@ -809,14 +824,14 @@ def scan_extend(series, target_tol, max_half_width):
 
 
 def _search_matches_scan(z, m, steps):
-    """Extend two series at z through the same (tolerance, max_half_width)
-    steps, one by _Series.extend and one by scan_extend: results, errors
-    and summation state (the TwoSum slots of extend mapped onto the floats
-    of the Neumaier reference) must agree to the bit at every step, and
-    the search may probe only windows in [max(level + 1, 2),
-    max_half_width], none of them twice.  A tolerance given as
-    ("bound", J) is the exact bound of window J, and ("met", 0) the bound
-    of the last value.  Returns False when the series cannot start at z."""
+    """Extend two series at z through the same tolerances, one by
+    _Series.extend and one by scan_extend: results, errors and summation
+    state (the TwoSum slots of extend mapped onto the floats of the
+    Neumaier reference) must agree to the bit at every step, and the search
+    may probe only windows in [max(level + 1, 2), LAST_LEVEL + 1], none of
+    them twice.  A tolerance given as ("bound", J) is the exact bound of
+    window J, and ("met", 0) the bound of the last value.  Returns False
+    when the series cannot start at z."""
     try:
         new, ref = evaluator._Series(z, m), evaluator._Series(z, m)
     except DidNotConverge:    # within POLE_GUARD of 1 +- sqrt(2)
@@ -839,7 +854,7 @@ def _search_matches_scan(z, m, steps):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(evaluator, "tail_bound", recording_tail_bound)
         patch.setattr(evaluator, "_stopping_window", recording_search)
-        for tol, max_hw in steps:
+        for tol in steps:
             if isinstance(tol, tuple):
                 kind, j = tol
                 tol = (tail_bound(j, z, m) if kind == "bound" else
@@ -848,13 +863,14 @@ def _search_matches_scan(z, m, steps):
                     continue
             lo = max(new.level + 1, MIN_TAIL_HALF_WIDTH)
             probes.clear()
-            got = _outcome(lambda: new.extend(tol, max_hw))
-            want = _outcome(lambda: scan_extend(ref, tol, max_hw))
-            context = (z, m, tol, max_hw)
+            got = _outcome(lambda: new.extend(tol))
+            want = _outcome(lambda: scan_extend(ref, tol))
+            context = (z, m, tol)
             assert repr(got) == repr(want), context
             assert (repr((new.level, new.bound, neumaier_state(new)))
                     == repr((ref.level, ref.bound, ref._sums))), context
-            assert all(lo <= j <= max_hw for j in probes), (context, probes)
+            assert all(lo <= j <= LAST_LEVEL + 1 for j in probes), (
+                context, probes)
             # The search probes no window twice.
             assert len(set(probes)) == len(probes), (context, probes)
             # A window above lo is returned only once the window below it
@@ -907,8 +923,7 @@ def test_search_matches_scan_seeded():
     started = 0
     for _ in range(2500):
         z, m = _random_point(rng), _random_weight(rng)
-        steps = [(_random_tol(rng), rng.choice((4, 12, 200)))
-                 for _ in range(rng.randint(1, 4))]
+        steps = [_random_tol(rng) for _ in range(rng.randint(1, 4))]
         started += _search_matches_scan(z, m, steps)
     assert started > 2000
 
@@ -930,9 +945,7 @@ def test_search_matches_scan_fuzzed(data):
     scale = 10.0 ** data.draw(st.integers(-10, 0))
     z = complex(centre + dx * scale, dy * scale)
     m = data.draw(st.one_of(st.integers(2, 10), st.integers(2, 1100)))
-    steps = data.draw(st.lists(
-        st.tuples(_TOLS, st.sampled_from((4, 12, 200))),
-        min_size=1, max_size=4))
+    steps = data.draw(st.lists(_TOLS, min_size=1, max_size=4))
     _search_matches_scan(z, m, steps)
 
 
@@ -960,8 +973,7 @@ def test_search_certificate_at_the_first_windows():
             if m >= 64:
                 tols.append(2e-300)
             for tol in tols:
-                assert _search_matches_scan(z, m, [(tol, 200)])
-                assert _search_matches_scan(z, m, [(tol, 4)])
+                assert _search_matches_scan(z, m, [tol])
 
 
 def test_search_makes_few_tail_checks():
@@ -1019,8 +1031,8 @@ def _seeded_near_pole_points():
         yield z, rng.choice((2, 3, 4, 6, 8, 16, 32, 64, rng.randint(2, 64)))
 
 
-LATTICE_STEPS = [(1e-12, 200), (1e-15, 200)]
-NEAR_POLE_STEPS = [(1e-12, 200), (1e-20, 200)]
+LATTICE_STEPS = [1e-12, 1e-15]
+NEAR_POLE_STEPS = [1e-12, 1e-20]
 
 
 def test_fold_matches_per_term_reference_on_lattices():
@@ -1037,33 +1049,44 @@ def test_fold_matches_per_term_reference_near_poles():
     assert started == 300
 
 
-def _scan_result(z, m, target_tol, max_half_width):
+def _scan_result(z, m, target_tol):
     """scan_extend on a fresh series at z, as the EvalResult of
     eval_series: the parts are the Neumaier sums of each side."""
     ref = evaluator._Series(z, m)
     ref._sums = neumaier_state(ref)
-    value = scan_extend(ref, target_tol, max_half_width)
+    value = scan_extend(ref, target_tol)
     sr_m, cr_m, si_m, ci_m, sr_p, cr_p, si_p, ci_p = ref._sums
     return evaluator.EvalResult(value, complex(sr_m + cr_m, si_m + ci_m),
                                 complex(sr_p + cr_p, si_p + ci_p),
                                 ref.bound, ref.level)
 
 
+def test_floor_tolerance_is_met_at_weight_2():
+    # The 2e-300 floor, the smallest tolerance EvalSettings accepts, lies
+    # 391 windows out at 1 + 1j and weight 2; window and bits are those of
+    # the window-by-window reference.
+    got = eval_series(1 + 1j, 2, EvalSettings(2e-300))
+    assert (got.terms_used, got.tail_bound) == (391, 2e-300)
+    assert repr(got) == repr(_scan_result(1 + 1j, 2, 2e-300))
+
+
 def test_eval_series_matches_scan_bit_for_bit():
     # eval_series sums without a series object.  On the seeded lattices and
     # near-pole points, each tolerance evaluated afresh gives what the
     # window-by-window reference gives on a fresh series: value, parts,
-    # bound and window to the bit, or the same error at the same index.  A
-    # cap of 4 makes some windows miss the tolerance.
+    # bound and window to the bit, or the same error at the same index.
+    # Within POLE_GUARD of 1 +- sqrt(2) both refuse to start.
     cases = [(z, m, LATTICE_STEPS) for z, m in _seeded_lattice_points()]
     cases += [(z, m, NEAR_POLE_STEPS) for z, m in _seeded_near_pole_points()]
+    cases += [(complex(x, y), m, LATTICE_STEPS)
+              for x in (SILVER_CONJUGATE, SILVER_RATIO)
+              for y in (0.0, 5e-9) for m in (2, 8)]
     errors = set()
     for z, m, steps in cases:
-        for tol, max_hw in (*steps, (1e-12, 4)):
-            chosen = EvalSettings(tol, max_hw)
-            got = _outcome(lambda: eval_series(z, m, chosen))
-            want = _outcome(lambda: _scan_result(z, m, tol, max_hw))
-            assert repr(got) == repr(want), (z, m, tol, max_hw)
+        for tol in steps:
+            got = _outcome(lambda: eval_series(z, m, EvalSettings(tol)))
+            want = _outcome(lambda: _scan_result(z, m, tol))
+            assert repr(got) == repr(want), (z, m, tol)
             if not isinstance(got, evaluator.EvalResult):
                 errors.add(got[0])
     assert errors == {PoleProximity, DidNotConverge}
@@ -1075,7 +1098,7 @@ def test_eval_series_builds_no_series(monkeypatch):
 
     points = ((1 + 1j, 2), (0.5 + 0.5j, 8), (5.0, 2),
               (complex(SILVER_RATIO + 2e-3, 0), 2))
-    want = [_scan_result(z, m, 1e-12, 200) for z, m in points]
+    want = [_scan_result(z, m, 1e-12) for z, m in points]
     monkeypatch.setattr(evaluator, "_Series", refused)
     assert [eval_series(z, m) for z, m in points] == want
     # Regular cells and poles alike.
@@ -1092,12 +1115,15 @@ def test_fold_matches_per_term_reference_past_double_range(monkeypatch):
     # stay above the 2e-300 floor with Q_J near 1e307, so z would lie
     # within 1e-157 of the pole hulls, which are then within 1e-300 of
     # 1 +- sqrt(2), where _Series refuses to start.  A bound patched to inf
-    # below window 850, still non-increasing, takes the kernel and the
-    # reference past it.
+    # below window LAST_LEVEL + 1, the last window the search probes, still
+    # non-increasing, takes the kernel and the reference to it.  Patched to
+    # inf at every window, the search still ends there, and both raise
+    # DidNotConverge at that window.
     real = tail_bound
+    last = [LAST_LEVEL + 1]
 
     def late_bound(j, z, m):
-        return math.inf if j < 850 else real(j, z, m)
+        return math.inf if j < last[0] else real(j, z, m)
 
     monkeypatch.setattr(sys.modules[__name__], "tail_bound", late_bound)
     monkeypatch.setattr(evaluator, "tail_bound", late_bound)
@@ -1105,9 +1131,15 @@ def test_fold_matches_per_term_reference_past_double_range(monkeypatch):
     for z in (complex(SILVER_RATIO, 1.1e-8), complex(SILVER_CONJUGATE, 2e-8),
               1 + 1j):
         for m in (2, 3, 8, 64):
-            assert _search_matches_scan(z, m, [(1e-12, 900), (1e-12, 1000)])
+            last[0] = LAST_LEVEL + 1
+            assert _search_matches_scan(z, m, [1e-12, 1e-12])
             series = evaluator._Series(z, m)
-            assert _extended(series, 1e-12, 900).terms_used == 850
+            assert _extended(series, 1e-12).terms_used == LAST_LEVEL + 1
+            last[0] = math.inf
+            assert _search_matches_scan(z, m, [1e-12])
+            with pytest.raises(DidNotConverge) as info:
+                eval_series(z, m)
+            assert info.value.args == (LAST_LEVEL + 1, math.inf, z, None)
 
 
 def test_levels_past_the_end_add_nothing(monkeypatch):
@@ -1136,11 +1168,11 @@ def test_levels_past_the_end_add_nothing(monkeypatch):
             for j in (LAST_LEVEL, -LAST_LEVEL, LAST_LEVEL + 1, -900):
                 assert term_value(j, z, m) == 0, (j, z, m)
             sums = set()
-            for stop[0] in (LAST_LEVEL - 1, LAST_LEVEL, LAST_LEVEL + 1, 900):
+            for stop[0] in (LAST_LEVEL - 1, LAST_LEVEL, LAST_LEVEL + 1):
                 series = evaluator._Series(z, m)
                 reads.clear()
                 windows.clear()
-                assert _extended(series, 1e-12, 1000).terms_used == stop[0]
+                assert _extended(series, 1e-12).terms_used == stop[0]
                 assert reads == (windows + list(range(1, LAST_LEVEL))
                                  + list(range(LAST_LEVEL))), (z, m, stop[0])
                 sums.add(repr(series._sums))
@@ -1166,14 +1198,14 @@ def test_kernel_adds_each_term_once(monkeypatch):
         assert passes == [(0, 1, used + 1), (1, 0, used + 1)]
         assert sum(hi - lo for _, lo, hi in passes) == 2 * used + 1
         series = evaluator._Series(z, m)
-        first = _extended(series, 1e-6, 200).terms_used
+        first = _extended(series, 1e-6).terms_used
         passes.clear()
-        second = _extended(series, 1e-14, 200).terms_used
+        second = _extended(series, 1e-14).terms_used
         assert second > first
         assert passes == [(0, first + 1, second + 1),
                           (1, first + 1, second + 1)]
         passes.clear()
-        series.extend(1e-6, 200)
+        series.extend(1e-6)
         assert passes == []
 
 
@@ -1199,9 +1231,10 @@ def test_weight_constants_equal_the_inline_expressions():
 
 
 # sha256 of the tail bounds, stopping windows and probed windows of
-# _weight_outcomes as computed with every weight factor inline, per call.
+# _weight_outcomes as computed with every weight factor inline, per call;
+# every search ends by window LAST_LEVEL + 1.
 _WEIGHT_OUTCOMES = (
-    "119118fb07ed8b7d6f20cdbc1dc23bf10d93bfa7e734b8ddad7a3d15b3c0dc22")
+    "8386efebdbe8b92c5e76b767b122f93e52fa21b8568854fa5029b9e548852dc2")
 
 
 def test_bounds_and_searches_are_pinned_at_every_weight(monkeypatch):
@@ -1221,10 +1254,10 @@ def test_bounds_and_searches_are_pinned_at_every_weight(monkeypatch):
             for j in (2, 3, 5, 8, 13, 40, 200, 900):
                 out.append(repr(tail_bound(j, z, m)))
             for tol in (1e-3, 1e-12, 1e-40, 2e-300):
-                for lo, max_hw in ((2, 200), (2, 12), (7, 60)):
+                for lo in (2, 7):
                     probes.clear()
                     found = evaluator._stopping_window(
-                        z, m, lo, tol, max_hw, d_minus, d_plus)
+                        z, m, lo, tol, d_minus, d_plus)
                     out.append(repr((found, probes)))
     digest = hashlib.sha256("\n".join(out).encode()).hexdigest()
     assert digest == _WEIGHT_OUTCOMES

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -185,10 +186,8 @@ def restart_residual(equation, z, k, settings=None):
         if (lhs_tol >= lhs_settings.target_tol
                 and rhs_tol >= rhs_settings.target_tol):
             break
-        lhs_settings = EvalSettings(min(lhs_tol, lhs_settings.target_tol),
-                                    base.max_half_width)
-        rhs_settings = EvalSettings(min(rhs_tol, rhs_settings.target_tol),
-                                    base.max_half_width)
+        lhs_settings = EvalSettings(min(lhs_tol, lhs_settings.target_tol))
+        rhs_settings = EvalSettings(min(rhs_tol, rhs_settings.target_tol))
     abs_res = abs(left.value - rhs)
     report = ResidualReport(
         point=z, k=k, lhs=left.value, rhs=rhs, abs_residual=abs_res,
@@ -225,8 +224,7 @@ def _residual_cases(equation, seed):
             angle = rng.choice((0.0, math.pi / 2, rng.uniform(0, 2 * math.pi)))
             z = complex(p + r * math.cos(angle), r * math.sin(angle))
         tol = 10.0 ** -rng.uniform(6, 100)
-        cases.append((z, EvalSettings(target_tol=tol,
-                                      max_half_width=rng.choice((200, 60)))))
+        cases.append((z, EvalSettings(target_tol=tol)))
     return cases
 
 
@@ -260,9 +258,9 @@ def test_residual_sides_equal_fresh_evaluations(monkeypatch, equation):
     extends = []
     extend = evaluator._Series.extend
 
-    def recording_extend(series, target_tol, max_half_width):
-        extends.append((series, EvalSettings(target_tol, max_half_width)))
-        return extend(series, target_tol, max_half_width)
+    def recording_extend(series, target_tol):
+        extends.append((series, EvalSettings(target_tol)))
+        return extend(series, target_tol)
 
     monkeypatch.setattr(evaluator._Series, "extend", recording_extend)
     k, refined = 3, 0
@@ -336,11 +334,12 @@ def _preimage(equation, side, w):
 
 
 def _grid_cases(equation, k, seed):
-    """Seeded (region, settings) of three kinds: a wide rectangle, a thin
-    one across the real axis around the preimage of a pole p_j, and a
-    square around the preimage of 1 -/+ sqrt(2), under the left or the
-    right argument map.  Tolerances reach 1e-14 and some windows are capped
-    at 12 or 20 levels, so points are refined, skipped and failed."""
+    """Seeded (region, settings) of four kinds: a wide rectangle, a thin
+    one across the real axis around the preimage of a pole p_j, a square
+    around the preimage of 1 -/+ sqrt(2), under the left or the right
+    argument map, and a square across the circle where the prefactor
+    z^(+-2k) leaves double range.  Tolerances reach 1e-14, so points are
+    refined, skipped and failed."""
     rng = random.Random(seed)
     cases = []
     for kind in ("wide", "axis", "accum"):
@@ -360,9 +359,15 @@ def _grid_cases(equation, k, seed):
             cx = _preimage(equation, side, limit) + rng.uniform(-0.5, 0.5) * s
             cy = rng.uniform(-0.5, 0.5) * s
             region = Rect(cx - s, cy - s, cx + s, cy + s)
-        settings = EvalSettings(target_tol=10.0 ** -rng.uniform(6, 14),
-                                max_half_width=rng.choice((200, 12, 20)))
+        settings = EvalSettings(target_tol=10.0 ** -rng.uniform(6, 14))
         cases.append((region, settings))
+    edge = sys.float_info.max ** (1 / (2 * k))
+    if equation.row[2] < 0:    # the prefactor is (1/z)^(2k)
+        edge = 1 / edge
+    angle = rng.uniform(0, math.pi / 2)
+    cx, cy, s = (edge * math.cos(angle), edge * math.sin(angle), 0.3 * edge)
+    cases.append((Rect(cx - s, cy - s, cx + s, cy + s),
+                  EvalSettings(target_tol=10.0 ** -rng.uniform(6, 14))))
     return cases
 
 
@@ -413,8 +418,14 @@ def test_verify_grid_equals_residual_point_by_point(equation, k):
 
 
 def test_grid_cases_test_skip_and_fail_points():
-    # The cases above test points, skip some, fail some on each side, and
-    # leave some grids with no testable point.
+    # The cases above test points, skip some, fail some, and leave some
+    # grids with no testable point.  A grid point fails on its right side
+    # alone, where the prefactor leaves double range: classify keeps each
+    # argument 1e-6 from every pole and 1e-3 from 1 -/+ sqrt(2), where no
+    # term of weight 2k <= 16 overflows and every window search ends at its
+    # floor.  residual fails on the left side at points that classify
+    # does not pass (test_failure_reports_left_side and
+    # test_pole_failure_message_carries_side_tag).
     tested = skipped = empty = 0
     sides = set()
     for equation in ALL_EQUATIONS:
@@ -428,7 +439,7 @@ def test_grid_cases_test_skip_and_fail_points():
                 sides.update(outcome[2] for _, outcome in got[1])
                 skipped += got[2]
     assert tested > 500 and skipped > 50 and empty > 0
-    assert sides == {"lhs", "rhs"}
+    assert sides == {"rhs"}
 
 
 def test_verify_grid_maps_each_point_once(monkeypatch):
@@ -505,11 +516,11 @@ def test_grid_summary_is_a_named_tuple():
 
 
 def test_verify_grid_returns_the_summary_it_built():
-    # 7 x 3 cells: z = 0 is skipped, and a window capped at 4 levels leaves
-    # some regular points failed and some tested.
+    # 7 x 3 cells: z = 0 is skipped, the points where z^2 leaves double
+    # range fail, and the others are tested.
     nx, ny = 7, 3
-    summary = verify_grid(EquationId.INVERSION, Rect(-3, -1, 3, 1), nx, ny,
-                          1, EvalSettings(target_tol=1e-3, max_half_width=4))
+    summary = verify_grid(EquationId.INVERSION,
+                          Rect(-3e154, -1e154, 3e154, 1e154), nx, ny, 1)
     assert type(summary) is GridSummary and isinstance(summary, tuple)
     assert summary[:2] == (EquationId.INVERSION, 1)
     tested, failed = summary.points_tested, summary.points_failed
@@ -534,27 +545,34 @@ def test_verify_grid_empty_raises():
 
 
 def test_verify_grid_records_failures():
-    # With the window capped at 4 levels, the point near the lower limit
-    # cannot certify 1e-3 while the far point can: one tested, one failed.
-    settings = EvalSettings(target_tol=1e-3, max_half_width=4)
-    summary = verify_grid(EquationId.REFLECTION,
-                          Rect(-2.025, 0.06, 4.675, 0.56), 2, 1, 1,
-                          settings=settings)
+    # The prefactor z^2 leaves double range at the far point, not at the
+    # near one: one tested, one failed on its right side.
+    summary = verify_grid(EquationId.INVERSION, Rect(0, 1, 4e154, 2), 2, 1,
+                          1)
     assert summary.points_tested == 1
     assert summary.points_failed == 1
     (bad_point, exc), = summary.failures
-    assert abs(bad_point - complex(-0.35, 0.31)) < 1e-12
-    assert isinstance(exc, DidNotConverge)
+    assert bad_point == complex(3e154, 1.5)
+    assert isinstance(exc, DidNotConverge) and exc.side == "rhs"
+    # So at 10 of the 16 points of a larger grid.
+    summary = verify_grid(EquationId.INVERSION,
+                          Rect(1e153, 1e153, 2e154, 2e154), 4, 4, 1)
+    assert (summary.points_tested, summary.points_failed) == (6, 10)
+    edge = math.sqrt(sys.float_info.max)
+    assert all(isinstance(exc, DidNotConverge) and exc.side == "rhs"
+               and abs(z) > edge for z, exc in summary.failures)
+    assert all(abs(r.point) < edge for r in summary.reports)
 
 
 def test_verify_grid_all_failed_is_not_empty():
-    # The one regular point fails; it is reported, not lost to EmptyGrid.
-    summary = verify_grid(EquationId.REFLECTION, Rect(-3, 0.5, 3, 3.5), 1, 1,
-                          1, settings=EvalSettings(target_tol=3e-300))
+    # The one regular point fails, as the shift's prefactor z^-2 leaves
+    # double range; it is reported, not lost to EmptyGrid.
+    summary = verify_grid(EquationId.SHIFT, Rect(0, 0, 2e-160, 2e-160), 1, 1,
+                          1)
     assert (summary.points_tested, summary.points_skipped,
             summary.points_failed) == (0, 0, 1)
     (point, exc), = summary.failures
-    assert point == 2j
+    assert point == complex(1e-160, 1e-160)
     assert isinstance(exc, DidNotConverge)
 
 
