@@ -55,9 +55,16 @@ def grid_size(text: str) -> int:
     return int(text)
 
 
+def _int_str_limit() -> int:
+    """Python's int-to-string limit in digits; 0 is no limit, as it is where
+    the interpreter has none (CPython 3.10.0 to 3.10.6)."""
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    return limit() if limit else 0
+
+
 def _unprintable(name: str) -> ValueError:
     """The refusal of a row whose integer Python will not convert to text."""
-    return ValueError(f"{name} has more than {sys.get_int_max_str_digits()} "
+    return ValueError(f"{name} has more than {_int_str_limit()} "
                       "digits, Python's int-to-string limit")
 
 
@@ -70,7 +77,7 @@ def _first_unprintable(lo: int, hi: int) -> int | None:
     are those with |n| >= first, the least index with Q_first >= 10^limit.
     Q_n is within 1 of (1 + sqrt(2))^n, so the search starts two below the
     index that the logarithm gives, which is below first."""
-    limit, top = sys.get_int_max_str_digits(), max(-lo, hi)
+    limit, top = _int_str_limit(), max(-lo, hi)
     if not limit or lo > hi or top > INDEX_CAP:
         return None
     first = max(1, int(limit / math.log10(SILVER_RATIO)) - 2)

@@ -11,6 +11,9 @@ functions alone: a scalar operand raises TypeError.  The prover's sums
 need no gcd: their denominators are products of powers of known linear
 factors, and their canonical form is read off those roots: a factor is
 stripped when an exact integer root test shows that it divides (_tally_sum).
+Each group of terms over one linear factor is reduced once per proof: the
+three sums of a proof share a memo of their reductions, which lives for
+that call alone.
 
 The identity checks are termwise.  Under a map T(z) = (a z + b)/(c z + d)
 the term 1/(Q_j z + Q_{j-1})^m becomes (c z + d)^m / (alpha z + beta)^m
@@ -31,7 +34,9 @@ Q_{-j})), and the boundary is + right-side term J+1 and - right-side term
 as a one-entry tally, returned, and entered into the same tally with the
 opposite sign; the defect, residual minus boundary, is the exact sum of
 the terms whose tally is still not zero, and is the zero rational
-function exactly when the identity holds.
+function exactly when the identity holds.  Each boundary term is the one
+term of a group that the residual has reduced already, so a proof with
+offset 1 reduces two groups, and one with offset 0 none.
 
 Polynomial, poly_gcd and the reference path (window_sum, term_rf,
 substitute) live in exact_reference, the one module that imports fractions,
@@ -190,11 +195,16 @@ def coefficient_texts(rf: RationalFunction) -> tuple[str, str]:
     read off the integer parts, with no Fraction built.  Zero is "0"."""
     num, den = rf._parts
     lead = den[-1]
-
-    def text(c: int) -> str:
-        g = math.gcd(c, lead) if lead > 0 else -math.gcd(c, lead)
-        return str(c // g) if g == lead else f"{c // g}/{lead // g}"
-    return " ".join(map(text, num)) or "0", " ".join(map(text, den))
+    if lead < 0:  # c / lead is -c / -lead: every gcd below is then positive
+        num, den, lead = [-c for c in num], [-c for c in den], -lead
+    gcd, texts = math.gcd, []
+    for part in num, den:
+        words = []
+        for c in part:
+            g = gcd(c, lead)
+            words.append(str(c // g) if g == lead else f"{c // g}/{lead // g}")
+        texts.append(" ".join(words))
+    return texts[0] or "0", texts[1]
 
 
 class ExactIdentityReport(namedtuple("ExactIdentityReport",
@@ -252,45 +262,65 @@ def _root_divides(acc: list[int], a: int, b: int) -> bool:
     return not v
 
 
-def _tally_sum(tally: dict, m: int) -> RationalFunction:
+def _reduce_group(a: int, b: int, entries: tuple, m: int) -> tuple:
+    """One group of _tally_sum: the sum over its entries (pair, g^m, count)
+    of count * (p z + q)^m / (g (a z + b))^m, (a, b) primitive, as integer
+    (numerator, denominator) lists, the numerator [] for a zero sum.
+
+    The numerators are summed over one integer scale, the lcm of the g^m;
+    the sum is divided by a z + b, at most m times, each time the root test
+    (_root_divides) shows that it divides, and the denominator is the scale
+    times the power of a z + b that remains.
+    """
+    scale = math.lcm(*(gm for _, gm, _ in entries))
+    acc = [0] * (m + 1)
+    for pair, gm, count in entries:
+        f = count * (scale // gm)
+        for i, c in enumerate(_linear_power(*pair, m)):
+            acc[i] += f * c
+    while acc and not acc[-1]:
+        acc.pop()
+    if not acc:
+        return acc, [1]
+    power = m
+    while power and a and _root_divides(acc, a, b):  # (0, 1) is 1 itself
+        acc = _int_exact_div(acc, [b, a])
+        power -= 1
+    return acc, [scale * c for c in _linear_power(a, b, power)]
+
+
+def _tally_sum(tally: dict, m: int, memo: dict) -> RationalFunction:
     """Exact sum of count * (p z + q)^m / (alpha z + beta)^m over the tally,
     in canonical form, found with no gcd.
 
-    The denominator pairs are sign-normalised, as _pair gives them.
+    The denominator pairs are sign-normalised, as _pair gives them; a zero
+    count adds nothing, and the prover drops its zero counts before it sums.
     Entries are grouped by the primitive pair (a, b) = (alpha, beta) / g,
-    g the content; a group's numerators are summed over one integer scale,
-    the lcm of g^m over its entries.  Each group's numerator is then divided
-    by a z + b, at most m times, each time the root test (_root_divides)
-    shows that it divides, and the groups are summed over the product of
-    the powers that remain, starting from the first.  The result is coprime
-    over Q: distinct primitive pairs have distinct roots -b/a; at the root
-    of a remaining factor its own group's numerator does not vanish, as the
-    root test showed, and no other group's factor vanishes there either, so
-    neither does the numerator of the sum.
+    g the content, and each group is reduced by _reduce_group: its
+    numerators summed over one scale and its linear factor stripped where
+    the root test shows that it divides.  memo maps (a, b, entries) to that
+    reduction, for sums of one weight m: a group met again, in another sum
+    of the same proof, is not reduced again.  The groups are summed over
+    the product of the powers that remain, starting from the first.  The
+    result is coprime over Q: distinct primitive pairs have distinct roots
+    -b/a; at the root of a remaining factor its own group's numerator does
+    not vanish, as the root test showed, and no other group's factor
+    vanishes there either, so neither does the numerator of the sum.
     """
     groups = {}
     for (num, (alpha, beta)), count in tally.items():
-        if count:
-            g = math.gcd(alpha, beta)
-            groups.setdefault((alpha // g, beta // g), []).append(
-                (num, g ** m, count))
+        g = math.gcd(alpha, beta)
+        groups.setdefault((alpha // g, beta // g), []).append(
+            (num, g ** m, count))
     num, den = [], [1]
     for (a, b), entries in groups.items():
-        scale = math.lcm(*(gm for _, gm, _ in entries))
-        acc = [0] * (m + 1)
-        for pair, gm, count in entries:
-            f = count * (scale // gm)
-            for i, c in enumerate(_linear_power(*pair, m)):
-                acc[i] += f * c
-        while acc and not acc[-1]:
-            acc.pop()
+        key = a, b, tuple(entries)
+        reduced = memo.get(key)
+        if reduced is None:
+            reduced = memo[key] = _reduce_group(*key, m)
+        acc, d = reduced
         if not acc:
             continue
-        power = m
-        while power and a and _root_divides(acc, a, b):  # (0, 1) is 1 itself
-            acc = _int_exact_div(acc, [b, a])
-            power -= 1
-        d = [scale * c for c in _linear_power(a, b, power)]
         if num:
             num = [x + y for x, y in zip_longest(
                 _int_mul(num, d), _int_mul(acc, den), fillvalue=0)]
@@ -331,14 +361,22 @@ def verify_identity_exact(equation: EquationId, half_width: int,
     rhs_num = (1, 0) if s == 1 else (0, 1)
     J = half_width
     qs = pell_lucas_range(-J - 1, J + 1)   # Q_n is qs[n + J + 1]
+    # Term j of either side has the pair of _pair, written out here with
+    # each map's row unpacked once: j runs over -J .. J, with Q_j, Q_{j-1}.
+    la, lb, lc, ld = left
+    ra, rb, rc, rd = right
     tally = {}
-    for j in range(-J, J + 1):
-        q_j, q_prev = qs[j + J + 1], qs[j + J]
-        key = lhs_num, _pair(left, q_j, q_prev)
-        tally[key] = tally.get(key, 0) + 1
-        key = rhs_num, _pair(right, q_j, q_prev)
-        tally[key] = tally.get(key, 0) - 1
-    residual = _tally_sum(tally, m)
+    get = tally.get
+    for q_j, q_prev in zip(qs[1:-1], qs):
+        p, q = la * q_j + lc * q_prev, lb * q_j + ld * q_prev
+        key = lhs_num, ((p, q) if p > 0 or (p == 0 and q > 0) else (-p, -q))
+        tally[key] = get(key, 0) + 1
+        p, q = ra * q_j + rc * q_prev, rb * q_j + rd * q_prev
+        key = rhs_num, ((p, q) if p > 0 or (p == 0 and q > 0) else (-p, -q))
+        tally[key] = get(key, 0) - 1
+    tally = {key: count for key, count in tally.items() if count}
+    memo = {}  # this proof's group reductions, shared by its three sums
+    residual = _tally_sum(tally, m, memo)
 
     # With offset 1 the left window meets right-side terms -J+1 .. J+1, so
     # the boundary is + right-side term J+1 and - right-side term -J.
@@ -346,8 +384,12 @@ def verify_identity_exact(equation: EquationId, half_width: int,
     boundary = []
     for sign, j in edges:
         key = rhs_num, _pair(right, qs[j + J + 1], qs[j + J])
-        boundary.append(_tally_sum({key: sign}, m))
-        tally[key] = tally.get(key, 0) - sign
-    defect = _tally_sum(tally, m)
+        boundary.append(_tally_sum({key: sign}, m, memo))
+        count = tally.get(key, 0) - sign
+        if count:
+            tally[key] = count
+        else:
+            del tally[key]
+    defect = _tally_sum(tally, m, memo)
     return ExactIdentityReport(equation, half_width, m, residual,
                                boundary, defect)

@@ -48,6 +48,16 @@ def test_seq_negative_range(capsys):
     assert rows[-1] == "3,14"
 
 
+def test_seq_without_an_int_str_limit(capsys, monkeypatch):
+    # CPython 3.10.0 to 3.10.6 has no int-to-string limit and no
+    # sys.get_int_max_str_digits: seq prints its table, as with a limit of 0.
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    code, out = run_cli(capsys, "seq", "--from", "-3", "--to", "3")
+    assert code == 0
+    assert out == "n,Q_n\n" + "".join(
+        f"{n},{pell_lucas(n)}\n" for n in range(-3, 4))
+
+
 def test_seq_reversed_range_fails(capsys):
     code, out = run_cli(capsys, "seq", "--from", "5", "--to", "3")
     assert code == 1

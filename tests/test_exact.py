@@ -828,11 +828,12 @@ _PAIRS = st.tuples(st.integers(-40, 40), st.integers(-40, 40)).filter(
 def test_tally_sum_equals_chained_fraction_sum(entries, m):
     # Few denominator pairs, so entries with different numerators share a
     # denominator and are grouped before the one canonicalisation.  The
-    # tally is a plain dict, as the prover's is, and keeps zero counts.
+    # tally is a plain dict, as the prover's is, and keeps zero counts,
+    # which add nothing.
     tally = {}
     for num, den, count in entries:
         tally[num, den] = tally.get((num, den), 0) + count
-    got = exact._tally_sum(tally, m)
+    got = exact._tally_sum(tally, m, {})
     want = reference.tally_sum(tally, m)
     assert repr(got) == repr(want)
     if want.num.is_zero:
@@ -886,22 +887,91 @@ def test_tally_sum_equals_rational_function_sum(drawn):
     for ((p, q), (alpha, beta)), count in tally.items():
         want = want + RationalFunction(
             count * Polynomial((q, p)) ** m, Polynomial((beta, alpha)) ** m)
-    got = exact._tally_sum(tally, m)
+    got = exact._tally_sum(tally, m, {})
     assert got == want
     assert repr(got) == repr(want)
     if want.is_zero:
         assert got._parts == ([], [1])
 
 
+@st.composite
+def _overlapping_tallies(draw):
+    """(tallies, m): two to four tallies drawn from one pool of up to four
+    entries, whose denominators are multiples of two primitive pairs: the
+    tallies share whole groups, and groups of one pair differ in their
+    entries, their contents or their counts."""
+    m = draw(st.sampled_from([2, 4, 6]))
+    pool = draw(st.lists(st.tuples(_SMALL_PAIRS, st.sampled_from(
+        [(1, 1), (2, 2), (1, -2), (2, -4)])), min_size=1, max_size=4,
+        unique=True))
+    tallies = []
+    for _ in range(draw(st.integers(2, 4))):
+        keys = draw(st.lists(st.sampled_from(pool), max_size=4, unique=True))
+        tallies.append({key: draw(st.integers(-2, 2).filter(bool))
+                        for key in keys})
+    return tallies, m
+
+
+@given(_overlapping_tallies())
+# One group, its count changed: (a, b) alone does not key the reduction.
+@example(([{((1, 0), (1, 1)): 1}, {((1, 0), (1, 1)): 2}], 2))
+# One pair, its content changed: z^2/(z + 1)^2, then z^2/(2 z + 2)^2.
+@example(([{((1, 0), (1, 1)): 1}, {((1, 0), (2, 2)): 1}], 2))
+# A group met again inside a larger sum, as a boundary term meets the
+# residual's group.
+@example(([{((1, 0), (1, 1)): 1, ((0, 1), (1, -2)): -1},
+           {((1, 0), (1, 1)): 1}, {((0, 1), (1, -2)): -1}], 4))
+@settings(max_examples=200)
+def test_shared_memo_sums_equal_fraction_reference(drawn):
+    # Sums that share one memo, as the three sums of a proof do, each equal
+    # the chained Fraction sum of its own tally.
+    tallies, m = drawn
+    memo = {}
+    for tally in tallies:
+        got = exact._tally_sum(tally, m, memo)
+        assert repr(got) == repr(reference.tally_sum(tally, m))
+
+
+def test_each_group_is_reduced_once_per_proof(monkeypatch):
+    # An offset-1 proof (inversion, shift, negation) leaves two groups in
+    # its residual, each the group of one boundary term, and none in its
+    # defect: each is reduced once, with one root test, whose factor never
+    # divides.  The reflection leaves no group.  Two identical calls count
+    # alike, so no reduction outlives the call that made it.
+    root_divides, calls = exact._root_divides, []
+
+    def counted(acc, a, b):
+        calls.append((a, b))
+        return root_divides(acc, a, b)
+    monkeypatch.setattr(exact, "_root_divides", counted)
+    for equation in EquationId:
+        want = 0 if equation is EquationId.REFLECTION else 2
+        for J in range(2, 9):
+            for k in (1, 2, 3):
+                counts = []
+                for _ in range(2):
+                    calls.clear()
+                    verify_identity_exact(equation, J, k)
+                    counts.append(len(calls))
+                assert counts == [want, want], (equation, J, k)
+
+
 @pytest.mark.parametrize("equation", list(EquationId))
 def test_reports_equal_fraction_reference(monkeypatch, equation):
     # Every report of the guarded range, rebuilt with the chained Fraction
-    # tally sum and Fraction-canonicalised boundary terms.
+    # tally sum and Fraction-canonicalised boundary terms: every sum goes
+    # to the reference, which takes no memo.
     cases = [(J, k) for J in range(2, 9) for k in (1, 2, 3)]
     got = [verify_identity_exact(equation, J, k) for J, k in cases]
-    monkeypatch.setattr(exact, "_tally_sum", reference.tally_sum)
+    sums = []
+
+    def summed(tally, m, memo):
+        sums.append(tally)
+        return reference.tally_sum(tally, m)
+    monkeypatch.setattr(exact, "_tally_sum", summed)
     want = [verify_identity_exact(equation, J, k) for J, k in cases]
     assert [repr(r) for r in got] == [repr(r) for r in want]
+    assert len(sums) == len(cases) * (4 if equation.row[3] else 2)
 
 
 def test_report_parts_are_fractions_built_once():
