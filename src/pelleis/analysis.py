@@ -157,12 +157,12 @@ def classify(z: complex) -> DomainClass:
     d_acc, limit = ((d_minus, SILVER_CONJUGATE) if d_minus <= d_plus
                     else (d_plus, SILVER_RATIO))
 
-    if d_acc < ACCUM_TOL and d_acc <= best_d:
+    # A limit at least as near as the nearest pole wins, and so does one
+    # within ACCUM_TOL when no pole is within POLE_TOL.
+    if d_acc < ACCUM_TOL and (d_acc <= best_d or best_d >= POLE_TOL):
         return DomainClass(DomainTag.NEAR_ACCUMULATION, limit=limit)
     if best_d == 0.0:  # z is the pole itself
         return DomainClass(DomainTag.POLE, index=best_j)
     if best_d < POLE_TOL:
         return DomainClass(DomainTag.NEAR_POLE, index=best_j, distance=best_d)
-    if d_acc < ACCUM_TOL:
-        return DomainClass(DomainTag.NEAR_ACCUMULATION, limit=limit)
     return _REGULAR

@@ -26,7 +26,8 @@ from types import SimpleNamespace
 from . import _first_use
 from .equations import EquationId
 from .errors import PelleisError, PoleProximity
-from .sequence import INDEX_CAP, SILVER_RATIO, pell_lucas, pell_lucas_range
+from .sequence import (INDEX_CAP, SILVER_RATIO, pell_lucas, pell_lucas_range,
+                       pole_ratio)
 
 EVAL_HEADER = ("re,im,value_re,value_im,tail_bound,terms_used,"
                "minus_re,minus_im,plus_re,plus_im")
@@ -68,20 +69,22 @@ def _unprintable(name: str) -> ValueError:
                       "digits, Python's int-to-string limit")
 
 
-def _first_unprintable(lo: int, hi: int) -> int | None:
-    """The first n of lo .. hi whose Q_n has more digits than Python's
-    int-to-string limit, or None; Q_i is computed for no |i| past it.
-    A range that pell_lucas_range refuses gets None, so the refusal wins.
+def _first_unprintable(lo: int, hi: int, scale: int = 1) -> int | None:
+    """The first n of lo .. hi whose Q_n / scale has more digits than
+    Python's int-to-string limit, or None; Q_i is computed for no |i| past
+    it.  A range that pell_lucas_range refuses gets None, so the refusal
+    wins.
 
     |Q_n| = Q_|n| grows with |n| from |n| = 1, so the rows past the limit
-    are those with |n| >= first, the least index with Q_first >= 10^limit.
-    Q_n is within 1 of (1 + sqrt(2))^n, so the search starts two below the
-    index that the logarithm gives, which is below first."""
+    are those with |n| >= first, the least index with
+    Q_first >= scale * 10^limit.  Q_n is within 1 of (1 + sqrt(2))^n, so
+    the search starts two below the index that the logarithm gives for
+    10^limit, which is below first."""
     limit, top = _int_str_limit(), max(-lo, hi)
     if not limit or lo > hi or top > INDEX_CAP:
         return None
     first = max(1, int(limit / math.log10(SILVER_RATIO)) - 2)
-    while first <= top and pell_lucas(first) < 10 ** limit:
+    while first <= top and pell_lucas(first) < scale * 10 ** limit:
         first += 1
     if first > top:
         return None
@@ -142,17 +145,29 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_poles(args) -> int:
-    rect = _CLI.Rect.parse(args.rect)
+    rect, cap = _CLI.Rect.parse(args.rect), args.jcap
     print("j,location_num,location_den,location_float")
-    lines = []  # all formatted before any is written
-    for pole in _CLI.poles_in_rect(rect, args.jcap):
-        try:
-            lines.append(f"{pole.index},{pole.location.numerator},"
-                         f"{pole.location.denominator},"
-                         f"{pole.location_float!r}\n")
-        except ValueError:
-            raise _unprintable(f"location of pole j={pole.index}") from None
-    sys.stdout.write("".join(lines))
+    # p_j in lowest terms is -(Q_{j-1}/2)/(Q_j/2), so the poles that cannot
+    # print are j >= F and j <= 1 - F, F the least j whose Q_j / 2 passes
+    # the limit.  From |j| = 23 on, a side's poles are all inside rect or
+    # none is, so the refusal is decided on poles F and 1 - F before any
+    # pole is listed, and names the first unprintable pole in the listing's
+    # order (analysis._pole_order): the least odd j >= F, else the least
+    # even |j| >= F - 1 of j < 0, or the cap where no such j is within it.
+    # A cap that poles_in_rect refuses gets None, so its refusal wins.
+    first = _first_unprintable(0, cap + 1, 2)
+    if first is not None:
+        if first <= cap and rect.contains(pole_ratio(first), 0):
+            bad = min(first + 1 - first % 2, cap)
+            raise _unprintable(f"location of pole j={bad}")
+        if rect.contains(pole_ratio(1 - first), 0):
+            bad = min(first - first % 2, cap)
+            raise _unprintable(f"location of pole j={-bad}")
+        cap = min(cap, first)
+    sys.stdout.write("".join(
+        f"{pole.index},{pole.location.numerator},"
+        f"{pole.location.denominator},{pole.location_float!r}\n"
+        for pole in _CLI.poles_in_rect(rect, cap)))
     return 0
 
 

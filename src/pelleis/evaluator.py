@@ -73,19 +73,20 @@ the bound of window _LAST_WINDOW = LAST_LEVEL + 1 is the 2e-300 floor at
 every point _checked_start admits (more than POLE_GUARD from both limits),
 and no tolerance is below it (EvalSettings, verify's 1e-250 floor).
 
-Every window sum finds its window J first and then adds exactly the
-terms up to J, in one function, _sum_window.  eval_series checks its
-weight and point once (_checked_start) and sums from j = 0, building no
-series object.  verify._residual keeps one resumable _Series per side,
-extends it to each refined tolerance and reads the bounds and windows off
-the series, so a refinement continues the window sum where the previous
-tolerance stopped it, and builds no result.  _sum_window fetches the
-levels of its window (sequence.float_table: Q_j, Q_{j-1} and the guard
-radius of terms +j and -j) once and adds each side's terms in one pass of
-_add_terms: +1 .. +J to the j >= 1 sum, then 0, -1 .. -J to the j <= 0
-sum, each with a branch-free complex TwoSum; past level LAST_LEVEL - 1
-every term is an exact zero, and none is added.  term_value sums its one
-term through _add_terms, so the term arithmetic has one copy.
+Every window sum finds its window J first, adds exactly the terms up to
+J and forms and checks its value, in one function, _sum_window.
+eval_series checks its weight and point once (_checked_start) and sums
+from j = 0, building no series object.  verify._residual keeps one
+resumable _Series per side, extends it to each refined tolerance and
+reads the bounds and windows off the series, so a refinement continues
+the window sum where the previous tolerance stopped it, and builds no
+result.  _sum_window fetches the levels of its window
+(sequence.float_table: Q_j, Q_{j-1} and the guard radius of terms +j and
+-j) once and adds each side's terms in one pass of _add_terms: +1 .. +J
+to the j >= 1 sum, then 0, -1 .. -J to the j <= 0 sum, each with a
+branch-free complex TwoSum; past level LAST_LEVEL - 1 every term is an
+exact zero, and none is added.  term_value sums its one term through
+_add_terms, so the term arithmetic has one copy.
 """
 
 import math
@@ -415,14 +416,15 @@ def _stopping_window(z: complex, m: int, lo: int, target_tol: float,
 
 def _sum_window(z: complex, m: int, level: int, sums: tuple,
                 target_tol: float, d_minus: float,
-                d_plus: float) -> tuple[int, float, tuple]:
-    """(J, tail_bound(J), sums): the sums (s_m, c_m, s_p, c_p) carried from
-    window level (-1: none) to the first J >= max(level + 1, 2) whose bound
-    meets target_tol, found first by _stopping_window.  tail_bound neither
-    raises nor has side effects for a checked point and weight, so a
-    term's PoleProximity is raised at the same term as by a scan that
-    checks the bound after every window; a J that misses target_tol
-    raises DidNotConverge once its terms are added."""
+                d_plus: float) -> tuple:
+    """(J, tail_bound(J), sums, minus, plus, value): the sums (s_m, c_m,
+    s_p, c_p) carried from window level (-1: none) to the first
+    J >= max(level + 1, 2) whose bound meets target_tol, found first by
+    _stopping_window, and the parts and value they give.  tail_bound
+    neither raises nor has side effects for a checked point and weight, so
+    a term's PoleProximity is raised at the same term as by a scan that
+    checks the bound after every window; a J that misses target_tol, or
+    whose value is not finite (bound inf), raises DidNotConverge."""
     stop, bound = _stopping_window(z, m, max(level + 1, MIN_TAIL_HALF_WIDTH),
                                    target_tol, d_minus, d_plus)
     s_m, c_m, s_p, c_p = sums
@@ -437,7 +439,11 @@ def _sum_window(z: complex, m: int, level: int, sums: tuple,
     s_m, c_m = _add_terms(levels, 1, level + 1, hi, z, m, s_m, c_m)
     if bound > target_tol:
         raise DidNotConverge(stop, bound, point=z)
-    return stop, bound, (s_m, c_m, s_p, c_p)
+    minus, plus = s_m + c_m, s_p + c_p
+    value = minus + plus
+    if not isfinite(value):
+        raise DidNotConverge(stop, math.inf, point=z)
+    return stop, bound, (s_m, c_m, s_p, c_p), minus, plus, value
 
 
 class _Series:
@@ -450,16 +456,17 @@ class _Series:
     extend() grows the window from the level reached so far by
     _sum_window, so asking again with a tighter tolerance adds exactly the
     terms, in order, that a restart from j = 0 would, and gives its value,
-    level, bound and sums to the bit.
-    extend returns the value; level (the half-width J reached, -1 before
-    the first extend), bound and the sums are read off the series.
+    level, bound and sums to the bit.  extend returns the value that
+    _sum_window gave, as eval_series does; level (the half-width J
+    reached, -1 before the first extend), bound and sums are read off.
     """
 
     # _sums: running sum and correction of the j <= 0 sum (suffix _m) and
-    # of the j >= 1 sum (suffix _p), four complex numbers.
+    # of the j >= 1 sum (suffix _p), four complex numbers, and their value.
     # d_minus, d_plus: distances from z to 1 - sqrt(2) and 1 + sqrt(2), from
     # which _stopping_window guesses its first probe.
-    __slots__ = ("z", "m", "d_minus", "d_plus", "level", "bound", "_sums")
+    __slots__ = ("z", "m", "d_minus", "d_plus", "level", "bound", "_sums",
+                 "value")
 
     def __init__(self, z: complex, m: int):
         self.z, self.d_minus, self.d_plus = _checked_start(z, m)
@@ -467,6 +474,7 @@ class _Series:
         self.level = -1    # no term added yet, not even term 0
         self.bound = math.inf
         self._sums = (0j, 0j, 0j, 0j)
+        self.value = None
 
     def extend(self, target_tol: float) -> complex:
         """The value at the first window J >= 2 whose tail bound is
@@ -475,18 +483,13 @@ class _Series:
 
         A tolerance that the reached window's bound already meets returns
         that window's value without adding terms.  Raises as eval_series;
-        a window that misses the tolerance leaves the series as it was.
+        a window that raises leaves the series as it was.
         """
-        level, bound = self.level, self.bound
-        if level < MIN_TAIL_HALF_WIDTH or bound > target_tol:
-            self.level, self.bound, self._sums = _sum_window(
-                self.z, self.m, level, self._sums, target_tol, self.d_minus,
-                self.d_plus)
-        s_m, c_m, s_p, c_p = self._sums
-        value = (s_m + c_m) + (s_p + c_p)
-        if not isfinite(value):
-            raise DidNotConverge(self.level, math.inf, point=self.z)
-        return value
+        if self.level < MIN_TAIL_HALF_WIDTH or self.bound > target_tol:
+            self.level, self.bound, self._sums, _, _, self.value = (
+                _sum_window(self.z, self.m, self.level, self._sums,
+                            target_tol, self.d_minus, self.d_plus))
+        return self.value
 
 
 def eval_series(z: complex, m: int,
@@ -509,12 +512,8 @@ def eval_series(z: complex, m: int,
     """
     s = _require_settings(settings)
     z, d_minus, d_plus = _checked_start(z, m)
-    level, bound, (s_m, c_m, s_p, c_p) = _sum_window(
+    level, bound, _, minus, plus, value = _sum_window(
         z, m, -1, (0j,) * 4, s.target_tol, d_minus, d_plus)
-    minus, plus = s_m + c_m, s_p + c_p
-    value = minus + plus
-    if not isfinite(value):
-        raise DidNotConverge(level, math.inf, point=z)
     return EvalResult(value, minus, plus, bound, level)
 
 

@@ -3,6 +3,8 @@
 import copy
 import hashlib
 import io
+import itertools
+import math
 import os
 import subprocess
 import sys
@@ -18,9 +20,10 @@ from hypothesis import strategies as st
 import fresh
 from argparse_reference import reference_parse
 from pelleis import (EquationId, EvalSettings, GridSummary, InvalidRegion,
-                     Rect, ResidualReport, cli, eval_grid, exact_reference,
-                     pell_lucas, verify_grid)
+                     PelleisError, Rect, ResidualReport, analysis, cli,
+                     eval_grid, exact_reference, pell_lucas, verify_grid)
 from pelleis.geometry import MAX_CELLS
+from pelleis.sequence import SILVER_CONJUGATE, SILVER_RATIO, pole_ratio
 
 SEQ_0_4 = "n,Q_n\n0,2\n1,2\n2,6\n3,14\n4,34\n"
 
@@ -379,6 +382,93 @@ def test_unprintable_row_is_found_before_the_table_grows(lo, hi, name):
         "      end='')\n")
     assert out == (f"1 11235 True # error: {name} has more than 4300 digits, "
                    "Python's int-to-string limit\n")
+
+
+def _listed_poles(rect, cap):
+    """Reference for the poles command: list every pole up to cap, then
+    format each, refusing at the first one that will not convert to text.
+    Returns the exit code and stdout."""
+    lines = ["j,location_num,location_den,location_float\n"]
+    try:
+        poles = analysis.poles_in_rect(rect, cap)
+    except PelleisError as exc:
+        return 1, "".join(lines) + f"# error: {exc}\n"
+    for pole in poles:
+        try:
+            lines.append(f"{pole.index},{pole.location.numerator},"
+                         f"{pole.location.denominator},"
+                         f"{pole.location_float!r}\n")
+        except ValueError:
+            return 1, lines[0] + (
+                f"# error: location of pole j={pole.index} has more than "
+                f"{sys.get_int_max_str_digits()} digits, Python's "
+                "int-to-string limit\n")
+    return 0, "".join(lines)
+
+
+# The doubles of 1 -/+ sqrt(2), their neighbours, and two far corners.
+_LIMIT_CORNERS = sorted({-2.0, 4.0, *(
+    math.nextafter(x, toward) for x in (SILVER_CONJUGATE, SILVER_RATIO)
+    for toward in (-math.inf, x, math.inf))})
+
+
+@pytest.mark.parametrize("limit", [640, 641])
+def test_poles_refusal_matches_listing_every_pole(capsys, int_str_digits_640,
+                                                  limit):
+    # Rectangles that hold 1 - sqrt(2), 1 + sqrt(2), both or neither, with
+    # corners at the limits' doubles and their neighbours, and caps around
+    # F, the least j whose pole location passes the limit (1,673 at 640,
+    # 1,676 at 641, so both parities): the command decides its refusal on
+    # poles F and 1 - F, and prints what listing every pole up to the cap
+    # and formatting each prints.
+    sys.set_int_max_str_digits(limit)
+    first = next(j for j in itertools.count(1)
+                 if pell_lucas(j) >= 2 * 10 ** limit)
+    caps = [first + d for d in range(-2, 3)] + [2000]
+    held = set()
+    for x0, x1 in itertools.combinations(_LIMIT_CORNERS, 2):
+        rect = Rect(x0, -1.0, x1, 1.0)
+        held.add(tuple(rect.contains(pole_ratio(j), 0) for j in (99, -99)))
+        for cap in caps:
+            text = f"{x0!r},-1,{x1!r},1"
+            code, out = run_cli(capsys, "poles", f"--rect={text}",
+                                "--jcap", str(cap))
+            assert (code, out) == _listed_poles(rect, cap), (text, cap)
+    assert held == {(False, False), (True, False), (False, True),
+                    (True, True)}
+
+
+@pytest.mark.parametrize("x0, x1, expected", [
+    (-1.0, 3.0, lambda rect: (1, "j,location_num,location_den,location_float\n"
+                              "# error: location of pole j=11235 has more "
+                              "than 4300 digits, Python's int-to-string "
+                              "limit\n")),
+    (SILVER_CONJUGATE, 2.0, lambda rect: _listed_poles(rect, 60)),
+], ids=["both-limits", "corner-at-a-limit"])
+def test_poles_refusal_is_decided_before_the_listing(x0, x1, expected):
+    # On the first rectangle, listing every pole up to j_cap 20,000 took
+    # 1.85 s and a 209 MiB peak before it printed the refusal; at 99,999,
+    # several GB.  The second holds 12 poles, but at a corner on a limit's
+    # double the float hulls never clear the corner, so poles_in_rect
+    # reads every pole up to j_cap: the command lists only up to the first
+    # unprintable pole, 11,235.
+    out = fresh.run(
+        "import contextlib, io, time\n"
+        "import pelleis.cli\n"
+        "start = time.perf_counter()\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out, \\\n"
+        "        contextlib.redirect_stderr(io.StringIO()):\n"
+        "    code = pelleis.cli.run(['poles',\n"
+        f"                            '--rect={x0!r},-1,{x1!r},1',\n"
+        "                            '--jcap', '99999'])\n"
+        "seconds = time.perf_counter() - start\n"
+        "with open('/proc/self/status') as status:\n"
+        "    hwm = next(int(line.split()[1]) for line in status\n"
+        "               if line.startswith('VmHWM:'))\n"
+        "print(code, seconds < 10, hwm < 100 * 1024)\n"
+        "print(out.getvalue(), end='')\n")
+    code, text = expected(Rect(x0, -1.0, x1, 1.0))
+    assert out == f"{code} True True\n{text}"
 
 
 # --------------------------------------------------------------------- verify
@@ -864,6 +954,31 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == SEQ_0_4
+
+
+def test_main_module_run_as_a_script():
+    # runpy runs pelleis/__main__.py, and so cli.main, as `python -m
+    # pelleis` does, but inside the calling interpreter: its stdout and
+    # the code it exits with, for a table, a refused evaluation and an
+    # unknown option.
+    out = fresh.run(
+        "import contextlib, io, runpy\n"
+        "for argv in (['seq', '--from', '-3', '--to', '3'],\n"
+        "             ['eval', '--re', '0.3', '--im', '1', '--weight', '1'],\n"
+        "             ['seq', '--from', '0', '--to', '1', '--bogus']):\n"
+        "    sys.argv = ['pelleis', *argv]\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out, \\\n"
+        "            contextlib.redirect_stderr(io.StringIO()):\n"
+        "        code = None\n"
+        "        try:\n"
+        "            runpy.run_module('pelleis', run_name='__main__')\n"
+        "        except SystemExit as exc:\n"
+        "            code = exc.code\n"
+        "    print(repr(code), repr(out.getvalue()))\n")
+    refused = (cli.EVAL_HEADER
+               + "\n# error: weight must be an integer >= 2, got 1\n")
+    seq = "n,Q_n\n" + "".join(f"{n},{pell_lucas(n)}\n" for n in range(-3, 4))
+    assert out.splitlines() == [f"0 {seq!r}", f"1 {refused!r}", "2 ''"]
 
 
 def _python(*args: str) -> subprocess.CompletedProcess:

@@ -620,6 +620,14 @@ def test_eval_nonfinite_sum_is_refused(monkeypatch):
             evaluate()
         assert info.value.point == 3j
         assert info.value.tail_bound == math.inf
+    # The refused window leaves the series as it was, and asking again
+    # refuses it again.
+    series = evaluator._Series(3j, 2)
+    for _ in range(2):
+        with pytest.raises(DidNotConverge):
+            series.extend(1e-12)
+        assert (series.level, series.bound, series._sums) == (
+            -1, math.inf, (0j,) * 4)
 
 
 def _outcome(fn):
@@ -793,7 +801,8 @@ def scan_extend(series, target_tol):
     the 2e-300 floor.  The empty series is at level -1, and term 0 is
     added once, at level 0.  series._sums holds the eight floats of
     neumaier_state.  Returns the value, and leaves the window and its bound
-    in series.level and series.bound, as extend does."""
+    in series.level and series.bound, as extend does; a window that raises
+    leaves the series as it was."""
     z, m = series.z, series.m
     level, bound = series.level, series.bound
     sr_m, cr_m, si_m, ci_m, sr_p, cr_p, si_p, ci_p = series._sums
@@ -813,13 +822,13 @@ def scan_extend(series, target_tol):
                 break
         else:
             raise DidNotConverge(level, bound, point=z)
-        series.level, series.bound = level, bound
-        series._sums = (sr_m, cr_m, si_m, ci_m, sr_p, cr_p, si_p, ci_p)
     minus_part = complex(sr_m + cr_m, si_m + ci_m)
     plus_part = complex(sr_p + cr_p, si_p + ci_p)
     value = minus_part + plus_part
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise DidNotConverge(level, math.inf, point=z)
+    series.level, series.bound = level, bound
+    series._sums = (sr_m, cr_m, si_m, ci_m, sr_p, cr_p, si_p, ci_p)
     return value
 
 
