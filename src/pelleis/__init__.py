@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DidNotConverge", "DomainClass", "DomainTag",
-    "EmptyGrid", "EquationId", "EvalResult", "EvalSettings",
+    "EmptyGrid", "EquationId", "EvalResult",
     "ExactIdentityReport", "GridSummary", "IndexCapExceeded", "InvalidRange",
     "InvalidRegion", "PelleisError", "Pole", "PoleProximity",
     "RationalFunction", "Rect", "ResidualReport", "ZeroArgument",
@@ -38,10 +38,9 @@ _DEFERRED = {
     "accumulation_points": "analysis", "classify": "analysis",
     "poles_in_rect": "analysis", "analysis": "analysis",
     "EquationId": "equations", "equations": "equations",
-    "EvalResult": "evaluator", "EvalSettings": "evaluator",
-    "eval_grid": "evaluator", "eval_series": "evaluator",
-    "tail_bound": "evaluator", "term_value": "evaluator",
-    "evaluator": "evaluator",
+    "EvalResult": "evaluator", "eval_grid": "evaluator",
+    "eval_series": "evaluator", "tail_bound": "evaluator",
+    "term_value": "evaluator", "evaluator": "evaluator",
     "ExactIdentityReport": "exact", "RationalFunction": "exact",
     "verify_identity_exact": "exact", "exact": "exact",
     "Rect": "geometry", "geometry": "geometry",

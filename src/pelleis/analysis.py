@@ -13,10 +13,10 @@ from enum import Enum
 from functools import cache
 
 from .errors import IndexCapExceeded, require_int, require_type
-from .evaluator import MIN_TAIL_HALF_WIDTH, _limit_distances
+from .evaluator import _limit_distances
 from .geometry import Rect
 from .sequence import (INDEX_CAP, SILVER_CONJUGATE, SILVER_RATIO, float_pole,
-                       float_window, pole_ratio)
+                       pole_ratio)
 
 POLE_TOL = 1e-6     # classify: NEAR_POLE within this of a pole
 ACCUM_TOL = 1e-3    # classify: NEAR_ACCUMULATION within this of 1 +/- sqrt(2)
@@ -65,12 +65,13 @@ def poles_in_rect(region: Rect, j_cap: int = DEFAULT_J_CAP) -> list[Pole]:
     reads Q_{-j_cap-1}, so j_cap is at most INDEX_CAP - 1; a larger one
     raises IndexCapExceeded before the sequence table grows.
 
-    Each side, j >= 0 and j < 0, is scanned outward from j = 0 and stops
-    once the outward-rounded float hull of the poles beyond |j| = n
-    (sequence.float_window(n), n >= MIN_TAIL_HALF_WIDTH) lies strictly
-    outside [x0, x1], so a region that holds neither accumulation point
-    1 -/+ sqrt(2) costs a few dozen exact poles at any j_cap.  A region
-    that holds one has about j_cap poles inside it and lists them all.
+    Each side, j >= 0 and j < 0, is scanned outward from j = 0.  Its poles
+    alternate around its limit with shrinking steps, so the hull of p_n and
+    p_(n+1) holds every pole from |j| = n on (n >= 1 for j < 0).  A hull
+    outside [x0, x1], compared exactly, ends the side; one inside gives
+    every pole up to j_cap untested.  So a region that holds neither
+    accumulation point 1 -/+ sqrt(2) costs a few dozen exact poles at any
+    j_cap; one that holds a limit lists about j_cap poles.
     """
     require_type("region", region, Rect)
     require_int("j_cap", j_cap, 0)
@@ -78,20 +79,36 @@ def poles_in_rect(region: Rect, j_cap: int = DEFAULT_J_CAP) -> list[Pole]:
         raise IndexCapExceeded(j_cap, INDEX_CAP - 1, "j_cap")
     if not region.y0 <= 0 <= region.y1:
         return []
+    x0, x1 = _exact(region.x0), _exact(region.x1)
     found = []
     for sign, first in ((1, 0), (-1, 1)):
+        prev = None
         for n in range(first, j_cap + 1):
-            # float_window(n - 1) holds every pole from index sign * n on.
-            if n > MIN_TAIL_HALF_WIDTH:
-                w = float_window(n - 1)
-                lo, hi = w[:2] if sign > 0 else w[2:4]
-                if hi < region.x0 or lo > region.x1:
-                    break
             loc = pole_ratio(sign * n)
-            if region.contains(loc, 0):
+            if prev is not None:
+                # The hull of p_(n-1) and p_n holds every pole from n - 1 on.
+                lo, hi = (prev, loc) if prev < loc else (loc, prev)
+                if hi < x0 or lo > x1:
+                    break
+                if x0 <= lo and hi <= x1:
+                    found += (Pole(sign * i, pole_ratio(sign * i),
+                                   float_pole(sign * i))
+                              for i in range(n, j_cap + 1))
+                    break
+            if x0 <= loc <= x1:
                 found.append(Pole(sign * n, loc, float_pole(sign * n)))
+            prev = loc
     found.sort(key=lambda p: _pole_order(p.index))
     return found
+
+
+def _exact(x) -> "Fraction":
+    """x as a Fraction; through float if Fraction() refuses it (float32)."""
+    from fractions import Fraction  # on first use, as in pole_ratio
+    try:
+        return Fraction(x)
+    except TypeError:
+        return Fraction(float(x))
 
 
 def _pole_order(j: int) -> tuple:

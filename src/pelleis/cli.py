@@ -38,7 +38,7 @@ DEFAULT_RECT = "-3,0.5,3,3.5"
 DEFAULT_GRID_N = 12
 
 __getattr__ = _first_use(__name__, {
-    **dict.fromkeys(("EvalSettings", "EvalResult", "eval_series", "eval_grid",
+    **dict.fromkeys(("EvalResult", "eval_series", "eval_grid",
                      "DEFAULT_TARGET_TOL"), "evaluator"),
     "Rect": "geometry", "verify_grid": "verify",
     "verify_identity_exact": "exact", "coefficient_texts": "exact",
@@ -107,7 +107,7 @@ def _cmd_eval(args) -> int:
     print(EVAL_HEADER)
     z = complex(args.re, args.im)
     value, minus, plus, bound, used = _CLI.eval_series(
-        z, args.weight, _CLI.EvalSettings(args.tol))
+        z, args.weight, args.tol)
     print(_EVAL_ROW % (repr(z.real), repr(z.imag), value.real, value.imag,
                        bound, used, minus.real, minus.imag, plus.real,
                        plus.imag))
@@ -118,8 +118,7 @@ def _cmd_grid(args) -> int:
     rect = _CLI.Rect.parse(args.rect)
     # The header goes out first, so that an error is reported after it.
     sys.stdout.write(EVAL_HEADER + ",status\n")
-    cells = _CLI.eval_grid(rect, args.nx, args.ny, args.weight,
-                           _CLI.EvalSettings(args.tol))
+    cells = _CLI.eval_grid(rect, args.nx, args.ny, args.weight, args.tol)
     # Cells come row by row, and every row has the same nx real parts, so
     # each coordinate is formatted once.  Columns are keyed by index, not by
     # value: 0.0 == -0.0, but their reprs differ.
@@ -175,7 +174,7 @@ def _cmd_verify(args) -> int:
     rect = _CLI.Rect.parse(args.rect)
     equation = EquationId(args.eq)
     summary = _CLI.verify_grid(
-        equation, rect, args.nx, args.ny, args.k, _CLI.EvalSettings(args.tol))
+        equation, rect, args.nx, args.ny, args.k, args.tol)
     lines = [VERIFY_HEADER + "\n"]
     for r in summary.reports:
         lines.append("%r,%r,%r,%r,%r,%r,%r,%r,%r,%r\n" % (

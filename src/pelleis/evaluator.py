@@ -71,7 +71,7 @@ make one bound check.  The search needs no cap: past the table's last
 level the hulls lie one ulp either side of 1 -/+ sqrt(2) and 1/Q = 0, so
 the bound of window _LAST_WINDOW = LAST_LEVEL + 1 is the 2e-300 floor at
 every point _checked_start admits (more than POLE_GUARD from both limits),
-and no tolerance is below it (EvalSettings, verify's 1e-250 floor).
+and no tolerance is below it (_require_tol, verify's 1e-250 floor).
 
 Every window sum finds its window J first, adds exactly the terms up to
 J and forms and checks its value, in one function, _sum_window.
@@ -111,47 +111,29 @@ _DIST_SHAVE = 1.0 - 1e-12      # deflate distances against rounding
 _BOUND_SLACK = 1.0 + 1e-9      # inflate the bound against rounding
 _BOUND_FLOOR = 2e-300          # stay clear of subnormal arithmetic
 _MIN_NORMAL = sys.float_info.min
+_MAX_FLOAT = sys.float_info.max
 _LOG_SILVER = math.log(SILVER_RATIO)   # Q_{J+1} / Q_J tends to 1 + sqrt(2)
 _LOG_TWO = math.log(2.0)
 _FALL_SLACK = 1.0 - 2e-9       # below the proven 1 - 1e-9 of the 2^m fall
 
 
-class EvalSettings(namedtuple("EvalSettings", "target_tol")):
-    """Tolerance of adaptive summation, at least tail_bound's 2e-300 floor."""
-
-    __slots__ = ()
-
-    def __new__(cls, target_tol=DEFAULT_TARGET_TOL):
-        # The type is tested first: a str or None cannot be compared with 0.
-        # The range is compared, not converted to float, so that an int
-        # beyond double range is refused as well.
-        if (isinstance(target_tol, bool)
-                or not isinstance(target_tol, (int, float))
-                or not 0 < target_tol <= sys.float_info.max):
-            raise ValueError("target_tol must be a positive finite float")
-        if target_tol < _BOUND_FLOOR:
-            raise ValueError(f"target_tol must be at least {_BOUND_FLOOR!r}, "
-                             "the floor of tail_bound")
-        return super().__new__(cls, target_tol)
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make, which would skip the checks.
-        return cls(*iterable)
-
-
-_DEFAULT_SETTINGS = EvalSettings()
-
-
-def _require_settings(settings) -> EvalSettings:
-    """settings itself, or the defaults for None; anything else raises
-    ValueError."""
-    if settings is None:
-        return _DEFAULT_SETTINGS
-    if not isinstance(settings, EvalSettings):
-        raise ValueError(
-            f"settings must be an EvalSettings or None, got {shown(settings)}")
-    return settings
+def _require_tol(target_tol) -> None:
+    """Refuse a tolerance that is not a positive finite float (an int is
+    taken, a bool is not) or that lies below tail_bound's 2e-300 floor."""
+    # One type test passes the common case; the rest gets the full rules.
+    if (target_tol.__class__ is float
+            and _BOUND_FLOOR <= target_tol <= _MAX_FLOAT):
+        return
+    # The type is tested first: a str or None cannot be compared with 0.
+    # The range is compared, not converted to float, so that an int beyond
+    # double range is refused as well.
+    if (isinstance(target_tol, bool)
+            or not isinstance(target_tol, (int, float))
+            or not 0 < target_tol <= _MAX_FLOAT):
+        raise ValueError("target_tol must be a positive finite float")
+    if target_tol < _BOUND_FLOOR:
+        raise ValueError(f"target_tol must be at least {_BOUND_FLOOR!r}, "
+                         "the floor of tail_bound")
 
 
 class EvalResult(namedtuple("EvalResult", "value minus_part plus_part "
@@ -493,7 +475,7 @@ class _Series:
 
 
 def eval_series(z: complex, m: int,
-                settings: EvalSettings | None = None) -> EvalResult:
+                target_tol: float = DEFAULT_TARGET_TOL) -> EvalResult:
     """Adaptive evaluation of the full bilateral series at z with weight m.
 
     Terms are accumulated in two compensated sums (j <= 0 and j >= 1), each
@@ -508,17 +490,18 @@ def eval_series(z: complex, m: int,
     of the accumulation points 1 +/- sqrt(2), where poles cluster (at
     once, half_width 0), or when the sums leave double range (half_width
     is then the level reached).  A term denominator beyond double range,
-    in a part or in modulus, gives the term's zero.
+    in a part or in modulus, gives the term's zero.  A target_tol that
+    _require_tol refuses raises ValueError before the weight or point.
     """
-    s = _require_settings(settings)
+    _require_tol(target_tol)
     z, d_minus, d_plus = _checked_start(z, m)
     level, bound, _, minus, plus, value = _sum_window(
-        z, m, -1, (0j,) * 4, s.target_tol, d_minus, d_plus)
+        z, m, -1, (0j,) * 4, target_tol, d_minus, d_plus)
     return EvalResult(value, minus, plus, bound, level)
 
 
 def eval_grid(region: "Rect", nx: int, ny: int, m: int,
-              settings: EvalSettings | None = None):
+              target_tol: float = DEFAULT_TARGET_TOL):
     """Evaluate at every cell center of an nx-by-ny lattice over region.
 
     Returns a row-major list of (point, EvalResult-or-error); per-point
@@ -526,11 +509,11 @@ def eval_grid(region: "Rect", nx: int, ny: int, m: int,
     """
     from .geometry import Rect  # only a grid needs it, not eval_series
     require_type("region", region, Rect)
-    settings = _require_settings(settings)
+    _require_tol(target_tol)
     out = []
     for z in region.cell_centers(nx, ny):
         try:
-            out.append((z, eval_series(z, m, settings)))
+            out.append((z, eval_series(z, m, target_tol)))
         except (PoleProximity, DidNotConverge) as exc:
             out.append((z, exc))
     return out

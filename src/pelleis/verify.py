@@ -8,8 +8,8 @@ from .analysis import classify
 from .equations import EquationId
 from .errors import (DidNotConverge, EmptyGrid, PelleisError, ZeroArgument,
                      require_int, require_type)
-from .evaluator import (EvalSettings, _limit_distances, _modulus,
-                        _require_settings, _Series)
+from .evaluator import (DEFAULT_TARGET_TOL, _limit_distances, _modulus,
+                        _require_tol, _Series)
 from .evaluator import eval_series  # unused; perfbench wraps it
 from .geometry import Rect
 
@@ -75,7 +75,7 @@ _REFINE_TOL_FLOOR = 1e-250
 
 
 def residual(equation: EquationId, z: complex, k: int,
-             settings: EvalSettings | None = None) -> ResidualReport:
+             target_tol: float = DEFAULT_TARGET_TOL) -> ResidualReport:
     """Evaluate both sides of the equation at z for weight 2k.
 
     target_tol is treated relative to the side magnitudes: after a first
@@ -94,15 +94,15 @@ def residual(equation: EquationId, z: complex, k: int,
     re-guarded during summation.  verify_grid calls its core, _residual.
     """
     require_type("equation", equation, EquationId)
+    _require_tol(target_tol)
     require_int("k", k, 1, K_CAP)
     z, _, _ = _limit_distances(z)  # refuses a modulus beyond double range
-    settings = _require_settings(settings)
     lhs_z, rhs_z = _arguments(equation, z)
-    return _residual(equation.row[2], z, k, lhs_z, rhs_z, settings)
+    return _residual(equation.row[2], z, k, lhs_z, rhs_z, target_tol)
 
 
 def _residual(sign: int, z: complex, k: int, lhs_z: complex, rhs_z: complex,
-              settings: EvalSettings) -> ResidualReport:
+              target_tol: float) -> ResidualReport:
     """residual on checked arguments, z mapped to lhs_z and rhs_z."""
     m = 2 * k
     if sign == 0:
@@ -112,7 +112,7 @@ def _residual(sign: int, z: complex, k: int, lhs_z: complex, rhs_z: complex,
     pref_mag = _modulus(prefactor)
 
     lhs_series = rhs_series = None
-    lhs_tol = rhs_tol = target_tol = settings.target_tol
+    lhs_tol = rhs_tol = target_tol
     for _ in range(_REFINE_ROUNDS + 1):
         side = "lhs"
         try:
@@ -145,7 +145,7 @@ def _residual(sign: int, z: complex, k: int, lhs_z: complex, rhs_z: complex,
 
 
 def verify_grid(equation: EquationId, region: Rect, nx: int, ny: int, k: int,
-                settings: EvalSettings | None = None) -> GridSummary:
+                target_tol: float = DEFAULT_TARGET_TOL) -> GridSummary:
     """Residuals at every cell center whose arguments both classify REGULAR.
 
     The arguments are checked once per grid, and each point is mapped once.
@@ -156,8 +156,8 @@ def verify_grid(equation: EquationId, region: Rect, nx: int, ny: int, k: int,
     """
     require_type("equation", equation, EquationId)
     require_type("region", region, Rect)
+    _require_tol(target_tol)
     require_int("k", k, 1, K_CAP)
-    settings = _require_settings(settings)
     sign = equation.row[2]
     reports: list[ResidualReport] = []
     failures: list[tuple[complex, PelleisError]] = []
@@ -168,7 +168,7 @@ def verify_grid(equation: EquationId, region: Rect, nx: int, ny: int, k: int,
             continue
         if classify(lhs_z).is_regular and classify(rhs_z).is_regular:
             try:
-                reports.append(_residual(sign, z, k, lhs_z, rhs_z, settings))
+                reports.append(_residual(sign, z, k, lhs_z, rhs_z, target_tol))
             except PelleisError as exc:
                 failures.append((z, exc))
     if not (reports or failures):

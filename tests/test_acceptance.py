@@ -13,8 +13,8 @@ from time import perf_counter
 import pytest
 
 import oracle
-from pelleis import (DidNotConverge, EquationId, EvalSettings, PoleProximity,
-                     Rect, ZeroArgument, cli, eval_series, pell_lucas,
+from pelleis import (DidNotConverge, EquationId, PoleProximity, Rect,
+                     ZeroArgument, cli, eval_series, pell_lucas,
                      pole_ratio, poles_in_rect, residual, tail_bound,
                      verify_identity_exact, verify_grid)
 from pelleis.evaluator import MIN_TAIL_HALF_WIDTH
@@ -54,7 +54,7 @@ def oracle_sweep(off_axis_points):
             levels = oracle.series_levels(z, m)
             rough = eval_series(z, m)
             tol = max(abs(rough.value), 1e-30) * 1e-12
-            fine = eval_series(z, m, EvalSettings(target_tol=tol))
+            fine = eval_series(z, m, tol)
             rel = oracle.rel_err(fine.value, levels[-1])
             cases += 1
             if rel > worst_rel:

@@ -1,5 +1,6 @@
 """Pole maps and domain classification."""
 
+import itertools
 import math
 import random
 import time
@@ -9,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fresh
 from oracle import closer_to_sqrt2, dist_offset
-from pelleis import (DomainClass, DomainTag, EvalSettings, IndexCapExceeded,
-                     Rect, accumulation_points, classify, eval_series,
-                     pell_lucas, pole_ratio, poles_in_rect, sequence)
+from pelleis import (DomainClass, DomainTag, IndexCapExceeded, Rect,
+                     accumulation_points, classify, eval_series, pell_lucas,
+                     pole_ratio, poles_in_rect, sequence)
 from pelleis.sequence import (INDEX_CAP, SILVER_CONJUGATE, SILVER_RATIO,
                               float_pole)
 
@@ -141,12 +143,74 @@ def test_pole_order_by_index_equals_fraction_order():
 
 def test_poles_away_from_both_limits_stop_early():
     # The exact locations of |j| up to 99_999 run to tens of thousands of
-    # digits; both sides stop once their float hull leaves [0.5, 2].
+    # digits; both sides stop once the hull of their next poles leaves
+    # [0.5, 2].
     start = time.perf_counter()
     poles = poles_in_rect(Rect(0.5, -1, 2, 1), INDEX_CAP - 1)
     assert time.perf_counter() - start < 1.0
     assert [(p.index, p.location) for p in poles] == [(0, F(1))]
     assert poles_in_rect(Rect(-10.0, 0.5, 10.0, 1.0), INDEX_CAP - 1) == []
+
+
+# Corners around both limits: the limits' doubles and their neighbours, the
+# first poles of each side, and points between and beyond them.
+_CORNERS = sorted({-2, -1, 0, 1, F(7, 3), 3, 4, -0.5, 2.5, 0.999, *(
+    x for limit in (SILVER_CONJUGATE, SILVER_RATIO)
+    for x in (math.nextafter(limit, -math.inf), limit,
+              math.nextafter(limit, math.inf)))})
+
+
+def test_poles_equal_brute_force_on_corner_grid():
+    # Every rectangle with two of _CORNERS as its real sides, against a
+    # test of every pole |j| <= j_cap with Rect.contains.
+    caps = (0, 1, 2, 3, 4, 24, 25, 60, 300)
+    table = [(j, pole_ratio(j), float_pole(j))
+             for j in range(-caps[-1], caps[-1] + 1)]
+    for x0, x1 in itertools.combinations(_CORNERS, 2):
+        region = Rect(x0, -1, x1, 1)
+        inside = sorted((pole for pole in table
+                         if region.contains(pole[1], 0)),
+                        key=lambda pole: pole[1])
+        for j_cap in caps:
+            got = [tuple(p) for p in poles_in_rect(region, j_cap)]
+            assert got == [p for p in inside if abs(p[0]) <= j_cap], (
+                region, j_cap)
+
+
+# Rect's range check compares a float32 corner with the largest double,
+# which numpy casts to float32 with an overflow warning.
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+def test_poles_take_a_real_corner_that_is_no_float():
+    # Rect takes any numbers.Real corner; one that Fraction() refuses, such
+    # as numpy's float32, is compared through its float, which is exact.
+    np = pytest.importorskip("numpy")
+    for x0, x1 in ((-0.5, 2.5), (SILVER_CONJUGATE, 2.0), (-1.0, 0.25)):
+        for kind in (np.float32, np.float16):
+            a, b = kind(x0), kind(x1)
+            assert (poles_in_rect(Rect(a, -1, b, 1), 40)
+                    == poles_in_rect(Rect(float(a), -1, float(b), 1), 40)
+                    != [])
+
+
+def test_poles_next_to_a_limit_stop_early():
+    # A corner on the double nearest 1 - sqrt(2), which lies outside the
+    # rectangle: the exact hulls of the poles past |j| = 24 leave it, so
+    # the cap 99,999 lists the 12 poles of the cap 60 without building the
+    # exact locations of |j| up to 99,999 (about 400 MB of integers).
+    out = fresh.run(
+        "import time\n"
+        "from pelleis import Rect, poles_in_rect\n"
+        "from pelleis.sequence import SILVER_CONJUGATE\n"
+        "region = Rect(SILVER_CONJUGATE, -1, 2, 1)\n"
+        "start = time.perf_counter()\n"
+        "poles = poles_in_rect(region, 99_999)\n"
+        "seconds = time.perf_counter() - start\n"
+        "with open('/proc/self/status') as status:\n"
+        "    hwm = next(int(line.split()[1]) for line in status\n"
+        "               if line.startswith('VmHWM:'))\n"
+        "print(len(poles), poles == poles_in_rect(region, 60), seconds < 1,\n"
+        "      hwm < 100 * 1024)\n")
+    assert out == "12 True True True\n"
 
 
 def test_pole_distance_to_limit_strictly_decreases():
@@ -224,10 +288,9 @@ def test_classify_validation():
 
 def test_regular_points_evaluate(off_axis_points):
     # REGULAR classification is a usable convergence predicate.
-    settings = EvalSettings(target_tol=1e-8)
     for z in off_axis_points[:20]:
         assert classify(z).is_regular
-        res = eval_series(z, 2, settings)
+        res = eval_series(z, 2, 1e-8)
         assert res.tail_bound <= 1e-8
 
 

@@ -14,19 +14,16 @@ import pytest
 import exact_referee
 import fresh
 import pelleis
-from pelleis import (EquationId, EvalSettings, Rect, classify, eval_grid,
-                     eval_series, evaluator, pell_lucas, pell_lucas_range,
-                     pole_ratio, poles_in_rect, residual, tail_bound,
-                     term_value, verify_grid, verify_identity_exact)
+import pelleis.cli
+from pelleis import (EquationId, Rect, classify, eval_grid, eval_series,
+                     evaluator, pell_lucas, pell_lucas_range, pole_ratio,
+                     poles_in_rect, residual, tail_bound, term_value,
+                     verify_grid, verify_identity_exact)
 from pelleis.exact_reference import term_rf, window_sum
 from test_cli import _GUARDED_PROOFS
 
 FIXED = {"pole_guard", "k_cap", "pole_tol", "accum_tol", "j_cap",
-         "degree_cap", "table", "trace", "index_cap"}
-
-
-def test_eval_settings_fields():
-    assert EvalSettings._fields == ("target_tol",)
+         "degree_cap", "table", "trace", "index_cap", "settings"}
 
 
 def test_no_fixed_knob_in_signatures():
@@ -141,6 +138,11 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         pelleis.no_such_name
     assert not hasattr(pelleis, "cli_main")
+    # The tolerance is a float argument; no settings record is left.
+    for module in (pelleis, pelleis.cli):
+        with pytest.raises(AttributeError,
+                           match="no attribute 'EvalSettings'$"):
+            module.EvalSettings
     for name in ("Fraction", "_gcd_mod_p"):
         with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
             getattr(pelleis.exact, name)
@@ -154,7 +156,7 @@ _REFERENCE = ("Polynomial", "substitute", "term_rf", "window_sum")
 
 
 def test_reference_algebra_is_public_in_its_home_alone():
-    assert len(pelleis.__all__) == 32
+    assert len(pelleis.__all__) == 31
     assert not set(_REFERENCE) & {*pelleis.__all__, *dir(pelleis)}
     for name in _REFERENCE:
         with pytest.raises(AttributeError, match=(
@@ -173,8 +175,8 @@ _HOMES = {
         "analysis": ("DomainClass", "DomainTag", "Pole", "accumulation_points",
                      "classify", "poles_in_rect", "analysis"),
         "equations": ("EquationId", "equations"),
-        "evaluator": ("EvalResult", "EvalSettings", "eval_grid",
-                      "eval_series", "tail_bound", "term_value", "evaluator"),
+        "evaluator": ("EvalResult", "eval_grid", "eval_series", "tail_bound",
+                      "term_value", "evaluator"),
         "exact": ("ExactIdentityReport", "RationalFunction",
                   "verify_identity_exact", "exact"),
         "geometry": ("Rect", "geometry"),
@@ -184,8 +186,8 @@ _HOMES = {
                    "verify"),
     },
     "pelleis.cli": {
-        "evaluator": ("EvalSettings", "EvalResult", "eval_series",
-                      "eval_grid", "DEFAULT_TARGET_TOL"),
+        "evaluator": ("EvalResult", "eval_series", "eval_grid",
+                      "DEFAULT_TARGET_TOL"),
         "geometry": ("Rect",),
         "verify": ("verify_grid",),
         "exact": ("verify_identity_exact", "coefficient_texts"),
@@ -315,7 +317,7 @@ def test_cli_calls_a_wrapper_set_before_first_use():
     # The benchmark's tracer and monkeypatch set pelleis.cli.verify_grid
     # and pelleis.cli.eval_grid before any command has resolved them; verify
     # and grid must call those wrappers.  Both take the lattice's nx and ny
-    # just before k or the weight, and the settings.
+    # just before k or the weight, and the tolerance.
     out = fresh.run("import contextlib, io\n"
                     "import pelleis, pelleis.cli\n"
                     "calls = []\n"

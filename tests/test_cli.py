@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 
 import fresh
 from argparse_reference import reference_parse
-from pelleis import (EquationId, EvalSettings, GridSummary, InvalidRegion,
-                     PelleisError, Rect, ResidualReport, analysis, cli,
-                     eval_grid, exact_reference, pell_lucas, verify_grid)
+from pelleis import (EquationId, GridSummary, InvalidRegion, PelleisError,
+                     Rect, ResidualReport, analysis, cli, eval_grid,
+                     exact_reference, pell_lucas, verify_grid)
 from pelleis.geometry import MAX_CELLS
 from pelleis.sequence import SILVER_CONJUGATE, SILVER_RATIO, pole_ratio
 
@@ -197,6 +197,28 @@ def test_grid_error_follows_header(capsys, option, message):
                         "--nx", "3", "--ny", "2", *option)
     assert code == 1
     assert out == f"{cli.EVAL_HEADER},status\n# error: {message}\n"
+
+
+_POSITIVE = "target_tol must be a positive finite float"
+_FLOOR = "target_tol must be at least 2e-300, the floor of tail_bound"
+
+
+@pytest.mark.parametrize("argv, header, message", [
+    (("eval", "--re", "0", "--im", "1", "--weight", "1", "--tol", "0"),
+     cli.EVAL_HEADER + "\n", _POSITIVE),
+    (("verify", "--eq", "shift", "--k", "9", "--tol", "0"), "", _POSITIVE),
+    (("grid", "--rect=-1,0.5,1,1.5", "--nx", "600", "--ny", "600",
+      "--weight", "1", "--tol", "1e-301"),
+     cli.EVAL_HEADER + ",status\n", _FLOOR),
+])
+def test_tolerance_is_refused_before_the_other_bad_value(capsys, argv,
+                                                         header, message):
+    # Each argv has a second bad value (a weight or k out of range, a grid
+    # past the cell cap); the tolerance is refused first, on both streams.
+    code = cli.run(list(argv))
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, f"{header}# error: {message}\n",
+                                f"error: {message}\n")
 
 
 # Lattices past MAX_CELLS: one cell more than the cap, and an nx beyond
@@ -509,8 +531,7 @@ def test_verify_rows_are_reprs_of_every_field(capsys, eq, rect, nx, ny):
     code, out = run_cli(capsys, "verify", "--eq", eq, "--k", "2",
                         f"--rect={rect}", "--nx", str(nx), "--ny", str(ny))
     assert code == 0
-    summary = verify_grid(EquationId(eq), Rect.parse(rect), nx, ny, 2,
-                          EvalSettings(target_tol=1e-12))
+    summary = verify_grid(EquationId(eq), Rect.parse(rect), nx, ny, 2, 1e-12)
     rows = out.splitlines()[1:-1]
     assert rows == _repr_rows(summary.reports)
     assert any(row.startswith("0.0,") for row in rows)

@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 
 import oracle
 from pelleis import evaluator, sequence
-from pelleis import (DidNotConverge, EquationId, EvalSettings,
-                     IndexCapExceeded, InvalidRegion, PoleProximity, Rect,
-                     classify, eval_grid, eval_series, pell_lucas, pole_ratio,
-                     residual, tail_bound, term_value, verify_grid)
-from pelleis.evaluator import MAX_WEIGHT, MIN_TAIL_HALF_WIDTH
+from pelleis import (DidNotConverge, EquationId, IndexCapExceeded,
+                     InvalidRegion, PoleProximity, Rect, classify, eval_grid,
+                     eval_series, pell_lucas, pole_ratio, residual,
+                     tail_bound, term_value, verify_grid)
+from pelleis.evaluator import (DEFAULT_TARGET_TOL, MAX_WEIGHT,
+                               MIN_TAIL_HALF_WIDTH)
 from pelleis.sequence import (INDEX_CAP, LAST_LEVEL, POLE_GUARD,
                               SILVER_CONJUGATE, SILVER_RATIO, float_pole,
                               float_row)
@@ -339,7 +340,7 @@ def test_tail_bound_rescues_overflowing_distance_power():
     assert math.isfinite(tail_bound(13, z, 64))
     res = eval_series(z, 64)
     assert math.isfinite(res.value.real) and math.isfinite(res.value.imag)
-    assert res.tail_bound <= EvalSettings().target_tol
+    assert res.tail_bound <= DEFAULT_TARGET_TOL
 
 
 def test_tail_bound_survives_underflowing_q_power():
@@ -453,41 +454,45 @@ def test_tail_bound_dominates_oracle_gap():
 
 # ------------------------------------------------------------------ eval_series
 
-def test_eval_settings_validation():
-    with pytest.raises(ValueError):
-        EvalSettings(target_tol=0.0)
-    with pytest.raises(ValueError):
-        EvalSettings(target_tol=math.nan)
-    # A bool is no tolerance; a str or None is refused by type before any
-    # comparison with 0.
-    for tol in (True, False, "1e-3", None):
-        with pytest.raises(ValueError, match="^target_tol must be"):
-            EvalSettings(target_tol=tol)
-    # An int beyond double range is no finite float: it raised an untyped
-    # OverflowError.  _replace runs the checks as the constructor does.
-    with pytest.raises(ValueError,
-                       match="^target_tol must be a positive finite float"):
-        EvalSettings(target_tol=10**400)
-    with pytest.raises(ValueError,
-                       match="^target_tol must be a positive finite float"):
-        EvalSettings()._replace(target_tol=0.0)
-    # tail_bound never returns less than 2e-300, so no window could meet a
-    # smaller tolerance.
-    with pytest.raises(ValueError, match="at least 2e-300"):
-        EvalSettings(target_tol=1e-300)
-    assert EvalSettings(target_tol=2e-300).target_tol == 2e-300
-    # settings is an EvalSettings or None: a bare tolerance is refused by
-    # name, not by an AttributeError, and 0 does not stand for the defaults.
+def test_target_tol_validation():
+    # One rule refuses a tolerance, with the same message, in all four
+    # entry points.  A bool is no tolerance; a str or None is refused by
+    # type before any comparison with 0; an int beyond double range is no
+    # finite float (it raised an untyped OverflowError); tail_bound never
+    # returns less than 2e-300, so no window could meet a smaller one.
     region = Rect(0.5, 0.5, 1, 1)
-    calls = (lambda s: eval_series(1j, 2, s),
-             lambda s: eval_grid(region, 1, 1, 2, s),
-             lambda s: residual(EquationId.SHIFT, 1 + 1j, 1, s),
-             lambda s: verify_grid(EquationId.SHIFT, region, 2, 2, 1, s))
-    for bad in (1e-12, 1e-10, 0, "", {}):
+    calls = (lambda tol: eval_series(1j, 2, tol),
+             lambda tol: eval_grid(region, 1, 1, 2, tol),
+             lambda tol: residual(EquationId.SHIFT, 1 + 1j, 1, tol),
+             lambda tol: verify_grid(EquationId.SHIFT, region, 2, 2, 1, tol))
+    positive = "^target_tol must be a positive finite float$"
+    for bad, message in (
+            *((tol, positive) for tol in (
+                0.0, -1e-12, math.nan, math.inf, 10**400, True, False,
+                "1e-3", None)),
+            (1e-300, "^target_tol must be at least 2e-300, "
+                     "the floor of tail_bound$")):
         for call in calls:
-            with pytest.raises(ValueError, match="^settings must be"):
+            with pytest.raises(ValueError, match=message):
                 call(bad)
-    assert eval_series(1j, 2, None) == eval_series(1j, 2, EvalSettings())
+    # The tolerance is refused first, as the CLI refused it before it
+    # called the library: before the weight, the point and the cell cap,
+    # and before k.
+    with pytest.raises(ValueError, match=positive):
+        eval_series("1j", 1, 0.0)
+    with pytest.raises(ValueError, match=positive):
+        eval_grid(region, 600, 600, 1, 0.0)
+    with pytest.raises(ValueError, match=positive):
+        residual(EquationId.SHIFT, math.inf, 9, 0.0)
+    with pytest.raises(ValueError, match=positive):
+        verify_grid(EquationId.SHIFT, region, 600, 600, 9, 0.0)
+    for tol in (2e-300, 1):
+        for call in calls:
+            call(tol)
+    # The default is the float 1e-12, to the bit.
+    for z, m in ((1j, 2), (0.3 + 1j, 5), (2 + 2j, 4)):
+        assert (repr(eval_series(z, m, 1e-12))
+                == repr(eval_series(z, m)))
 
 
 def test_eval_matches_frozen_oracle():
@@ -502,8 +507,7 @@ def test_eval_refined_matches_oracle_tightly(off_axis_points):
     for z in off_axis_points[:10]:
         for m in (2, 4):
             rough = eval_series(z, m)
-            tight = eval_series(
-                z, m, EvalSettings(target_tol=abs(rough.value) * 1e-12))
+            tight = eval_series(z, m, abs(rough.value) * 1e-12)
             assert oracle.rel_err(tight.value, oracle.series_value(z, m)) <= 1e-10
 
 
@@ -658,8 +662,7 @@ def test_series_extend_matches_fresh_eval(z, m):
     tols = [1e-3, 1e-3, 1e-8, 1e-12, 1e-30, 1e-60, 1e-100, 2e-300]
     while tols:
         tol = tols.pop(0)
-        want = _outcome(lambda: eval_series(
-            z, m, EvalSettings(target_tol=tol)))
+        want = _outcome(lambda: eval_series(z, m, tol))
         got = _outcome(lambda: _extended(series, tol))
         assert got == want, tol
         if isinstance(got, evaluator.EvalResult) and got.tail_bound < tol:
@@ -1071,10 +1074,10 @@ def _scan_result(z, m, target_tol):
 
 
 def test_floor_tolerance_is_met_at_weight_2():
-    # The 2e-300 floor, the smallest tolerance EvalSettings accepts, lies
+    # The 2e-300 floor, the smallest tolerance eval_series accepts, lies
     # 391 windows out at 1 + 1j and weight 2; window and bits are those of
     # the window-by-window reference.
-    got = eval_series(1 + 1j, 2, EvalSettings(2e-300))
+    got = eval_series(1 + 1j, 2, 2e-300)
     assert (got.terms_used, got.tail_bound) == (391, 2e-300)
     assert repr(got) == repr(_scan_result(1 + 1j, 2, 2e-300))
 
@@ -1093,7 +1096,7 @@ def test_eval_series_matches_scan_bit_for_bit():
     errors = set()
     for z, m, steps in cases:
         for tol in steps:
-            got = _outcome(lambda: eval_series(z, m, EvalSettings(tol)))
+            got = _outcome(lambda: eval_series(z, m, tol))
             want = _outcome(lambda: _scan_result(z, m, tol))
             assert repr(got) == repr(want), (z, m, tol)
             if not isinstance(got, evaluator.EvalResult):

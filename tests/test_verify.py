@@ -6,8 +6,7 @@ import sys
 
 import pytest
 
-from pelleis import (DidNotConverge, EmptyGrid, EquationId, EvalSettings,
-                     GridSummary, PelleisError, PoleProximity, Rect,
+from pelleis import (DidNotConverge, EmptyGrid, EquationId, GridSummary, PelleisError, PoleProximity, Rect,
                      ZeroArgument, classify, eval_series, evaluator,
                      residual, term_value, verify, verify_grid)
 from pelleis.sequence import SILVER_CONJUGATE, SILVER_RATIO, float_pole
@@ -55,7 +54,7 @@ def test_shift_negation_left_sides_agree():
     scale = max(abs(shift.lhs), abs(negation.lhs))
     tol = shift.lhs_tail + negation.lhs_tail + 1e-11 * scale
     assert abs(shift.lhs - negation.lhs) <= tol
-    assert shift.rhs == negation.rhs  # identical right sides, same settings
+    assert shift.rhs == negation.rhs  # identical right sides, same tolerance
 
 
 def test_reflection_applied_twice_swaps_sides():
@@ -152,26 +151,26 @@ def test_untagged_failure_message():
     assert str(exc).endswith("for z=1j [lhs]")
 
 
-def restart_residual(equation, z, k, settings=None):
+def restart_residual(equation, z, k,
+                     target_tol=evaluator.DEFAULT_TARGET_TOL):
     """Reference: residual with every refinement round re-evaluating both
     sides from j = 0 through eval_series.  Returns (report, rounds)."""
     z = complex(z)
     m = 2 * k
     lhs_z, rhs_z = _arguments(equation, z)
-    base = settings or EvalSettings()
     sign = equation.row[2]
     prefactor = (1.0 + 0.0j if sign == 0
                  else _pow_int(z if sign > 0 else 1 / z, m))
     pref_mag = abs(prefactor)
-    lhs_settings = rhs_settings = base
+    lhs_tight = rhs_tight = target_tol
     for rounds in range(1, 4):
         try:
-            left = eval_series(lhs_z, m, lhs_settings)
+            left = eval_series(lhs_z, m, lhs_tight)
         except PelleisError as exc:
             exc.side = "lhs"
             raise
         try:
-            right = eval_series(rhs_z, m, rhs_settings)
+            right = eval_series(rhs_z, m, rhs_tight)
         except PelleisError as exc:
             exc.side = "rhs"
             raise
@@ -179,15 +178,14 @@ def restart_residual(equation, z, k, settings=None):
         rhs_tail = pref_mag * right.tail_bound
         scale = max(abs(left.value), abs(rhs))
         if (scale < 1e-250
-                or left.tail_bound + rhs_tail <= 4.0 * scale * base.target_tol):
+                or left.tail_bound + rhs_tail <= 4.0 * scale * target_tol):
             break
-        lhs_tol = max(scale * base.target_tol, 1e-250)
-        rhs_tol = max(scale * base.target_tol / max(pref_mag, 1e-300), 1e-250)
-        if (lhs_tol >= lhs_settings.target_tol
-                and rhs_tol >= rhs_settings.target_tol):
+        lhs_tol = max(scale * target_tol, 1e-250)
+        rhs_tol = max(scale * target_tol / max(pref_mag, 1e-300), 1e-250)
+        if lhs_tol >= lhs_tight and rhs_tol >= rhs_tight:
             break
-        lhs_settings = EvalSettings(min(lhs_tol, lhs_settings.target_tol))
-        rhs_settings = EvalSettings(min(rhs_tol, rhs_settings.target_tol))
+        lhs_tight = min(lhs_tol, lhs_tight)
+        rhs_tight = min(rhs_tol, rhs_tight)
     abs_res = abs(left.value - rhs)
     report = ResidualReport(
         point=z, k=k, lhs=left.value, rhs=rhs, abs_residual=abs_res,
@@ -208,8 +206,7 @@ def _residual_cases(equation, seed):
         if kind == 3:
             z = 1j + 10.0 ** rng.uniform(-14, -8) * complex(
                 rng.uniform(-1, 1), rng.uniform(-1, 1))
-            cases.append((z, EvalSettings(target_tol=10.0 ** -rng.uniform(
-                6, 12))))
+            cases.append((z, 10.0 ** -rng.uniform(6, 12)))
             continue
         if kind == 0:
             z = complex(rng.uniform(-4, 4), rng.uniform(0.05, 3))
@@ -224,7 +221,7 @@ def _residual_cases(equation, seed):
             angle = rng.choice((0.0, math.pi / 2, rng.uniform(0, 2 * math.pi)))
             z = complex(p + r * math.cos(angle), r * math.sin(angle))
         tol = 10.0 ** -rng.uniform(6, 100)
-        cases.append((z, EvalSettings(target_tol=tol)))
+        cases.append((z, tol))
     return cases
 
 
@@ -239,14 +236,14 @@ def _residual_outcome(fn):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_residual_equals_restart_reference(equation, k):
     rounds_seen = set()
-    for z, settings in _residual_cases(equation, seed=k * 101):
-        got = _residual_outcome(lambda: residual(equation, z, k, settings))
+    for z, tol in _residual_cases(equation, seed=k * 101):
+        got = _residual_outcome(lambda: residual(equation, z, k, tol))
         want = _residual_outcome(
-            lambda: restart_residual(equation, z, k, settings))
+            lambda: restart_residual(equation, z, k, tol))
         if isinstance(want, tuple) and isinstance(want[0], ResidualReport):
             want, rounds = want
             rounds_seen.add(rounds)
-        assert got == want, (z, settings)
+        assert got == want, (z, tol)
     assert rounds_seen >= ({1, 2, 3} if k % 2 else {1, 2})
 
 
@@ -259,26 +256,25 @@ def test_residual_sides_equal_fresh_evaluations(monkeypatch, equation):
     extend = evaluator._Series.extend
 
     def recording_extend(series, target_tol):
-        extends.append((series, EvalSettings(target_tol)))
+        extends.append((series, target_tol))
         return extend(series, target_tol)
 
     monkeypatch.setattr(evaluator._Series, "extend", recording_extend)
     k, refined = 3, 0
-    for z, settings in _residual_cases(equation, seed=17):
+    for z, tol in _residual_cases(equation, seed=17):
         extends.clear()
         try:
-            report = residual(equation, z, k, settings)
+            report = residual(equation, z, k, tol)
         except PelleisError:
             continue
         final = {}
         for series, tight in extends:
-            if (series not in final
-                    or tight.target_tol < final[series].target_tol):
+            if series not in final or tight < final[series]:
                 final[series] = tight
-        (lhs_series, lhs_settings), (rhs_series, rhs_settings) = final.items()
+        (lhs_series, lhs_tol), (rhs_series, rhs_tol) = final.items()
         refined += len(extends) > 2
-        left = eval_series(lhs_series.z, 2 * k, lhs_settings)
-        right = eval_series(rhs_series.z, 2 * k, rhs_settings)
+        left = eval_series(lhs_series.z, 2 * k, lhs_tol)
+        right = eval_series(rhs_series.z, 2 * k, rhs_tol)
         sign = equation.row[2]
         prefactor = (1.0 + 0.0j if sign == 0
                      else _pow_int(z if sign > 0 else 1 / z, 2 * k))
@@ -286,7 +282,7 @@ def test_residual_sides_equal_fresh_evaluations(monkeypatch, equation):
         assert repr((report.lhs, report.lhs_tail, report.rhs,
                      report.rhs_tail)) == repr((
                          left.value, left.tail_bound, prefactor * right.value,
-                         abs(prefactor) * right.tail_bound)), (z, settings)
+                         abs(prefactor) * right.tail_bound)), (z, tol)
     assert refined > 10
 
 
@@ -305,8 +301,8 @@ def test_residuals_build_no_eval_result(monkeypatch):
     assert len(built) == 1
     built.clear()
     for equation in ALL_EQUATIONS:
-        for z, settings in _residual_cases(equation, seed=5)[:20]:
-            _residual_outcome(lambda: residual(equation, z, 2, settings))
+        for z, tol in _residual_cases(equation, seed=5)[:20]:
+            _residual_outcome(lambda: residual(equation, z, 2, tol))
         summary = verify_grid(equation, Rect(-3, -0.5, 3, 3.5), 6, 6, 2)
         assert summary.points_tested
     assert built == []
@@ -334,7 +330,7 @@ def _preimage(equation, side, w):
 
 
 def _grid_cases(equation, k, seed):
-    """Seeded (region, settings) of four kinds: a wide rectangle, a thin
+    """Seeded (region, target_tol) of four kinds: a wide rectangle, a thin
     one across the real axis around the preimage of a pole p_j, a square
     around the preimage of 1 -/+ sqrt(2), under the left or the right
     argument map, and a square across the circle where the prefactor
@@ -359,23 +355,22 @@ def _grid_cases(equation, k, seed):
             cx = _preimage(equation, side, limit) + rng.uniform(-0.5, 0.5) * s
             cy = rng.uniform(-0.5, 0.5) * s
             region = Rect(cx - s, cy - s, cx + s, cy + s)
-        settings = EvalSettings(target_tol=10.0 ** -rng.uniform(6, 14))
-        cases.append((region, settings))
+        cases.append((region, 10.0 ** -rng.uniform(6, 14)))
     edge = sys.float_info.max ** (1 / (2 * k))
     if equation.row[2] < 0:    # the prefactor is (1/z)^(2k)
         edge = 1 / edge
     angle = rng.uniform(0, math.pi / 2)
     cx, cy, s = (edge * math.cos(angle), edge * math.sin(angle), 0.3 * edge)
     cases.append((Rect(cx - s, cy - s, cx + s, cy + s),
-                  EvalSettings(target_tol=10.0 ** -rng.uniform(6, 14))))
+                  10.0 ** -rng.uniform(6, 14)))
     return cases
 
 
-def _grid_outcome(equation, region, k, settings):
+def _grid_outcome(equation, region, k, tol):
     """(report fields as reprs, failures, skipped) of verify_grid on a 7x5
     grid, or EmptyGrid."""
     try:
-        summary = verify_grid(equation, region, 7, 5, k, settings)
+        summary = verify_grid(equation, region, 7, 5, k, tol)
     except EmptyGrid:
         return EmptyGrid
     return ([[repr(f) for f in r] for r in summary.reports],
@@ -384,7 +379,7 @@ def _grid_outcome(equation, region, k, settings):
             summary.points_skipped)
 
 
-def _point_by_point(equation, region, k, settings):
+def _point_by_point(equation, region, k, tol):
     """_grid_outcome rebuilt from one public residual call per point."""
     reports, failures, skipped = [], [], 0
     for z in region.cell_centers(7, 5):
@@ -396,7 +391,7 @@ def _point_by_point(equation, region, k, settings):
         if not (classify(lhs_z).is_regular and classify(rhs_z).is_regular):
             skipped += 1
             continue
-        outcome = _residual_outcome(lambda: residual(equation, z, k, settings))
+        outcome = _residual_outcome(lambda: residual(equation, z, k, tol))
         if isinstance(outcome, ResidualReport):
             reports.append([repr(f) for f in outcome])
         else:
@@ -411,10 +406,10 @@ def _point_by_point(equation, region, k, settings):
 def test_verify_grid_equals_residual_point_by_point(equation, k):
     # verify_grid maps each point once and calls residual's core; every
     # report field, failure and skip is what the public residual gives.
-    for region, settings in _grid_cases(equation, k, seed=k * 11):
-        assert (_grid_outcome(equation, region, k, settings)
-                == _point_by_point(equation, region, k, settings)), (
-                    region, settings)
+    for region, tol in _grid_cases(equation, k, seed=k * 11):
+        assert (_grid_outcome(equation, region, k, tol)
+                == _point_by_point(equation, region, k, tol)), (
+                    region, tol)
 
 
 def test_grid_cases_test_skip_and_fail_points():
@@ -430,8 +425,8 @@ def test_grid_cases_test_skip_and_fail_points():
     sides = set()
     for equation in ALL_EQUATIONS:
         for k in (1, 2, 3):
-            for region, settings in _grid_cases(equation, k, seed=k * 11):
-                got = _grid_outcome(equation, region, k, settings)
+            for region, tol in _grid_cases(equation, k, seed=k * 11):
+                got = _grid_outcome(equation, region, k, tol)
                 if got is EmptyGrid:
                     empty += 1
                     continue
@@ -446,7 +441,8 @@ def test_verify_grid_maps_each_point_once(monkeypatch):
     # The grid neither calls the public residual nor maps a point twice,
     # and classifies each side of a point at most once.
     regions = (Rect(-3, 0.5, 3, 3.5), Rect(-1, -1, 1, 1))
-    want = {(equation, region): _grid_outcome(equation, region, 2, None)
+    tol = evaluator.DEFAULT_TARGET_TOL
+    want = {(equation, region): _grid_outcome(equation, region, 2, tol)
             for equation in ALL_EQUATIONS for region in regions}
     mapped, classified = [], []
     arguments, classify_ = verify._arguments, verify.classify
@@ -468,7 +464,7 @@ def test_verify_grid_maps_each_point_once(monkeypatch):
     for (equation, region), outcome in want.items():
         mapped.clear()
         classified.clear()
-        assert _grid_outcome(equation, region, 2, None) == outcome
+        assert _grid_outcome(equation, region, 2, tol) == outcome
         assert mapped == list(region.cell_centers(7, 5))
         assert len(classified) <= 2 * len(mapped)
 
