@@ -172,7 +172,7 @@ def _cmd_poles(args) -> int:
 
 def _cmd_verify(args) -> int:
     rect = _CLI.Rect.parse(args.rect)
-    equation = EquationId(args.eq)
+    equation = _EQUATIONS[args.eq]
     summary = _CLI.verify_grid(
         equation, rect, args.nx, args.ny, args.k, args.tol)
     lines = [VERIFY_HEADER + "\n"]
@@ -196,27 +196,26 @@ def _cmd_verify(args) -> int:
     return 1 if summary.points_failed else 0
 
 
-def _coeff_lines(name: str, rf) -> list[str]:
+def _coeff_lines(name: str, rf) -> str:
     """The report lines of rf's coefficients; the zero polynomial is "0"."""
     num, den = _CLI.coefficient_texts(rf)
-    return [f"{name} numerator coefficients: {num}",
-            f"{name} denominator coefficients: {den}"]
+    return (f"{name} numerator coefficients: {num}\n"
+            f"{name} denominator coefficients: {den}\n")
 
 
 def _cmd_prove(args) -> int:
-    equation = EquationId(args.eq)
-    report = _CLI.verify_identity_exact(equation, args.window, args.k)
-    lines = [f"equation: {equation.value}",
-             f"window half-width: {report.half_width}",
-             f"weight: {report.weight}",
-             *_coeff_lines("residual", report.residual),
-             f"boundary terms: {len(report.boundary_terms)}"]
-    for i, term in enumerate(report.boundary_terms, start=1):
-        lines += _coeff_lines(f"boundary {i}", term)
-    lines += _coeff_lines("defect", report.defect)
-    lines.append(f"verdict: {report.verdict}")
+    report = _CLI.verify_identity_exact(
+        _EQUATIONS[args.eq], args.window, args.k)
+    terms = report.boundary_terms
+    text = (f"equation: {args.eq}\nwindow half-width: {report.half_width}\n"
+            f"weight: {report.weight}\n"
+            f"{_coeff_lines('residual', report.residual)}"
+            f"boundary terms: {len(terms)}\n")
+    for i, term in enumerate(terms, start=1):
+        text += _coeff_lines(f"boundary {i}", term)
     # One write, after the report is complete: an error leaves no lines.
-    sys.stdout.write("\n".join(lines) + "\n")
+    sys.stdout.write(f"{text}{_coeff_lines('defect', report.defect)}"
+                     f"verdict: {report.verdict}\n")
     return 0 if report.holds else 1
 
 
@@ -224,8 +223,11 @@ def _cmd_prove(args) -> int:
 # dest, its value's converter and its default: None if it is required, else
 # the name of the constant here that holds it, read if the option is absent.
 _TOL = ("tol", float, "DEFAULT_TARGET_TOL")
-_EQ = ("eq", lambda text: EquationId(text).value, None)
-_METAVARS = {"eq": "{%s}" % ",".join(e.value for e in EquationId),
+# --eq stays the name given, found by one dict test, and EquationId raises
+# the refusal of any other; the commands read the member from _EQUATIONS.
+_EQUATIONS = {e.value: e for e in EquationId}
+_EQ = ("eq", lambda t: t if t in _EQUATIONS else EquationId(t), None)
+_METAVARS = {"eq": "{%s}" % ",".join(_EQUATIONS),
              "rect": "X0,Y0,X1,Y1"}
 COMMANDS = {
     "seq": ("print Q_n over an index range as CSV", _cmd_seq, {
@@ -272,6 +274,8 @@ def _exit(command, reason=None):
 def _option(tok: str, options, command):
     """(option, the value after "=" or None) for the option tok names, in
     full or by a unique prefix; None if it names none.  Help exits."""
+    if tok in options:
+        return tok, None
     name, eq, value = tok.partition("=")
     if tok[:2] == "-h" and name != "-h":  # -hh, -hx: help, as in argparse 3.13
         name, eq = "-h", ""
@@ -320,15 +324,16 @@ def parse_args(argv):
     if command not in COMMANDS:
         _exit(None, "no command" if command is None
               else f"invalid command {command!r}")
-    missing = [o for o, (dest, _, default) in options.items()
-               if default is None and dest not in values]
-    if missing or stray:
-        _exit(command, f"missing {', '.join(missing)}" if missing
-              else f"unrecognized arguments: {' '.join(stray)}")
-    defaults = {dest: getattr(_CLI, default)
-                for dest, _, default in options.values() if dest not in values}
+    if stray or len(values) < len(options):  # else every option was given
+        missing = [o for o, (dest, _, default) in options.items()
+                   if default is None and dest not in values]
+        if missing or stray:
+            _exit(command, f"missing {', '.join(missing)}" if missing
+                  else f"unrecognized arguments: {' '.join(stray)}")
+        values.update({dest: getattr(_CLI, default) for dest, _, default
+                       in options.values() if dest not in values})
     return SimpleNamespace(command=command, func=COMMANDS[command][1],
-                           **values, **defaults)
+                           **values)
 
 
 def run(argv=None) -> int:

@@ -268,16 +268,22 @@ def _reduce_group(a: int, b: int, entries: tuple, m: int) -> tuple:
     (numerator, denominator) lists, the numerator [] for a zero sum.
 
     The numerators are summed over one integer scale, the lcm of the g^m;
-    the sum is divided by a z + b, at most m times, each time the root test
+    a one-entry group (every boundary term, and every residual group of an
+    offset-1 proof) is its own numerator over its own g^m.  The sum is
+    divided by a z + b, at most m times, each time the root test
     (_root_divides) shows that it divides, and the denominator is the scale
     times the power of a z + b that remains.
     """
-    scale = math.lcm(*(gm for _, gm, _ in entries))
-    acc = [0] * (m + 1)
-    for pair, gm, count in entries:
-        f = count * (scale // gm)
-        for i, c in enumerate(_linear_power(*pair, m)):
-            acc[i] += f * c
+    if len(entries) == 1:
+        ((pair, scale, count),) = entries
+        acc = [count * c for c in _linear_power(*pair, m)]
+    else:
+        scale = math.lcm(*(gm for _, gm, _ in entries))
+        acc = [0] * (m + 1)
+        for pair, gm, count in entries:
+            f = count * (scale // gm)
+            for i, c in enumerate(_linear_power(*pair, m)):
+                acc[i] += f * c
     while acc and not acc[-1]:
         acc.pop()
     if not acc:

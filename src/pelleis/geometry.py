@@ -22,16 +22,26 @@ class Rect(namedtuple("Rect", "x0 y0 x1 y1")):
             import numbers  # only for a corner not a plain float or int
             if not all(isinstance(c, numbers.Real) for c in corners):
                 raise InvalidRegion(f"non-real corner in {shown(corners)}")
-        # Compared, not converted to float, so that an int beyond double
-        # range is refused as well.
-        if not all(-_MAX_FLOAT <= c <= _MAX_FLOAT for c in corners):
+            # Another Real (numpy's float32, say) is checked through its
+            # float: compared with the largest double, it would cast that
+            # double to its own type, which overflows.
+            exact = (int, float, numbers.Rational)
+            try:
+                x0, y0, x1, y1 = (c if isinstance(c, exact) else float(c)
+                                  for c in corners)
+            except OverflowError:
+                raise InvalidRegion(
+                    f"non-finite corner in {shown(corners)}") from None
+        # Compared, not converted to float, so that an int or a Fraction
+        # beyond double range is refused as well.
+        if not all(-_MAX_FLOAT <= c <= _MAX_FLOAT for c in (x0, y0, x1, y1)):
             raise InvalidRegion(f"non-finite corner in {shown(corners)}")
         if x1 <= x0 or y1 <= y0:
             raise InvalidRegion(
                 f"rectangle sides must be positive: {shown(corners)}")
         if not (x1 - x0 <= _MAX_FLOAT and y1 - y0 <= _MAX_FLOAT):
             raise InvalidRegion(f"rectangle sides overflow: {shown(corners)}")
-        return super().__new__(cls, x0, y0, x1, y1)
+        return super().__new__(cls, *corners)
 
     @classmethod
     def _make(cls, iterable):

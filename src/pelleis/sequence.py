@@ -111,15 +111,18 @@ def pell_lucas(n: int) -> int:
 def pell_lucas_range(lo: int, hi: int) -> list[int]:
     """[Q_lo, ..., Q_hi] inclusive; raises InvalidRange if lo > hi.
 
-    Both ends are checked against INDEX_CAP before the table grows, once."""
-    require_int("index", lo)
-    require_int("index", hi)
-    if lo > hi:
-        raise InvalidRange(
-            f"lo={shown(lo, format)} exceeds hi={shown(hi, format)}")
-    for n in (lo, hi):
-        if abs(n) > INDEX_CAP:
-            raise IndexCapExceeded(n, INDEX_CAP)
+    Plain int ends within the cap, lo <= hi, pass one type test; other ends
+    are checked against INDEX_CAP before the table grows, once."""
+    if not (type(lo) is int and type(hi) is int
+            and -INDEX_CAP <= lo <= hi <= INDEX_CAP):
+        require_int("index", lo)
+        require_int("index", hi)
+        if lo > hi:
+            raise InvalidRange(
+                f"lo={shown(lo, format)} exceeds hi={shown(hi, format)}")
+        for n in (lo, hi):
+            if abs(n) > INDEX_CAP:
+                raise IndexCapExceeded(n, INDEX_CAP)
     pell_lucas(max(-lo, hi))   # grows the table to the larger |n|
     return ([-_Q[-n] if n & 1 else _Q[-n] for n in range(lo, min(hi + 1, 0))]
             + _Q[max(lo, 0):max(hi + 1, 0)])

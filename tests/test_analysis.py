@@ -2,7 +2,9 @@
 
 import itertools
 import math
+import numbers
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -12,9 +14,9 @@ from hypothesis import strategies as st
 
 import fresh
 from oracle import closer_to_sqrt2, dist_offset
-from pelleis import (DomainClass, DomainTag, IndexCapExceeded, Rect,
-                     accumulation_points, classify, eval_series, pell_lucas,
-                     pole_ratio, poles_in_rect, sequence)
+from pelleis import (DomainClass, DomainTag, IndexCapExceeded, InvalidRegion,
+                     Rect, accumulation_points, classify, eval_series,
+                     pell_lucas, pole_ratio, poles_in_rect, sequence)
 from pelleis.sequence import (INDEX_CAP, SILVER_CONJUGATE, SILVER_RATIO,
                               float_pole)
 
@@ -177,9 +179,10 @@ def test_poles_equal_brute_force_on_corner_grid():
                 region, j_cap)
 
 
-# Rect's range check compares a float32 corner with the largest double,
-# which numpy casts to float32 with an overflow warning.
-@pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+# Rect checks a float32 corner through its float: compared with the largest
+# double, it would make numpy cast that double to float32, with an overflow
+# warning.  Any warning fails this test.
+@pytest.mark.filterwarnings("error")
 def test_poles_take_a_real_corner_that_is_no_float():
     # Rect takes any numbers.Real corner; one that Fraction() refuses, such
     # as numpy's float32, is compared through its float, which is exact.
@@ -190,6 +193,27 @@ def test_poles_take_a_real_corner_that_is_no_float():
             assert (poles_in_rect(Rect(a, -1, b, 1), 40)
                     == poles_in_rect(Rect(float(a), -1, float(b), 1), 40)
                     != [])
+
+
+@pytest.mark.filterwarnings("error")
+def test_rect_checks_another_real_through_its_float():
+    # A corner that is no int, float or Rational is refused as non-finite
+    # where its float is inf or overflows; an int or a Fraction is compared
+    # exactly, so one just past the largest double is refused too.
+    np = pytest.importorskip("numpy")
+
+    class Huge:
+        def __float__(self):
+            return float(10 ** 400)   # OverflowError
+
+    numbers.Real.register(Huge)
+    top = Fraction(sys.float_info.max)
+    for corner in (np.longdouble("1e400"), Huge(), top + 1,
+                   int(top) + 1):
+        with pytest.raises(InvalidRegion, match="^non-finite corner in"):
+            Rect(-1, -1, corner, 1)
+    region = Rect(np.float32(-0.5), np.float16(-1), top, np.float32(1))
+    assert type(region.x0) is np.float32 and region.x1 is top
 
 
 def test_poles_next_to_a_limit_stop_early():

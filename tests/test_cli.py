@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import fresh
 from argparse_reference import reference_parse
+from oracle import q_int
 from pelleis import (EquationId, GridSummary, InvalidRegion, PelleisError,
                      Rect, ResidualReport, analysis, cli, eval_grid,
                      exact_reference, pell_lucas, verify_grid)
@@ -59,6 +60,15 @@ def test_seq_without_an_int_str_limit(capsys, monkeypatch):
     assert code == 0
     assert out == "n,Q_n\n" + "".join(
         f"{n},{pell_lucas(n)}\n" for n in range(-3, 4))
+
+
+@pytest.mark.parametrize("lo, hi", [(-9, -4), (-5, 7), (0, 0), (-2, -2),
+                                    (3, 11), (-1, 1)])
+def test_seq_rows_match_a_plain_recurrence(capsys, lo, hi):
+    code, out = run_cli(capsys, "seq", "--from", str(lo), "--to", str(hi))
+    assert code == 0
+    assert out == "n,Q_n\n" + "".join(
+        f"{n},{q_int(n)}\n" for n in range(lo, hi + 1))
 
 
 def test_seq_reversed_range_fails(capsys):
@@ -673,6 +683,25 @@ def test_prove_builds_no_fraction_and_no_polynomial(capsys, monkeypatch):
     monkeypatch.setattr(exact_reference, "Fraction", refused)
     monkeypatch.setattr(exact_reference, "Polynomial", refused)
     assert [run_cli(capsys, *argv) for argv in _GUARDED_PROOFS] == want
+
+
+# Every request the guards allow, 4 equations x --window 2..8 x --k 1..3,
+# then each guard's refusal at --window 1 and 9 and --k 0 and 4.
+_GUARD_REFUSALS = [("prove", "--eq", eq.value, *bad) for eq in EquationId
+                   for bad in (("--window", "1", "--k", "1"),
+                               ("--window", "9", "--k", "1"),
+                               ("--window", "2", "--k", "0"),
+                               ("--window", "2", "--k", "4"))]
+
+
+def test_every_allowed_proof_is_pinned(capsys):
+    # One sha256 over the exit code and stdout of each request in turn.
+    digest = hashlib.sha256()
+    for argv in _GUARDED_PROOFS + _GUARD_REFUSALS:
+        code, out = run_cli(capsys, *argv)
+        digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == ("22080d55a3db859cad095388f56f21814d7f5223"
+                                  "ed4a930dc734b25765ae9485")
 
 
 def test_largest_exact_proofs_are_pinned():

@@ -95,6 +95,63 @@ def test_range_grows_the_table_once_and_reads_it(monkeypatch):
         assert len(sequence._Q) == max(abs(lo), abs(hi), 1) + 1
 
 
+class _Index(int):
+    """An int that is no plain int: it takes the checked path."""
+
+
+@pytest.mark.parametrize("lo, hi", [(-9, -4), (-6, 5), (-2, 9), (3, 8),
+                                    (0, 6), (-7, 0), (-5, -5), (0, 0),
+                                    (6, 6)])
+def test_range_matches_a_plain_recurrence(lo, hi):
+    # Plain int ends take the type-tested path, an int subclass the checks;
+    # both give Q_lo .. Q_hi as the recurrence does.
+    want = [q_int(n) for n in range(lo, hi + 1)]
+    assert pell_lucas_range(lo, hi) == want
+    assert pell_lucas_range(_Index(lo), _Index(hi)) == want
+
+
+def test_range_admits_both_cap_ends(monkeypatch):
+    # An end at +-INDEX_CAP is admitted, and the table is read once to the
+    # larger |n|; the read is stopped there, as a table grown to Q_100000
+    # holds hundreds of megabytes.
+    reads = []
+
+    def stopped(n):
+        reads.append(n)
+        raise LookupError(n)
+
+    monkeypatch.setattr(sequence, "pell_lucas", stopped)
+    ends = [(-INDEX_CAP, 0), (0, INDEX_CAP), (-INDEX_CAP, INDEX_CAP),
+            (-INDEX_CAP, -INDEX_CAP), (INDEX_CAP, INDEX_CAP)]
+    for lo, hi in ends:
+        with pytest.raises(LookupError):
+            pell_lucas_range(lo, hi)
+    assert reads == [INDEX_CAP] * len(ends)
+
+
+@pytest.mark.parametrize("lo, hi, kind, message", [
+    (True, 3, ValueError, "index must be an integer, got True"),
+    (0, False, ValueError, "index must be an integer, got False"),
+    (False, True, ValueError, "index must be an integer, got False"),
+    (5, True, ValueError, "index must be an integer, got True"),
+    (1.0, 3, ValueError, "index must be an integer, got 1.0"),
+    (0, 2.5, ValueError, "index must be an integer, got 2.5"),
+    (3, -3, InvalidRange, "lo=3 exceeds hi=-3"),
+    (-100_001, 0, IndexCapExceeded, "index -100001 exceeds cap 100000"),
+    (0, 100_001, IndexCapExceeded, "index 100001 exceeds cap 100000"),
+    (-100_001, 100_001, IndexCapExceeded,
+     "index -100001 exceeds cap 100000"),
+    (100_001, 100_000, InvalidRange, "lo=100001 exceeds hi=100000")])
+def test_range_refusals_keep_type_and_message(monkeypatch, lo, hi, kind,
+                                               message):
+    # Each refusal comes before the table grows.
+    monkeypatch.setattr(sequence, "_Q", [2, 2])
+    with pytest.raises(kind) as info:
+        pell_lucas_range(lo, hi)
+    assert (type(info.value), str(info.value)) == (kind, message)
+    assert sequence._Q == [2, 2]
+
+
 def test_range_rejects_reversed_bounds():
     with pytest.raises(InvalidRange):
         pell_lucas_range(3, -3)
